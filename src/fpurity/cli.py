@@ -3,7 +3,8 @@
 Subcommands: fedder, sharp-fedder, strong-fedder, fpt, nu, testideal,
 closure, witness-check, lemma-audit. Exit code 0 means the computation
 completed (an inconclusive verdict is a completed computation), 1 means a
-usage or parse error, 2 means a resource cap aborted the run.
+usage or parse error, 2 means a resource cap (the 2^63-1 exponent cap
+included) aborted the run.
 
 Structured output (--json) is a single JSON document with stable field
 names; exact rationals are serialized as strings like "5/6" so nothing
@@ -14,13 +15,14 @@ which is why timings appear only in the human-readable table output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from .ceilarith import audit_inequalities, default_rational_grid
 from .closure import ClosureVerdict, sharp_frobenius_membership, tight_closure_witness_check
-from .errors import ParseError, ResourceCapExceeded
+from .errors import ExponentOverflowError, ParseError, ResourceCapExceeded
 from .fpt import fpt_estimate, nu_table
 from .ideals import Ideal
 from .parser import (
@@ -70,7 +72,9 @@ def _add_common_flags(sub: argparse.ArgumentParser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     top = argparse.ArgumentParser(prog="fpurity")
     subs = top.add_subparsers(dest="command", required=True)
 
@@ -417,6 +421,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         report = _RUNNERS[args.command](args)
     except ResourceCapExceeded as exc:
         return EXIT_CAP, f"error: {exc}"
+    except ExponentOverflowError as exc:
+        return EXIT_CAP, f"error: exponent cap 2^63-1 exceeded ({exc})"
     except (ParseError, ValueError) as exc:
         return EXIT_USAGE, f"error: {exc}"
     if args.json:

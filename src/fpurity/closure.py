@@ -69,7 +69,7 @@ class ClosureVerdict:
 
 def _quotient_target(I: Ideal, pair: PairSpec, q: int, limits: EngineLimits) -> Ideal:
     """I^[q] as seen from the ambient ring (defining ideal adjoined)."""
-    target = bracket_power(I, q, limits)
+    target = bracket_power(I, q)
     if pair.defining.is_zero():
         return target
     return target.plus(pair.defining)

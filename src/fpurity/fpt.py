@@ -1,11 +1,20 @@
 """F-pure thresholds: nu-sequences, two-sided interval bounds, and exact
 rationality certificates.
 
-nu_a(q) is the largest s with a^s escaping m^[q]. Dividing by q gives a
-lower bound for the threshold of a; the matching upper bound is
-(nu + mu)/q where mu is the number of generators of a (mu = 1 recovers
-the familiar principal-case bound (nu + 1)/q, and the extra slack for
-non-principal a is forced by the pigeonhole step of the scaling argument).
+nu_a(q) is the largest s with a^s escaping m^[q], for m the homogeneous
+maximal ideal. It is computed inside the Frobenius box S/m^[q], where a
+term drops out as soon as one of its exponents reaches q, so "a^s inside
+m^[q]" is "a^s vanishes in the box". The walk q' = p, p^2, ..., q
+binary-searches each nu(q') in the window that nu = nu(q'/p) allows,
+[p*nu, p*nu + p - 1] for principal a and [p*nu, p*(nu + 1) + mu*(p - 1) - 1]
+for mu generators, after checking that the window's ends hold; see
+``nu_value``.
+
+Dividing nu by q gives a lower bound for the threshold of a; the matching
+upper bound is (nu + mu)/q where mu is the number of generators of a
+(mu = 1 recovers the familiar principal-case bound (nu + 1)/q, and the
+extra slack for non-principal a is forced by the pigeonhole step of the
+scaling argument).
 
 An exact value is only ever claimed with a certificate: either the
 interval degenerates onto a proven-sharp exponent, or the principal
@@ -17,20 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .ceilarith import ceil_mul, denominator_order
 from .errors import ResourceCapExceeded
-from .ideals import (
-    DEFAULT_LIMITS,
-    EngineLimits,
-    Ideal,
-    bracket_power,
-    ideal_contains,
-    ideal_power,
-    membership,
-)
-from .poly import poly_pow
+from .ideals import DEFAULT_LIMITS, EngineLimits, Ideal
+from .poly import FrobeniusBox, is_power_of
 from .purity import PairSpec, sharp_fedder, strong_fedder
 from .report import ConsistencyReport
 
@@ -73,34 +74,123 @@ class FptEstimate:
 def nu_value(
     a: Ideal, q: int, m: Ideal, limits: EngineLimits = DEFAULT_LIMITS
 ) -> int:
-    """max{s >= 0 : a^s escapes m^[q]}, by binary search.
+    """max{s >= 0 : a^s escapes m^[q]}, walking q' = p, p^2, ..., q.
 
-    The predicate a^s inside m^[q] is monotone in s, a^0 is the whole ring
-    (never contained), and any s past n(q-1) is contained by pigeonhole,
-    so the search space is [0, n(q-1)] and the answer is always defined
-    once a sits inside m.
+    ``m`` must be the homogeneous maximal ideal; every test "a^s inside
+    m^[q']?" runs in the box S/m^[q'] (``FrobeniusBox``), where it asks
+    whether a^s vanishes. The predicate is monotone in s, so each level is
+    a binary search, started from nu(1) = 0 (a sits in m) and confined to
+    the window that the previous level's nu = nu(q'/p) leaves:
+
+      * principal a:      p*nu <= nu(q') <= p*nu + p - 1,
+      * mu generators:    p*nu <= nu(q') <= p*(nu + 1) + mu*(p - 1) - 1,
+
+    the latter also capped by n(q' - 1), past which a^s sits in m^[q'] by
+    pigeonhole. The lower end holds because Frobenius maps an escaping
+    element of a^nu to one of a^(p*nu); the upper end because a^(nu+1)
+    lies in m^[q'/p], so its Frobenius image (f^(nu+1))^p, or by
+    pigeonhole a^(p*(nu+1) + mu*(p-1)), lies in m^[q'] (Mustata, Takagi
+    and Watanabe, "F-thresholds and Bernstein-Sato polynomials", 2005).
+    Both ends are checked before the search (a^lo escapes, a^(hi+1) is
+    contained); a failed check is an engine bug and raises AssertionError.
+    a^0 is the whole ring and never contained.
+
+    Principal a takes its powers from base-p digits in the box. Monomial
+    a multiplies minimal monomial generators, pruned to the box. Any other
+    a enumerates the generator products of a^s in the box, stops at the
+    first that escapes, and raises ResourceCapExceeded once more than
+    ``limits.max_power_products`` products have been formed.
     """
     if a.is_zero():
         raise ValueError("nu is undefined for the zero ideal")
-    if not ideal_contains(m, a, limits):
+    ring = a.ring
+    if m.ring != ring or set(m.generators) != {ring.var(v) for v in ring.variables}:
+        raise ValueError("m must be the homogeneous maximal ideal of a's ring")
+    p, n = ring.p, ring.nvars
+    if not is_power_of(q, p):
+        raise ValueError(f"q={q} is not a power of p={p}")
+    origin = (0,) * n
+    if any(origin in g.terms for g in a.generators):
         raise ValueError("a must be contained in m, otherwise nu is infinite")
-    mq = bracket_power(m, q, limits)
-    principal = a.generators[0] if len(a.generators) == 1 else None
-
-    def contained(s: int) -> bool:
-        if principal is not None:
-            return membership(poly_pow(principal, s), mq, limits)
-        return ideal_contains(mq, ideal_power(a, s, limits), limits)
-
-    lo = 0
-    hi = a.ring.nvars * (q - 1) + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if contained(mid):
-            hi = mid
+    mu = len(a.generators)
+    nu, level = 0, 1
+    while level < q:
+        level *= p
+        escapes = _escape_test(a, FrobeniusBox(ring, level), limits)
+        # a^lo escapes and a^hi is contained, so lo <= nu(level) < hi
+        lo = p * nu
+        if mu == 1:
+            hi = lo + p
         else:
-            lo = mid
-    return lo
+            hi = min(p * (nu + 1) + mu * (p - 1), n * (level - 1) + 1)
+        if not escapes(lo) or escapes(hi):
+            raise AssertionError(
+                f"nu({level}) left the window [{lo}, {hi - 1}] "
+                f"given by nu({level // p}) = {nu}; engine bug"
+            )
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if escapes(mid):
+                lo = mid
+            else:
+                hi = mid
+        nu = lo
+    return nu
+
+
+def _escape_test(a: Ideal, box: FrobeniusBox, limits: EngineLimits) -> Callable[[int], bool]:
+    """The predicate "a^s escapes m^[q]" for the box's q."""
+    if len(a.generators) == 1:
+        f = box.pack(a.generators[0])
+        return lambda s: bool(box.pow(f, s))
+    if a.is_monomial:
+        base = [key for g in a.generators for key in box.pack(g)]
+
+        def monomial_escapes(s: int) -> bool:
+            power, square = [0], base
+            while s:
+                if s & 1:
+                    power = box.monomial_ideal_mul(power, square)
+                s >>= 1
+                if s:
+                    square = box.monomial_ideal_mul(square, square)
+            return bool(power)
+
+        return monomial_escapes
+
+    gens = [box.pack(g) for g in a.generators]
+    powers: list[dict[int, dict[int, int]]] = [{} for _ in gens]
+    cap = limits.max_power_products
+    last = len(gens) - 1
+
+    def power(j: int, k: int) -> dict[int, int]:
+        if k not in powers[j]:
+            powers[j][k] = box.pow(gens[j], k)
+        return powers[j][k]
+
+    def product_escapes(s: int) -> bool:
+        formed = 0
+
+        def extend(j: int, left: int, partial: dict[int, int]) -> bool:
+            # some product partial * g_j^(k_j) * ... * g_last^(k_last)
+            # with k_j + ... + k_last = left escapes
+            nonlocal formed
+            for k in range(left + 1) if j < last else (left,):
+                formed += 1
+                if formed > cap:
+                    raise ResourceCapExceeded(
+                        "max_power_products",
+                        f"more than {cap} products of {len(gens)} generators "
+                        f"formed for a^{s} modulo m^[{box.q}]",
+                    )
+                product = box.mul(partial, power(j, k))
+                if product and (j == last or extend(j + 1, left - k, product)):
+                    return True
+            return False
+
+        return extend(0, s, {0: 1})
+
+    return product_escapes
 
 
 def fpt_bounds(

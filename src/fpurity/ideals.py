@@ -319,7 +319,7 @@ def ideal_equals(I: Ideal, J: Ideal, limits: EngineLimits = DEFAULT_LIMITS) -> b
 # Frobenius bracket powers and roots
 
 
-def bracket_power(I: Ideal, q: int, limits: EngineLimits = DEFAULT_LIMITS) -> Ideal:
+def bracket_power(I: Ideal, q: int) -> Ideal:
     """The ideal generated by q-th powers of the generators, q = p^e.
 
     Generator-level powering is enough because the e-fold Frobenius is a
@@ -330,7 +330,7 @@ def bracket_power(I: Ideal, q: int, limits: EngineLimits = DEFAULT_LIMITS) -> Id
     return Ideal(I.ring, [frobenius_image(g, q) for g in I.generators])
 
 
-def root_power(I: Ideal, q: int, limits: EngineLimits = DEFAULT_LIMITS) -> Ideal:
+def root_power(I: Ideal, q: int) -> Ideal:
     """The p^e-th root: the smallest J with I contained in J^[q].
 
     Each generator g decomposes uniquely as  g = sum_C (g_C)^q * x^C  over

@@ -9,6 +9,9 @@ The zero polynomial has an empty term dict; zero coefficients are never
 stored. Values are immutable after construction, so sharing across threads
 is safe. Exponent arithmetic is checked against a 64-bit limit and raises
 instead of wrapping.
+
+``FrobeniusBox`` computes in the finite quotient S/m^[q] instead, on packed
+monomials, for the questions that only ask whether something lies in m^[q].
 """
 
 from __future__ import annotations
@@ -309,6 +312,169 @@ def poly_pow(f: SparsePolynomial, s: int) -> SparsePolynomial:
         if s:
             base = poly_mul(base, base)
     return frobenius_image(acc, q)
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius box S/m^[q]
+
+
+class FrobeniusBox:
+    """Arithmetic in the finite quotient S/m^[q], m = (x_1, ..., x_n), q = p^e.
+
+    A polynomial lies in m^[q] exactly when every one of its terms has some
+    exponent >= q, so its image in the box is the polynomial with those
+    terms dropped, and "g in m^[q]" becomes "g is zero in the box".
+    Truncating after every product is exact because m^[q] is an ideal.
+
+    Inside the box a polynomial is a dict from packed monomial to
+    coefficient. Exponent i sits in bits [w*i, w*(i+1)) of one int, with
+    2^(w-1) >= q, so multiplying monomials is adding ints and no field
+    carries into the next. For a sub-box of side b <= q, adding
+    (2^(w-1) - b) to every field sets a field's top bit exactly when its
+    exponent is >= b, so one mask test drops a term. The Frobenius image
+    of a sub-box of side b/p is a multiplication of every key by p.
+
+    Every exponent in the box is below q, so the 2^63-1 exponent limit is
+    checked once, on q.
+    """
+
+    __slots__ = ("ring", "q", "_width", "_ones", "_top", "_high")
+
+    def __init__(self, ring: PolyRing, q: int):
+        _check_q(ring.p, q)
+        if q - 1 > EXP_LIMIT:
+            raise ExponentOverflowError(
+                f"exponents of S/m^[{q}] reach {q - 1}, past 2^63-1"
+            )
+        top_bit = (q - 1).bit_length()
+        self.ring = ring
+        self.q = q
+        self._width = top_bit + 1
+        self._ones = sum(1 << (self._width * i) for i in range(ring.nvars))
+        self._top = 1 << top_bit
+        self._high = self._top * self._ones
+
+    def _offset(self, b: int) -> int:
+        return (self._top - b) * self._ones
+
+    def pack(self, f: SparsePolynomial) -> dict[int, int]:
+        """The image of f in the box."""
+        q, w = self.q, self._width
+        return {
+            sum(e << (w * i) for i, e in enumerate(mono)): c
+            for mono, c in f.terms.items()
+            if all(e < q for e in mono)
+        }
+
+    def unpack(self, terms: dict[int, int]) -> SparsePolynomial:
+        w, n = self._width, self.ring.nvars
+        mask = (1 << w) - 1
+        return SparsePolynomial(
+            self.ring,
+            {tuple((key >> (w * i)) & mask for i in range(n)): c for key, c in terms.items()},
+        )
+
+    def _truncate(self, f: dict[int, int], b: int) -> dict[int, int]:
+        off, high = self._offset(b), self._high
+        return {key: c for key, c in f.items() if not (key + off) & high}
+
+    def mul(self, f: dict[int, int], g: dict[int, int], b: int | None = None) -> dict[int, int]:
+        """f * g in the sub-box of side b (default q)."""
+        if not f or not g:
+            return {}
+        if len(f) > len(g):
+            f, g = g, f
+        off = self._offset(self.q if b is None else b)
+        high = self._high
+        shifted = [(key + off, c) for key, c in g.items()]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for u, cu in f.items():
+            for v, cv in shifted:
+                key = u + v
+                if not key & high:
+                    acc[key] = get(key, 0) + cu * cv
+        p = self.ring.p
+        out = {}
+        for key, c in acc.items():
+            c %= p
+            if c:
+                out[key - off] = c
+        return out
+
+    def frobenius(self, f: dict[int, int]) -> dict[int, int]:
+        """f^p, for f in a sub-box of side at most q/p."""
+        p = self.ring.p
+        return {key * p: c for key, c in f.items()}
+
+    def monomial_ideal_mul(self, A: list[int], B: list[int]) -> list[int]:
+        """Minimal generators, inside the box, of the product of two
+        monomial ideals given by packed minimal generators.
+
+        If x^u divides x^v then u's key is at most v's, so a divisor is kept
+        before anything it divides. x^u divides x^v iff no field of
+        (v + top bits) - u loses its top bit.
+        """
+        off, high = self._offset(self.q), self._high
+        candidates = sorted({u + v for u in A for v in B if not (u + v + off) & high})
+        kept: list[int] = []
+        for v in candidates:
+            raised = v | high
+            if not any((raised - u) & high == high for u in kept):
+                kept.append(v)
+        return kept
+
+    def _digit_pow(self, f: dict[int, int], d: int, b: int) -> dict[int, int]:
+        """f^d in the sub-box of side b, by truncated square-and-multiply."""
+        result: dict[int, int] | None = None
+        base = self._truncate(f, b)
+        while True:
+            if d & 1:
+                result = base if result is None else self.mul(result, base, b)
+            d >>= 1
+            if not d:
+                return result if result is not None else {0: 1}
+            base = self.mul(base, base, b)
+
+    def pow(self, f: dict[int, int], s: int) -> dict[int, int]:
+        """f^s in the box, from the base-p digits of s.
+
+        With s = sum_i s_i p^i, f^s = prod_i Frob^i(f^(s_i)). Horner's rule
+        from the top digit down keeps the partial power f^(s // p^i) in the
+        sub-box of side max(q / p^i, 1), where it is exact: x^u escapes
+        m^[q] after i Frobenius steps iff u < q / p^i. Each digit power is
+        built on demand, so no table of p - 1 powers is ever stored.
+        """
+        if s < 0:
+            raise ValueError(f"negative exponent {s}")
+        p, q = self.ring.p, self.q
+        digits = []
+        while s:
+            s, d = divmod(s, p)
+            digits.append(d)
+        acc = {0: 1}
+        for i in range(len(digits) - 1, -1, -1):
+            b = max(q // p**i, 1)
+            acc = self.frobenius(acc)
+            if digits[i]:
+                acc = self.mul(acc, self._digit_pow(f, digits[i], b), b)
+            if not acc:
+                break
+        return acc
+
+
+def box_mul(f: SparsePolynomial, g: SparsePolynomial, q: int) -> SparsePolynomial:
+    """f * g modulo m^[q]: the product with every term that has an exponent
+    >= q dropped."""
+    f._check_ring(g)
+    box = FrobeniusBox(f.ring, q)
+    return box.unpack(box.mul(box.pack(f), box.pack(g)))
+
+
+def box_pow(f: SparsePolynomial, s: int, q: int) -> SparsePolynomial:
+    """f^s modulo m^[q], q = p^e; zero exactly when f^s lies in m^[q]."""
+    box = FrobeniusBox(f.ring, q)
+    return box.unpack(box.pow(box.pack(f), s))
 
 
 def _check_q(p: int, q: int):

@@ -119,9 +119,9 @@ def _escape_witness(
     pair: PairSpec, N: int, q: int, limits: EngineLimits
 ) -> Optional[SparsePolynomial]:
     """A generator product of a'^N * (I^[q] : I) outside m^[q], if any."""
-    cond = colon(bracket_power(pair.defining, q, limits), pair.defining, limits)
+    cond = colon(bracket_power(pair.defining, q), pair.defining, limits)
     powered = ideal_power(pair.a_preimage, N, limits)
-    mq = bracket_power(maximal_ideal(pair.ring), q, limits)
+    mq = bracket_power(maximal_ideal(pair.ring), q)
     for u in powered.generators:
         for v in cond.generators:
             g = u * v
@@ -272,7 +272,7 @@ def sharp_from_single_split(
     q = ring.p**e
     t = Fraction(1, q - 1)
     pair = PairSpec(ring, Ideal.zero(ring), Ideal(ring, [f]), t)
-    splits = not membership(f, bracket_power(maximal_ideal(ring), q, limits), limits)
+    splits = not membership(f, bracket_power(maximal_ideal(ring), q), limits)
     if splits:
         verdict = PurityVerdict(
             SHARP,
@@ -307,10 +307,10 @@ def verify_witness(
         raise ValueError("only proven verdicts carry a witness")
     q = verdict.witness_q
     N = _exponent(verdict.criterion, pair.t, q)
-    cond = colon(bracket_power(pair.defining, q, limits), pair.defining, limits)
+    cond = colon(bracket_power(pair.defining, q), pair.defining, limits)
     product = ideal_power(pair.a_preimage, N, limits).times(cond)
     in_product = membership(verdict.witness_poly, product, limits)
     escapes = not membership(
-        verdict.witness_poly, bracket_power(maximal_ideal(pair.ring), q, limits), limits
+        verdict.witness_poly, bracket_power(maximal_ideal(pair.ring), q), limits
     )
     return in_product and escapes

@@ -75,7 +75,7 @@ def test_ideal(
     previous: Optional[Ideal] = None
     for e in range(1, e_cap + 1):
         q = ring.p**e
-        entry = root_power(ideal_power(a, ceil_mul(t, q), limits), q, limits)
+        entry = root_power(ideal_power(a, ceil_mul(t, q), limits), q)
         if previous is not None and not ideal_contains(entry, previous, limits):
             raise AssertionError(f"chain ascent violated between e={e - 1} and e={e}")
         chain.append((e, entry))
@@ -159,9 +159,9 @@ def vassilev_containment(
     if not ideal_contains(tau_pullback, I, limits):
         raise ValueError("tau_pullback must contain the defining ideal")
     lhs = ideal_power(a_preimage, ceil_mul(t, q - 1), limits).times(
-        colon(bracket_power(I, q, limits), I, limits)
+        colon(bracket_power(I, q), I, limits)
     )
-    rhs = colon(bracket_power(tau_pullback, q, limits), tau_pullback, limits)
+    rhs = colon(bracket_power(tau_pullback, q), tau_pullback, limits)
     return ideal_contains(rhs, lhs, limits)
 
 

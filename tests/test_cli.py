@@ -112,6 +112,23 @@ def test_cap_exit_code():
     assert "cap" in text
 
 
+def test_exponent_overflow_exits_with_cap_code():
+    # q = p^3 with p = 2^31 - 1 puts exponents of S/m^[q] past 2^63 - 1
+    code, text = run(["nu", "--ring", "p=2147483647; vars=x", "--a", "x", "--emax", "3"])
+    assert code == EXIT_CAP
+    assert text.startswith("error: exponent cap 2^63-1 exceeded")
+
+
+def test_parser_is_built_once():
+    from fpurity.cli import build_parser
+
+    assert build_parser() is build_parser()
+    run_json(["nu", "--ring", "p=3; vars=x", "--a", "x^2", "--emax", "1"])
+    # a reused parser must not leak one call's options into the next
+    report = run_json(["nu", "--ring", "p=3; vars=x", "--a", "x", "--emax", "2"])
+    assert report["inputs"]["a"] == ["x"] and report["inputs"]["seed"] == 0
+
+
 def test_unknown_subcommand_usage():
     code, _ = run(["frobenate"])
     assert code == EXIT_USAGE

@@ -3,15 +3,23 @@ from fractions import Fraction
 import pytest
 
 from fpurity import (
+    EngineLimits,
     Ideal,
     PairSpec,
+    ResourceCapExceeded,
+    box_pow,
+    bracket_power,
     fpt_bounds,
     fpt_estimate,
+    ideal_contains,
+    ideal_power,
     maximal_ideal,
+    membership,
     nu_table,
     nu_value,
     parse_poly,
     parse_ring,
+    poly_pow,
     sharp_fedder,
     threshold_consistency,
 )
@@ -211,3 +219,123 @@ def test_consistency_requires_proven_t(r3xy):
 def test_consistency_rejects_bad_epsilon(r3xy):
     with pytest.raises(ValueError):
         threshold_consistency(ideal(["x*y"], r3xy), Fraction(1), [Fraction(2)])
+
+
+# --- the box kernel against the old route ------------------------------------------
+
+
+def nu_oracle(a, q):
+    """nu by the route the box kernel replaced: full powers (poly_pow or
+    ideal_power), membership in m^[q], binary search over [0, n(q-1)]."""
+    mq = bracket_power(maximal_ideal(a.ring), q)
+
+    def contained(s):
+        if len(a.generators) == 1:
+            return membership(poly_pow(a.generators[0], s), mq)
+        return ideal_contains(mq, ideal_power(a, s))
+
+    lo, hi = 0, a.ring.nvars * (q - 1) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if contained(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def random_poly(rng, ring, max_terms=3, max_deg=3):
+    """A nonzero polynomial in m with up to max_terms terms."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        deg = rng.randint(1, max_deg)
+        cuts = sorted(rng.randint(0, deg) for _ in range(ring.nvars - 1))
+        mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+        terms[mono] = rng.randrange(1, ring.p)
+    return ring.poly(terms)
+
+
+# (p, variables, q values); every q <= 27
+DIFF_CASES = [
+    (2, "x,y", (2, 4, 8, 16)),
+    (2, "x,y,z", (2, 4, 8)),
+    (3, "x,y", (3, 9, 27)),
+    (5, "x,y", (5, 25)),
+]
+
+
+@pytest.mark.parametrize("p_, names, qs", DIFF_CASES)
+def test_nu_principal_matches_old_route(p_, names, qs):
+    import random
+
+    ring = parse_ring(f"p={p_}; vars={names}")
+    rng = random.Random(1000 + p_ * 10 + len(names))
+    m = maximal_ideal(ring)
+    for _ in range(12):
+        a = Ideal(ring, [random_poly(rng, ring, max_terms=4)])
+        for q in qs:
+            assert nu_value(a, q, m) == nu_oracle(a, q), (a, q)
+
+
+@pytest.mark.parametrize("p_, names, qs", DIFF_CASES)
+def test_nu_ideals_match_old_route(p_, names, qs):
+    import random
+
+    ring = parse_ring(f"p={p_}; vars={names}")
+    rng = random.Random(2000 + p_ * 10 + len(names))
+    m = maximal_ideal(ring)
+    for k in range(8):
+        # alternate two and three generators; single-term generators make
+        # some of these monomial ideals, which take their own route
+        gens = [random_poly(rng, ring, max_terms=2) for _ in range(2 + k % 2)]
+        a = Ideal(ring, gens)
+        for q in qs[:2] if len(gens) == 3 else qs:
+            assert nu_value(a, q, m) == nu_oracle(a, q), (a, q)
+
+
+def test_nu_principal_window():
+    import random
+
+    rng = random.Random(3)
+    for p_, names, e_max in ((2, "x,y", 5), (3, "x,y", 4), (5, "x,y", 3), (3, "x,y,z", 3)):
+        ring = parse_ring(f"p={p_}; vars={names}")
+        for _ in range(6):
+            a = Ideal(ring, [random_poly(rng, ring, max_terms=4, max_deg=5)])
+            nu = [r.nu for r in nu_table(a, e_max, maximal_ideal(ring))]
+            for lower, upper in zip(nu, nu[1:]):
+                assert p_ * lower <= upper <= p_ * lower + p_ - 1, (a, nu)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [["x^3"], ["x^3*y + y^4"], ["x^3", "y^4"], ["x^3 + y^3", "x^4"], ["x^3 + y^5", "x^4*y"]],
+)
+def test_nu_zero_when_a_lies_in_the_bracket_power(texts, r3xy):
+    # a^1 inside m^[q] leaves only a^0 = (1), which never is inside it
+    a = ideal(texts, r3xy)
+    assert nu_value(a, 3, maximal_ideal(r3xy)) == 0 == nu_oracle(a, 3)
+    assert nu_value(a, 1, maximal_ideal(r3xy)) == 0
+
+
+def test_box_power_zero_is_one(r3xy):
+    f = parse_poly("x^2 + y", r3xy)
+    for q in (1, 3, 9):
+        assert box_pow(f, 0, q) == r3xy.one()
+
+
+@pytest.mark.parametrize("texts", [["x"], ["x^2", "y"], ["x + y", "y"], ["x", "y", "x*y + 1"]])
+def test_nu_rejects_a_non_maximal_m(texts, r3xy):
+    with pytest.raises(ValueError, match="maximal ideal"):
+        nu_value(ideal(["x*y"], r3xy), 3, ideal(texts, r3xy))
+
+
+def test_nu_rejects_q_not_a_power_of_p(r3xy):
+    with pytest.raises(ValueError, match="not a power"):
+        nu_value(ideal(["x*y"], r3xy), 6, maximal_ideal(r3xy))
+
+
+def test_nu_product_cap(r3xy):
+    a = ideal(["x + y", "x*y + y^2", "x^2"], r3xy)
+    assert nu_value(a, 9, maximal_ideal(r3xy)) == nu_oracle(a, 9)
+    with pytest.raises(ResourceCapExceeded, match="max_power_products"):
+        nu_value(a, 9, maximal_ideal(r3xy), EngineLimits(max_power_products=5))

@@ -3,7 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from fpurity import (
     ExponentOverflowError,
+    FrobeniusBox,
     RingMismatchError,
+    box_mul,
+    box_pow,
     frobenius_image,
     parse_ring,
     poly_mul,
@@ -103,3 +106,40 @@ def test_exponent_overflow_checked(r3x):
 def test_negative_pow_rejected(r3x):
     with pytest.raises(ValueError):
         poly_pow(p("x", r3x), -1)
+
+
+# --- the Frobenius box S/m^[q] ----------------------------------------------------
+
+
+def truncated(f, q):
+    return f.ring.poly({m: c for m, c in f.terms.items() if all(e < q for e in m)})
+
+
+@given(f=polys(R3, max_terms=3, max_exp=4), s=st.integers(0, 30), e=st.integers(0, 3))
+@settings(max_examples=60)
+def test_box_pow_is_truncated_pow(f, s, e):
+    # includes constant terms and s spanning several base-3 digits
+    assert box_pow(f, s, 3**e) == truncated(poly_pow(f, s), 3**e)
+
+
+@given(f=polys(R3, max_exp=9), g=polys(R3, max_exp=9), e=st.integers(0, 2))
+@settings(max_examples=60)
+def test_box_mul_is_truncated_mul(f, g, e):
+    assert box_mul(f, g, 3**e) == truncated(poly_mul(f, g), 3**e)
+
+
+def test_box_monomial_ideal_mul(r3xy):
+    box = FrobeniusBox(r3xy, 9)
+    a = [box.pack(p(t, r3xy)).popitem()[0] for t in ("x^2", "x*y^3", "y^5")]
+    got = sorted(box.unpack({k: 1 for k in box.monomial_ideal_mul(a, a)}).terms)
+    # a^2 = (x^4, x^3 y^3, x^2 y^5, x^2 y^6, x y^8, y^10); y^10 leaves the
+    # box, x^2 y^6 is divisible by x^2 y^5
+    assert got == [(1, 8), (2, 5), (3, 3), (4, 0)]
+
+
+def test_box_rejects_exponents_past_the_limit(r3x):
+    FrobeniusBox(r3x, 3**39)
+    with pytest.raises(ExponentOverflowError):
+        FrobeniusBox(r3x, 3**40)
+    with pytest.raises(ValueError):
+        FrobeniusBox(r3x, 6)
