@@ -4,7 +4,8 @@ Subcommands: fedder, sharp-fedder, strong-fedder, fpt, nu, testideal,
 closure, witness-check, lemma-audit. Exit code 0 means the computation
 completed (an inconclusive verdict is a completed computation), 1 means a
 usage or parse error, 2 means a resource cap (the 2^63-1 exponent cap
-included) aborted the run.
+included) aborted the run, 3 means an internal invariant failed, which is
+always an engine bug.
 
 Structured output (--json) is a single JSON document with stable field
 names; exact rationals are serialized as strings like "5/6" so nothing
@@ -49,6 +50,7 @@ from .testideal import test_ideal
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
+EXIT_BUG = 3
 
 
 def _add_pair_flags(
@@ -425,6 +427,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         return EXIT_CAP, f"error: exponent cap 2^63-1 exceeded ({exc})"
     except (ParseError, ValueError) as exc:
         return EXIT_USAGE, f"error: {exc}"
+    except AssertionError as exc:
+        return EXIT_BUG, f"error: internal invariant violated ({exc}); this is an engine bug"
     if args.json:
         return EXIT_OK, emit(report, "structured")
     elapsed = time.perf_counter() - started

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .ceilarith import ceil_mul, denominator_order
-from .ideals import (
-    DEFAULT_LIMITS,
-    EngineLimits,
-    Ideal,
-    bracket_power,
-    ideal_power,
-    membership,
-)
+from .ideals import Ideal, bracket_power, ideal_power, membership
 from .poly import SparsePolynomial, frobenius_image, poly_pow
 from .purity import PairSpec
 from .report import ConsistencyReport
@@ -67,7 +60,7 @@ class ClosureVerdict:
     note: str = ""
 
 
-def _quotient_target(I: Ideal, pair: PairSpec, q: int, limits: EngineLimits) -> Ideal:
+def _quotient_target(I: Ideal, pair: PairSpec, q: int) -> Ideal:
     """I^[q] as seen from the ambient ring (defining ideal adjoined)."""
     target = bracket_power(I, q)
     if pair.defining.is_zero():
@@ -75,12 +68,10 @@ def _quotient_target(I: Ideal, pair: PairSpec, q: int, limits: EngineLimits) -> 
     return target.plus(pair.defining)
 
 
-def _pair_power_contained(
-    z_q: SparsePolynomial, pair: PairSpec, N: int, target: Ideal, limits: EngineLimits
-) -> bool:
-    """a'^N * (z^q) inside target, checked generator by generator."""
-    powered = ideal_power(pair.a_preimage, N, limits)
-    return all(membership(u * z_q, target, limits) for u in powered.generators)
+def _power_times_contained(g: SparsePolynomial, pair: PairSpec, N: int, target: Ideal) -> bool:
+    """a'^N * g inside target, checked generator by generator."""
+    powered = ideal_power(pair.a_preimage, N)
+    return all(membership(u * g, target) for u in powered.generators)
 
 
 def sharp_frobenius_membership(
@@ -88,7 +79,6 @@ def sharp_frobenius_membership(
     I: Ideal,
     pair: PairSpec,
     e_range: Optional[Iterable[int]] = None,
-    limits: EngineLimits = DEFAULT_LIMITS,
 ) -> ClosureVerdict:
     """Probe z against the sharp Frobenius closure of I under the pair.
 
@@ -99,7 +89,7 @@ def sharp_frobenius_membership(
     the large-e quantifier tolerates.
     """
     p = pair.ring.p
-    if membership(z, I.plus(pair.defining) if not pair.defining.is_zero() else I, limits):
+    if membership(z, I.plus(pair.defining) if not pair.defining.is_zero() else I):
         return ClosureVerdict(TRIVIALLY_IN, note="z already lies in I")
     if e_range is None:
         e_range = default_e_range(p)
@@ -112,12 +102,8 @@ def sharp_frobenius_membership(
     certified: Optional[int] = None
     for e in e_values:
         q = p**e
-        contained = _pair_power_contained(
-            frobenius_image(z, q),
-            pair,
-            ceil_mul(pair.t, q - 1),
-            _quotient_target(I, pair, q, limits),
-            limits,
+        contained = _power_times_contained(
+            frobenius_image(z, q), pair, ceil_mul(pair.t, q - 1), _quotient_target(I, pair, q)
         )
         (held if contained else failed).append(e)
         if contained and certified is None and order is not None and e % order == 0:
@@ -164,7 +150,6 @@ def tight_closure_witness_check(
     pair: PairSpec,
     c: SparsePolynomial,
     e_max: int,
-    limits: EngineLimits = DEFAULT_LIMITS,
 ) -> tuple[bool, dict[int, bool]]:
     """Check  c * a^ceil(t(q-1)) * z^q  inside I^[q]  for e = 0..e_max.
 
@@ -178,11 +163,8 @@ def tight_closure_witness_check(
     trace: dict[int, bool] = {}
     for e in range(0, e_max + 1):
         q = p**e
-        target = _quotient_target(I, pair, q, limits)
-        z_q = frobenius_image(z, q)
-        powered = ideal_power(pair.a_preimage, ceil_mul(pair.t, q - 1), limits)
-        trace[e] = all(
-            membership(c * u * z_q, target, limits) for u in powered.generators
+        trace[e] = _power_times_contained(
+            c * frobenius_image(z, q), pair, ceil_mul(pair.t, q - 1), _quotient_target(I, pair, q)
         )
     return all(trace.values()), trace
 
@@ -192,7 +174,6 @@ def sharp_multiplier_check(
     pair: PairSpec,
     instances: list[tuple[Ideal, SparsePolynomial]],
     e_max: int,
-    limits: EngineLimits = DEFAULT_LIMITS,
 ) -> ConsistencyReport:
     """Exercise the multiplier containments of c over computable instances.
 
@@ -205,15 +186,15 @@ def sharp_multiplier_check(
     p = pair.ring.p
     for idx, (I, z) in enumerate(instances):
         member_target = I.plus(pair.defining) if not pair.defining.is_zero() else I
-        if not membership(z, member_target, limits):
+        if not membership(z, member_target):
             raise ValueError(f"instance {idx}: z must lie in I")
         for e in range(0, e_max + 1):
             q = p**e
-            target = _quotient_target(I, pair, q, limits)
-            z_q = frobenius_image(z, q)
-            powered = ideal_power(pair.a_preimage, ceil_mul(pair.t, q - 1), limits)
-            ok = all(
-                membership(c * u * z_q, target, limits) for u in powered.generators
+            ok = _power_times_contained(
+                c * frobenius_image(z, q),
+                pair,
+                ceil_mul(pair.t, q - 1),
+                _quotient_target(I, pair, q),
             )
             report.record(ok, instance=idx, e=e, c=repr(c))
     return report
@@ -226,7 +207,6 @@ def power_into_closure_check(
     c: SparsePolynomial,
     q: int,
     d_max: int,
-    limits: EngineLimits = DEFAULT_LIMITS,
 ) -> ConsistencyReport:
     """Witness-level check that a^ceil(t(q-1)) * z^q lands in the tight
     closure of I^[q].
@@ -241,16 +221,16 @@ def power_into_closure_check(
     report = ConsistencyReport(subject="pair power lands in closure of bracket")
     p = pair.ring.p
     z_q = frobenius_image(z, q)
-    outer = ideal_power(pair.a_preimage, ceil_mul(pair.t, q - 1), limits)
+    outer = ideal_power(pair.a_preimage, ceil_mul(pair.t, q - 1))
     for gi, u in enumerate(outer.generators):
         g = u * z_q
         for d in range(0, d_max + 1):
             qd = p**d
-            target = _quotient_target(I, pair, q * qd, limits)
-            g_qd = poly_pow(g, qd)
-            inner = ideal_power(pair.a_preimage, ceil_mul(pair.t, qd - 1), limits)
-            ok = all(
-                membership(c * v * g_qd, target, limits) for v in inner.generators
+            ok = _power_times_contained(
+                c * poly_pow(g, qd),
+                pair,
+                ceil_mul(pair.t, qd - 1),
+                _quotient_target(I, pair, q * qd),
             )
             report.record(ok, generator=gi, d=d)
     return report

@@ -1,7 +1,8 @@
-"""Arithmetic in the prime field F_p.
+"""The prime field F_p.
 
-Elements are plain Python ints in ``[0, p)``; the field object carries the
-modulus and the operations. Everything is exact.
+Elements are plain Python ints in ``[0, p)`` that callers reduce mod p
+themselves; the field object checks the modulus and supplies inverses.
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -39,25 +40,7 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def element(self, n: int) -> int:
-        return n % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("no inverse of 0 in a field")
         return pow(a, -1, self.p)
-
-    def pow(self, a: int, n: int) -> int:
-        return pow(a % self.p, n, self.p)

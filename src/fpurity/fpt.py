@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 from .ceilarith import ceil_mul, denominator_order
 from .errors import ResourceCapExceeded
-from .ideals import DEFAULT_LIMITS, EngineLimits, Ideal
+from .ideals import MAX_POWER_PRODUCTS, Ideal
 from .poly import FrobeniusBox, is_power_of
 from .purity import PairSpec, sharp_fedder, strong_fedder
 from .report import ConsistencyReport
@@ -71,9 +71,7 @@ class FptEstimate:
     label: str
 
 
-def nu_value(
-    a: Ideal, q: int, m: Ideal, limits: EngineLimits = DEFAULT_LIMITS
-) -> int:
+def nu_value(a: Ideal, q: int, m: Ideal) -> int:
     """max{s >= 0 : a^s escapes m^[q]}, walking q' = p, p^2, ..., q.
 
     ``m`` must be the homogeneous maximal ideal; every test "a^s inside
@@ -99,7 +97,7 @@ def nu_value(
     a multiplies minimal monomial generators, pruned to the box. Any other
     a enumerates the generator products of a^s in the box, stops at the
     first that escapes, and raises ResourceCapExceeded once more than
-    ``limits.max_power_products`` products have been formed.
+    ``MAX_POWER_PRODUCTS`` products have been formed.
     """
     if a.is_zero():
         raise ValueError("nu is undefined for the zero ideal")
@@ -116,7 +114,7 @@ def nu_value(
     nu, level = 0, 1
     while level < q:
         level *= p
-        escapes = _escape_test(a, FrobeniusBox(ring, level), limits)
+        escapes = _escape_test(a, FrobeniusBox(ring, level))
         # a^lo escapes and a^hi is contained, so lo <= nu(level) < hi
         lo = p * nu
         if mu == 1:
@@ -138,7 +136,7 @@ def nu_value(
     return nu
 
 
-def _escape_test(a: Ideal, box: FrobeniusBox, limits: EngineLimits) -> Callable[[int], bool]:
+def _escape_test(a: Ideal, box: FrobeniusBox) -> Callable[[int], bool]:
     """The predicate "a^s escapes m^[q]" for the box's q."""
     if len(a.generators) == 1:
         f = box.pack(a.generators[0])
@@ -160,7 +158,7 @@ def _escape_test(a: Ideal, box: FrobeniusBox, limits: EngineLimits) -> Callable[
 
     gens = [box.pack(g) for g in a.generators]
     powers: list[dict[int, dict[int, int]]] = [{} for _ in gens]
-    cap = limits.max_power_products
+    cap = MAX_POWER_PRODUCTS
     last = len(gens) - 1
 
     def power(j: int, k: int) -> dict[int, int]:
@@ -193,20 +191,16 @@ def _escape_test(a: Ideal, box: FrobeniusBox, limits: EngineLimits) -> Callable[
     return product_escapes
 
 
-def fpt_bounds(
-    a: Ideal, e: int, m: Ideal, limits: EngineLimits = DEFAULT_LIMITS
-) -> NuRecord:
+def fpt_bounds(a: Ideal, e: int, m: Ideal) -> NuRecord:
     """The interval [nu/q, (nu + mu)/q] containing the threshold at q = p^e."""
     q = a.ring.p**e
-    nu = nu_value(a, q, m, limits)
+    nu = nu_value(a, q, m)
     mu = len(a.generators)
     return NuRecord(e=e, q=q, nu=nu, lo=Fraction(nu, q), hi=Fraction(nu + mu, q))
 
 
-def nu_table(
-    a: Ideal, e_max: int, m: Ideal, limits: EngineLimits = DEFAULT_LIMITS
-) -> list[NuRecord]:
-    return [fpt_bounds(a, e, m, limits) for e in range(1, e_max + 1)]
+def nu_table(a: Ideal, e_max: int, m: Ideal) -> list[NuRecord]:
+    return [fpt_bounds(a, e, m) for e in range(1, e_max + 1)]
 
 
 def _divisors(n: int) -> list[int]:
@@ -239,9 +233,7 @@ def _candidates(lo: Fraction, hi: Fraction, p: int, e_max: int) -> list[Fraction
     return sorted(found, reverse=True)
 
 
-def fpt_estimate(
-    a: Ideal, e_max: int, m: Ideal, limits: EngineLimits = DEFAULT_LIMITS
-) -> FptEstimate:
+def fpt_estimate(a: Ideal, e_max: int, m: Ideal) -> FptEstimate:
     """Interval estimate of the threshold with an exactness certificate
     when one of the two finite checks lands.
 
@@ -255,7 +247,7 @@ def fpt_estimate(
         candidate inconclusive, certifies a proven lower bound, exact only
         if the candidate already sits at the interval's top.
     """
-    records = nu_table(a, e_max, m, limits)
+    records = nu_table(a, e_max, m)
     lo = max(r.lo for r in records)
     hi = min(r.hi for r in records)
     if lo > hi:
@@ -266,7 +258,7 @@ def fpt_estimate(
 
     def nu_at(e: int) -> int:
         if e not in nu_by_e:
-            nu_by_e[e] = nu_value(a, p**e, m, limits)
+            nu_by_e[e] = nu_value(a, p**e, m)
         return nu_by_e[e]
 
     for t_star in _candidates(lo, hi, p, e_max):
@@ -290,7 +282,7 @@ def fpt_estimate(
                         LABEL_EXACT,
                     )
         pair = PairSpec(a.ring, Ideal.zero(a.ring), a, t_star)
-        if sharp_fedder(pair, e_max, limits).proven:
+        if sharp_fedder(pair, e_max).proven:
             e_star = denominator_order(t_star, p, e_cap=e_max)
             exact = t_star == hi
             return FptEstimate(
@@ -308,7 +300,6 @@ def threshold_consistency(
     t_proven: Fraction,
     epsilons: list[Fraction],
     e_max: int = 4,
-    limits: EngineLimits = DEFAULT_LIMITS,
 ) -> ConsistencyReport:
     """Sharp purity at t forces strong purity below t; verify it.
 
@@ -320,7 +311,7 @@ def threshold_consistency(
     report = ConsistencyReport(subject="sharp at t => strong below t")
     ring = a.ring
     pair = PairSpec(ring, Ideal.zero(ring), a, t_proven)
-    sharp = sharp_fedder(pair, e_max, limits)
+    sharp = sharp_fedder(pair, e_max)
     if not sharp.proven:
         raise ValueError("t_proven must come with a sharp purity proof")
     e0 = sharp.witness_e
@@ -334,6 +325,6 @@ def threshold_consistency(
         while eps * ring.p**e_need <= t_proven:
             e_need += 1
         e_run = e0 * (-(-e_need // e0))
-        strong = strong_fedder(PairSpec(ring, Ideal.zero(ring), a, t_proven - eps), e_run, limits)
+        strong = strong_fedder(PairSpec(ring, Ideal.zero(ring), a, t_proven - eps), e_run)
         report.record(strong.proven, epsilon=eps, searched_up_to=e_run)
     return report

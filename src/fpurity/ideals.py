@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ResourceCapExceeded, RingMismatchError
@@ -37,24 +36,19 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class EngineLimits:
-    """Resource caps that turn runaway instances into clean errors."""
-
-    max_basis: int = 10_000
-    max_reduction_steps: int = 10_000_000
-    max_power_products: int = 50_000
-
-
-DEFAULT_LIMITS = EngineLimits()
+# Resource caps that turn runaway instances into clean errors; a tripped
+# cap raises ResourceCapExceeded under its name in lower case.
+MAX_BASIS = 10_000
+MAX_REDUCTION_STEPS = 10_000_000
+MAX_POWER_PRODUCTS = 50_000
 
 
 class _StepCounter:
     __slots__ = ("steps", "limit")
 
-    def __init__(self, limit: int):
+    def __init__(self):
         self.steps = 0
-        self.limit = limit
+        self.limit = MAX_REDUCTION_STEPS
 
     def tick(self, n: int = 1):
         self.steps += n
@@ -115,15 +109,15 @@ class Ideal:
     def has_constant_generator(self) -> bool:
         return bool(self.generators) and self.generators[0].is_constant()
 
-    def is_unit(self, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+    def is_unit(self) -> bool:
         if self.has_constant_generator():
             return True
         if self.is_monomial or self.is_zero():
             return False
-        basis = self.groebner(limits)
+        basis = self.groebner()
         return len(basis) == 1 and basis[0].is_constant()
 
-    def groebner(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[SparsePolynomial, ...]:
+    def groebner(self) -> tuple[SparsePolynomial, ...]:
         """The reduced Groebner basis, cached after the first computation."""
         if self._basis is None:
             with self._lock:
@@ -131,7 +125,7 @@ class Ideal:
                     if self.is_monomial or self.is_zero() or self.has_constant_generator():
                         self._basis = self.generators
                     else:
-                        self._basis = tuple(_buchberger(list(self.generators), self.ring, limits))
+                        self._basis = tuple(_buchberger(list(self.generators), self.ring))
         return self._basis
 
     def monomial_exponents(self) -> tuple[Monomial, ...]:
@@ -208,15 +202,13 @@ def _s_poly(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
     return a - b
 
 
-def _buchberger(
-    gens: list[SparsePolynomial], ring: PolyRing, limits: EngineLimits
-) -> list[SparsePolynomial]:
+def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePolynomial]:
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Pair selection follows the normal strategy (smallest lcm in the ring
     order), ties broken by generator index, so runs are reproducible.
     """
-    counter = _StepCounter(limits.max_reduction_steps)
+    counter = _StepCounter()
     basis: list[SparsePolynomial] = []
     for g in gens:
         h = _normal_form(g, basis, counter)
@@ -243,8 +235,8 @@ def _buchberger(
         if h.is_constant():
             return [ring.one()]
         basis.append(h.monic())
-        if len(basis) > limits.max_basis:
-            raise ResourceCapExceeded("max_basis", f"{limits.max_basis} elements")
+        if len(basis) > MAX_BASIS:
+            raise ResourceCapExceeded("max_basis", f"{MAX_BASIS} elements")
         k = len(basis) - 1
         for i2 in range(k):
             pairs[(i2, k)] = ring.key(
@@ -275,16 +267,16 @@ def _interreduce(
     return reduced
 
 
-def groebner_basis(I: Ideal, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[SparsePolynomial, ...]:
+def groebner_basis(I: Ideal) -> tuple[SparsePolynomial, ...]:
     """Reduced grevlex Groebner basis of I (cached on the ideal)."""
-    return I.groebner(limits)
+    return I.groebner()
 
 
 # ---------------------------------------------------------------------------
 # membership and containment
 
 
-def membership(g: SparsePolynomial, I: Ideal, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def membership(g: SparsePolynomial, I: Ideal) -> bool:
     """Decide g in I."""
     if g.ring != I.ring:
         raise RingMismatchError("polynomial and ideal over different rings")
@@ -297,22 +289,22 @@ def membership(g: SparsePolynomial, I: Ideal, limits: EngineLimits = DEFAULT_LIM
     if I.is_monomial:
         gens = I.monomial_exponents()
         return all(any(mono_divides(u, m) for u in gens) for m in g.terms)
-    return _normal_form(g, I.groebner(limits), _StepCounter(limits.max_reduction_steps)).is_zero()
+    return _normal_form(g, I.groebner(), _StepCounter()).is_zero()
 
 
-def ideal_contains(I: Ideal, J: Ideal, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def ideal_contains(I: Ideal, J: Ideal) -> bool:
     """True iff J is a subset of I (checked on J's generators)."""
-    return all(membership(g, I, limits) for g in J.generators)
+    return all(membership(g, I) for g in J.generators)
 
 
-def ideal_equals(I: Ideal, J: Ideal, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def ideal_equals(I: Ideal, J: Ideal) -> bool:
     """Exact equality, via minimal generators or canonical reduced bases."""
     I._check_ring(J)
     if I.is_monomial and J.is_monomial:
         return sorted(I.monomial_exponents()) == sorted(J.monomial_exponents())
     if I.is_zero() or J.is_zero():
         return I.is_zero() and J.is_zero()
-    return list(I.groebner(limits)) == list(J.groebner(limits))
+    return list(I.groebner()) == list(J.groebner())
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +356,7 @@ def root_power(I: Ideal, q: int) -> Ideal:
 # ideal powers
 
 
-def ideal_power(a: Ideal, N: int, limits: EngineLimits = DEFAULT_LIMITS) -> Ideal:
+def ideal_power(a: Ideal, N: int) -> Ideal:
     """a^N, with a^0 the unit ideal.
 
     Principal ideals reduce to one polynomial power. Monomial ideals are
@@ -395,11 +387,11 @@ def ideal_power(a: Ideal, N: int, limits: EngineLimits = DEFAULT_LIMITS) -> Idea
         return Ideal(ring, [ring.monomial(m) for m in cur])
     r = len(a.generators)
     count = _multiset_count(r, N)
-    if count > limits.max_power_products:
+    if count > MAX_POWER_PRODUCTS:
         raise ResourceCapExceeded(
             "max_power_products",
             f"{count} degree-{N} products of {r} generators exceed "
-            f"{limits.max_power_products}; use a principal or monomial fast path "
+            f"{MAX_POWER_PRODUCTS}; use a principal or monomial fast path "
             "or a smaller exponent",
         )
     powers: list[dict[int, SparsePolynomial]] = [
@@ -459,7 +451,7 @@ def _project(f: SparsePolynomial, ring: PolyRing) -> SparsePolynomial:
     return SparsePolynomial(ring, {m[1:]: c for m, c in f.terms.items()})
 
 
-def intersect(J: Ideal, K: Ideal, limits: EngineLimits = DEFAULT_LIMITS) -> Ideal:
+def intersect(J: Ideal, K: Ideal) -> Ideal:
     """J intersect K."""
     J._check_ring(K)
     ring = J.ring
@@ -480,7 +472,7 @@ def intersect(J: Ideal, K: Ideal, limits: EngineLimits = DEFAULT_LIMITS) -> Idea
     one = ext.one()
     gens = [t * _embed(g, ext) for g in J.generators]
     gens += [(one - t) * _embed(h, ext) for h in K.generators]
-    basis = _buchberger(gens, ext, limits)
+    basis = _buchberger(gens, ext)
     kept = [_project(b, ring) for b in basis if all(m[0] == 0 for m in b.terms)]
     return Ideal(ring, kept)
 
@@ -510,7 +502,7 @@ def _try_exact_div(g: SparsePolynomial, f: SparsePolynomial) -> Optional[SparseP
     return SparsePolynomial(ring, quote)
 
 
-def _colon_by_poly(J: Ideal, f: SparsePolynomial, limits: EngineLimits) -> Ideal:
+def _colon_by_poly(J: Ideal, f: SparsePolynomial) -> Ideal:
     """J : (f) for one nonzero f, via (J intersect (f)) / f."""
     ring = J.ring
     if f.is_constant():
@@ -523,7 +515,7 @@ def _colon_by_poly(J: Ideal, f: SparsePolynomial, limits: EngineLimits) -> Ideal
         fm = f.lead_monomial()
         gens = [mono_div(u, mono_gcd(u, fm)) for u in J.monomial_exponents()]
         return Ideal(ring, [ring.monomial(m) for m in _minimal_monomials(gens)])
-    meet = intersect(J, Ideal(ring, [f]), limits)
+    meet = intersect(J, Ideal(ring, [f]))
     out = []
     for g in meet.generators:
         quotient = _try_exact_div(g, f)
@@ -533,7 +525,7 @@ def _colon_by_poly(J: Ideal, f: SparsePolynomial, limits: EngineLimits) -> Ideal
     return Ideal(ring, out)
 
 
-def colon(J: Ideal, I: Ideal, limits: EngineLimits = DEFAULT_LIMITS) -> Ideal:
+def colon(J: Ideal, I: Ideal) -> Ideal:
     """The colon ideal J : I = {g : g*I inside J}.
 
     Monomial against monomial uses the gcd-quotient formula; otherwise the
@@ -552,6 +544,6 @@ def colon(J: Ideal, I: Ideal, limits: EngineLimits = DEFAULT_LIMITS) -> Ideal:
         return J
     result: Optional[Ideal] = None
     for f in I.generators:
-        part = _colon_by_poly(J, f, limits)
-        result = part if result is None else intersect(result, part, limits)
+        part = _colon_by_poly(J, f)
+        result = part if result is None else intersect(result, part)
     return result

@@ -26,16 +26,7 @@ from typing import Iterable, Optional
 
 from .ceilarith import ceil_mul, floor_mul
 from .errors import RingMismatchError
-from .ideals import (
-    DEFAULT_LIMITS,
-    EngineLimits,
-    Ideal,
-    bracket_power,
-    ideal_contains,
-    ideal_power,
-    colon,
-    membership,
-)
+from .ideals import Ideal, bracket_power, colon, ideal_contains, ideal_power, membership
 from .poly import PolyRing, SparsePolynomial
 from .report import ConsistencyReport
 
@@ -115,17 +106,15 @@ class PurityVerdict:
         return self.outcome == PROVEN_PURE
 
 
-def _escape_witness(
-    pair: PairSpec, N: int, q: int, limits: EngineLimits
-) -> Optional[SparsePolynomial]:
+def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[SparsePolynomial]:
     """A generator product of a'^N * (I^[q] : I) outside m^[q], if any."""
-    cond = colon(bracket_power(pair.defining, q), pair.defining, limits)
-    powered = ideal_power(pair.a_preimage, N, limits)
+    cond = colon(bracket_power(pair.defining, q), pair.defining)
+    powered = ideal_power(pair.a_preimage, N)
     mq = bracket_power(maximal_ideal(pair.ring), q)
     for u in powered.generators:
         for v in cond.generators:
             g = u * v
-            if not membership(g, mq, limits):
+            if not membership(g, mq):
                 return g
     return None
 
@@ -143,7 +132,6 @@ def _run_criterion(
     criterion: str,
     e_values: Iterable[int],
     stop_on_proof: bool,
-    limits: EngineLimits,
 ) -> PurityVerdict:
     p = pair.ring.p
     per_e: dict[int, bool] = {}
@@ -154,7 +142,7 @@ def _run_criterion(
         if e < 1:
             raise ValueError(f"criterion exponents start at e=1, got {e}")
         q = p**e
-        g = _escape_witness(pair, _exponent(criterion, pair.t, q), q, limits)
+        g = _escape_witness(pair, _exponent(criterion, pair.t, q), q)
         tested.append(e)
         per_e[e] = g is not None
         if g is not None and witness is None:
@@ -206,9 +194,7 @@ def _run_criterion(
     )
 
 
-def sharp_fedder(
-    pair: PairSpec, e_max: int, limits: EngineLimits = DEFAULT_LIMITS
-) -> PurityVerdict:
+def sharp_fedder(pair: PairSpec, e_max: int) -> PurityVerdict:
     """Sharp F-purity via the ceil(t(q-1)) escape condition for e <= e_max.
 
     An escape at any single e is a proof; containment throughout is
@@ -216,49 +202,43 @@ def sharp_fedder(
     """
     if e_max < 1:
         raise ValueError(f"e_max must be at least 1, got {e_max}")
-    return _run_criterion(pair, SHARP, range(1, e_max + 1), True, limits)
+    return _run_criterion(pair, SHARP, range(1, e_max + 1), True)
 
 
-def strong_fedder(
-    pair: PairSpec, e_max: int, limits: EngineLimits = DEFAULT_LIMITS
-) -> PurityVerdict:
+def strong_fedder(pair: PairSpec, e_max: int) -> PurityVerdict:
     """Strong F-purity via the ceil(t*q) exponent; one escape proves it."""
     if e_max < 1:
         raise ValueError(f"e_max must be at least 1, got {e_max}")
-    return _run_criterion(pair, STRONG, range(1, e_max + 1), True, limits)
+    return _run_criterion(pair, STRONG, range(1, e_max + 1), True)
 
 
-def classic_fpure(
-    pair: PairSpec, e_list: Iterable[int], limits: EngineLimits = DEFAULT_LIMITS
-) -> PurityVerdict:
+def classic_fpure(pair: PairSpec, e_list: Iterable[int]) -> PurityVerdict:
     """Classic F-purity condition with floor(t(q-1)), per listed exponent.
 
     Purely diagnostic: the result reports where the condition held and
     where it failed, and proves nothing globally.
     """
-    return _run_criterion(pair, CLASSIC, list(e_list), False, limits)
+    return _run_criterion(pair, CLASSIC, list(e_list), False)
 
 
-def principal_sharp_implies_classic(
-    pair: PairSpec, e_max: int, limits: EngineLimits = DEFAULT_LIMITS
-) -> ConsistencyReport:
+def principal_sharp_implies_classic(pair: PairSpec, e_max: int) -> ConsistencyReport:
     """For principal pairs, a sharp proof forces the classic condition
     everywhere; any counterexample is an implementation bug report."""
     report = ConsistencyReport(subject="principal sharp => classic at every e")
     if not pair.principal_modulo_defining():
         raise ValueError("pair ideal must be principal modulo the defining ideal")
-    sharp = sharp_fedder(pair, e_max, limits)
+    sharp = sharp_fedder(pair, e_max)
     if not sharp.proven:
         report.note = "sharp criterion inconclusive here; nothing to cross-check"
         return report
-    classic = classic_fpure(pair, range(1, e_max + 1), limits)
+    classic = classic_fpure(pair, range(1, e_max + 1))
     for e in range(1, e_max + 1):
         report.record(classic.per_e[e], e=e, t=pair.t, missing="classic condition")
     return report
 
 
 def sharp_from_single_split(
-    f: SparsePolynomial, e: int, ring: PolyRing, limits: EngineLimits = DEFAULT_LIMITS
+    f: SparsePolynomial, e: int, ring: PolyRing
 ) -> tuple[PairSpec, PurityVerdict]:
     """Build the pair (S, (f)^(1/(p^e - 1))) and settle it from one split.
 
@@ -272,7 +252,7 @@ def sharp_from_single_split(
     q = ring.p**e
     t = Fraction(1, q - 1)
     pair = PairSpec(ring, Ideal.zero(ring), Ideal(ring, [f]), t)
-    splits = not membership(f, bracket_power(maximal_ideal(ring), q), limits)
+    splits = not membership(f, bracket_power(maximal_ideal(ring), q))
     if splits:
         verdict = PurityVerdict(
             SHARP,
@@ -295,9 +275,7 @@ def sharp_from_single_split(
     return pair, verdict
 
 
-def verify_witness(
-    pair: PairSpec, verdict: PurityVerdict, limits: EngineLimits = DEFAULT_LIMITS
-) -> bool:
+def verify_witness(pair: PairSpec, verdict: PurityVerdict) -> bool:
     """Recheck a proven verdict's witness from scratch.
 
     Confirms the stored polynomial lies in a'^N * (I^[q] : I) and escapes
@@ -307,10 +285,8 @@ def verify_witness(
         raise ValueError("only proven verdicts carry a witness")
     q = verdict.witness_q
     N = _exponent(verdict.criterion, pair.t, q)
-    cond = colon(bracket_power(pair.defining, q), pair.defining, limits)
-    product = ideal_power(pair.a_preimage, N, limits).times(cond)
-    in_product = membership(verdict.witness_poly, product, limits)
-    escapes = not membership(
-        verdict.witness_poly, bracket_power(maximal_ideal(pair.ring), q), limits
-    )
+    cond = colon(bracket_power(pair.defining, q), pair.defining)
+    product = ideal_power(pair.a_preimage, N).times(cond)
+    in_product = membership(verdict.witness_poly, product)
+    escapes = not membership(verdict.witness_poly, bracket_power(maximal_ideal(pair.ring), q))
     return in_product and escapes

@@ -24,8 +24,6 @@ from typing import Optional
 from .ceilarith import ceil_mul, denominator_order
 from .errors import NonMonomialIdealError, ResourceCapExceeded
 from .ideals import (
-    DEFAULT_LIMITS,
-    EngineLimits,
     Ideal,
     bracket_power,
     colon,
@@ -55,7 +53,6 @@ def test_ideal(
     ring: PolyRing,
     e_floor: Optional[int] = None,
     e_cap: int = 12,
-    limits: EngineLimits = DEFAULT_LIMITS,
 ) -> TestIdealResult:
     """Compute the test ideal of (S, a^t) over the regular ambient ring.
 
@@ -75,8 +72,8 @@ def test_ideal(
     previous: Optional[Ideal] = None
     for e in range(1, e_cap + 1):
         q = ring.p**e
-        entry = root_power(ideal_power(a, ceil_mul(t, q), limits), q)
-        if previous is not None and not ideal_contains(entry, previous, limits):
+        entry = root_power(ideal_power(a, ceil_mul(t, q)), q)
+        if previous is not None and not ideal_contains(entry, previous):
             raise AssertionError(f"chain ascent violated between e={e - 1} and e={e}")
         chain.append((e, entry))
         previous = entry
@@ -84,8 +81,8 @@ def test_ideal(
             e_star, base = chain[-3]
             if (
                 e_star >= e_floor
-                and ideal_equals(base, chain[-2][1], limits)
-                and ideal_equals(base, chain[-1][1], limits)
+                and ideal_equals(base, chain[-2][1])
+                and ideal_equals(base, chain[-1][1])
             ):
                 return TestIdealResult(
                     tau=base,
@@ -122,12 +119,7 @@ def is_radical_monomial(I: Ideal) -> bool:
     )
 
 
-def radical_probe(
-    I: Ideal,
-    probes: list[SparsePolynomial],
-    k_max: int,
-    limits: EngineLimits = DEFAULT_LIMITS,
-) -> ConsistencyReport:
+def radical_probe(I: Ideal, probes: list[SparsePolynomial], k_max: int) -> ConsistencyReport:
     """Search for radicality violations: g^k in I while g is not.
 
     A violation is a certificate that I is not radical; a clean run is
@@ -135,9 +127,9 @@ def radical_probe(
     """
     report = ConsistencyReport(subject="radicality probes")
     for idx, g in enumerate(probes):
-        in_ideal = membership(g, I, limits)
+        in_ideal = membership(g, I)
         for k in range(2, k_max + 1):
-            power_in = membership(poly_pow(g, k), I, limits)
+            power_in = membership(poly_pow(g, k), I)
             report.record(not power_in or in_ideal, probe=idx, k=k, g=repr(g))
     return report
 
@@ -148,7 +140,6 @@ def vassilev_containment(
     t: Fraction,
     tau_pullback: Ideal,
     q: int,
-    limits: EngineLimits = DEFAULT_LIMITS,
 ) -> bool:
     """Check  a'^ceil(t(q-1)) * (I^[q] : I)  inside  (T^[q] : T)  for the
     pulled-back test ideal T.
@@ -156,18 +147,14 @@ def vassilev_containment(
     This is the containment that forces F-purity of the quotient by the
     test ideal; it must hold for every q when T really is the pullback.
     """
-    if not ideal_contains(tau_pullback, I, limits):
+    if not ideal_contains(tau_pullback, I):
         raise ValueError("tau_pullback must contain the defining ideal")
-    lhs = ideal_power(a_preimage, ceil_mul(t, q - 1), limits).times(
-        colon(bracket_power(I, q), I, limits)
-    )
-    rhs = colon(bracket_power(tau_pullback, q), tau_pullback, limits)
-    return ideal_contains(rhs, lhs, limits)
+    lhs = ideal_power(a_preimage, ceil_mul(t, q - 1)).times(colon(bracket_power(I, q), I))
+    rhs = colon(bracket_power(tau_pullback, q), tau_pullback)
+    return ideal_contains(rhs, lhs)
 
 
-def quotient_fpure_check(
-    tau: Ideal, ring: PolyRing, e_max: int = 4, limits: EngineLimits = DEFAULT_LIMITS
-) -> PurityVerdict:
+def quotient_fpure_check(tau: Ideal, ring: PolyRing, e_max: int = 4) -> PurityVerdict:
     """Decide F-purity of S/tau at the origin via the trivial-pair check.
 
     The unit ideal gives the zero ring, reported as degenerate rather than
@@ -184,4 +171,4 @@ def quotient_fpure_check(
             note="quotient by the unit ideal is the zero ring; F-purity undefined",
         )
     pair = PairSpec(ring, tau, Ideal.unit(ring), Fraction(1))
-    return sharp_fedder(pair, e_max, limits)
+    return sharp_fedder(pair, e_max)

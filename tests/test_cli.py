@@ -1,6 +1,22 @@
 import json
+import shlex
+from pathlib import Path
 
-from fpurity.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, run
+import pytest
+
+from fpurity import cli
+from fpurity.cli import EXIT_BUG, EXIT_CAP, EXIT_OK, EXIT_USAGE, run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# argv, exit code and exact output of each README example; the engine may
+# change inside, but not one byte of what these print
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def readme_examples():
+    """argv of every ``fpurity ...`` line in the README, with --json added."""
+    lines = README.read_text().splitlines()
+    return [shlex.split(l)[1:] + ["--json"] for l in lines if l.startswith("fpurity ")]
 
 
 def run_json(argv):
@@ -159,3 +175,27 @@ def test_table_output_has_elapsed_line():
     code, text = run(["nu", "--ring", "p=3; vars=x", "--a", "x", "--emax", "2"])
     assert code == EXIT_OK
     assert text.splitlines()[-1].startswith("elapsed:")
+
+
+def test_invariant_violation_exits_with_bug_code(monkeypatch):
+    def broken(args):
+        raise AssertionError("nu(9) left the window [3, 5]")
+
+    monkeypatch.setitem(cli._RUNNERS, "nu", broken)
+    code, text = run(["nu", "--ring", "p=3; vars=x", "--a", "x", "--emax", "2"])
+    assert code == EXIT_BUG == 3
+    assert text == (
+        "error: internal invariant violated (nu(9) left the window [3, 5]); "
+        "this is an engine bug"
+    )
+
+
+def test_goldens_cover_the_readme_examples():
+    assert [entry["argv"] for entry in json.loads(GOLDEN.read_text())] == readme_examples()
+
+
+@pytest.mark.parametrize(
+    "entry", json.loads(GOLDEN.read_text()), ids=lambda entry: entry["argv"][0]
+)
+def test_readme_example_json_is_byte_identical(entry):
+    assert run(entry["argv"]) == (entry["exit"], entry["output"])

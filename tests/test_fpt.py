@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from fpurity import (
-    EngineLimits,
     Ideal,
     PairSpec,
     ResourceCapExceeded,
@@ -334,8 +333,9 @@ def test_nu_rejects_q_not_a_power_of_p(r3xy):
         nu_value(ideal(["x*y"], r3xy), 6, maximal_ideal(r3xy))
 
 
-def test_nu_product_cap(r3xy):
+def test_nu_product_cap(r3xy, monkeypatch):
     a = ideal(["x + y", "x*y + y^2", "x^2"], r3xy)
     assert nu_value(a, 9, maximal_ideal(r3xy)) == nu_oracle(a, 9)
+    monkeypatch.setattr("fpurity.fpt.MAX_POWER_PRODUCTS", 5)
     with pytest.raises(ResourceCapExceeded, match="max_power_products"):
-        nu_value(a, 9, maximal_ideal(r3xy), EngineLimits(max_power_products=5))
+        nu_value(a, 9, maximal_ideal(r3xy))

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from fpurity import (
-    EngineLimits,
     Ideal,
     ResourceCapExceeded,
     bracket_power,
@@ -152,10 +151,11 @@ def test_power_general_prunes(r3xy):
     assert ideal_equals(got, ideal(["x^2", "x*y", "y^2"], r3xy))
 
 
-def test_power_cap(r3xy):
+def test_power_cap(r3xy, monkeypatch):
     a = ideal(["x+y", "x-y"], r3xy)
-    with pytest.raises(ResourceCapExceeded):
-        ideal_power(a, 40, EngineLimits(max_power_products=10))
+    monkeypatch.setattr("fpurity.ideals.MAX_POWER_PRODUCTS", 10)
+    with pytest.raises(ResourceCapExceeded, match="max_power_products"):
+        ideal_power(a, 40)
 
 
 # --- root powers --------------------------------------------------------------
@@ -223,11 +223,11 @@ def test_groebner_unit_detection(r3xy):
     assert I.is_unit()
 
 
-def test_groebner_reduction_cap(r3xy):
-    limits = EngineLimits(max_reduction_steps=5)
+def test_groebner_reduction_cap(r3xy, monkeypatch):
+    monkeypatch.setattr("fpurity.ideals.MAX_REDUCTION_STEPS", 5)
     I = ideal(["x^2 + y", "x*y + 1"], r3xy)
-    with pytest.raises(ResourceCapExceeded):
-        I.groebner(limits)
+    with pytest.raises(ResourceCapExceeded, match="max_reduction_steps"):
+        I.groebner()
 
 
 def test_groebner_computed_once_under_concurrency(r3xy):

@@ -142,9 +142,7 @@ def test_sharp_equals_classic_at_integrality_exponent(r3xy):
         e0 = denominator_order(t, 3)
         assert e0 is not None
         pr = pair(r3xy, ["x*y"], t)
-        from fpurity.ideals import DEFAULT_LIMITS
-
-        sharp_at_e0 = _run_criterion(pr, SHARP, [e0], False, DEFAULT_LIMITS).per_e[e0]
+        sharp_at_e0 = _run_criterion(pr, SHARP, [e0], False).per_e[e0]
         classic_at_e0 = classic_fpure(pr, [e0]).per_e[e0]
         assert sharp_at_e0 == classic_at_e0
 
@@ -218,7 +216,6 @@ def test_sharp_matches_closed_form_for_principal_monomials(r3xy):
     # independent oracle: for a = (x^a1 y^a2) over the ambient ring, the
     # escape at e happens iff N*a1 < q and N*a2 < q with N = ceil(t(q-1))
     import random
-    from fpurity.ideals import DEFAULT_LIMITS
     from fpurity.purity import SHARP, _run_criterion
     from fpurity.ceilarith import ceil_mul
 
@@ -229,7 +226,7 @@ def test_sharp_matches_closed_form_for_principal_monomials(r3xy):
             continue
         t = Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
         pr = PairSpec(r3xy, Ideal.zero(r3xy), Ideal(r3xy, [r3xy.monomial(exps)]), t)
-        got = _run_criterion(pr, SHARP, range(1, 4), False, DEFAULT_LIMITS).per_e
+        got = _run_criterion(pr, SHARP, range(1, 4), False).per_e
         for e in range(1, 4):
             q = 3**e
             N = ceil_mul(t, q - 1)
