@@ -124,7 +124,7 @@ def nu_value(a: Ideal, q: int, m: Ideal) -> int:
         if not escapes(lo) or escapes(hi):
             raise AssertionError(
                 f"nu({level}) left the window [{lo}, {hi - 1}] "
-                f"given by nu({level // p}) = {nu}; engine bug"
+                f"given by nu({level // p}) = {nu}"
             )
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -251,7 +251,7 @@ def fpt_estimate(a: Ideal, e_max: int, m: Ideal) -> FptEstimate:
     lo = max(r.lo for r in records)
     hi = min(r.hi for r in records)
     if lo > hi:
-        raise AssertionError("nu intervals failed to nest; engine bug")
+        raise AssertionError("nu intervals failed to nest")
     p = a.ring.p
     principal = len(a.generators) == 1
     nu_by_e = {r.e: r.nu for r in records}

@@ -7,6 +7,11 @@ order choice only affects running time. All tie-breaking is by input
 index and the reduced basis is canonical, which makes every operation
 deterministic.
 
+Groebner bases come from Buchberger's algorithm with the pairs in a heap
+ordered by lcm, pruned by the coprime-leads and chain criteria; every
+polynomial caches its leading monomial, so reduction never rescans a
+divisor's terms for it.
+
 Monomial ideals are recognized at construction and stored by their unique
 minimal monomial generators; most operations have a fast path for them.
 Runaway instances hit explicit resource caps and raise ResourceCapExceeded
@@ -15,6 +20,7 @@ instead of spinning.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 from typing import Iterable, Optional, Sequence
@@ -57,11 +63,19 @@ class _StepCounter:
 
 
 def _minimal_monomials(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Unique minimal generators of the monomial ideal spanned by monos."""
-    ordered = sorted(set(monos), key=grevlex_key)
+    """Unique minimal generators of the monomial ideal spanned by monos.
+
+    Candidates come in grevlex order, so by degree first. A proper divisor
+    has strictly lower degree, so each candidate is tested only against the
+    kept monomials of lower degree, kept[:lower].
+    """
     kept: list[Monomial] = []
-    for m in ordered:
-        if not any(mono_divides(k, m) for k in kept):
+    degree = lower = 0
+    for m in sorted(set(monos), key=grevlex_key):
+        d = sum(m)
+        if d != degree:
+            degree, lower = d, len(kept)
+        if not any(mono_divides(k, m) for k in itertools.islice(kept, lower)):
             kept.append(m)
     return tuple(kept)
 
@@ -190,7 +204,8 @@ def _normal_form(
         else:
             remainder[m] = c
             del work[m]
-    return SparsePolynomial(ring, remainder)
+    # terms leave work largest first, so the first remainder term leads
+    return SparsePolynomial(ring, remainder, next(iter(remainder), None))
 
 
 def _s_poly(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
@@ -206,7 +221,13 @@ def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePoly
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Pair selection follows the normal strategy (smallest lcm in the ring
-    order), ties broken by generator index, so runs are reproducible.
+    order), ties broken by generator index, so runs are reproducible; the
+    queued pairs sit in a heap keyed by (lcm key, i, j). A selected pair
+    is skipped without reduction when its leads are coprime (Buchberger's
+    first criterion) or by the chain criterion: some other element k has
+    a lead dividing lcm(i, j) and neither (i, k) nor (j, k) is still
+    queued, so S(i, j) already has a standard representation built from
+    those of S(i, k) and S(j, k) (Buchberger 1979; Gebauer-Moeller 1988).
     """
     counter = _StepCounter()
     basis: list[SparsePolynomial] = []
@@ -217,18 +238,33 @@ def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePoly
                 return [ring.one()]
             basis.append(h.monic())
 
-    pairs = {
-        (i, j): ring.key(mono_lcm(basis[i].lead_monomial(), basis[j].lead_monomial()))
-        for i in range(len(basis))
-        for j in range(i + 1, len(basis))
-    }
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (pairs[ij], ij))
-        del pairs[(i, j)]
-        lmi = basis[i].lead_monomial()
-        lmj = basis[j].lead_monomial()
-        if mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
+    key = ring.key
+    leads = [g.lead_monomial() for g in basis]
+    heap: list[tuple] = []
+    queued: set[tuple[int, int]] = set()
+
+    def add_pairs(k: int):
+        for i in range(k):
+            heapq.heappush(heap, (key(mono_lcm(leads[i], leads[k])), i, k))
+            queued.add((i, k))
+
+    for k in range(1, len(basis)):
+        add_pairs(k)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        queued.discard((i, j))
+        lmi, lmj = leads[i], leads[j]
+        lcm = mono_lcm(lmi, lmj)
+        if lcm == mono_mul(lmi, lmj):
             continue  # coprime leads: S-polynomial reduces to zero
+        if any(
+            k != i and k != j
+            and mono_divides(lmk, lcm)
+            and (min(i, k), max(i, k)) not in queued
+            and (min(j, k), max(j, k)) not in queued
+            for k, lmk in enumerate(leads)
+        ):
+            continue  # chain criterion
         h = _normal_form(_s_poly(basis[i], basis[j]), basis, counter)
         if h.is_zero():
             continue
@@ -237,11 +273,8 @@ def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePoly
         basis.append(h.monic())
         if len(basis) > MAX_BASIS:
             raise ResourceCapExceeded("max_basis", f"{MAX_BASIS} elements")
-        k = len(basis) - 1
-        for i2 in range(k):
-            pairs[(i2, k)] = ring.key(
-                mono_lcm(basis[i2].lead_monomial(), basis[k].lead_monomial())
-            )
+        leads.append(basis[-1].lead_monomial())
+        add_pairs(len(basis) - 1)
     return _interreduce(basis, counter)
 
 

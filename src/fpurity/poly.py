@@ -7,8 +7,9 @@ Representation:
 
 The zero polynomial has an empty term dict; zero coefficients are never
 stored. Values are immutable after construction, so sharing across threads
-is safe. Exponent arithmetic is checked against a 64-bit limit and raises
-instead of wrapping.
+is safe, and the leading monomial is cached on first use (two threads that
+race on it compute the same value). Exponent arithmetic is checked against
+a 64-bit limit and raises instead of wrapping.
 
 ``FrobeniusBox`` computes in the finite quotient S/m^[q] instead, on packed
 monomials, for the questions that only ask whether something lies in m^[q].
@@ -17,6 +18,7 @@ monomials, for the questions that only ask whether something lies in m^[q].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import ExponentOverflowError, RingMismatchError
@@ -28,8 +30,8 @@ EXP_LIMIT = 2**63 - 1
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    out = tuple(x + y for x, y in zip(a, b))
-    if any(e > EXP_LIMIT for e in out):
+    out = tuple(map(add, a, b))
+    if max(out, default=0) > EXP_LIMIT:
         raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {out}")
     return out
 
@@ -43,25 +45,25 @@ def mono_scale(a: Monomial, k: int) -> Monomial:
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of x^a / x^b; requires b | a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def grevlex_key(mono: Monomial):
     """Sort key realizing graded reverse lexicographic order (ascending)."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,14 @@ class PolyRing:
 class SparsePolynomial:
     """An element of a PolyRing in canonical sparse form."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
-    def __init__(self, ring: PolyRing, terms: dict[Monomial, int]):
+    def __init__(self, ring: PolyRing, terms: dict[Monomial, int], lead: Monomial | None = None):
+        """``lead``, when given, must be the leading monomial of ``terms``."""
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._lead = lead
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -166,9 +170,12 @@ class SparsePolynomial:
         return max(sum(m) for m in self.terms)
 
     def lead_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.ring.key)
+        lead = self._lead
+        if lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial")
+            lead = self._lead = max(self.terms, key=self.ring.key)
+        return lead
 
     def lead_coeff(self) -> int:
         return self.terms[self.lead_monomial()]
@@ -180,7 +187,9 @@ class SparsePolynomial:
         if inv == 1:
             return self
         p = self.ring.p
-        return SparsePolynomial(self.ring, {m: (c * inv) % p for m, c in self.terms.items()})
+        return SparsePolynomial(
+            self.ring, {m: (c * inv) % p for m, c in self.terms.items()}, self._lead
+        )
 
     def _check_ring(self, other: "SparsePolynomial"):
         if self.ring != other.ring:
@@ -215,7 +224,9 @@ class SparsePolynomial:
 
     def __neg__(self) -> "SparsePolynomial":
         p = self.ring.p
-        return SparsePolynomial(self.ring, {m: (-c) % p for m, c in self.terms.items()})
+        return SparsePolynomial(
+            self.ring, {m: (-c) % p for m, c in self.terms.items()}, self._lead
+        )
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return poly_mul(self, other)
@@ -230,16 +241,25 @@ class SparsePolynomial:
         if c == 1:
             return self
         p = self.ring.p
-        return SparsePolynomial(self.ring, {m: (k * c) % p for m, k in self.terms.items()})
+        return SparsePolynomial(
+            self.ring, {m: (k * c) % p for m, k in self.terms.items()}, self._lead
+        )
 
     def mul_term(self, mono: Monomial, coeff: int) -> "SparsePolynomial":
-        """Multiply by coeff * x^mono in one pass."""
+        """Multiply by coeff * x^mono in one pass.
+
+        Both monomial orders are compatible with multiplication, so a cached
+        leading monomial carries over shifted by mono.
+        """
         c = coeff % self.ring.p
         if c == 0:
             return self.ring.zero()
         p = self.ring.p
+        lead = self._lead
         return SparsePolynomial(
-            self.ring, {mono_mul(m, mono): (k * c) % p for m, k in self.terms.items()}
+            self.ring,
+            {mono_mul(m, mono): (k * c) % p for m, k in self.terms.items()},
+            None if lead is None else mono_mul(lead, mono),
         )
 
     def __eq__(self, other) -> bool:

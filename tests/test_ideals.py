@@ -17,7 +17,7 @@ from fpurity import (
     parse_ring,
     root_power,
 )
-from fpurity.poly import mono_divides, poly_pow
+from fpurity.poly import grevlex_key, mono_divides, poly_pow
 
 from conftest import p
 
@@ -304,3 +304,51 @@ def test_minimal_monomial_normalization(r3xy):
         for v in I.monomial_exponents()
         if u != v
     )
+
+
+def test_minimal_monomials_match_pairwise_definition():
+    from fpurity.ideals import _minimal_monomials
+
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(1, 4)
+        monos = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randrange(1, 12))]
+        expected = {m for m in monos if not any(u != m and mono_divides(u, m) for u in monos)}
+        got = _minimal_monomials(monos)
+        assert set(got) == expected and len(got) == len(expected)
+        assert list(got) == sorted(got, key=grevlex_key)
+
+
+# --- Buchberger work ------------------------------------------------------------
+
+
+def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
+    # colon(I^[3], I) for the twisted cubic over F_3. With only the
+    # coprime-leads criterion, Buchberger took 631 normal forms here; the
+    # chain criterion brings it to 218. The reduced basis is canonical, so it
+    # must not move.
+    from fpurity import ideals
+
+    ring = parse_ring("p=3; vars=x,y,z,w")
+    I = ideal(["x*z - y^2", "x*w - y*z", "y*w - z^2"], ring)
+    calls = 0
+    reduce = ideals._normal_form
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "_normal_form", counting)
+    J = colon(bracket_power(I, 3), I)
+    assert calls < 631
+    monkeypatch.setattr(ideals, "_normal_form", reduce)
+    assert [str(g) for g in groebner_basis(J)] == [
+        "z^6 + 2*y^3*w^3",
+        "y^3*z^3 + 2*x^3*w^3",
+        "y^6 + 2*x^3*z^3",
+        "x*y*z^5 + y^4*z^2*w + x*y^2*z^3*w + x^2*z^4*w + y^5*w^2 + x*y^3*z*w^2"
+        " + x^2*y*z^2*w^2 + x^2*y^2*w^3 + x^3*z*w^3",
+        "x*y^2*z^4 + x^2*z^5 + y^5*z*w + x*y^3*z^2*w + x^2*y*z^3*w + x*y^4*w^2"
+        " + x^2*y^2*z*w^2 + x^3*z^2*w^2 + x^3*y*w^3",
+    ]

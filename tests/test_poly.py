@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from fpurity import (
     ExponentOverflowError,
     FrobeniusBox,
+    PrimeField,
     RingMismatchError,
     box_mul,
     box_pow,
@@ -12,7 +13,7 @@ from fpurity import (
     poly_mul,
     poly_pow,
 )
-from fpurity.poly import EXP_LIMIT
+from fpurity.poly import EXP_LIMIT, PolyRing
 
 from conftest import p
 
@@ -82,6 +83,31 @@ def test_frobenius_is_ring_map(f, g):
 @settings(max_examples=50)
 def test_pow_additivity(f, a, b):
     assert poly_pow(f, a + b) == poly_mul(poly_pow(f, a), poly_pow(f, b))
+
+
+R5_ELIM = PolyRing(PrimeField(5), ("t", "x", "y"), order="elim1")
+
+
+def brute_lead(f):
+    return max(f.terms, key=f.ring.key)
+
+
+@pytest.mark.parametrize("ring", [R3, R5_ELIM], ids=["grevlex", "elim1"])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_cached_lead_is_the_largest_term(ring, data):
+    f = data.draw(polys(ring).filter(lambda f: f.terms))
+    mono = data.draw(st.tuples(*([st.integers(0, 3)] * ring.nvars)))
+    c = data.draw(st.integers(1, ring.p - 1))
+    fresh = ring.poly(f.terms)
+    assert f.lead_monomial() == brute_lead(f)
+    assert f.lead_coeff() == f.terms[brute_lead(f)]
+    # derived from a value without a cached lead (fresh), then with one (f)
+    for base in (fresh, f):
+        for g in (base.scale(c), base.mul_term(mono, c), -base, base.monic()):
+            assert g.lead_monomial() == brute_lead(g)
+            assert g.lead_coeff() == g.terms[brute_lead(g)]
+    assert f.monic().lead_coeff() == 1
 
 
 def test_term_count_bound(r3xy):

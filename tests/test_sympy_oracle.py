@@ -1,0 +1,151 @@
+"""Differential tests of the Groebner engine against sympy over GF(p).
+
+sympy is an optional oracle, not a dependency: the module is skipped when
+it is missing. Reduced Groebner bases are canonical, so the engine's basis
+of an ideal, an intersection or a colon must equal sympy's reduced grevlex
+basis of the same ideal, computed independently. Intersections on the sympy
+side come from elimination under lex with t first, and colons from
+J : I = intersection over f in I of (J meet (f)) / f, each quotient by
+sympy's own division.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from fpurity import (  # noqa: E402
+    Ideal,
+    bracket_power,
+    colon,
+    groebner_basis,
+    intersect,
+    parse_poly_list,
+    parse_ring,
+)
+
+def to_sympy(f, gens):
+    return sympy.Poly.from_dict(dict(f.terms), *gens, modulus=f.ring.p).as_expr()
+
+
+def monic_terms(poly_dict, p):
+    """A polynomial as a frozenset of (monomial, coefficient) terms, made
+    monic by its leading coefficient under grevlex."""
+    terms = {m: c % p for m, c in poly_dict.items() if c % p}
+    lead = max(terms, key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
+    inv = pow(terms[lead], -1, p)
+    return frozenset((m, c * inv % p) for m, c in terms.items())
+
+
+def engine_basis(I):
+    return {monic_terms(g.terms, I.ring.p) for g in groebner_basis(I)}
+
+
+def sympy_basis(exprs, gens, p):
+    G = sympy.groebner(exprs, *gens, modulus=p, order="grevlex")
+    return {monic_terms(g.as_dict(), p) for g in G.polys}
+
+
+def sympy_intersect(A, B, gens, p):
+    t = sympy.Symbol("t_elim")
+    G = sympy.groebner(
+        [t * a for a in A] + [(1 - t) * b for b in B], t, *gens, modulus=p, order="lex"
+    )
+    return [g for g in G.exprs if not g.has(t)]
+
+
+def sympy_colon(J, I, gens, p):
+    result = None
+    for f in I:
+        meet = sympy_intersect(J, [f], gens, p)
+        part = []
+        for g in meet:
+            (quotient,), remainder = sympy.reduced(g, [f], *gens, modulus=p, order="grevlex")
+            assert remainder == 0
+            part.append(quotient)
+        result = part if result is None else sympy_intersect(result, part, gens, p)
+    return result
+
+
+def ideal_of(ring, text):
+    return Ideal(ring, parse_poly_list(text, ring))
+
+
+def random_ideal(rng, ring, ngens, nterms, max_exp):
+    """ngens generators of up to nterms terms, exponents up to max_exp."""
+    gens = []
+    for _ in range(ngens):
+        terms = {
+            tuple(rng.randint(0, max_exp) for _ in range(ring.nvars)): rng.randrange(1, ring.p)
+            for _ in range(nterms)
+        }
+        gens.append(ring.poly(terms))
+    return Ideal(ring, gens)
+
+
+def ring_and_gens(p, n):
+    names = "xyzw"[:n]
+    ring = parse_ring(f"p={p}; vars={','.join(names)}")
+    return ring, sympy.symbols(" ".join(names))
+
+
+CASES = [(p, n) for p in (2, 3, 5, 7) for n in (3, 4)]
+# exponent bound per variable count; keeps sympy's side of the file fast
+MAX_EXP = {3: 2, 4: 1}
+
+
+@pytest.mark.parametrize("p, n", CASES)
+def test_random_groebner_bases_match_sympy(p, n):
+    ring, gens = ring_and_gens(p, n)
+    rng = random.Random(f"gb:{p}:{n}")
+    for ngens in (2, 3):
+        I = random_ideal(rng, ring, ngens, 3, MAX_EXP[n])
+        expected = sympy_basis([to_sympy(g, gens) for g in I.generators], gens, p)
+        assert engine_basis(I) == expected
+
+
+@pytest.mark.parametrize("p, n", CASES)
+def test_random_intersections_match_sympy(p, n):
+    ring, gens = ring_and_gens(p, n)
+    rng = random.Random(f"meet:{p}:{n}")
+    J, K = random_ideal(rng, ring, 2, 2, 1), random_ideal(rng, ring, 2, 2, 1)
+    meet = sympy_intersect(
+        [to_sympy(g, gens) for g in J.generators], [to_sympy(g, gens) for g in K.generators],
+        gens, p,
+    )
+    assert engine_basis(intersect(J, K)) == sympy_basis(meet, gens, p)
+
+
+@pytest.mark.parametrize("p, n", CASES)
+def test_random_colons_match_sympy(p, n):
+    ring, gens = ring_and_gens(p, n)
+    rng = random.Random(f"colon:{p}:{n}")
+    J, I = random_ideal(rng, ring, 2, 2, 1), random_ideal(rng, ring, 2, 2, 1)
+    quotient = sympy_colon(
+        [to_sympy(g, gens) for g in J.generators], [to_sympy(g, gens) for g in I.generators],
+        gens, p,
+    )
+    assert engine_basis(colon(J, I)) == sympy_basis(quotient, gens, p)
+
+
+# Defining ideals of the shapes the Fedder criteria run on in the benchmark,
+# with the colon I^[p] : I those criteria compute.
+SHAPES = [
+    ("herzog", 2, 3, "x*z - y^2, x^3 - y*z, x^2*y - z^2"),
+    ("twisted-cubic", 3, 4, "x*z - y^2, x*w - y*z, y*w - z^2"),
+    ("quadric-ci", 3, 4, "x*y - z*w, x*z - y*w"),
+]
+
+
+@pytest.mark.parametrize("name, p, n, text", SHAPES, ids=[s[0] for s in SHAPES])
+def test_benchmark_shapes_match_sympy(name, p, n, text):
+    ring, gens = ring_and_gens(p, n)
+    I = ideal_of(ring, text)
+    I_exprs = [to_sympy(g, gens) for g in I.generators]
+    assert engine_basis(I) == sympy_basis(I_exprs, gens, p)
+    Iq = bracket_power(I, p)
+    quotient = sympy_colon([to_sympy(g, gens) for g in Iq.generators], I_exprs, gens, p)
+    assert engine_basis(colon(Iq, I)) == sympy_basis(quotient, gens, p)
