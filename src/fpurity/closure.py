@@ -13,7 +13,9 @@ finitely many e disproves nothing, since legitimacy only requires large e).
 
 Pairs over a quotient R = S/I_def are handled in the ambient ring by
 adjoining the defining ideal: J inside K in R means J inside K + I_def
-in S.
+in S. Since every such target contains I_def, the generators of a' that
+lie in I_def are dropped before a' is powered: a pair (x, f) over S/(f)
+powers the principal ideal (x).
 """
 
 from __future__ import annotations
@@ -69,8 +71,15 @@ def _quotient_target(I: Ideal, pair: PairSpec, q: int) -> Ideal:
 
 
 def _power_times_contained(g: SparsePolynomial, pair: PairSpec, N: int, target: Ideal) -> bool:
-    """a'^N * g inside target, checked generator by generator."""
-    powered = ideal_power(pair.a_preimage, N)
+    """a'^N * g inside target, checked generator by generator.
+
+    Only the generators of a' outside the defining ideal are powered. That
+    is exact because every target here contains I_def: with a' = a'' + b
+    and b inside I_def, a'^N lies in (a'')^N + I_def, and (a'')^N lies in
+    a'^N, so a'^N * g and (a'')^N * g lie in the same targets. When every
+    generator of a' lies in I_def, a''^N is the zero ideal for N >= 1.
+    """
+    powered = ideal_power(Ideal(pair.ring, pair.outside_defining), N)
     return all(membership(u * g, target) for u in powered.generators)
 
 

@@ -14,6 +14,8 @@ divisor's terms for it.
 
 Monomial ideals are recognized at construction and stored by their unique
 minimal monomial generators; most operations have a fast path for them.
+Monomial ideal powers run on packed exponents, one int per monomial, where
+a divisibility test is one subtraction and one mask.
 Runaway instances hit explicit resource caps and raise ResourceCapExceeded
 instead of spinning.
 """
@@ -22,17 +24,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 from typing import Iterable, Optional, Sequence
 
-from .errors import ResourceCapExceeded, RingMismatchError
+from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchError
 from .poly import (
+    EXP_LIMIT,
     Monomial,
     PolyRing,
     SparsePolynomial,
     frobenius_image,
     grevlex_key,
     is_power_of,
+    minimal_packed,
     mono_div,
     mono_divides,
     mono_gcd,
@@ -393,9 +398,17 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
     """a^N, with a^0 the unit ideal.
 
     Principal ideals reduce to one polynomial power. Monomial ideals are
-    built incrementally with minimal-generator pruning. General ideals
-    enumerate the degree-N generator products from cached powers of each
-    generator, deduplicated; the product count is capped. Redundant
+    powered by square-and-multiply on packed monomials, left to right: one
+    square per bit of N below the top and one product by a per set bit,
+    each pruned to minimal generators by ``minimal_packed``, so about
+    2*log2(N) pruning passes where N - 1 rounds of products by a took
+    N - 1. When N times the largest exponent of a generator passes 2^63-1,
+    ExponentOverflowError is raised before any product is formed.
+
+    General ideals enumerate the degree-N generator products, in the order
+    of ``itertools.combinations_with_replacement``, from each generator's
+    powers g^0, ..., g^N, built once with one product each (g^k =
+    g^(k-1) * g), deduplicated; the product count is capped. Redundant
     generators are harmless (same ideal), and basis-level pruning costs far
     more than the redundancy it removes at the degrees these powers reach.
     """
@@ -414,12 +427,25 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
         return Ideal(ring, [poly_pow(a.generators[0], N)])
     if a.is_monomial:
         base = a.monomial_exponents()
-        cur = base
-        for _ in range(N - 1):
-            cur = _minimal_monomials(mono_mul(u, v) for u in cur for v in base)
-        return Ideal(ring, [ring.monomial(m) for m in cur])
+        top = N * max(map(max, base))
+        if top > EXP_LIMIT:
+            raise ExponentOverflowError(f"exponent {top} of a^{N} exceeds 2^63-1")
+        # packed keys: field i holds exponent i below the field's top (guard)
+        # bit, so adding keys multiplies monomials
+        n = ring.nvars
+        w = top.bit_length() + 1
+        guards = sum(1 << (w * i + w - 1) for i in range(n))
+        gens = [sum(e << (w * i) for i, e in enumerate(m)) for m in base]
+        power = gens
+        for bit in bin(N)[3:]:
+            power = minimal_packed({u + v for i, u in enumerate(power) for v in power[i:]}, guards)
+            if bit == "1":
+                power = minimal_packed({u + v for u in power for v in gens}, guards)
+        mask = (1 << w) - 1
+        minimal = [tuple((k >> (w * i)) & mask for i in range(n)) for k in power]
+        return Ideal(ring, [ring.monomial(m) for m in minimal])
     r = len(a.generators)
-    count = _multiset_count(r, N)
+    count = math.comb(r + N - 1, N)
     if count > MAX_POWER_PRODUCTS:
         raise ResourceCapExceeded(
             "max_power_products",
@@ -427,22 +453,18 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
             f"{MAX_POWER_PRODUCTS}; use a principal or monomial fast path "
             "or a smaller exponent",
         )
-    powers: list[dict[int, SparsePolynomial]] = [
-        {0: ring.one(), 1: g} for g in a.generators
-    ]
-
-    def power_of(idx: int, n: int) -> SparsePolynomial:
-        cache = powers[idx]
-        if n not in cache:
-            cache[n] = poly_pow(a.generators[idx], n)
-        return cache[n]
-
+    powers: list[list[SparsePolynomial]] = []
+    for g in a.generators:
+        row = [ring.one(), g]
+        for k in range(2, N + 1):
+            row.append(row[-1] * g)
+        powers.append(row)
     kept: list[SparsePolynomial] = []
     seen = set()
     for combo in itertools.combinations_with_replacement(range(r), N):
         h = None
         for idx, reps in _run_lengths(combo):
-            piece = power_of(idx, reps)
+            piece = powers[idx][reps]
             h = piece if h is None else h * piece
         if h not in seen:
             seen.add(h)
@@ -458,12 +480,6 @@ def _run_lengths(combo: tuple[int, ...]) -> list[tuple[int, int]]:
         else:
             out.append((idx, 1))
     return out
-
-
-def _multiset_count(r: int, N: int) -> int:
-    import math
-
-    return math.comb(r + N - 1, N)
 
 
 # ---------------------------------------------------------------------------

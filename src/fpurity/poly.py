@@ -429,20 +429,9 @@ class FrobeniusBox:
 
     def monomial_ideal_mul(self, A: list[int], B: list[int]) -> list[int]:
         """Minimal generators, inside the box, of the product of two
-        monomial ideals given by packed minimal generators.
-
-        If x^u divides x^v then u's key is at most v's, so a divisor is kept
-        before anything it divides. x^u divides x^v iff no field of
-        (v + top bits) - u loses its top bit.
-        """
+        monomial ideals given by packed minimal generators."""
         off, high = self._offset(self.q), self._high
-        candidates = sorted({u + v for u in A for v in B if not (u + v + off) & high})
-        kept: list[int] = []
-        for v in candidates:
-            raised = v | high
-            if not any((raised - u) & high == high for u in kept):
-                kept.append(v)
-        return kept
+        return minimal_packed({u + v for u in A for v in B if not (u + v + off) & high}, high)
 
     def _digit_pow(self, f: dict[int, int], d: int, b: int) -> dict[int, int]:
         """f^d in the sub-box of side b, by truncated square-and-multiply."""
@@ -481,6 +470,24 @@ class FrobeniusBox:
             if not acc:
                 break
         return acc
+
+
+def minimal_packed(keys: set[int], guards: int) -> list[int]:
+    """The minimal elements, under divisibility, of a set of packed
+    monomials, in ascending order.
+
+    Every field of a key holds one exponent below the field's top bit, and
+    ``guards`` has exactly those top bits set. Then x^u divides x^v iff no
+    field of (v | guards) - u loses its guard bit: no field borrows from the
+    next. A divisor's key is never larger, so ascending order keeps it
+    before anything it divides.
+    """
+    kept: list[int] = []
+    for v in sorted(keys):
+        raised = v | guards
+        if not any((raised - u) & guards == guards for u in kept):
+            kept.append(v)
+    return kept
 
 
 def box_mul(f: SparsePolynomial, g: SparsePolynomial, q: int) -> SparsePolynomial:

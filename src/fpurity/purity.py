@@ -21,6 +21,7 @@ radical; the package does not verify that (it is expensive in general).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -70,16 +71,23 @@ class PairSpec:
         if not ideal_contains(self.a_preimage, self.defining):
             raise ValueError("a_preimage must contain the defining ideal")
 
+    @cached_property
+    def outside_defining(self) -> tuple[SparsePolynomial, ...]:
+        """The generators of a_preimage that are not in the defining ideal.
+
+        They generate the same ideal of R as a_preimage does.
+        """
+        return tuple(
+            g for g in self.a_preimage.generators if not membership(g, self.defining)
+        )
+
     def principal_modulo_defining(self) -> bool:
         """True when the image of a_preimage in R is principal.
 
         Decided by counting generators outside the defining ideal; with at
         most one such generator the image is visibly principal.
         """
-        outside = [
-            g for g in self.a_preimage.generators if not membership(g, self.defining)
-        ]
-        return len(outside) <= 1
+        return len(self.outside_defining) <= 1
 
 
 @dataclass

@@ -6,13 +6,18 @@ import pytest
 from fpurity import (
     Ideal,
     PairSpec,
+    ideal_power,
+    membership,
     parse_poly,
+    parse_ring,
     power_into_closure_check,
     sharp_fedder,
     sharp_frobenius_membership,
     sharp_multiplier_check,
     tight_closure_witness_check,
 )
+from fpurity.ceilarith import ceil_mul
+from fpurity.poly import frobenius_image
 
 from conftest import p
 
@@ -210,3 +215,71 @@ def test_power_into_closure_whole_ring_pair(r3xy):
         p("y", r3xy), ideal(["y"], r3xy), pr, r3xy.one(), 9, 1
     )
     assert report.passed
+
+
+# --- the containment primitive ------------------------------------------------------
+
+
+def _full_power_contained(g, pr, N, target):
+    """a'^N * g inside target with every generator of a' powered."""
+    return all(membership(u * g, target) for u in ideal_power(pr.a_preimage, N).generators)
+
+
+def _random_form(rng, ring, d):
+    """A homogeneous degree-d form with every pure power present."""
+    n = ring.nvars
+    terms = {
+        tuple(d if j == i else 0 for j in range(n)): rng.randrange(1, ring.p) for i in range(n)
+    }
+    for _ in range(2):
+        cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+        terms[tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))] = rng.randrange(1, ring.p)
+    return ring.poly(terms)
+
+
+def test_power_times_contained_matches_full_power():
+    # hypersurface probes over S/(f): a' = (x, f), (x, y, f), (f, x*f) (every
+    # generator inside I_def) and the same a' over S itself (zero I_def)
+    from fpurity.closure import _power_times_contained, _quotient_target
+
+    rng = random.Random(53)
+    outcomes = set()
+    for ring_text in ("p=2; vars=x,y", "p=3; vars=x,y", "p=2; vars=x,y,z"):
+        ring = parse_ring(ring_text)
+        x, y = ring.var("x"), ring.var("y")
+        for _ in range(4):
+            f = _random_form(rng, ring, rng.randrange(2, 4))
+            for a_gens, defining in (
+                ([x, f], [f]),
+                ([x, y, f], [f]),
+                ([f, x * f], [f]),
+                ([x, y + x * x], []),
+            ):
+                pr = PairSpec(ring, Ideal(ring, defining), Ideal(ring, a_gens),
+                              Fraction(rng.choice((1, 2)), rng.choice((1, 2, 3))))
+                I = Ideal(ring, [ring.monomial(tuple(rng.randrange(3) for _ in ring.variables))
+                                 for _ in range(2)])
+                z = ring.monomial(tuple(rng.randrange(2) for _ in ring.variables))
+                for e in (0, 1, 2):
+                    q = ring.p**e
+                    target = _quotient_target(I, pr, q)
+                    g = x * frobenius_image(z, q)
+                    for N in (0, 1, ceil_mul(pr.t, q - 1), ceil_mul(pr.t, q)):
+                        got = _power_times_contained(g, pr, N, target)
+                        assert got == _full_power_contained(g, pr, N, target), (pr, I, z, e, N)
+                        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_power_times_contained_when_a_lies_in_the_defining_ideal(r3xy):
+    from fpurity.closure import _power_times_contained
+
+    f = p("x^2 + y^3", r3xy)
+    pr = PairSpec(r3xy, Ideal(r3xy, [f]), Ideal(r3xy, [f, p("x", r3xy) * f]), Fraction(1, 2))
+    assert pr.outside_defining == ()
+    target = Ideal(r3xy, [p("y^9", r3xy), f])
+    z = p("x", r3xy)
+    # a'^N with N >= 1 lies in I_def, inside the target; a'^0 is the unit ideal
+    for N, expected in ((4, True), (0, False)):
+        assert _power_times_contained(z, pr, N, target) is expected
+        assert _full_power_contained(z, pr, N, target) is expected

@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
 
 import pytest
 
 from fpurity import (
+    ExponentOverflowError,
     Ideal,
     ResourceCapExceeded,
     bracket_power,
@@ -17,7 +20,7 @@ from fpurity import (
     parse_ring,
     root_power,
 )
-from fpurity.poly import grevlex_key, mono_divides, poly_pow
+from fpurity.poly import grevlex_key, mono_divides, mono_mul, poly_pow
 
 from conftest import p
 
@@ -156,6 +159,127 @@ def test_power_cap(r3xy, monkeypatch):
     monkeypatch.setattr("fpurity.ideals.MAX_POWER_PRODUCTS", 10)
     with pytest.raises(ResourceCapExceeded, match="max_power_products"):
         ideal_power(a, 40)
+
+
+def _power_oracle(a, N):
+    """a^N the slow way: N - 1 rounds of products by a, each pruned
+    pairwise on exponent tuples for monomial a; for general a, every
+    degree-N generator product from poly_pow, deduplicated in order."""
+    ring = a.ring
+    if a.is_monomial:
+        base = a.monomial_exponents()
+        cur = base
+        for _ in range(N - 1):
+            # a proper divisor has lower degree, so test only kept[:lower]
+            kept, degree, lower = [], 0, 0
+            for m in sorted({mono_mul(u, v) for u in cur for v in base}, key=grevlex_key):
+                if sum(m) != degree:
+                    degree, lower = sum(m), len(kept)
+                if not any(mono_divides(u, m) for u in kept[:lower]):
+                    kept.append(m)
+            cur = kept
+        return [ring.monomial(m) for m in cur]
+    kept = []
+    for combo in itertools.combinations_with_replacement(range(len(a.generators)), N):
+        h = ring.one()
+        for idx in sorted(set(combo)):
+            h = h * poly_pow(a.generators[idx], combo.count(idx))
+        if h not in kept:
+            kept.append(h)
+    return kept
+
+
+def _random_monomial_power_base(rng, ring):
+    """A monomial ideal with 2 to 4 minimal generators, exponents below 4."""
+    while True:
+        a = Ideal(ring, [
+            ring.monomial(tuple(rng.randrange(4) for _ in range(ring.nvars)))
+            for _ in range(rng.randrange(2, 5))
+        ])
+        if len(a.generators) >= 2 and not a.has_constant_generator():
+            return a
+
+
+# exponents on both sides of the powers of two where the packed field widens
+POWER_EXPONENTS_2VARS = [2, 3, 5, 7, 8, 15, 16, 31, 32, 45, 63, 64, 100]
+POWER_EXPONENTS_3VARS = [2, 3, 4, 7, 8, 11, 15, 16]
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_monomial_power_matches_repeated_products(nvars):
+    ring = parse_ring("p=3; vars=" + ",".join("xyz"[:nvars]))
+    rng = random.Random(41 + nvars)
+    exponents = POWER_EXPONENTS_2VARS if nvars == 2 else POWER_EXPONENTS_3VARS
+    linear = Ideal(ring, [ring.var(v) for v in ring.variables])
+    for trial in range(8):
+        a = linear if trial == 0 else _random_monomial_power_base(rng, ring)
+        for N in exponents:
+            assert ideal_power(a, N).generators == tuple(_power_oracle(a, N)), (a, N)
+
+
+def test_general_power_matches_poly_pow_products():
+    rng = random.Random(43)
+    for ring_text in ("p=2; vars=x,y", "p=3; vars=x,y,z", "p=5; vars=x,y"):
+        ring = parse_ring(ring_text)
+        for _ in range(6):
+            gens = []
+            for _ in range(rng.randrange(2, 4)):
+                terms = {
+                    tuple(rng.randrange(3) for _ in range(ring.nvars)): rng.randrange(1, ring.p)
+                    for _ in range(rng.randrange(1, 4))
+                }
+                gens.append(ring.poly(terms))
+            a = Ideal(ring, gens)
+            if a.is_monomial or len(a.generators) < 2 or a.has_constant_generator():
+                continue
+            for N in (2, 3, 4, 5, 7):
+                assert ideal_power(a, N).generators == tuple(_power_oracle(a, N)), (a, N)
+
+
+def test_monomial_power_exponent_cap(r3xy):
+    # (x^m)^7 with 7m = 2^63 - 1 sits exactly on the cap; 2^62 doubled is past it
+    m = (2**63 - 1) // 7
+    at_cap = ideal_power(Ideal(r3xy, [r3xy.monomial((m, 0)), r3xy.monomial((0, 1))]), 7)
+    assert at_cap.generators == tuple(
+        r3xy.monomial((m * i, 7 - i)) for i in range(8)
+    )
+    past = Ideal(r3xy, [r3xy.monomial((2**62, 0)), r3xy.monomial((1, 1))])
+    with pytest.raises(ExponentOverflowError):
+        ideal_power(past, 2)
+
+
+def test_power_work_is_logarithmic(monkeypatch):
+    from fpurity import ideals
+
+    ring = parse_ring("p=5; vars=x,y")
+    a = ideal(["y", "x^2"], ring)
+    passes = 0
+
+    def counting(prune):
+        def wrapper(*args):
+            nonlocal passes
+            passes += 1
+            return prune(*args)
+
+        return wrapper
+
+    # the packed passes of the power plus the constructor's own pruning
+    monkeypatch.setattr(ideals, "minimal_packed", counting(ideals.minimal_packed))
+    monkeypatch.setattr(ideals, "_minimal_monomials", counting(ideals._minimal_monomials))
+    got = ideal_power(a, 94)
+    assert passes <= 2 * math.ceil(math.log2(94))
+    assert got.generators == tuple(ring.monomial((2 * i, 94 - i)) for i in range(95))
+
+    powers = 0
+
+    def no_poly_pow(*args):
+        nonlocal powers
+        powers += 1
+        return poly_pow(*args)
+
+    monkeypatch.setattr(ideals, "poly_pow", no_poly_pow)
+    ideal_power(ideal(["x + y", "x*y + 1"], ring), 12)
+    assert powers == 0
 
 
 # --- root powers --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -190,3 +191,74 @@ def test_battery_vassilev_containments():
             assert vassilev_containment(
                 pr.defining, pr.a_preimage, pr.t, tau, pr.ring.p**e
             )
+
+
+# --- closed form for monomial ideals in two variables -----------------------------
+
+
+def _newton_tau(a, t):
+    """tau(a^t) for a monomial ideal a of F_p[x, y], in closed form.
+
+    x^v lies in tau(a^t) iff v + (1, 1) lies in the interior of t * Newt(a),
+    Newt(a) = conv(exponents of a) + R^2_{>=0} (Howald 2001 for multiplier
+    ideals; Hara-Yoshida 2003, Thm 4.8, for test ideals in every
+    characteristic p). Newt(a) is cut out by X >= its least x, Y >= its least
+    y and one half-plane per edge of the lower convex hull of the minimal
+    generators; all arithmetic is in Fraction.
+    """
+    ring = a.ring
+    points = sorted(a.monomial_exponents())  # x ascending, so y descending
+    hull = []
+    for pt in points:
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox) > 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    edges = list(zip(hull, hull[1:]))
+
+    def interior(X, Y):
+        if X <= t * hull[0][0] or Y <= t * hull[-1][1]:
+            return False
+        return all(
+            (y1 - y2) * (X - t * x1) + (x2 - x1) * (Y - t * y1) > 0
+            for (x1, y1), (x2, y2) in edges
+        )
+
+    # each coordinate of a minimal generator of tau is at most t times the
+    # largest exponent of a, so this box holds all of them
+    bound = int(t * max(max(pt) for pt in points)) + 1
+    members = [
+        ring.monomial((i, j))
+        for i in range(bound + 1)
+        for j in range(bound + 1)
+        if interior(Fraction(i + 1), Fraction(j + 1))
+    ]
+    return Ideal(ring, members)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_monomial_test_ideals_match_the_newton_polygon(prime):
+    from fpurity import parse_ring
+
+    ring = parse_ring(f"p={prime}; vars=x,y")
+    rng = random.Random(59 + prime)
+    ts = [Fraction(n, d) for n, d in ((1, 2), (1, 3), (2, 3), (3, 4), (1, 1), (3, 2))]
+    for _ in range(10):
+        a = Ideal(ring, [])
+        while len(a.generators) < 2:
+            gens = [ring.monomial((rng.randrange(4), rng.randrange(4))) for _ in range(rng.randrange(2, 5))]
+            a = Ideal(ring, gens)
+        t = rng.choice(ts)
+        result = compute_test_ideal(a, t, ring)
+        assert ideal_equals(result.tau, _newton_tau(a, t)), (a, t, result.tau)
+
+
+def test_newton_tau_known_values(r3xy):
+    # tau((x^2, y^3)^(5/6)) = (1) exactly below the log canonical threshold 5/6,
+    # and (x, y) at it; tau((x*y)^1) = (x*y)
+    a = ideal(["x^2", "y^3"], r3xy)
+    assert ideal_equals(_newton_tau(a, Fraction(4, 5)), ideal(["1"], r3xy))
+    assert ideal_equals(_newton_tau(a, Fraction(5, 6)), ideal(["x", "y"], r3xy))
+    assert ideal_equals(_newton_tau(ideal(["x*y"], r3xy), Fraction(1)), ideal(["x*y"], r3xy))
