@@ -10,7 +10,14 @@ deterministic.
 Groebner bases come from Buchberger's algorithm with the pairs in a heap
 ordered by lcm, pruned by the coprime-leads and chain criteria; every
 polynomial caches its leading monomial, so reduction never rescans a
-divisor's terms for it.
+divisor's terms for it. A reduction takes its largest remaining term from
+a heap keyed by the negated order key, against a table of divisor rows
+that one Buchberger run builds once and extends as the basis grows.
+
+Colons run by elimination of an extra variable, except for monomial and
+principal cases and the Fedder colon I^[q] : I of a complete intersection,
+which ``fedder_colon`` takes from Fedder's lemma with one Buchberger run
+in the ring itself.
 
 Monomial ideals are recognized at construction and stored by their unique
 minimal monomial generators; most operations have a fast path for them.
@@ -176,35 +183,71 @@ class Ideal:
 # reduction and Buchberger
 
 
+def _descending_key(ring: PolyRing):
+    """The ring's order key negated, so a min-heap pops the largest term.
+
+    Grevlex: (-deg, reversed exponents). elim1: the first exponent
+    negated, then the grevlex key of the rest negated the same way; the
+    total degree stands in for the degree of the rest, which it orders
+    alike once the first exponents agree.
+    """
+    if ring.order == "grevlex":
+        return lambda m: (-sum(m), m[::-1])
+    return lambda m: (-m[0], -sum(m), m[:0:-1])
+
+
+_Reducer = tuple[dict, Monomial, int]
+
+
+def _reducer(g: SparsePolynomial) -> _Reducer:
+    """A divisor's (terms, lead, inverse lead coefficient) row."""
+    return g.terms, g.lead_monomial(), g.ring.field.inv(g.lead_coeff())
+
+
 def _normal_form(
     f: SparsePolynomial,
-    basis: Sequence[SparsePolynomial],
+    reducers: Sequence[_Reducer],
     counter: Optional[_StepCounter] = None,
 ) -> SparsePolynomial:
-    """Fully reduce f modulo the listed polynomials (first divisor wins)."""
+    """Fully reduce f modulo the listed divisors (first divisor wins).
+
+    Each divisor comes as its ``_reducer`` row, built once by the caller.
+    The largest remaining term is reduced at each step; a heap on the
+    negated order key yields it, with an entry pushed whenever a term
+    enters the work dict. An entry whose term is no longer there is
+    skipped and not counted, so the steps are those of picking the
+    maximum by a scan. A step only adds terms below the one it handles,
+    so a handled term never comes back.
+    """
     ring = f.ring
-    key = ring.key
+    hkey = _descending_key(ring)
     p = ring.p
-    field = ring.field
-    data = [(g.terms, g.lead_monomial(), field.inv(g.lead_coeff())) for g in basis if not g.is_zero()]
     work = dict(f.terms)
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     remainder: dict[Monomial, int] = {}
-    while work:
+    while heap:
+        m = pop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
         if counter is not None:
             counter.tick()
-        m = max(work, key=key)
-        c = work[m]
-        for gterms, glm, ginv in data:
+        for gterms, glm, ginv in reducers:
             if mono_divides(glm, m):
                 factor = (c * ginv) % p
                 shift = mono_div(m, glm)
                 for tm, tc in gterms.items():
                     t = mono_mul(tm, shift)
-                    s = (work.get(t, 0) - factor * tc) % p
+                    old = work.get(t, 0)
+                    s = (old - factor * tc) % p
                     if s:
                         work[t] = s
+                        if not old:
+                            push(heap, (hkey(t), t))
                     else:
-                        work.pop(t, None)
+                        del work[t]
                 break
         else:
             remainder[m] = c
@@ -236,12 +279,14 @@ def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePoly
     """
     counter = _StepCounter()
     basis: list[SparsePolynomial] = []
+    table: list[_Reducer] = []
     for g in gens:
-        h = _normal_form(g, basis, counter)
+        h = _normal_form(g, table, counter)
         if not h.is_zero():
             if h.is_constant():
                 return [ring.one()]
             basis.append(h.monic())
+            table.append(_reducer(basis[-1]))
 
     key = ring.key
     leads = [g.lead_monomial() for g in basis]
@@ -270,7 +315,7 @@ def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePoly
             for k, lmk in enumerate(leads)
         ):
             continue  # chain criterion
-        h = _normal_form(_s_poly(basis[i], basis[j]), basis, counter)
+        h = _normal_form(_s_poly(basis[i], basis[j]), table, counter)
         if h.is_zero():
             continue
         if h.is_constant():
@@ -278,6 +323,7 @@ def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePoly
         basis.append(h.monic())
         if len(basis) > MAX_BASIS:
             raise ResourceCapExceeded("max_basis", f"{MAX_BASIS} elements")
+        table.append(_reducer(basis[-1]))
         leads.append(basis[-1].lead_monomial())
         add_pairs(len(basis) - 1)
     return _interreduce(basis, counter)
@@ -296,10 +342,10 @@ def _interreduce(
         if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in minimal):
             minimal.append(g)
     # fully reduce each tail against the others
+    table = [_reducer(g) for g in minimal]
     reduced = []
     for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        h = _normal_form(g, others, counter)
+        h = _normal_form(g, table[:idx] + table[idx + 1 :], counter)
         reduced.append(h.monic())
     reduced.sort(key=lambda g: ring.key(g.lead_monomial()))
     return reduced
@@ -327,7 +373,7 @@ def membership(g: SparsePolynomial, I: Ideal) -> bool:
     if I.is_monomial:
         gens = I.monomial_exponents()
         return all(any(mono_divides(u, m) for u in gens) for m in g.terms)
-    return _normal_form(g, I.groebner(), _StepCounter()).is_zero()
+    return _normal_form(g, [_reducer(b) for b in I.groebner()], _StepCounter()).is_zero()
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
@@ -502,6 +548,16 @@ def _project(f: SparsePolynomial, ring: PolyRing) -> SparsePolynomial:
 
 def intersect(J: Ideal, K: Ideal) -> Ideal:
     """J intersect K."""
+    return _intersect(J, K)
+
+
+def _intersect(J: Ideal, K: Ideal, common: Sequence[SparsePolynomial] = ()) -> Ideal:
+    """J intersect K, given polynomials ``common`` that lie in both.
+
+    The elimination runs on t*J + (1-t)*K with ``common`` added as t-free
+    inputs. That ideal already contains every such c = t*c + (1-t)*c, so
+    the result is the same; the basis only meets them sooner.
+    """
     J._check_ring(K)
     ring = J.ring
     if J.is_zero() or K.is_zero():
@@ -519,7 +575,8 @@ def intersect(J: Ideal, K: Ideal) -> Ideal:
     ext = _extend_ring(ring)
     t = ext.var(_ELIM_VAR)
     one = ext.one()
-    gens = [t * _embed(g, ext) for g in J.generators]
+    gens = [_embed(c, ext) for c in common]
+    gens += [t * _embed(g, ext) for g in J.generators]
     gens += [(one - t) * _embed(h, ext) for h in K.generators]
     basis = _buchberger(gens, ext)
     kept = [_project(b, ring) for b in basis if all(m[0] == 0 for m in b.terms)]
@@ -579,7 +636,10 @@ def colon(J: Ideal, I: Ideal) -> Ideal:
 
     Monomial against monomial uses the gcd-quotient formula; otherwise the
     standard route: intersect generator by generator, each single colon
-    computed by elimination.
+    computed by elimination. Every part contains J, so each intersection
+    gets J's generators as common inputs. For J = I^[q] with I a complete
+    intersection, ``fedder_colon`` gives the same ideal without
+    elimination.
     """
     J._check_ring(I)
     ring = J.ring
@@ -594,5 +654,54 @@ def colon(J: Ideal, I: Ideal) -> Ideal:
     result: Optional[Ideal] = None
     for f in I.generators:
         part = _colon_by_poly(J, f)
-        result = part if result is None else intersect(result, part)
+        result = part if result is None else _intersect(result, part, J.generators)
     return result
+
+
+def _height(I: Ideal) -> int:
+    """The height of a proper ideal I of S = F_p[x_1, ..., x_n].
+
+    ht I = n - dim S/in(I), and dim S/in(I) is the size of the largest set
+    of variables that contains the support of no lead of I's Groebner
+    basis. A proper ideal has no constant lead, so the empty set always
+    qualifies and the height is at most n.
+    """
+    n = I.ring.nvars
+    supports = {
+        sum(1 << i for i, e in enumerate(g.lead_monomial()) if e) for g in I.groebner()
+    }
+    for k in range(n, 0, -1):
+        for chosen in itertools.combinations(range(n), k):
+            free = sum(1 << i for i in chosen)
+            if all(s & ~free for s in supports):
+                return n - k
+    return n
+
+
+def fedder_colon(I: Ideal, q: int) -> Ideal:
+    """The Fedder colon I^[q] : I, for q = p^e.
+
+    When I has c >= 2 generators and height c (decided by ``_height``),
+    I is a complete intersection, and then
+
+        I^[q] : I  =  (f_1 * ... * f_c)^(q-1) + I^[q]
+
+    (Fedder, F-purity and rational singularity, Trans. AMS 1983, Prop.
+    2.6). The identity holds exactly: colons commute with localization, and
+    at every maximal ideal containing I the f_i form a regular sequence,
+    since S is Cohen-Macaulay. The result is its monic reduced basis,
+    sorted by lead, from one Buchberger run in S with no elimination
+    variable. ``colon`` gives the same generators here, because its last
+    step intersects two proper parts and so returns a reduced basis too.
+    Every other ideal (monomial, principal, unit, zero, or not a complete
+    intersection) goes through ``colon``.
+    """
+    Iq = bracket_power(I, q)
+    gens = I.generators
+    if I.is_monomial or len(gens) < 2 or I.is_unit() or _height(I) != len(gens):
+        return colon(Iq, I)
+    product = gens[0]
+    for g in gens[1:]:
+        product = product * g
+    ring = I.ring
+    return Ideal(ring, _buchberger([*Iq.generators, poly_pow(product, q - 1)], ring))

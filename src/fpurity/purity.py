@@ -13,6 +13,12 @@ the criteria quantify over infinitely many q: those runs come back
 inconclusive, never negative. The classic check is diagnostic per-e
 evidence only.
 
+The colon comes from ``fedder_colon``. Because m^[q] is monomial, each
+generator product is tested in the finite quotient S/m^[q]
+(``FrobeniusBox``): it escapes iff its truncated product is nonzero. Only
+the escaping product is formed in full. ``verify_witness`` rechecks a
+witness by membership, independently of the box.
+
 All checks happen at the homogeneous maximal ideal, the standard
 computable model for the local criterion. The defining ideal I is assumed
 radical; the package does not verify that (it is expensive in general).
@@ -27,8 +33,8 @@ from typing import Iterable, Optional
 
 from .ceilarith import ceil_mul, floor_mul
 from .errors import RingMismatchError
-from .ideals import Ideal, bracket_power, colon, ideal_contains, ideal_power, membership
-from .poly import PolyRing, SparsePolynomial
+from .ideals import Ideal, bracket_power, fedder_colon, ideal_contains, ideal_power, membership
+from .poly import FrobeniusBox, PolyRing, SparsePolynomial
 from .report import ConsistencyReport
 
 SHARP = "sharp"
@@ -115,15 +121,25 @@ class PurityVerdict:
 
 
 def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[SparsePolynomial]:
-    """A generator product of a'^N * (I^[q] : I) outside m^[q], if any."""
-    cond = colon(bracket_power(pair.defining, q), pair.defining)
+    """The first generator product u*v of a'^N * (I^[q] : I) outside m^[q],
+    if any, with u running over a'^N and v over the colon.
+
+    Each product is tested in ``FrobeniusBox(ring, q)``: u*v escapes m^[q]
+    iff its truncated product is nonzero, since m^[q] is monomial. Each
+    generator is packed once, and the full product is formed only for the
+    pair that escapes.
+    """
+    cond = fedder_colon(pair.defining, q)
     powered = ideal_power(pair.a_preimage, N)
-    mq = bracket_power(maximal_ideal(pair.ring), q)
+    box = FrobeniusBox(pair.ring, q)
+    packed = [box.pack(v) for v in cond.generators]
     for u in powered.generators:
-        for v in cond.generators:
-            g = u * v
-            if not membership(g, mq):
-                return g
+        pu = box.pack(u)
+        if not pu:
+            continue  # u lies in m^[q], and so does every u*v
+        for v, pv in zip(cond.generators, packed):
+            if box.mul(pu, pv):
+                return u * v
     return None
 
 
@@ -293,7 +309,7 @@ def verify_witness(pair: PairSpec, verdict: PurityVerdict) -> bool:
         raise ValueError("only proven verdicts carry a witness")
     q = verdict.witness_q
     N = _exponent(verdict.criterion, pair.t, q)
-    cond = colon(bracket_power(pair.defining, q), pair.defining)
+    cond = fedder_colon(pair.defining, q)
     product = ideal_power(pair.a_preimage, N).times(cond)
     in_product = membership(verdict.witness_poly, product)
     escapes = not membership(verdict.witness_poly, bracket_power(maximal_ideal(pair.ring), q))

@@ -25,8 +25,7 @@ from .ceilarith import ceil_mul, denominator_order
 from .errors import NonMonomialIdealError, ResourceCapExceeded
 from .ideals import (
     Ideal,
-    bracket_power,
-    colon,
+    fedder_colon,
     ideal_contains,
     ideal_equals,
     ideal_power,
@@ -149,8 +148,8 @@ def vassilev_containment(
     """
     if not ideal_contains(tau_pullback, I):
         raise ValueError("tau_pullback must contain the defining ideal")
-    lhs = ideal_power(a_preimage, ceil_mul(t, q - 1)).times(colon(bracket_power(I, q), I))
-    rhs = colon(bracket_power(tau_pullback, q), tau_pullback)
+    lhs = ideal_power(a_preimage, ceil_mul(t, q - 1)).times(fedder_colon(I, q))
+    rhs = fedder_colon(tau_pullback, q)
     return ideal_contains(rhs, lhs)
 
 

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpurity import (
     ExponentOverflowError,
@@ -20,7 +21,7 @@ from fpurity import (
     parse_ring,
     root_power,
 )
-from fpurity.poly import grevlex_key, mono_divides, mono_mul, poly_pow
+from fpurity.poly import PolyRing, grevlex_key, mono_div, mono_divides, mono_mul, poly_pow
 
 from conftest import p
 
@@ -476,3 +477,68 @@ def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
         "x*y^2*z^4 + x^2*z^5 + y^5*z*w + x*y^3*z^2*w + x^2*y*z^3*w + x*y^4*w^2"
         " + x^2*y^2*z*w^2 + x^3*z^2*w^2 + x^3*y*w^3",
     ]
+
+
+# --- the reduction kernel ------------------------------------------------------
+
+
+def _max_scan_normal_form(f, basis, counter):
+    """The reduction that scans the work dict for its largest term at every
+    step and builds its divisor rows on every call: the oracle for the
+    heap kernel."""
+    ring = f.ring
+    p = ring.p
+    data = [(g.terms, g.lead_monomial(), ring.field.inv(g.lead_coeff())) for g in basis]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        counter.tick()
+        m = max(work, key=ring.key)
+        c = work[m]
+        for gterms, glm, ginv in data:
+            if mono_divides(glm, m):
+                factor = (c * ginv) % p
+                shift = mono_div(m, glm)
+                for tm, tc in gterms.items():
+                    t = mono_mul(tm, shift)
+                    s = (work.get(t, 0) - factor * tc) % p
+                    if s:
+                        work[t] = s
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    return remainder, next(iter(remainder), None)
+
+
+@st.composite
+def _reduction_case(draw):
+    ring = parse_ring(f"p={draw(st.sampled_from([2, 3, 5]))}; vars=x,y,z")
+    ring = PolyRing(ring.field, ring.variables, draw(st.sampled_from(["grevlex", "elim1"])))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, ring.p - 1))
+
+    def poly(min_size, max_size):
+        return ring.poly(dict(draw(st.lists(term, min_size=min_size, max_size=max_size))))
+
+    f = poly(0, 10)
+    basis = [poly(1, 4) for _ in range(draw(st.integers(0, 4)))]
+    return f, [g for g in basis if not g.is_zero()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reduction_case())
+def test_heap_normal_form_matches_the_max_scan(case):
+    # the same terms are reduced in the same order, so remainders, their
+    # cached leads and the step counts agree exactly, in both orders
+    from fpurity.ideals import _StepCounter, _normal_form, _reducer
+
+    f, basis = case
+    heap_steps, scan_steps = _StepCounter(), _StepCounter()
+    got = _normal_form(f, [_reducer(g) for g in basis], heap_steps)
+    terms, lead = _max_scan_normal_form(f, basis, scan_steps)
+    assert got.terms == terms
+    assert got._lead == lead
+    assert got.is_zero() or got.lead_monomial() == max(terms, key=f.ring.key)
+    assert heap_steps.steps == scan_steps.steps

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,21 @@ from fpurity import (
     bracket_power,
     classic_fpure,
     denominator_order,
+    fedder_colon,
+    ideal_power,
     maximal_ideal,
     membership,
     parse_poly,
+    parse_ring,
     principal_sharp_implies_classic,
     sharp_fedder,
     sharp_from_single_split,
     strong_fedder,
     verify_witness,
 )
+from fpurity.ceilarith import ceil_mul
 from fpurity.poly import poly_pow
+from fpurity.purity import _escape_witness
 
 from battery import battery_pairs
 from conftest import p
@@ -231,3 +237,109 @@ def test_sharp_matches_closed_form_for_principal_monomials(r3xy):
             q = 3**e
             N = ceil_mul(t, q - 1)
             assert got[e] == all(N * a < q for a in exps)
+
+
+# --- the escape test ---------------------------------------------------------------
+
+
+def _escape_by_membership(pair, N, q):
+    """The escape loop that forms every product and asks ``membership`` in
+    m^[q]: the oracle for the Frobenius-box test."""
+    cond = fedder_colon(pair.defining, q)
+    powered = ideal_power(pair.a_preimage, N)
+    mq = bracket_power(maximal_ideal(pair.ring), q)
+    for u in powered.generators:
+        for v in cond.generators:
+            g = u * v
+            if not membership(g, mq):
+                return g
+    return None
+
+
+# (variables, defining ideal, largest q): in four variables the oracle's
+# products past q = 9 take seconds
+ESCAPE_DEFINING = {
+    "ambient": ("x,y,z", (), 27),
+    "cone": ("x,y,z", ("x^2 - y*z",), 27),
+    "quadric-ci": ("x,y,z,w", ("x*y - z*w", "x*z - y*w"), 9),
+}
+
+
+def _escape_cases(prime, name):
+    names, defining, _ = ESCAPE_DEFINING[name]
+    ring = parse_ring(f"p={prime}; vars={names}")
+    rng = random.Random(f"escape:{prime}:{name}")
+    variables = ring.variables
+    for _ in range(4):
+        # one or two generators, monomials or binomials; pair() adds the
+        # defining generators to a'
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            terms = [
+                "*".join(f"{rng.choice(variables)}^{rng.randint(1, 2)}" for _ in range(2))
+                for _ in range(rng.randint(1, 2))
+            ]
+            gens.append(" + ".join(terms))
+        yield pair(ring, gens, Fraction(1, rng.randint(1, 4)), defining)
+
+
+@pytest.mark.parametrize("name", ESCAPE_DEFINING)
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_box_escape_matches_membership_loop(prime, name):
+    outcomes = set()
+    q = prime
+    while q <= ESCAPE_DEFINING[name][2]:
+        for pr in _escape_cases(prime, name):
+            for N in (0, 1, ceil_mul(pr.t, q - 1)):
+                got = _escape_witness(pr, N, q)
+                assert got == _escape_by_membership(pr, N, q)
+                outcomes.add(got is None)
+        q *= prime
+    # in characteristic 2 the quadrics are not F-pure: nothing escapes
+    assert outcomes == ({True} if (prime, name) == (2, "quadric-ci") else {True, False})
+
+
+def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
+    # with the colon and the power fixed, the loop itself asks membership
+    # nothing and multiplies in full only the escaping pair
+    from fpurity import poly, purity
+
+    cone = pair(parse_ring("p=3; vars=x,y,z"), ["x", "y"], 1, ["x^2 - y*z"])
+    quadrics = pair(parse_ring("p=3; vars=x,y,z,w"), ["x", "y"], 1, ["x*y - z*w", "x*z - y*w"])
+    cases = [
+        (cone, 3, 2, True), (cone, 9, 5, True), (cone, 3, 3, False),
+        (quadrics, 9, 0, True), (quadrics, 3, 1, False),
+    ]
+    for pr, q, N, escapes in cases:
+        cond = fedder_colon(pr.defining, q)
+        powered = ideal_power(pr.a_preimage, N)
+        monkeypatch.setattr(purity, "fedder_colon", lambda I, q: cond)
+        monkeypatch.setattr(purity, "ideal_power", lambda a, N: powered)
+        calls = {"membership": 0, "poly_mul": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(purity, "membership", counted("membership", membership))
+        monkeypatch.setattr(poly, "poly_mul", counted("poly_mul", poly.poly_mul))
+        got = _escape_witness(pr, N, q)
+        monkeypatch.undo()
+        assert (got is not None) == escapes
+        assert got == _escape_by_membership(pr, N, q)
+        assert calls == {"membership": 0, "poly_mul": int(escapes)}
+
+
+def test_box_escape_keeps_the_iteration_order(monkeypatch):
+    # u runs over a'^N outside, v over the colon inside: at q = 3, y*x^2
+    # escapes first; running v outside would give x*y^2 instead
+    from fpurity import purity
+
+    ring = parse_ring("p=3; vars=x,y")
+    monkeypatch.setattr(purity, "fedder_colon", lambda I, q: Ideal(ring, [p("y^2", ring), p("x^2", ring)]))
+    monkeypatch.setattr(purity, "ideal_power", lambda a, N: Ideal(ring, [p("y", ring), p("x", ring)]))
+    pr = pair(ring, ["x", "y"], 1)
+    assert _escape_witness(pr, 1, 3) == p("x^2*y", ring)

@@ -7,6 +7,10 @@ basis of the same ideal, computed independently. Intersections on the sympy
 side come from elimination under lex with t first, and colons from
 J : I = intersection over f in I of (J meet (f)) / f, each quotient by
 sympy's own division.
+
+``fedder_colon`` is checked against the engine's own elimination colon,
+which the tests above tie to sympy, and against sympy directly on the
+benchmark shapes.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from fpurity import (  # noqa: E402
     Ideal,
     bracket_power,
     colon,
+    fedder_colon,
     groebner_basis,
     intersect,
     parse_poly_list,
     parse_ring,
 )
+from fpurity.ideals import _height  # noqa: E402
 
 def to_sympy(f, gens):
     return sympy.Poly.from_dict(dict(f.terms), *gens, modulus=f.ring.p).as_expr()
@@ -149,3 +155,65 @@ def test_benchmark_shapes_match_sympy(name, p, n, text):
     Iq = bracket_power(I, p)
     quotient = sympy_colon([to_sympy(g, gens) for g in Iq.generators], I_exprs, gens, p)
     assert engine_basis(colon(Iq, I)) == sympy_basis(quotient, gens, p)
+    assert engine_basis(fedder_colon(I, p)) == sympy_basis(quotient, gens, p)
+
+
+# --- fedder_colon against the elimination colon ------------------------------
+
+
+def random_quadric(rng, ring):
+    terms = {}
+    while len(terms) < 2:
+        m = [0] * ring.nvars
+        for _ in range(2):
+            m[rng.randrange(ring.nvars)] += 1
+        terms[tuple(m)] = rng.randrange(1, ring.p)
+    return ring.poly(terms)
+
+
+def seeded_complete_intersection(p, n):
+    """The first seeded pair of binomial quadrics whose ideal has height 2."""
+    ring, _ = ring_and_gens(p, n)
+    rng = random.Random(f"fedder-ci:{p}:{n}")
+    while True:
+        I = Ideal(ring, [random_quadric(rng, ring), random_quadric(rng, ring)])
+        if len(I.generators) == 2 and not I.is_monomial and _height(I) == 2:
+            return I
+
+
+def assert_fedder_colon_matches(I, q):
+    assert fedder_colon(I, q).generators == colon(bracket_power(I, q), I).generators
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3, 5) for n in (3, 4)])
+def test_fedder_colon_on_seeded_complete_intersections(p, n):
+    I = seeded_complete_intersection(p, n)
+    for q in (p, p * p):
+        assert_fedder_colon_matches(I, q)
+
+
+# q runs over p and p^2 up to 9: the elimination colons of these shapes at
+# q = 25 take up to 5.5 s; the seeded complete intersections cover q = 25
+FEDDER_SHAPES = {
+    "quadric-ci": ("x,y,z,w", "x*y - z*w, x*z - y*w"),
+    "scaled-quadric-ci": ("x,y,z,w", "2*x*y - z*w, x*z + 2*y*w"),
+    "non-homogeneous-ci": ("x,y,z", "x^2 + y + 1, y*z + x"),
+    "twisted-cubic": ("x,y,z,w", "x*z - y^2, x*w - y*z, y*w - z^2"),
+    "herzog": ("x,y,z", "x*z - y^2, x^3 - y*z, x^2*y - z^2"),
+    "xy-xz": ("x,y,z", "x*y, x*z"),
+    "height-one-binomials": ("x,y,z", "x*y + x*z, x^2 + x*z^2"),
+    "unit": ("x,y,z", "x*y + 1, x*y"),
+    "principal": ("x,y,z", "x^2 + y*z"),
+    "monomial": ("x,y,z", "x^2*y, y*z^3, x*z"),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", FEDDER_SHAPES)
+def test_fedder_colon_on_fixed_ideals(name, p):
+    names, text = FEDDER_SHAPES[name]
+    ring = parse_ring(f"p={p}; vars={names}")
+    I = ideal_of(ring, text)
+    for q in (p, p * p):
+        if q <= 9:
+            assert_fedder_colon_matches(I, q)
