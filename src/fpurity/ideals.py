@@ -14,10 +14,19 @@ divisor's terms for it. A reduction takes its largest remaining term from
 a heap keyed by the negated order key, against a table of divisor rows
 that one Buchberger run builds once and extends as the basis grows.
 
-Colons run by elimination of an extra variable, except for monomial and
-principal cases and the Fedder colon I^[q] : I of a complete intersection,
-which ``fedder_colon`` takes from Fedder's lemma with one Buchberger run
-in the ring itself.
+Colons run by elimination of an extra variable t, one elimination per
+generator of the divisor ideal, except for monomial and principal cases
+and the Fedder colon I^[q] : I of a complete intersection, which
+``fedder_colon`` takes from Fedder's lemma with one Buchberger run in the
+ring itself.
+
+For an ideal that is homogeneous in positive integer weights W
+(``positive_grading``), Buchberger can stop at a W-degree: with pairs taken
+by degree, the basis elements up to the bound are exactly those of the
+full reduced basis, because homogeneous S-polynomials and remainders keep
+the degree of their lcm. Giving t weight 0 makes t*J + (1-t)*K homogeneous
+as well, so eliminations truncate the same way. ``fedder_colon`` uses this
+to return only the low-degree generators the escape test can use.
 
 Monomial ideals are recognized at construction and stored by their unique
 minimal monomial generators; most operations have a fast path for them.
@@ -33,6 +42,8 @@ import heapq
 import itertools
 import math
 import threading
+from fractions import Fraction
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchError
@@ -256,6 +267,15 @@ def _normal_form(
     return SparsePolynomial(ring, remainder, next(iter(remainder), None))
 
 
+# (weights, bound): truncate at that weighted degree
+_Graded = tuple[Sequence[int], int]
+
+
+def _w_degree(m: Monomial, weights: Sequence[int]) -> int:
+    """The weighted degree of a monomial."""
+    return sum(map(mul, m, weights))
+
+
 def _s_poly(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
     field = f.ring.field
     lmf, lmg = f.lead_monomial(), g.lead_monomial()
@@ -265,7 +285,9 @@ def _s_poly(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
     return a - b
 
 
-def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePolynomial]:
+def _buchberger(
+    gens: list[SparsePolynomial], ring: PolyRing, graded: Optional[_Graded] = None
+) -> list[SparsePolynomial]:
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Pair selection follows the normal strategy (smallest lcm in the ring
@@ -276,8 +298,23 @@ def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePoly
     a lead dividing lcm(i, j) and neither (i, k) nor (j, k) is still
     queued, so S(i, j) already has a standard representation built from
     those of S(i, k) and S(j, k) (Buchberger 1979; Gebauer-Moeller 1988).
+
+    ``graded = (weights, bound)`` truncates the run by degree. The inputs
+    must be homogeneous for the nonnegative integer weights, which may be 0
+    on an elimination variable. Inputs of weighted degree above the bound
+    are dropped, pairs are keyed by (weighted degree of the lcm, lcm key,
+    i, j), and a pair whose lcm lies above the bound is never queued. The
+    result is exactly the set of reduced-basis elements of weighted degree
+    at most the bound: every S-polynomial and remainder of homogeneous
+    polynomials is homogeneous of the degree of its lcm, an element of
+    degree d has a standard representation through pairs of degree at most
+    d alone, and so the truncated run is a Groebner basis in every degree up
+    to the bound (the DegreeLimit of Macaulay2).
     """
     counter = _StepCounter()
+    if graded is not None:
+        weights, bound = graded
+        gens = [g for g in gens if _w_degree(g.lead_monomial(), weights) <= bound]
     basis: list[SparsePolynomial] = []
     table: list[_Reducer] = []
     for g in gens:
@@ -295,7 +332,14 @@ def _buchberger(gens: list[SparsePolynomial], ring: PolyRing) -> list[SparsePoly
 
     def add_pairs(k: int):
         for i in range(k):
-            heapq.heappush(heap, (key(mono_lcm(leads[i], leads[k])), i, k))
+            lcm = mono_lcm(leads[i], leads[k])
+            if graded is None:
+                heapq.heappush(heap, (key(lcm), i, k))
+            else:
+                degree = _w_degree(lcm, weights)
+                if degree > bound:
+                    continue
+                heapq.heappush(heap, ((degree, key(lcm)), i, k))
             queued.add((i, k))
 
     for k in range(1, len(basis)):
@@ -546,17 +590,13 @@ def _project(f: SparsePolynomial, ring: PolyRing) -> SparsePolynomial:
     return SparsePolynomial(ring, {m[1:]: c for m, c in f.terms.items()})
 
 
-def intersect(J: Ideal, K: Ideal) -> Ideal:
-    """J intersect K."""
-    return _intersect(J, K)
+def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
+    """J intersect K, by eliminating t from t*J + (1-t)*K.
 
-
-def _intersect(J: Ideal, K: Ideal, common: Sequence[SparsePolynomial] = ()) -> Ideal:
-    """J intersect K, given polynomials ``common`` that lie in both.
-
-    The elimination runs on t*J + (1-t)*K with ``common`` added as t-free
-    inputs. That ideal already contains every such c = t*c + (1-t)*c, so
-    the result is the same; the basis only meets them sooner.
+    With ``graded = (weights, bound)`` and J, K homogeneous for the
+    weights, t gets weight 0, which makes t*J + (1-t)*K homogeneous too;
+    the elimination is then truncated at the bound, and the result holds
+    exactly the reduced-basis elements of J intersect K up to it.
     """
     J._check_ring(K)
     ring = J.ring
@@ -575,10 +615,12 @@ def _intersect(J: Ideal, K: Ideal, common: Sequence[SparsePolynomial] = ()) -> I
     ext = _extend_ring(ring)
     t = ext.var(_ELIM_VAR)
     one = ext.one()
-    gens = [_embed(c, ext) for c in common]
-    gens += [t * _embed(g, ext) for g in J.generators]
+    gens = [t * _embed(g, ext) for g in J.generators]
     gens += [(one - t) * _embed(h, ext) for h in K.generators]
-    basis = _buchberger(gens, ext)
+    if graded is not None:
+        weights, bound = graded
+        graded = ((0, *weights), bound)
+    basis = _buchberger(gens, ext, graded)
     kept = [_project(b, ring) for b in basis if all(m[0] == 0 for m in b.terms)]
     return Ideal(ring, kept)
 
@@ -608,38 +650,79 @@ def _try_exact_div(g: SparsePolynomial, f: SparsePolynomial) -> Optional[SparseP
     return SparsePolynomial(ring, quote)
 
 
-def _colon_by_poly(J: Ideal, f: SparsePolynomial) -> Ideal:
-    """J : (f) for one nonzero f, via (J intersect (f)) / f."""
-    ring = J.ring
-    if f.is_constant():
-        return J
-    if len(J.generators) == 1:
-        quotient = _try_exact_div(J.generators[0], f)
-        if quotient is not None:
-            return Ideal(ring, [quotient])
-    if J.is_monomial and f.is_monomial():
-        fm = f.lead_monomial()
-        gens = [mono_div(u, mono_gcd(u, fm)) for u in J.monomial_exponents()]
-        return Ideal(ring, [ring.monomial(m) for m in _minimal_monomials(gens)])
-    meet = intersect(J, Ideal(ring, [f]))
+def _degree(f: SparsePolynomial, weights: Sequence[int]) -> int:
+    """The weighted degree of a homogeneous f, read off its lead."""
+    return _w_degree(f.lead_monomial(), weights)
+
+
+def _raised(graded: Optional[_Graded], f: SparsePolynomial) -> Optional[_Graded]:
+    """The bound for f * (something of degree at most the bound)."""
+    if graded is None:
+        return None
+    weights, bound = graded
+    return weights, bound + _degree(f, weights)
+
+
+def _divide(meet: Ideal, f: SparsePolynomial) -> Ideal:
+    """The ideal of meet's generators divided by f, each exactly."""
     out = []
     for g in meet.generators:
         quotient = _try_exact_div(g, f)
         if quotient is None:
             raise AssertionError("element of J meet (f) not divisible by f")
         out.append(quotient)
-    return Ideal(ring, out)
+    return Ideal(meet.ring, out)
 
 
-def colon(J: Ideal, I: Ideal) -> Ideal:
+def _colon_by_poly(J: Ideal, f: SparsePolynomial, graded: Optional[_Graded] = None) -> Ideal:
+    """J : (f) for one nonzero f, via (J intersect (f)) / f.
+
+    With ``graded``, the intersection is truncated at the bound plus the
+    degree of f, which keeps every quotient of degree up to the bound.
+    """
+    ring = J.ring
+    if f.is_constant():
+        return J
+    if len(J.generators) == 1:
+        g = J.generators[0]
+        if graded is not None:
+            weights, bound = graded
+            if _degree(g, weights) - _degree(f, weights) > bound:
+                return Ideal.zero(ring)  # g / f, if it exists, lies above the bound
+        quotient = _try_exact_div(g, f)
+        if quotient is not None:
+            return Ideal(ring, [quotient])
+    if J.is_monomial and f.is_monomial():
+        fm = f.lead_monomial()
+        gens = [mono_div(u, mono_gcd(u, fm)) for u in J.monomial_exponents()]
+        return Ideal(ring, [ring.monomial(m) for m in _minimal_monomials(gens)])
+    return _divide(intersect(J, Ideal(ring, [f]), _raised(graded, f)), f)
+
+
+def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
     """The colon ideal J : I = {g : g*I inside J}.
 
-    Monomial against monomial uses the gcd-quotient formula; otherwise the
-    standard route: intersect generator by generator, each single colon
-    computed by elimination. Every part contains J, so each intersection
-    gets J's generators as common inputs. For J = I^[q] with I a complete
-    intersection, ``fedder_colon`` gives the same ideal without
-    elimination.
+    Generator by generator: R_1 = J : f_1, and for k > 1
+
+        R_k  =  R_(k-1) intersect (J : f_k)  =  (J intersect f_k*R_(k-1)) / f_k,
+
+    since g*f_k lies in both J and f_k*R_(k-1) exactly when g is in R_k
+    (S is a domain). That is one elimination per generator of I, where
+    intersecting the r single colons took 2r - 1. Monomial against
+    monomial never eliminates: single colons use the gcd-quotient formula
+    and intersections the lcm formula. The quotients of a Groebner basis of
+    J intersect f_k*R_(k-1) by f_k form a Groebner basis of R_k, so for
+    r >= 2 one interreduction turns them into the monic reduced basis,
+    sorted by lead; a principal I keeps the quotients as they come. For
+    J = I^[q] with I a complete intersection, ``fedder_colon`` gives the
+    same ideal without elimination.
+
+    ``graded = (weights, bound)``, for J and I homogeneous in positive
+    integer weights, returns only the generators of weighted degree at most
+    the bound: each elimination is truncated at the bound plus the degree
+    of f_k (the elimination variable gets weight 0). The bounded result is
+    the subsequence of the unbounded one of degree at most the bound, and
+    generates an ideal that agrees with J : I in every degree up to it.
     """
     J._check_ring(I)
     ring = J.ring
@@ -651,10 +734,16 @@ def colon(J: Ideal, I: Ideal) -> Ideal:
         return Ideal.zero(ring)  # annihilator of a nonzero ideal in a domain
     if I.has_constant_generator():
         return J
-    result: Optional[Ideal] = None
-    for f in I.generators:
-        part = _colon_by_poly(J, f)
-        result = part if result is None else _intersect(result, part, J.generators)
+    first, *rest = I.generators
+    result = _colon_by_poly(J, first, graded)
+    for f in rest:
+        raised = Ideal(ring, [f * g for g in result.generators])
+        result = _divide(intersect(J, raised, _raised(graded, f)), f)
+    if rest and not result.is_monomial:
+        result = Ideal(ring, _interreduce(list(result.generators), _StepCounter()))
+    if graded is not None:
+        weights, bound = graded
+        result = Ideal(ring, [g for g in result.generators if _degree(g, weights) <= bound])
     return result
 
 
@@ -678,7 +767,63 @@ def _height(I: Ideal) -> int:
     return n
 
 
-def fedder_colon(I: Ideal, q: int) -> Ideal:
+def positive_grading(I: Ideal) -> Optional[tuple[int, ...]]:
+    """Positive integer weights W in which every generator of I is
+    homogeneous, when they are evident; else None.
+
+    All ones when every generator is homogeneous. Otherwise W must solve
+    W . (m - m_0) = 0 for any two terms m, m_0 of one generator; when the
+    solutions form a line spanned by a vector with all entries of one sign,
+    its primitive positive integer generator is returned. That covers the
+    quasi-homogeneous ideals, such as Herzog's ideals of monomial curves
+    (t^a, t^b, t^c), graded by (a, b, c) up to a common factor.
+    """
+    n = I.ring.nvars
+    rows = []
+    for g in I.generators:
+        first, *others = g.terms
+        rows += [list(map(sub, m, first)) for m in others]
+    if all(sum(row) == 0 for row in rows):
+        return (1,) * n
+    line = _null_line(rows, n)
+    if line is None:
+        return None
+    scale = math.lcm(*(x.denominator for x in line))
+    weights = [int(x * scale) for x in line]
+    common = math.gcd(*weights)
+    if all(w < 0 for w in weights):
+        common = -common
+    weights = [w // common for w in weights]
+    return tuple(weights) if all(w > 0 for w in weights) else None
+
+
+def _null_line(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
+    """A vector spanning the rational null space of the rows, if that
+    null space is one-dimensional; found by Gauss-Jordan elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        found = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = [a - row[c] * b for a, b in zip(row, m[r])]
+        pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        return None
+    line = [Fraction(0)] * n
+    line[free[0]] = Fraction(1)
+    for r, c in enumerate(pivots):
+        line[c] = -m[r][free[0]]
+    return line
+
+
+def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
     """The Fedder colon I^[q] : I, for q = p^e.
 
     When I has c >= 2 generators and height c (decided by ``_height``),
@@ -691,17 +836,35 @@ def fedder_colon(I: Ideal, q: int) -> Ideal:
     at every maximal ideal containing I the f_i form a regular sequence,
     since S is Cohen-Macaulay. The result is its monic reduced basis,
     sorted by lead, from one Buchberger run in S with no elimination
-    variable. ``colon`` gives the same generators here, because its last
-    step intersects two proper parts and so returns a reduced basis too.
-    Every other ideal (monomial, principal, unit, zero, or not a complete
+    variable. ``colon`` gives the same generators here, because it
+    interreduces its sequential result for two or more generators. Every
+    other ideal (monomial, principal, unit, zero, or not a complete
     intersection) goes through ``colon``.
+
+    ``bound`` asks only for the generators of degree at most the bound in
+    the grading W of ``positive_grading(I)``, which must exist. Both
+    branches then run truncated Buchberger (see ``_buchberger``), and the
+    complete-intersection branch leaves the power out when its degree
+    (q-1) * sum deg_W f_i exceeds the bound. The result is the subsequence
+    of the unbounded generators of W-degree at most the bound: the
+    reduced basis of a W-homogeneous ideal is W-homogeneous, and its
+    elements up to a degree depend only on the ideal up to that degree.
     """
+    graded = None
+    if bound is not None:
+        weights = positive_grading(I)
+        if weights is None:
+            raise ValueError("a degree bound needs a positive grading of I")
+        graded = (weights, bound)
     Iq = bracket_power(I, q)
     gens = I.generators
     if I.is_monomial or len(gens) < 2 or I.is_unit() or _height(I) != len(gens):
-        return colon(Iq, I)
-    product = gens[0]
-    for g in gens[1:]:
-        product = product * g
+        return colon(Iq, I, graded)
     ring = I.ring
-    return Ideal(ring, _buchberger([*Iq.generators, poly_pow(product, q - 1)], ring))
+    inputs = list(Iq.generators)
+    if graded is None or (q - 1) * sum(_degree(g, weights) for g in gens) <= bound:
+        product = gens[0]
+        for g in gens[1:]:
+            product = product * g
+        inputs.append(poly_pow(product, q - 1))
+    return Ideal(ring, _buchberger(inputs, ring, graded))

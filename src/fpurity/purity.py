@@ -13,11 +13,16 @@ the criteria quantify over infinitely many q: those runs come back
 inconclusive, never negative. The classic check is diagnostic per-e
 evidence only.
 
-The colon comes from ``fedder_colon``. Because m^[q] is monomial, each
+The colon comes from ``fedder_colon``. When I is homogeneous in positive
+weights W, a monomial outside m^[q] has W-degree at most sum(W) * (q-1), so
+only colon generators up to a degree bound D can enter an escaping
+product; the colon is computed only up to D, and a negative D settles
+containment with no Groebner work. Because m^[q] is monomial, each
 generator product is tested in the finite quotient S/m^[q]
 (``FrobeniusBox``): it escapes iff its truncated product is nonzero. Only
 the escaping product is formed in full. ``verify_witness`` rechecks a
-witness by membership, independently of the box.
+witness by membership against the full, unbounded colon, independently of
+both the box and the bound.
 
 All checks happen at the homogeneous maximal ideal, the standard
 computable model for the local criterion. The defining ideal I is assumed
@@ -33,7 +38,15 @@ from typing import Iterable, Optional
 
 from .ceilarith import ceil_mul, floor_mul
 from .errors import RingMismatchError
-from .ideals import Ideal, bracket_power, fedder_colon, ideal_contains, ideal_power, membership
+from .ideals import (
+    Ideal,
+    bracket_power,
+    fedder_colon,
+    ideal_contains,
+    ideal_power,
+    membership,
+    positive_grading,
+)
 from .poly import FrobeniusBox, PolyRing, SparsePolynomial
 from .report import ConsistencyReport
 
@@ -120,16 +133,44 @@ class PurityVerdict:
         return self.outcome == PROVEN_PURE
 
 
+def _escape_bound(pair: PairSpec, N: int, q: int) -> Optional[int]:
+    """The largest W-degree of a colon generator v for which some u*v,
+    u in a'^N, can escape m^[q]; None when I has no evident positive
+    grading W (``positive_grading``).
+
+    A monomial outside m^[q] has W-degree at most sum(W) * (q-1). Every term
+    of u has W-degree at least N times the least W-degree of a term of a
+    generator of a', and v is W-homogeneous, so u*v escapes only if
+    deg_W v <= sum(W) * (q-1) - N * that least degree.
+    """
+    weights = positive_grading(pair.defining)
+    if weights is None:
+        return None
+    least = min(
+        sum(e * w for e, w in zip(m, weights))
+        for g in pair.a_preimage.generators
+        for m in g.terms
+    )
+    return sum(weights) * (q - 1) - N * least
+
+
 def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[SparsePolynomial]:
     """The first generator product u*v of a'^N * (I^[q] : I) outside m^[q],
     if any, with u running over a'^N and v over the colon.
 
-    Each product is tested in ``FrobeniusBox(ring, q)``: u*v escapes m^[q]
-    iff its truncated product is nonzero, since m^[q] is monomial. Each
-    generator is packed once, and the full product is formed only for the
-    pair that escapes.
+    Only colon generators of W-degree up to ``_escape_bound`` can take part,
+    so the colon is computed only up to it; it is the subsequence of the
+    full colon's generators up to that degree, so the first escaping pair
+    is the same. A negative bound settles containment with no colon, power
+    or basis at all. Each product is tested in ``FrobeniusBox(ring, q)``:
+    u*v escapes m^[q] iff its truncated product is nonzero, since m^[q] is
+    monomial. Each generator is packed once, and the full product is formed
+    only for the pair that escapes.
     """
-    cond = fedder_colon(pair.defining, q)
+    bound = _escape_bound(pair, N, q)
+    if bound is not None and bound < 0:
+        return None
+    cond = fedder_colon(pair.defining, q, bound)
     powered = ideal_power(pair.a_preimage, N)
     box = FrobeniusBox(pair.ring, q)
     packed = [box.pack(v) for v in cond.generators]
@@ -303,7 +344,9 @@ def verify_witness(pair: PairSpec, verdict: PurityVerdict) -> bool:
     """Recheck a proven verdict's witness from scratch.
 
     Confirms the stored polynomial lies in a'^N * (I^[q] : I) and escapes
-    m^[q], with N recomputed from the criterion flavor.
+    m^[q], with N recomputed from the criterion flavor. The colon here is
+    the full one, not the degree-bounded colon the criteria search, so a
+    fault in the bound shows up as a failed recheck.
     """
     if not verdict.proven or verdict.witness_poly is None:
         raise ValueError("only proven verdicts carry a witness")

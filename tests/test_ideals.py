@@ -542,3 +542,161 @@ def test_heap_normal_form_matches_the_max_scan(case):
     assert got._lead == lead
     assert got.is_zero() or got.lead_monomial() == max(terms, key=f.ring.key)
     assert heap_steps.steps == scan_steps.steps
+
+
+# --- gradings and degree-bounded colons ------------------------------------------
+
+
+def test_grading_of_homogeneous_ideals_is_standard(r3xyz):
+    from fpurity.ideals import positive_grading
+
+    assert positive_grading(ideal(["x^2 - y*z", "x*y*z + z^3"], r3xyz)) == (1, 1, 1)
+    assert positive_grading(ideal(["x^2*y", "z^5"], r3xyz)) == (1, 1, 1)
+    assert positive_grading(Ideal.zero(r3xyz)) == (1, 1, 1)
+
+
+def test_grading_of_herzog_ideals_is_the_semigroup(r3xyz):
+    # the monomial curves (t^3, t^4, t^5), scaled and reordered, and (t^5, t^6, t^7)
+    from fpurity.ideals import positive_grading
+
+    assert positive_grading(ideal(["x*z - y^2", "x^3 - y*z", "x^2*y - z^2"], r3xyz)) == (3, 4, 5)
+    assert positive_grading(ideal(["2*x^3 - y*z", "y^2 - x*z", "z^2 + x^2*y"], r3xyz)) == (3, 4, 5)
+    assert positive_grading(ideal(["x*z - y^2", "x^4 - y*z^2", "x^3*y - z^3"], r3xyz)) == (5, 6, 7)
+
+
+def test_grading_is_none_without_a_positive_line(r3xy, r3xyz):
+    from fpurity.ideals import positive_grading
+
+    assert positive_grading(ideal(["x^2 + y + 1"], r3xy)) is None  # only the zero grading
+    # weights with 2a = 3b and c free: a plane of gradings, all ones not in it
+    assert positive_grading(ideal(["x^2 - y^3"], r3xyz)) is None
+    # the only line is spanned by (1, -1), which mixes signs
+    assert positive_grading(ideal(["x*y - 1"], r3xy)) is None
+
+
+def _herzog_ideal(rng, ring):
+    """The 2x2 minors of [[x^a1, y^b1, z^c1], [y^b2, z^c2, x^a2]] with
+    seeded exponents in {1, 2} and a seeded unit on one term of each:
+    Herzog's form of a monomial space curve, quasi-homogeneous."""
+    x, y, z = ring.variables
+    row1 = [f"{x}^{rng.randint(1, 2)}", f"{y}^{rng.randint(1, 2)}", f"{z}^{rng.randint(1, 2)}"]
+    row2 = [f"{y}^{rng.randint(1, 2)}", f"{z}^{rng.randint(1, 2)}", f"{x}^{rng.randint(1, 2)}"]
+    return ideal(
+        [
+            f"{rng.randrange(1, ring.p)}*{row1[i]}*{row2[j]} - {row1[j]}*{row2[i]}"
+            for i, j in ((0, 1), (0, 2), (1, 2))
+        ],
+        ring,
+    )
+
+
+def _quadric_ideal(rng, ring, ngens):
+    """ngens seeded binomial quadrics: standard graded."""
+    gens = []
+    for _ in range(ngens):
+        terms = {}
+        while len(terms) < 2:
+            m = [0] * ring.nvars
+            for _ in range(2):
+                m[rng.randrange(ring.nvars)] += 1
+            terms[tuple(m)] = rng.randrange(1, ring.p)
+        gens.append(ring.poly(terms))
+    return Ideal(ring, gens)
+
+
+def _bounded_colon_cases(prime):
+    for names in ("x,y,z", "x,y,z,w"):
+        ring = parse_ring(f"p={prime}; vars={names}")
+        rng = random.Random(f"bounded-colon:{prime}:{names}")
+        yield _quadric_ideal(rng, ring, 3)
+        yield _quadric_ideal(rng, ring, 2)
+    ring = parse_ring(f"p={prime}; vars=x,y,z")
+    rng = random.Random(f"bounded-colon:{prime}:herzog")
+    yield _herzog_ideal(rng, ring)
+    yield _herzog_ideal(rng, ring)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_bounded_fedder_colon_is_the_low_degree_part(prime):
+    # at every bound from just below the lowest generator degree up to the
+    # highest, the bounded colon is the unbounded one's subsequence of
+    # W-degree at most the bound, tuple for tuple, on both branches
+    from fpurity.ideals import _height, fedder_colon, positive_grading
+
+    branches, gradings = set(), set()
+    for I in _bounded_colon_cases(prime):
+        weights = positive_grading(I)
+        branches.add(_height(I) == len(I.generators))
+        gradings.add(weights == (1,) * I.ring.nvars)
+        q = prime
+        while q <= 9:
+            full = fedder_colon(I, q).generators
+            degree = {g: sum(e * w for e, w in zip(g.lead_monomial(), weights)) for g in full}
+            for bound in sorted({min(degree.values()) - 1, *degree.values()}):
+                want = tuple(g for g in full if degree[g] <= bound)
+                assert fedder_colon(I, q, bound).generators == want
+            q *= prime
+    assert branches == {True, False} and gradings == {True, False}
+
+
+def test_bounded_colon_leaves_out_the_complete_intersection_power(monkeypatch):
+    # (x*y - z*w, x*z - y*w) at q = 3: the power (f_1 f_2)^2 has degree 8,
+    # so a bound of 7 never forms it and a bound of 8 does
+    from fpurity import ideals
+
+    ring = parse_ring("p=3; vars=x,y,z,w")
+    I = ideal(["x*y - z*w", "x*z - y*w"], ring)
+    full = ideals.fedder_colon(I, 3).generators
+    powers = []
+    monkeypatch.setattr(ideals, "poly_pow", lambda f, s: powers.append(s) or poly_pow(f, s))
+    for bound, formed in ((7, []), (8, [2])):
+        want = tuple(g for g in full if g.total_degree() <= bound)
+        assert ideals.fedder_colon(I, 3, bound).generators == want
+        assert powers == formed
+
+
+def test_bounded_colon_needs_a_grading(r3xy):
+    from fpurity.ideals import fedder_colon
+
+    with pytest.raises(ValueError, match="grading"):
+        fedder_colon(ideal(["x^2 + y + 1", "x*y"], r3xy), 3, 4)
+
+
+# --- the sequential colon ---------------------------------------------------------
+
+
+def _count_buchberger(monkeypatch):
+    from fpurity import ideals
+
+    runs = {"grevlex": 0, "elim1": 0}
+    run = ideals._buchberger
+
+    def counting(gens, ring, *args):
+        runs[ring.order] += 1
+        return run(gens, ring, *args)
+
+    monkeypatch.setattr(ideals, "_buchberger", counting)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "names, texts",
+    [
+        ("x,y,z", ["x*y - z^2", "x^2 + y*z"]),
+        ("x,y,z,w", ["x*z - y^2", "x*w - y*z", "y*w - z^2"]),
+        ("x,y,z,w", ["x*z - y^2", "x*w - y*z", "y*w - z^2", "x^2 + w^2"]),
+    ],
+    ids=["2", "3", "4"],
+)
+def test_colon_runs_one_elimination_per_generator(monkeypatch, names, texts):
+    # R_k = (J meet f_k R_(k-1)) / f_k: r eliminations where intersecting
+    # the r single colons took 2r - 1; the result stays the reduced basis
+    ring = parse_ring(f"p=3; vars={names}")
+    I = ideal(texts, ring)
+    J = bracket_power(I, 3)
+    runs = _count_buchberger(monkeypatch)
+    got = colon(J, I)
+    assert runs == {"grevlex": 0, "elim1": len(texts)}
+    monkeypatch.undo()
+    assert got.generators == groebner_basis(Ideal(ring, got.generators))
+    assert ideal_contains(J, got.times(I))

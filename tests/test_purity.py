@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -242,18 +243,23 @@ def test_sharp_matches_closed_form_for_principal_monomials(r3xy):
 # --- the escape test ---------------------------------------------------------------
 
 
-def _escape_by_membership(pair, N, q):
-    """The escape loop that forms every product and asks ``membership`` in
-    m^[q]: the oracle for the Frobenius-box test."""
+def _escaping_pair(pair, N, q):
+    """The first (u, v), u over a'^N and v over the full colon, with u*v
+    outside m^[q], found by forming every product and asking
+    ``membership``: the oracle for the Frobenius-box test and the bound."""
     cond = fedder_colon(pair.defining, q)
     powered = ideal_power(pair.a_preimage, N)
     mq = bracket_power(maximal_ideal(pair.ring), q)
     for u in powered.generators:
         for v in cond.generators:
-            g = u * v
-            if not membership(g, mq):
-                return g
+            if not membership(u * v, mq):
+                return u, v
     return None
+
+
+def _escape_by_membership(pair, N, q):
+    found = _escaping_pair(pair, N, q)
+    return None if found is None else found[0] * found[1]
 
 
 # (variables, defining ideal, largest q): in four variables the oracle's
@@ -313,7 +319,7 @@ def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
     for pr, q, N, escapes in cases:
         cond = fedder_colon(pr.defining, q)
         powered = ideal_power(pr.a_preimage, N)
-        monkeypatch.setattr(purity, "fedder_colon", lambda I, q: cond)
+        monkeypatch.setattr(purity, "fedder_colon", lambda I, q, bound=None: cond)
         monkeypatch.setattr(purity, "ideal_power", lambda a, N: powered)
         calls = {"membership": 0, "poly_mul": 0}
 
@@ -339,7 +345,102 @@ def test_box_escape_keeps_the_iteration_order(monkeypatch):
     from fpurity import purity
 
     ring = parse_ring("p=3; vars=x,y")
-    monkeypatch.setattr(purity, "fedder_colon", lambda I, q: Ideal(ring, [p("y^2", ring), p("x^2", ring)]))
+    colon = Ideal(ring, [p("y^2", ring), p("x^2", ring)])
+    monkeypatch.setattr(purity, "fedder_colon", lambda I, q, bound=None: colon)
     monkeypatch.setattr(purity, "ideal_power", lambda a, N: Ideal(ring, [p("y", ring), p("x", ring)]))
     pr = pair(ring, ["x", "y"], 1)
     assert _escape_witness(pr, 1, 3) == p("x^2*y", ring)
+
+
+# --- the degree bound ----------------------------------------------------------
+
+
+def _w_degree(f, weights):
+    return sum(e * w for e, w in zip(f.lead_monomial(), weights))
+
+
+def test_escape_bound_keeps_a_witness_at_exactly_the_bound():
+    # the witness factor v has W-degree exactly D, once on each branch of
+    # the colon: principal, complete intersection, elimination, and
+    # elimination in a non-standard grading. A bound one lower loses it.
+    from fpurity.ideals import positive_grading
+    from fpurity.purity import _escape_bound
+
+    r3 = parse_ring("p=3; vars=x,y,z")
+    r3w = parse_ring("p=3; vars=x,y,z,w")
+    cases = [
+        (pair(r3, ["x", "y", "z"], 1, ["x^2 - y*z"]), 2, 3),
+        (pair(r3w, ["1"], 1, ["x*y - z*w", "x*z - y*w"]), 0, 3),
+        (pair(r3w, ["x", "y", "z", "w"], 1, ["x*z - y^2", "x*w - y*z", "y*w - z^2"]), 1, 3),
+        (pair(r3w, ["1"], 1, ["2*x*z*w + z^2*w + x*y", "z^2 + 2*w^2"]), 0, 3),
+    ]
+    for pr, N, q in cases:
+        weights = positive_grading(pr.defining)
+        u, v = _escaping_pair(pr, N, q)
+        assert _w_degree(v, weights) == _escape_bound(pr, N, q)
+        assert _escape_witness(pr, N, q) == u * v
+    assert positive_grading(cases[-1][0].defining) == (1, 2, 1, 1)
+
+
+def test_escape_below_the_lowest_degree_forms_nothing(monkeypatch):
+    # a' = (x) at t = n + 1 over a standard-graded I: N = 4(q - 1) exceeds
+    # the 3(q - 1) degrees a monomial outside m^[q] can have, so D < 0
+    from fpurity import ideals, purity
+    from fpurity.purity import _escape_bound
+
+    ring = parse_ring("p=3; vars=x,y,z")
+    pr = pair(ring, ["x"], 4, ["x^2 - y*z"])
+    calls = []
+    for module, name in (
+        (ideals, "_buchberger"), (purity, "fedder_colon"), (purity, "ideal_power")
+    ):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    for e in (1, 2):
+        q = 3**e
+        N = ceil_mul(pr.t, q - 1)
+        assert _escape_bound(pr, N, q) < 0
+        assert _escape_witness(pr, N, q) is None
+    assert sharp_fedder(pr, 2).e_tested == (1, 2)
+    assert calls == []
+
+
+def _quasi_homogeneous_pairs(prime):
+    """Seeded pairs over 4-variable ideals of two generators, each a sum of
+    two or three monomials of one W-degree for seeded weights in {1, 2},
+    kept when ``positive_grading`` finds a grading other than all ones;
+    a' alternates between the unit ideal and two seeded monomials."""
+    from fpurity.ideals import positive_grading
+
+    ring = parse_ring(f"p={prime}; vars=x,y,z,w")
+    rng = random.Random(f"quasi-homogeneous:{prime}")
+    found = 0
+    while found < 4:
+        weights = [rng.randint(1, 2) for _ in range(4)]
+        target = rng.randint(3, 4)
+        monos = [
+            m for m in itertools.product(range(target + 1), repeat=4)
+            if sum(e * w for e, w in zip(m, weights)) == target
+        ]
+        gens = []
+        for _ in range(2):
+            chosen = rng.sample(monos, min(len(monos), rng.randint(2, 3)))
+            gens.append(ring.poly({m: rng.randrange(1, prime) for m in chosen}))
+        I = Ideal(ring, gens)
+        if positive_grading(I) in (None, (1, 1, 1, 1)) or I.is_unit():
+            continue
+        found += 1
+        a = ["1"] if found % 2 else [rng.choice("xyzw"), rng.choice(["x*y", "z*w", "x*w"])]
+        yield pair(ring, a, Fraction(1, rng.randint(2, 4)), [str(g) for g in gens])
+
+
+# q = 9 in four variables takes the membership oracle seconds
+@pytest.mark.parametrize("prime, qs", [(2, (2, 4)), (3, (3,))], ids=["2", "3"])
+def test_bounded_escape_matches_the_full_colon_in_weighted_gradings(prime, qs):
+    outcomes = set()
+    for pr in _quasi_homogeneous_pairs(prime):
+        for q in qs:
+            for N in (0, 1, ceil_mul(pr.t, q - 1)):
+                got = _escape_witness(pr, N, q)
+                assert got == _escape_by_membership(pr, N, q)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}

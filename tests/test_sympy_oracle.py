@@ -137,6 +137,23 @@ def test_random_colons_match_sympy(p, n):
     assert engine_basis(colon(J, I)) == sympy_basis(quotient, gens, p)
 
 
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("p, n", CASES)
+def test_random_colons_by_more_generators_match_sympy(p, n, r):
+    # the sequential colon folds one generator of I in per elimination;
+    # sympy intersects the r single colons independently. J = I*K + (g)
+    # keeps the colon from collapsing to J: it contains K
+    ring, gens = ring_and_gens(p, n)
+    rng = random.Random(f"colon:{p}:{n}:{r}")
+    I, K = random_ideal(rng, ring, r, 2, 1), random_ideal(rng, ring, 1, 2, 1)
+    J = I.times(K).plus(random_ideal(rng, ring, 1, 2, 1))
+    quotient = sympy_colon(
+        [to_sympy(g, gens) for g in J.generators], [to_sympy(g, gens) for g in I.generators],
+        gens, p,
+    )
+    assert engine_basis(colon(J, I)) == sympy_basis(quotient, gens, p)
+
+
 # Defining ideals of the shapes the Fedder criteria run on in the benchmark,
 # with the colon I^[p] : I those criteria compute.
 SHAPES = [
