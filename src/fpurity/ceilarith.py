@@ -12,7 +12,7 @@ All arithmetic is big-integer exact; nothing here touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -35,32 +35,6 @@ def floor_mul(t: Fraction, n: int) -> int:
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     return (t.numerator * n) // t.denominator
-
-
-@dataclass(frozen=True)
-class ThresholdExponent:
-    """The exponent a criterion applies to the pair ideal at q = p^e.
-
-    flavor "sharp" is ceil(t*(q-1)), "strong" is ceil(t*q), and "weak" is
-    floor(t*(q-1)). For t > 0 the three values always satisfy
-    weak <= sharp <= strong.
-    """
-
-    t: Fraction
-    q: int
-    flavor: str
-    value: int = field(init=False)
-
-    def __post_init__(self):
-        if self.flavor == "sharp":
-            v = ceil_mul(self.t, self.q - 1)
-        elif self.flavor == "strong":
-            v = ceil_mul(self.t, self.q)
-        elif self.flavor == "weak":
-            v = floor_mul(self.t, self.q - 1)
-        else:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        object.__setattr__(self, "value", v)
 
 
 @dataclass

@@ -7,6 +7,11 @@ usage or parse error, 2 means a resource cap (the 2^63-1 exponent cap
 included) aborted the run, 3 means an internal invariant failed, which is
 always an engine bug.
 
+Each subcommand takes only flags it reads: ``nu`` and ``fpt`` take --ring,
+--a, --emax and --json; --verify-witness exists only on sharp-fedder and
+strong-fedder, whose proven verdicts carry a witness. Any other flag is a
+usage error, never silently ignored.
+
 Structured output (--json) is a single JSON document with stable field
 names; exact rationals are serialized as strings like "5/6" so nothing
 downstream can round them. Identical argv produces byte-identical JSON,
@@ -40,7 +45,6 @@ from .purity import (
     PairSpec,
     PurityVerdict,
     classic_fpure,
-    maximal_ideal,
     sharp_fedder,
     strong_fedder,
     verify_witness,
@@ -53,25 +57,23 @@ EXIT_CAP = 2
 EXIT_BUG = 3
 
 
+RING_HELP = 'ring spec, e.g. "p=3; vars=x,y"'
+A_HELP = "pair ideal generators, comma separated"
+
+
 def _add_pair_flags(
     sub: argparse.ArgumentParser,
     ideal_help: str = "defining ideal generators, comma separated",
 ):
-    sub.add_argument("--ring", required=True, help='ring spec, e.g. "p=3; vars=x,y"')
+    sub.add_argument("--ring", required=True, help=RING_HELP)
     sub.add_argument("--ideal", default="0", help=ideal_help)
-    sub.add_argument("--a", default="1", help="pair ideal generators, comma separated")
+    sub.add_argument("--a", default="1", help=A_HELP)
     sub.add_argument("--t", default="1", help="pair exponent, e.g. 5/6")
     sub.add_argument("--emax", type=int, default=4)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser):
+def _add_json_flag(sub: argparse.ArgumentParser):
     sub.add_argument("--json", action="store_true", help="emit structured output")
-    sub.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
-    sub.add_argument(
-        "--verify-witness",
-        action="store_true",
-        help="recompute every embedded witness containment from scratch",
-    )
 
 
 @functools.cache
@@ -83,36 +85,42 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fedder", "sharp-fedder", "strong-fedder"):
         sub = subs.add_parser(name)
         _add_pair_flags(sub)
-        _add_common_flags(sub)
+        _add_json_flag(sub)
+        if name != "fedder":
+            # classic fedder never proves purity, so it has no witness
+            sub.add_argument(
+                "--verify-witness",
+                action="store_true",
+                help="recompute the witness containment from scratch",
+            )
 
-    sub = subs.add_parser("nu")
-    _add_pair_flags(sub)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("fpt")
-    _add_pair_flags(sub)
-    _add_common_flags(sub)
+    for name in ("nu", "fpt"):
+        sub = subs.add_parser(name)
+        sub.add_argument("--ring", required=True, help=RING_HELP)
+        sub.add_argument("--a", required=True, help=A_HELP)
+        sub.add_argument("--emax", type=int, default=4)
+        _add_json_flag(sub)
 
     sub = subs.add_parser("testideal")
-    sub.add_argument("--ring", required=True, help='ring spec, e.g. "p=3; vars=x,y"')
-    sub.add_argument("--a", required=True, help="pair ideal generators, comma separated")
+    sub.add_argument("--ring", required=True, help=RING_HELP)
+    sub.add_argument("--a", required=True, help=A_HELP)
     sub.add_argument("--t", default="1", help="pair exponent, e.g. 5/6")
     sub.add_argument("--efloor", type=int, default=None, help="earliest admissible stabilization exponent")
     sub.add_argument("--emax", type=int, default=12, help="chain cap; no stabilization by here aborts")
-    _add_common_flags(sub)
+    _add_json_flag(sub)
 
     sub = subs.add_parser("closure")
     _add_pair_flags(sub, ideal_help="target ideal the element is probed against")
     sub.add_argument("--defining", default="0", help="defining ideal of the quotient pair")
     sub.add_argument("--z", required=True, help="element probed against the closure")
-    _add_common_flags(sub)
+    _add_json_flag(sub)
 
     sub = subs.add_parser("witness-check")
     _add_pair_flags(sub, ideal_help="target ideal for the closure containments")
     sub.add_argument("--defining", default="0", help="defining ideal of the quotient pair")
     sub.add_argument("--z", required=True, help="element whose closure membership c witnesses")
     sub.add_argument("--c", required=True, help="witness multiplier")
-    _add_common_flags(sub)
+    _add_json_flag(sub)
 
     sub = subs.add_parser("lemma-audit")
     sub.add_argument("--p", type=int, required=True)
@@ -120,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dmax", type=int, default=5)
     sub.add_argument("--nmax", type=int, default=4)
     sub.add_argument("--tmax", type=int, default=12, help="audit all t = a/b with a,b <= tmax")
-    _add_common_flags(sub)
+    _add_json_flag(sub)
 
     return top
 
@@ -195,7 +203,8 @@ def _run_fedder(args, flavor: str) -> dict:
         "verdict": _verdict_json(verdict),
         "witness": _witness_json(verdict),
     }
-    if args.verify_witness and verdict.proven:
+    # classic verdicts are never proven, so fedder's missing flag is never read
+    if verdict.proven and args.verify_witness:
         report["witness"]["verified"] = verify_witness(pair, verdict)
     return report
 
@@ -207,21 +216,19 @@ def _pair_inputs(args, ring: PolyRing, pair: PairSpec) -> dict:
         "a": _ideal_json(pair.a_preimage),
         "t": rational_to_str(pair.t),
         "emax": args.emax,
-        "seed": args.seed,
     }
 
 
 def _run_nu(args) -> dict:
     ring = parse_ring(args.ring)
     a = _parse_ideal(args.a, ring)
-    records = nu_table(a, args.emax, maximal_ideal(ring))
+    records = nu_table(a, args.emax)
     return {
         "command": "nu",
         "inputs": {
             "ring": ring_to_str(ring),
             "a": _ideal_json(a),
             "emax": args.emax,
-            "seed": args.seed,
         },
         "nu_table": [
             {
@@ -239,14 +246,13 @@ def _run_nu(args) -> dict:
 def _run_fpt(args) -> dict:
     ring = parse_ring(args.ring)
     a = _parse_ideal(args.a, ring)
-    est = fpt_estimate(a, args.emax, maximal_ideal(ring))
+    est = fpt_estimate(a, args.emax)
     report = {
         "command": "fpt",
         "inputs": {
             "ring": ring_to_str(ring),
             "a": _ideal_json(a),
             "emax": args.emax,
-            "seed": args.seed,
         },
         "interval": {"lo": rational_to_str(est.lo), "hi": rational_to_str(est.hi)},
         "label": est.label,
@@ -269,14 +275,13 @@ def _run_testideal(args) -> dict:
     ring = parse_ring(args.ring)
     a = _parse_ideal(args.a, ring)
     t = parse_rational(args.t)
-    result = test_ideal(a, t, ring, e_floor=args.efloor, e_cap=args.emax)
+    result = test_ideal(a, t, e_floor=args.efloor, e_cap=args.emax)
     return {
         "command": "testideal",
         "inputs": {
             "ring": ring_to_str(ring),
             "a": _ideal_json(a),
             "t": rational_to_str(t),
-            "seed": args.seed,
         },
         "tau": _ideal_json(result.tau),
         "stabilized_at": result.stabilized_at,
@@ -337,7 +342,6 @@ def _run_lemma_audit(args) -> dict:
             "dmax": args.dmax,
             "nmax": args.nmax,
             "tmax": args.tmax,
-            "seed": args.seed,
         },
         "checks": report.checks,
         "total_checks": report.total_checks,

@@ -37,20 +37,6 @@ FAILED_AT = "failed-at"
 CERT_PRINCIPAL_INTEGRAL = "principal-integral-exponent"
 
 
-def default_e_range(p: int) -> range:
-    """Default probe exponents: generous for small p, shorter as p grows so
-    monomial exponents stay far from the 64-bit cap.
-
-    Starts at e = 1; the e = 0 containment is the plain membership z in I,
-    which every closure probe already checks up front.
-    """
-    if p <= 5:
-        return range(1, 7)
-    if p <= 31:
-        return range(1, 6)
-    return range(1, 4)
-
-
 @dataclass
 class ClosureVerdict:
     outcome: str
@@ -87,7 +73,7 @@ def sharp_frobenius_membership(
     z: SparsePolynomial,
     I: Ideal,
     pair: PairSpec,
-    e_range: Optional[Iterable[int]] = None,
+    e_range: Iterable[int],
 ) -> ClosureVerdict:
     """Probe z against the sharp Frobenius closure of I under the pair.
 
@@ -100,8 +86,6 @@ def sharp_frobenius_membership(
     p = pair.ring.p
     if membership(z, I.plus(pair.defining) if not pair.defining.is_zero() else I):
         return ClosureVerdict(TRIVIALLY_IN, note="z already lies in I")
-    if e_range is None:
-        e_range = default_e_range(p)
     e_values = sorted(set(e_range))
     if any(e < 1 for e in e_values):
         raise ValueError("closure exponents start at e=1")

@@ -2,9 +2,10 @@
 rationality certificates.
 
 nu_a(q) is the largest s with a^s escaping m^[q], for m the homogeneous
-maximal ideal. It is computed inside the Frobenius box S/m^[q], where a
-term drops out as soon as one of its exponents reaches q, so "a^s inside
-m^[q]" is "a^s vanishes in the box". The walk q' = p, p^2, ..., q
+maximal ideal of a's ring; every function here takes m from a, never as an
+argument. It is computed inside the Frobenius box S/m^[q], where a term
+drops out as soon as one of its exponents reaches q, so "a^s inside m^[q]"
+is "a^s vanishes in the box". The walk q' = p, p^2, ..., q
 binary-searches each nu(q') in the window that nu = nu(q'/p) allows,
 [p*nu, p*nu + p - 1] for principal a and [p*nu, p*(nu + 1) + mu*(p - 1) - 1]
 for mu generators, after checking that the window's ends hold; see
@@ -31,7 +32,7 @@ from typing import Callable, Optional
 from .ceilarith import ceil_mul, denominator_order
 from .errors import ResourceCapExceeded
 from .ideals import MAX_POWER_PRODUCTS, Ideal
-from .poly import FrobeniusBox, is_power_of
+from .poly import FrobeniusBox, check_q
 from .purity import PairSpec, sharp_fedder, strong_fedder
 from .report import ConsistencyReport
 
@@ -71,10 +72,10 @@ class FptEstimate:
     label: str
 
 
-def nu_value(a: Ideal, q: int, m: Ideal) -> int:
+def nu_value(a: Ideal, q: int) -> int:
     """max{s >= 0 : a^s escapes m^[q]}, walking q' = p, p^2, ..., q.
 
-    ``m`` must be the homogeneous maximal ideal; every test "a^s inside
+    m is the homogeneous maximal ideal of a's ring; every test "a^s inside
     m^[q']?" runs in the box S/m^[q'] (``FrobeniusBox``), where it asks
     whether a^s vanishes. The predicate is monotone in s, so each level is
     a binary search, started from nu(1) = 0 (a sits in m) and confined to
@@ -102,11 +103,8 @@ def nu_value(a: Ideal, q: int, m: Ideal) -> int:
     if a.is_zero():
         raise ValueError("nu is undefined for the zero ideal")
     ring = a.ring
-    if m.ring != ring or set(m.generators) != {ring.var(v) for v in ring.variables}:
-        raise ValueError("m must be the homogeneous maximal ideal of a's ring")
     p, n = ring.p, ring.nvars
-    if not is_power_of(q, p):
-        raise ValueError(f"q={q} is not a power of p={p}")
+    check_q(p, q)
     origin = (0,) * n
     if any(origin in g.terms for g in a.generators):
         raise ValueError("a must be contained in m, otherwise nu is infinite")
@@ -191,16 +189,16 @@ def _escape_test(a: Ideal, box: FrobeniusBox) -> Callable[[int], bool]:
     return product_escapes
 
 
-def fpt_bounds(a: Ideal, e: int, m: Ideal) -> NuRecord:
+def fpt_bounds(a: Ideal, e: int) -> NuRecord:
     """The interval [nu/q, (nu + mu)/q] containing the threshold at q = p^e."""
     q = a.ring.p**e
-    nu = nu_value(a, q, m)
+    nu = nu_value(a, q)
     mu = len(a.generators)
     return NuRecord(e=e, q=q, nu=nu, lo=Fraction(nu, q), hi=Fraction(nu + mu, q))
 
 
-def nu_table(a: Ideal, e_max: int, m: Ideal) -> list[NuRecord]:
-    return [fpt_bounds(a, e, m) for e in range(1, e_max + 1)]
+def nu_table(a: Ideal, e_max: int) -> list[NuRecord]:
+    return [fpt_bounds(a, e) for e in range(1, e_max + 1)]
 
 
 def _divisors(n: int) -> list[int]:
@@ -233,7 +231,7 @@ def _candidates(lo: Fraction, hi: Fraction, p: int, e_max: int) -> list[Fraction
     return sorted(found, reverse=True)
 
 
-def fpt_estimate(a: Ideal, e_max: int, m: Ideal) -> FptEstimate:
+def fpt_estimate(a: Ideal, e_max: int) -> FptEstimate:
     """Interval estimate of the threshold with an exactness certificate
     when one of the two finite checks lands.
 
@@ -247,7 +245,7 @@ def fpt_estimate(a: Ideal, e_max: int, m: Ideal) -> FptEstimate:
         candidate inconclusive, certifies a proven lower bound, exact only
         if the candidate already sits at the interval's top.
     """
-    records = nu_table(a, e_max, m)
+    records = nu_table(a, e_max)
     lo = max(r.lo for r in records)
     hi = min(r.hi for r in records)
     if lo > hi:
@@ -258,7 +256,7 @@ def fpt_estimate(a: Ideal, e_max: int, m: Ideal) -> FptEstimate:
 
     def nu_at(e: int) -> int:
         if e not in nu_by_e:
-            nu_by_e[e] = nu_value(a, p**e, m)
+            nu_by_e[e] = nu_value(a, p**e)
         return nu_by_e[e]
 
     for t_star in _candidates(lo, hi, p, e_max):

@@ -52,9 +52,9 @@ from .poly import (
     Monomial,
     PolyRing,
     SparsePolynomial,
+    check_q,
     frobenius_image,
     grevlex_key,
-    is_power_of,
     minimal_packed,
     mono_div,
     mono_divides,
@@ -445,8 +445,7 @@ def bracket_power(I: Ideal, q: int) -> Ideal:
     Generator-level powering is enough because the e-fold Frobenius is a
     ring endomorphism.
     """
-    if not is_power_of(q, I.ring.p):
-        raise ValueError(f"q={q} is not a power of p={I.ring.p}")
+    check_q(I.ring.p, q)
     return Ideal(I.ring, [frobenius_image(g, q) for g in I.generators])
 
 
@@ -459,8 +458,7 @@ def root_power(I: Ideal, q: int) -> Ideal:
     adjustment: c^q = c in F_p. The ideal generated by all g_C is the
     minimal choice.
     """
-    if not is_power_of(q, I.ring.p):
-        raise ValueError(f"q={q} is not a power of p={I.ring.p}")
+    check_q(I.ring.p, q)
     if q == 1 or I.is_zero():
         return I
     ring = I.ring

@@ -179,12 +179,9 @@ def parse_poly_list(text: str, ring: PolyRing) -> list[SparsePolynomial]:
     return polys
 
 
-def parse_rational(text: str, require_positive: bool = True) -> Fraction:
-    """Parse '<int>' or '<int>/<int>' into a reduced Fraction.
-
-    With require_positive (the default, matching its use as a pair
-    exponent) the value must be strictly positive.
-    """
+def parse_rational(text: str) -> Fraction:
+    """Parse '<int>' or '<int>/<int>' into a reduced, strictly positive
+    Fraction, as a pair exponent must be."""
     sc = _Scanner(text)
     sc.skip_ws()
     start = sc.pos
@@ -198,7 +195,7 @@ def parse_rational(text: str, require_positive: bool = True) -> Fraction:
             raise ParseError("zero denominator", den_pos)
     sc.require_end()
     value = Fraction(-num if negate else num, den)
-    if require_positive and value <= 0:
+    if value <= 0:
         raise ParseError("exponent must be positive", start)
     return value
 

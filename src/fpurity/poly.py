@@ -302,7 +302,7 @@ def frobenius_image(f: SparsePolynomial, q: int) -> SparsePolynomial:
     Valid because the e-fold Frobenius is a ring map fixing F_p: no term
     interaction occurs and coefficients satisfy c^q = c.
     """
-    _check_q(f.ring.p, q)
+    check_q(f.ring.p, q)
     if q == 1:
         return f
     return SparsePolynomial(f.ring, {mono_scale(m, q): c for m, c in f.terms.items()})
@@ -361,7 +361,7 @@ class FrobeniusBox:
     __slots__ = ("ring", "q", "_width", "_ones", "_top", "_high")
 
     def __init__(self, ring: PolyRing, q: int):
-        _check_q(ring.p, q)
+        check_q(ring.p, q)
         if q - 1 > EXP_LIMIT:
             raise ExponentOverflowError(
                 f"exponents of S/m^[{q}] reach {q - 1}, past 2^63-1"
@@ -504,7 +504,8 @@ def box_pow(f: SparsePolynomial, s: int, q: int) -> SparsePolynomial:
     return box.unpack(box.pow(box.pack(f), s))
 
 
-def _check_q(p: int, q: int):
+def check_q(p: int, q: int):
+    """Raise ValueError unless q = p^e for some e >= 0."""
     if q < 1:
         raise ValueError(f"q must be a positive power of {p}, got {q}")
     r = q
@@ -512,11 +513,3 @@ def _check_q(p: int, q: int):
         r //= p
     if r != 1:
         raise ValueError(f"q={q} is not a power of p={p}")
-
-
-def is_power_of(q: int, p: int) -> bool:
-    if q < 1:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1

@@ -171,6 +171,8 @@ def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[SparsePolynomial
     if bound is not None and bound < 0:
         return None
     cond = fedder_colon(pair.defining, q, bound)
+    if cond.is_zero():
+        return None  # no colon generator is low enough, so nothing escapes
     powered = ideal_power(pair.a_preimage, N)
     box = FrobeniusBox(pair.ring, q)
     packed = [box.pack(v) for v in cond.generators]
@@ -185,6 +187,9 @@ def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[SparsePolynomial
 
 
 def _exponent(criterion: str, t: Fraction, q: int) -> int:
+    """The power of a' that a criterion tests at q: ceil(t(q-1)) for sharp,
+    ceil(tq) for strong, floor(t(q-1)) for classic. For t > 0 these satisfy
+    classic <= sharp <= strong."""
     if criterion == SHARP:
         return ceil_mul(t, q - 1)
     if criterion == STRONG:
@@ -192,12 +197,9 @@ def _exponent(criterion: str, t: Fraction, q: int) -> int:
     return floor_mul(t, q - 1)
 
 
-def _run_criterion(
-    pair: PairSpec,
-    criterion: str,
-    e_values: Iterable[int],
-    stop_on_proof: bool,
-) -> PurityVerdict:
+def _run_criterion(pair: PairSpec, criterion: str, e_values: Iterable[int]) -> PurityVerdict:
+    """Test the escape condition at each e in turn; a sharp or strong run
+    stops at its first escape, which already proves purity."""
     p = pair.ring.p
     per_e: dict[int, bool] = {}
     tested: list[int] = []
@@ -212,7 +214,7 @@ def _run_criterion(
         per_e[e] = g is not None
         if g is not None and witness is None:
             witness, witness_e = g, e
-            if stop_on_proof:
+            if criterion != CLASSIC:
                 break
     if criterion in (SHARP, STRONG) and witness is not None:
         note = "proven at the origin; a single splitting exponent suffices"
@@ -267,14 +269,14 @@ def sharp_fedder(pair: PairSpec, e_max: int) -> PurityVerdict:
     """
     if e_max < 1:
         raise ValueError(f"e_max must be at least 1, got {e_max}")
-    return _run_criterion(pair, SHARP, range(1, e_max + 1), True)
+    return _run_criterion(pair, SHARP, range(1, e_max + 1))
 
 
 def strong_fedder(pair: PairSpec, e_max: int) -> PurityVerdict:
     """Strong F-purity via the ceil(t*q) exponent; one escape proves it."""
     if e_max < 1:
         raise ValueError(f"e_max must be at least 1, got {e_max}")
-    return _run_criterion(pair, STRONG, range(1, e_max + 1), True)
+    return _run_criterion(pair, STRONG, range(1, e_max + 1))
 
 
 def classic_fpure(pair: PairSpec, e_list: Iterable[int]) -> PurityVerdict:
@@ -283,7 +285,7 @@ def classic_fpure(pair: PairSpec, e_list: Iterable[int]) -> PurityVerdict:
     Purely diagnostic: the result reports where the condition held and
     where it failed, and proves nothing globally.
     """
-    return _run_criterion(pair, CLASSIC, list(e_list), False)
+    return _run_criterion(pair, CLASSIC, list(e_list))
 
 
 def principal_sharp_implies_classic(pair: PairSpec, e_max: int) -> ConsistencyReport:
@@ -302,9 +304,7 @@ def principal_sharp_implies_classic(pair: PairSpec, e_max: int) -> ConsistencyRe
     return report
 
 
-def sharp_from_single_split(
-    f: SparsePolynomial, e: int, ring: PolyRing
-) -> tuple[PairSpec, PurityVerdict]:
+def sharp_from_single_split(f: SparsePolynomial, e: int) -> tuple[PairSpec, PurityVerdict]:
     """Build the pair (S, (f)^(1/(p^e - 1))) and settle it from one split.
 
     Over the ambient ring the splitting condition is simply f outside
@@ -314,6 +314,7 @@ def sharp_from_single_split(
         raise ValueError(f"e must be at least 1, got {e}")
     if f.is_zero():
         raise ValueError("f must be nonzero")
+    ring = f.ring
     q = ring.p**e
     t = Fraction(1, q - 1)
     pair = PairSpec(ring, Ideal.zero(ring), Ideal(ring, [f]), t)

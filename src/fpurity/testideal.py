@@ -32,7 +32,7 @@ from .ideals import (
     membership,
     root_power,
 )
-from .poly import PolyRing, SparsePolynomial, poly_pow
+from .poly import SparsePolynomial, poly_pow
 from .purity import DEGENERATE, PairSpec, PurityVerdict, SHARP, sharp_fedder
 from .report import ConsistencyReport
 
@@ -49,7 +49,6 @@ class TestIdealResult:
 def test_ideal(
     a: Ideal,
     t: Fraction,
-    ring: PolyRing,
     e_floor: Optional[int] = None,
     e_cap: int = 12,
 ) -> TestIdealResult:
@@ -59,12 +58,11 @@ def test_ideal(
     e >= e_floor. The chain's ascent is verified entry by entry; an ascent
     violation raises AssertionError because it can only mean a bug here.
     """
-    if a.ring != ring:
-        raise ValueError("ideal does not live in the given ring")
     if a.is_zero():
         raise ValueError("test ideal of the zero ideal is not defined")
     if t <= 0:
         raise ValueError(f"exponent must be positive, got {t}")
+    ring = a.ring
     if e_floor is None:
         e_floor = denominator_order(t, ring.p) or 1
     chain: list[tuple[int, Ideal]] = []
@@ -153,15 +151,13 @@ def vassilev_containment(
     return ideal_contains(rhs, lhs)
 
 
-def quotient_fpure_check(tau: Ideal, ring: PolyRing, e_max: int = 4) -> PurityVerdict:
+def quotient_fpure_check(tau: Ideal, e_max: int = 4) -> PurityVerdict:
     """Decide F-purity of S/tau at the origin via the trivial-pair check.
 
     The unit ideal gives the zero ring, reported as degenerate rather than
     decided. The zero ideal gives S itself, which the criterion proves
     pure immediately.
     """
-    if tau.ring != ring:
-        raise ValueError("ideal does not live in the given ring")
     if tau.has_constant_generator():
         return PurityVerdict(
             criterion=SHARP,
@@ -169,5 +165,5 @@ def quotient_fpure_check(tau: Ideal, ring: PolyRing, e_max: int = 4) -> PurityVe
             e_tested=(),
             note="quotient by the unit ideal is the zero ring; F-purity undefined",
         )
-    pair = PairSpec(ring, tau, Ideal.unit(ring), Fraction(1))
+    pair = PairSpec(tau.ring, tau, Ideal.unit(tau.ring), Fraction(1))
     return sharp_fedder(pair, e_max)

@@ -125,14 +125,14 @@ def test_criterion_4_fpt_pipeline():
     with criterion(4, 5, "fpt(x^2)=1/2 exact via integrality pattern; fpt(xy)=1"):
         ring1 = parse_ring("p=3; vars=x")
         a_sq = Ideal(ring1, [parse_poly("x^2", ring1)])
-        records = nu_table(a_sq, 3, maximal_ideal(ring1))
+        records = nu_table(a_sq, 3)
         assert [r.nu for r in records] == [1, 4, 13]
         for ra in records:
             for rb in records:
                 d = rb.e - ra.e
                 if d > 0:
                     assert 3**d * ra.nu <= rb.nu <= 3**d * (ra.nu + 1)
-        est = fpt_estimate(a_sq, 3, maximal_ideal(ring1))
+        est = fpt_estimate(a_sq, 3)
         assert est.lo <= Fraction(1, 2) <= est.hi
         cert = est.certificate
         assert cert.kind == "mustata-converse" and cert.exact
@@ -140,7 +140,7 @@ def test_criterion_4_fpt_pipeline():
 
         ring2 = parse_ring("p=3; vars=x,y")
         a_xy = Ideal(ring2, [parse_poly("x*y", ring2)])
-        est2 = fpt_estimate(a_xy, 3, maximal_ideal(ring2))
+        est2 = fpt_estimate(a_xy, 3)
         assert est2.certificate.t_star == Fraction(1)
         assert est2.certificate.kind == "sharp-fedder" and est2.certificate.exact
 
@@ -156,7 +156,7 @@ def test_criterion_5_test_ideal_chains():
             (xy, Fraction(1, 2), {(0, 0)}),
         ]
         for a, t, expected_exponents in cases:
-            result = compute_test_ideal(a, t, ring)
+            result = compute_test_ideal(a, t)
             assert set(result.tau.monomial_exponents()) == expected_exponents
             entries = [K for _, K in result.chain]
             for prev, cur in zip(entries, entries[1:]):
@@ -176,7 +176,7 @@ def test_criterion_6_radical_corollary_battery():
         saw_nonmonomial = False
         for pair in battery_pairs():
             assert sharp_fedder(pair, 4).proven
-            tau = compute_test_ideal(pair.a_preimage, pair.t, pair.ring).tau
+            tau = compute_test_ideal(pair.a_preimage, pair.t).tau
             if tau.is_monomial or tau.is_zero() or tau.has_constant_generator():
                 assert is_radical_monomial(tau)
             else:
@@ -194,20 +194,20 @@ def test_criterion_6_radical_corollary_battery():
 def test_criterion_7_vassilev_suite():
     with criterion(7, 30, "quotient containments at q in {p, p^2}; S/tau F-pure"):
         for pair in battery_pairs():
-            tau = compute_test_ideal(pair.a_preimage, pair.t, pair.ring).tau
+            tau = compute_test_ideal(pair.a_preimage, pair.t).tau
             for e in (1, 2):
                 assert vassilev_containment(
                     pair.defining, pair.a_preimage, pair.t, tau, pair.ring.p**e
                 )
             if not tau.has_constant_generator():
-                assert quotient_fpure_check(tau, pair.ring).proven
+                assert quotient_fpure_check(tau).proven
 
 
 def test_criterion_8_sharp_multiplier_consistency():
     with criterion(8, 60, "every test-ideal generator passes multiplier checks, e<=4"):
         for pair in battery_pairs():
             ring = pair.ring
-            tau = compute_test_ideal(pair.a_preimage, pair.t, ring).tau
+            tau = compute_test_ideal(pair.a_preimage, pair.t).tau
             instances = [(Ideal(ring, [ring.var(v)]), ring.var(v)) for v in ring.variables]
             instances += [(pair.a_preimage, g) for g in pair.a_preimage.generators]
             for c in tau.generators:

@@ -5,13 +5,13 @@ from hypothesis import given, strategies as st
 
 from fpurity import (
     ResourceCapExceeded,
-    ThresholdExponent,
     audit_inequalities,
     ceil_mul,
     denominator_order,
     floor_mul,
 )
 from fpurity.ceilarith import default_rational_grid
+from fpurity.purity import CLASSIC, SHARP, STRONG, _exponent
 
 
 @pytest.mark.parametrize(
@@ -55,10 +55,10 @@ def test_ceil_monotone_in_t(t, s, n):
 def test_threshold_exponent_ordering():
     for t in (Fraction(1, 2), Fraction(5, 6), Fraction(3)):
         for q in (2, 3, 9, 27):
-            weak = ThresholdExponent(t, q, "weak").value
-            sharp = ThresholdExponent(t, q, "sharp").value
-            strong = ThresholdExponent(t, q, "strong").value
-            assert weak <= sharp <= strong
+            classic = _exponent(CLASSIC, t, q)
+            sharp = _exponent(SHARP, t, q)
+            strong = _exponent(STRONG, t, q)
+            assert classic <= sharp <= strong
 
 
 def test_single_case_composed_ceiling():

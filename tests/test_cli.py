@@ -142,7 +142,7 @@ def test_parser_is_built_once():
     run_json(["nu", "--ring", "p=3; vars=x", "--a", "x^2", "--emax", "1"])
     # a reused parser must not leak one call's options into the next
     report = run_json(["nu", "--ring", "p=3; vars=x", "--a", "x", "--emax", "2"])
-    assert report["inputs"]["a"] == ["x"] and report["inputs"]["seed"] == 0
+    assert report["inputs"] == {"ring": "p=3; vars=x", "a": ["x"], "emax": 2}
 
 
 def test_unknown_subcommand_usage():
@@ -151,7 +151,7 @@ def test_unknown_subcommand_usage():
 
 
 def test_structured_output_is_deterministic():
-    argv = ["fpt", "--ring", "p=3; vars=x,y", "--a", "x*y", "--emax", "3", "--seed", "7", "--json"]
+    argv = ["fpt", "--ring", "p=3; vars=x,y", "--a", "x*y", "--emax", "3", "--json"]
     first = run(argv)
     second = run(argv)
     assert first == second
@@ -169,6 +169,68 @@ def test_verify_witness_flag():
         ]
     )
     assert report["witness"]["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nu", "--ring", "p=3; vars=x", "--a", "x", "--ideal", "x^2"],
+        ["fpt", "--ring", "p=3; vars=x,y", "--a", "x", "--t", "1/2"],
+        ["testideal", "--ring", "p=3; vars=x,y", "--a", "x*y", "--seed", "1"],
+        ["fedder", "--ring", "p=3; vars=x,y,z", "--ideal", "x^2 - y*z", "--verify-witness"],
+        ["nu", "--ring", "p=3; vars=x"],
+        ["fpt", "--ring", "p=3; vars=x", "--emax", "2"],
+    ],
+    ids=["nu-ideal", "fpt-t", "testideal-seed", "fedder-verify-witness", "nu-no-a", "fpt-no-a"],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
+    assert run(argv) == (EXIT_USAGE, "")
+
+
+# argv per subcommand under which its runner reads every option it has;
+# the criteria are proven here, so --verify-witness is read too
+EVERY_OPTION_READ = {
+    "fedder": ["--ring", "p=3; vars=x,y", "--a", "x*y"],
+    "sharp-fedder": ["--ring", "p=3; vars=x,y", "--a", "x*y", "--t", "1/2", "--emax", "2"],
+    "strong-fedder": ["--ring", "p=3; vars=x,y", "--a", "x*y", "--t", "1/2", "--emax", "2"],
+    "nu": ["--ring", "p=3; vars=x", "--a", "x^2", "--emax", "2"],
+    "fpt": ["--ring", "p=3; vars=x", "--a", "x^2", "--emax", "2"],
+    "testideal": ["--ring", "p=3; vars=x,y", "--a", "x*y"],
+    "closure": ["--ring", "p=3; vars=x", "--ideal", "x^2", "--a", "x", "--z", "x", "--emax", "2"],
+    "witness-check": [
+        "--ring", "p=3; vars=x", "--ideal", "x^2", "--a", "1", "--z", "x", "--c", "x", "--emax", "2"
+    ],
+    "lemma-audit": ["--p", "3", "--emax", "2", "--dmax", "2"],
+}
+
+
+class _ReadRecorder:
+    """Stands in for the parsed namespace and records each option read."""
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._namespace, name)
+
+
+def test_every_option_is_read():
+    import argparse
+
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(EVERY_OPTION_READ)
+    for name, sub in subparsers.choices.items():
+        options = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert "json" in options, name
+        args = _ReadRecorder(parser.parse_args([name] + EVERY_OPTION_READ[name]))
+        cli._RUNNERS[name](args)
+        # --json is read by run, which picks the output format from it
+        assert options - {"json"} <= args.read, (name, options - {"json"} - args.read)
+        code, text = run([name] + EVERY_OPTION_READ[name] + ["--json"])
+        assert code == EXIT_OK and text.startswith("{"), name
 
 
 def test_table_output_has_elapsed_line():

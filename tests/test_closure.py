@@ -100,17 +100,9 @@ def test_pure_pair_closure_is_trivial_randomized(r3xy):
         assert v.outcome in ("trivially-in", "failed-at")
 
 
-def test_default_probe_range_scales_with_p():
-    from fpurity import default_e_range
-
-    assert list(default_e_range(3)) == [1, 2, 3, 4, 5, 6]
-    assert list(default_e_range(31)) == [1, 2, 3, 4, 5]
-    assert list(default_e_range(101)) == [1, 2, 3]
-
-
-def test_default_range_used_when_none_given(r3x):
+def test_failed_at_reports_the_tested_range(r3x):
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr)
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, range(1, 7))
     assert v.e_tested == (1, 2, 3, 4, 5, 6)
     assert v.outcome == "failed-at"
 

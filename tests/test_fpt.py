@@ -32,20 +32,20 @@ def ideal(texts, ring):
 
 
 def test_nu_variable(r3x):
-    assert nu_value(ideal(["x"], r3x), 9, maximal_ideal(r3x)) == 8
+    assert nu_value(ideal(["x"], r3x), 9) == 8
 
 
 def test_nu_square(r3x):
-    assert nu_value(ideal(["x^2"], r3x), 9, maximal_ideal(r3x)) == 4
+    assert nu_value(ideal(["x^2"], r3x), 9) == 4
 
 
 def test_nu_maximal_ideal(r3xy):
-    assert nu_value(ideal(["x", "y"], r3xy), 3, maximal_ideal(r3xy)) == 4
+    assert nu_value(ideal(["x", "y"], r3xy), 3) == 4
 
 
 def test_nu_rejects_units(r3xy):
     with pytest.raises(ValueError, match="contained in m"):
-        nu_value(ideal(["x + 1"], r3xy), 3, maximal_ideal(r3xy))
+        nu_value(ideal(["x + 1"], r3xy), 3)
 
 
 def test_nu_matches_closed_form_for_principal_monomials(r3xy):
@@ -60,7 +60,7 @@ def test_nu_matches_closed_form_for_principal_monomials(r3xy):
             continue
         for q in (3, 9, 27):
             expected = min((q - 1) // a for a in exps if a > 0)
-            got = nu_value(Ideal(r3xy, [r3xy.monomial(exps)]), q, maximal_ideal(r3xy))
+            got = nu_value(Ideal(r3xy, [r3xy.monomial(exps)]), q)
             assert got == expected
 
 
@@ -68,21 +68,21 @@ def test_nu_matches_closed_form_for_principal_monomials(r3xy):
 
 
 def test_bounds_square(r3x):
-    record = fpt_bounds(ideal(["x^2"], r3x), 2, maximal_ideal(r3x))
+    record = fpt_bounds(ideal(["x^2"], r3x), 2)
     assert record.nu == 4
     assert (record.lo, record.hi) == (Fraction(4, 9), Fraction(5, 9))
     assert record.lo <= Fraction(1, 2) <= record.hi
 
 
 def test_bounds_char2_monomial(r2xy):
-    record = fpt_bounds(ideal(["x*y"], r2xy), 2, maximal_ideal(r2xy))
+    record = fpt_bounds(ideal(["x*y"], r2xy), 2)
     assert record.nu == 3
     assert (record.lo, record.hi) == (Fraction(3, 4), Fraction(1))
 
 
 def test_bounds_variable(r3x):
     for e in (1, 2, 3):
-        record = fpt_bounds(ideal(["x"], r3x), e, maximal_ideal(r3x))
+        record = fpt_bounds(ideal(["x"], r3x), e)
         q = 3**e
         assert (record.lo, record.hi) == (Fraction(q - 1, q), Fraction(1))
 
@@ -90,7 +90,7 @@ def test_bounds_variable(r3x):
 def test_bounds_non_principal_widen_by_generator_count(r3xy):
     # (x, y) needs the mu/q slack: the principal-style (nu+1)/q upper bound
     # would exclude the true threshold 2
-    record = fpt_bounds(ideal(["x", "y"], r3xy), 1, maximal_ideal(r3xy))
+    record = fpt_bounds(ideal(["x", "y"], r3xy), 1)
     assert record.nu == 4
     assert record.lo == Fraction(4, 3)
     assert record.hi == Fraction(2)
@@ -99,7 +99,7 @@ def test_bounds_non_principal_widen_by_generator_count(r3xy):
 def test_nu_scaling_sandwich(r3x, r3xy):
     for ring, texts in ((r3x, ["x^2"]), (r3xy, ["x*y"]), (r3xy, ["x^2*y"])):
         a = ideal(texts, ring)
-        records = nu_table(a, 4, maximal_ideal(ring))
+        records = nu_table(a, 4)
         nu = {r.e: r.nu for r in records}
         for e in (1, 2, 3):
             for d in (1, 2):
@@ -109,7 +109,7 @@ def test_nu_scaling_sandwich(r3x, r3xy):
 
 
 def test_interval_nesting(r3xy):
-    records = nu_table(ideal(["x^2*y"], r3xy), 4, maximal_ideal(r3xy))
+    records = nu_table(ideal(["x^2*y"], r3xy), 4)
     lo = max(r.lo for r in records)
     hi = min(r.hi for r in records)
     assert lo <= hi
@@ -121,7 +121,7 @@ def test_interval_nesting(r3xy):
 
 
 def test_estimate_square_mustata(r3x):
-    est = fpt_estimate(ideal(["x^2"], r3x), 3, maximal_ideal(r3x))
+    est = fpt_estimate(ideal(["x^2"], r3x), 3)
     cert = est.certificate
     assert cert is not None
     assert cert.kind == "mustata-converse"
@@ -132,7 +132,7 @@ def test_estimate_square_mustata(r3x):
 
 
 def test_estimate_monomial_sharp(r3xy):
-    est = fpt_estimate(ideal(["x*y"], r3xy), 3, maximal_ideal(r3xy))
+    est = fpt_estimate(ideal(["x*y"], r3xy), 3)
     cert = est.certificate
     assert cert is not None
     assert cert.kind == "sharp-fedder"
@@ -141,7 +141,7 @@ def test_estimate_monomial_sharp(r3xy):
 
 
 def test_estimate_maximal_ideal(r3xy):
-    est = fpt_estimate(ideal(["x", "y"], r3xy), 3, maximal_ideal(r3xy))
+    est = fpt_estimate(ideal(["x", "y"], r3xy), 3)
     cert = est.certificate
     assert cert is not None
     assert cert.kind == "sharp-fedder"
@@ -151,7 +151,7 @@ def test_estimate_maximal_ideal(r3xy):
 def test_certified_value_is_sharp_and_nothing_above_is(r3x):
     ring = r3x
     a = ideal(["x^2"], ring)
-    est = fpt_estimate(a, 3, maximal_ideal(ring))
+    est = fpt_estimate(a, 3)
     t_star = est.certificate.t_star
     assert sharp_fedder(PairSpec(ring, Ideal.zero(ring), a, t_star), 3).proven
     for delta in (Fraction(1, 26), Fraction(1, 13), Fraction(3, 26)):
@@ -165,7 +165,7 @@ def test_certified_value_is_sharp_and_nothing_above_is(r3x):
 def test_certificate_denominator_bookkeeping(r3x, r3xy):
     # with  t*(p^e - 1)  integral,  t* * p^e  is integral only for integer t*
     for ring, texts, e_max in ((r3x, ["x^2"], 3), (r3xy, ["x*y"], 3)):
-        est = fpt_estimate(ideal(texts, ring), e_max, maximal_ideal(ring))
+        est = fpt_estimate(ideal(texts, ring), e_max)
         cert = est.certificate
         assert (cert.t_star * (ring.p**cert.e_star - 1)).denominator == 1
         p_pow_t = cert.t_star * ring.p**cert.e_star
@@ -180,7 +180,7 @@ def test_estimate_below_true_threshold_is_lower_bound():
     # the multi-exponent check; what survives is an honest proven lower
     # bound at 3/7, not an exactness claim.
     ring = parse_ring("p=2; vars=x")
-    est = fpt_estimate(ideal(["x^2"], ring), 3, maximal_ideal(ring))
+    est = fpt_estimate(ideal(["x^2"], ring), 3)
     assert est.lo <= Fraction(1, 2) <= est.hi
     cert = est.certificate
     assert cert is not None
@@ -269,11 +269,10 @@ def test_nu_principal_matches_old_route(p_, names, qs):
 
     ring = parse_ring(f"p={p_}; vars={names}")
     rng = random.Random(1000 + p_ * 10 + len(names))
-    m = maximal_ideal(ring)
     for _ in range(12):
         a = Ideal(ring, [random_poly(rng, ring, max_terms=4)])
         for q in qs:
-            assert nu_value(a, q, m) == nu_oracle(a, q), (a, q)
+            assert nu_value(a, q) == nu_oracle(a, q), (a, q)
 
 
 @pytest.mark.parametrize("p_, names, qs", DIFF_CASES)
@@ -282,14 +281,13 @@ def test_nu_ideals_match_old_route(p_, names, qs):
 
     ring = parse_ring(f"p={p_}; vars={names}")
     rng = random.Random(2000 + p_ * 10 + len(names))
-    m = maximal_ideal(ring)
     for k in range(8):
         # alternate two and three generators; single-term generators make
         # some of these monomial ideals, which take their own route
         gens = [random_poly(rng, ring, max_terms=2) for _ in range(2 + k % 2)]
         a = Ideal(ring, gens)
         for q in qs[:2] if len(gens) == 3 else qs:
-            assert nu_value(a, q, m) == nu_oracle(a, q), (a, q)
+            assert nu_value(a, q) == nu_oracle(a, q), (a, q)
 
 
 def test_nu_principal_window():
@@ -300,7 +298,7 @@ def test_nu_principal_window():
         ring = parse_ring(f"p={p_}; vars={names}")
         for _ in range(6):
             a = Ideal(ring, [random_poly(rng, ring, max_terms=4, max_deg=5)])
-            nu = [r.nu for r in nu_table(a, e_max, maximal_ideal(ring))]
+            nu = [r.nu for r in nu_table(a, e_max)]
             for lower, upper in zip(nu, nu[1:]):
                 assert p_ * lower <= upper <= p_ * lower + p_ - 1, (a, nu)
 
@@ -312,8 +310,8 @@ def test_nu_principal_window():
 def test_nu_zero_when_a_lies_in_the_bracket_power(texts, r3xy):
     # a^1 inside m^[q] leaves only a^0 = (1), which never is inside it
     a = ideal(texts, r3xy)
-    assert nu_value(a, 3, maximal_ideal(r3xy)) == 0 == nu_oracle(a, 3)
-    assert nu_value(a, 1, maximal_ideal(r3xy)) == 0
+    assert nu_value(a, 3) == 0 == nu_oracle(a, 3)
+    assert nu_value(a, 1) == 0
 
 
 def test_box_power_zero_is_one(r3xy):
@@ -322,20 +320,14 @@ def test_box_power_zero_is_one(r3xy):
         assert box_pow(f, 0, q) == r3xy.one()
 
 
-@pytest.mark.parametrize("texts", [["x"], ["x^2", "y"], ["x + y", "y"], ["x", "y", "x*y + 1"]])
-def test_nu_rejects_a_non_maximal_m(texts, r3xy):
-    with pytest.raises(ValueError, match="maximal ideal"):
-        nu_value(ideal(["x*y"], r3xy), 3, ideal(texts, r3xy))
-
-
 def test_nu_rejects_q_not_a_power_of_p(r3xy):
     with pytest.raises(ValueError, match="not a power"):
-        nu_value(ideal(["x*y"], r3xy), 6, maximal_ideal(r3xy))
+        nu_value(ideal(["x*y"], r3xy), 6)
 
 
 def test_nu_product_cap(r3xy, monkeypatch):
     a = ideal(["x + y", "x*y + y^2", "x^2"], r3xy)
-    assert nu_value(a, 9, maximal_ideal(r3xy)) == nu_oracle(a, 9)
+    assert nu_value(a, 9) == nu_oracle(a, 9)
     monkeypatch.setattr("fpurity.fpt.MAX_POWER_PRODUCTS", 5)
     with pytest.raises(ResourceCapExceeded, match="max_power_products"):
-        nu_value(a, 9, maximal_ideal(r3xy))
+        nu_value(a, 9)

@@ -65,7 +65,6 @@ def test_parse_rational_rejects_nonpositive():
         parse_rational("0")
     with pytest.raises(ParseError):
         parse_rational("-1/2")
-    assert parse_rational("-1/2", require_positive=False) == Fraction(-1, 2)
 
 
 def test_parse_rational_zero_denominator():

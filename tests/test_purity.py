@@ -149,7 +149,7 @@ def test_sharp_equals_classic_at_integrality_exponent(r3xy):
         e0 = denominator_order(t, 3)
         assert e0 is not None
         pr = pair(r3xy, ["x*y"], t)
-        sharp_at_e0 = _run_criterion(pr, SHARP, [e0], False).per_e[e0]
+        sharp_at_e0 = _run_criterion(pr, SHARP, [e0]).per_e[e0]
         classic_at_e0 = classic_fpure(pr, [e0]).per_e[e0]
         assert sharp_at_e0 == classic_at_e0
 
@@ -181,19 +181,19 @@ def test_principal_check_rejects_non_principal(r3xy):
 
 
 def test_split_from_monomial(r3xy):
-    built, verdict = sharp_from_single_split(p("x*y", r3xy), 1, r3xy)
+    built, verdict = sharp_from_single_split(p("x*y", r3xy), 1)
     assert verdict.proven
     assert built.t == Fraction(1, 2)
 
 
 def test_split_fails_inside_bracket(r3xy):
-    _, verdict = sharp_from_single_split(p("x^3", r3xy), 1, r3xy)
+    _, verdict = sharp_from_single_split(p("x^3", r3xy), 1)
     assert not verdict.proven
     assert "does not split" in verdict.note
 
 
 def test_split_unit(r3xy):
-    _, verdict = sharp_from_single_split(r3xy.one(), 2, r3xy)
+    _, verdict = sharp_from_single_split(r3xy.one(), 2)
     assert verdict.proven
 
 
@@ -233,8 +233,9 @@ def test_sharp_matches_closed_form_for_principal_monomials(r3xy):
             continue
         t = Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
         pr = PairSpec(r3xy, Ideal.zero(r3xy), Ideal(r3xy, [r3xy.monomial(exps)]), t)
-        got = _run_criterion(pr, SHARP, range(1, 4), False).per_e
         for e in range(1, 4):
+            # one e per run: a sharp run stops at its first escape
+            got = _run_criterion(pr, SHARP, [e]).per_e
             q = 3**e
             N = ceil_mul(t, q - 1)
             assert got[e] == all(N * a < q for a in exps)
@@ -401,6 +402,30 @@ def test_escape_below_the_lowest_degree_forms_nothing(monkeypatch):
         assert _escape_bound(pr, N, q) < 0
         assert _escape_witness(pr, N, q) is None
     assert sharp_fedder(pr, 2).e_tested == (1, 2)
+    assert calls == []
+
+
+def test_empty_bounded_colon_forms_no_power(monkeypatch):
+    # t = 2 over the quadric cone at q = 3: N = 4 leaves D = 3*2 - 4 = 2 >= 0,
+    # but the colon (f^2) starts in degree 4, so its part up to D is empty
+    from fpurity import purity
+    from fpurity.purity import _escape_bound
+
+    ring = parse_ring("p=3; vars=x,y,z")
+    pr = pair(ring, ["x"], 2, ["x^2 - y*z"])
+    q = 3
+    N = ceil_mul(pr.t, q - 1)
+    bound = _escape_bound(pr, N, q)
+    assert bound >= 0
+    assert fedder_colon(pr.defining, q, bound).is_zero()
+    # the full colon agrees: no product escapes m^[q]
+    mq = bracket_power(maximal_ideal(ring), q)
+    full = fedder_colon(pr.defining, q)
+    powered = ideal_power(pr.a_preimage, N)
+    assert all(membership(u * v, mq) for u in powered.generators for v in full.generators)
+    calls = []
+    monkeypatch.setattr(purity, "ideal_power", lambda *args: calls.append(args))
+    assert _escape_witness(pr, N, q) is None
     assert calls == []
 
 

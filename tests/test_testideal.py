@@ -31,24 +31,24 @@ def ideal(texts, ring):
 
 
 def test_monomial_pair_full_weight(r3xy):
-    result = compute_test_ideal(ideal(["x*y"], r3xy), Fraction(1), r3xy)
+    result = compute_test_ideal(ideal(["x*y"], r3xy), Fraction(1))
     assert ideal_equals(result.tau, ideal(["x*y"], r3xy))
     assert result.stabilized_at == 1
     assert result.chain[0][1].is_monomial
 
 
 def test_square_at_half(r3xy):
-    result = compute_test_ideal(ideal(["x^2"], r3xy), Fraction(1, 2), r3xy)
+    result = compute_test_ideal(ideal(["x^2"], r3xy), Fraction(1, 2))
     assert ideal_equals(result.tau, ideal(["x"], r3xy))
 
 
 def test_monomial_pair_half_weight_is_unit(r3xy):
-    result = compute_test_ideal(ideal(["x*y"], r3xy), Fraction(1, 2), r3xy)
+    result = compute_test_ideal(ideal(["x*y"], r3xy), Fraction(1, 2))
     assert result.tau.has_constant_generator()
 
 
 def test_chain_is_ascending(r3xy):
-    result = compute_test_ideal(ideal(["x^2*y"], r3xy), Fraction(1, 2), r3xy)
+    result = compute_test_ideal(ideal(["x^2*y"], r3xy), Fraction(1, 2))
     entries = [K for _, K in result.chain]
     for prev, cur in zip(entries, entries[1:]):
         assert ideal_contains(cur, prev)
@@ -58,25 +58,25 @@ def test_chain_is_ascending(r3xy):
 
 def test_non_monomial_pair(r3xy):
     f = p("x^2 + y^2", r3xy)
-    result = compute_test_ideal(Ideal(r3xy, [f]), Fraction(1), r3xy)
+    result = compute_test_ideal(Ideal(r3xy, [f]), Fraction(1))
     assert ideal_equals(result.tau, Ideal(r3xy, [f]))
 
 
 def test_monotone_in_t(r3xy):
     a = ideal(["x^2*y"], r3xy)
-    taus = [compute_test_ideal(a, t, r3xy).tau for t in (Fraction(1, 3), Fraction(1, 2), Fraction(1))]
+    taus = [compute_test_ideal(a, t).tau for t in (Fraction(1, 3), Fraction(1, 2), Fraction(1))]
     for big_t_tau, small_t_tau in zip(taus[1:], taus):
         assert ideal_contains(small_t_tau, big_t_tau)
 
 
 def test_no_stabilization_within_cap_is_loud(r3xy):
     with pytest.raises(ResourceCapExceeded, match="last two chain entries"):
-        compute_test_ideal(ideal(["x*y"], r3xy), Fraction(1), r3xy, e_cap=2)
+        compute_test_ideal(ideal(["x*y"], r3xy), Fraction(1), e_cap=2)
 
 
 def test_rejects_zero_ideal(r3xy):
     with pytest.raises(ValueError):
-        compute_test_ideal(Ideal.zero(r3xy), Fraction(1), r3xy)
+        compute_test_ideal(Ideal.zero(r3xy), Fraction(1))
 
 
 # --- radicality ---------------------------------------------------------------
@@ -142,22 +142,22 @@ def test_vassilev_requires_pullback_over_defining(r3xy):
 
 
 def test_quotient_fpure_monomial(r3xy):
-    verdict = quotient_fpure_check(ideal(["x*y"], r3xy), r3xy)
+    verdict = quotient_fpure_check(ideal(["x*y"], r3xy))
     assert verdict.proven and verdict.witness_e == 1
 
 
 def test_quotient_fpure_principal_variable(r3xy):
-    assert quotient_fpure_check(ideal(["x"], r3xy), r3xy).proven
+    assert quotient_fpure_check(ideal(["x"], r3xy)).proven
 
 
 def test_quotient_fpure_unit_is_degenerate(r3xy):
-    verdict = quotient_fpure_check(Ideal.unit(r3xy), r3xy)
+    verdict = quotient_fpure_check(Ideal.unit(r3xy))
     assert verdict.outcome == "degenerate"
     assert "zero ring" in verdict.note
 
 
 def test_quotient_fpure_zero_is_ambient(r3xy):
-    assert quotient_fpure_check(Ideal.zero(r3xy), r3xy).proven
+    assert quotient_fpure_check(Ideal.zero(r3xy)).proven
 
 
 # --- corollary-level cross-checks over the battery ---------------------------------
@@ -166,7 +166,7 @@ def test_quotient_fpure_zero_is_ambient(r3xy):
 def test_battery_taus_are_radical():
     for pr in battery_pairs():
         assert sharp_fedder(pr, 4).proven
-        tau = compute_test_ideal(pr.a_preimage, pr.t, pr.ring).tau
+        tau = compute_test_ideal(pr.a_preimage, pr.t).tau
         if tau.is_monomial or tau.is_zero() or tau.has_constant_generator():
             assert is_radical_monomial(tau)
         else:
@@ -178,15 +178,15 @@ def test_battery_taus_are_radical():
 
 def test_battery_quotients_are_fpure():
     for pr in battery_pairs():
-        tau = compute_test_ideal(pr.a_preimage, pr.t, pr.ring).tau
+        tau = compute_test_ideal(pr.a_preimage, pr.t).tau
         if tau.has_constant_generator():
             continue
-        assert quotient_fpure_check(tau, pr.ring).proven
+        assert quotient_fpure_check(tau).proven
 
 
 def test_battery_vassilev_containments():
     for pr in battery_pairs():
-        tau = compute_test_ideal(pr.a_preimage, pr.t, pr.ring).tau
+        tau = compute_test_ideal(pr.a_preimage, pr.t).tau
         for e in (1, 2):
             assert vassilev_containment(
                 pr.defining, pr.a_preimage, pr.t, tau, pr.ring.p**e
@@ -251,7 +251,7 @@ def test_monomial_test_ideals_match_the_newton_polygon(prime):
             gens = [ring.monomial((rng.randrange(4), rng.randrange(4))) for _ in range(rng.randrange(2, 5))]
             a = Ideal(ring, gens)
         t = rng.choice(ts)
-        result = compute_test_ideal(a, t, ring)
+        result = compute_test_ideal(a, t)
         assert ideal_equals(result.tau, _newton_tau(a, t)), (a, t, result.tau)
 
 
