@@ -205,7 +205,13 @@ def _run_fedder(args, flavor: str) -> dict:
     }
     # classic verdicts are never proven, so fedder's missing flag is never read
     if verdict.proven and args.verify_witness:
-        report["witness"]["verified"] = verify_witness(pair, verdict)
+        # the engine proved this verdict, so a failed recheck is its own bug
+        if not verify_witness(pair, verdict):
+            raise AssertionError(
+                f"the witness at e={verdict.witness_e}, q={verdict.witness_q} "
+                "failed its recheck"
+            )
+        report["witness"]["verified"] = True
     return report
 
 

@@ -20,9 +20,12 @@ product; the colon is computed only up to D, and a negative D settles
 containment with no Groebner work. Because m^[q] is monomial, each
 generator product is tested in the finite quotient S/m^[q]
 (``FrobeniusBox``): it escapes iff its truncated product is nonzero. Only
-the escaping product is formed in full. ``verify_witness`` rechecks a
-witness by membership against the full, unbounded colon, independently of
-both the box and the bound.
+the escaping product is formed in full. A proven verdict keeps the
+escaping pair (u, v) beside the product, and ``verify_witness`` rechecks
+the pair by its factors: u in a'^N, v * f in I^[q] for every generator f of
+I (the definition of v in I^[q] : I), u * v the stored witness, and the
+witness outside m^[q]. The recheck computes no colon, so it is independent
+of ``fedder_colon``, the degree bound and the box.
 
 All checks happen at the homogeneous maximal ideal, the standard
 computable model for the local criterion. The defining ideal I is assumed
@@ -114,9 +117,10 @@ class PurityVerdict:
     """Outcome of a purity criterion run.
 
     ``per_e`` maps each tested e to whether the escape condition held
-    there. A proven verdict carries q = p^e and an explicit generator
-    product that escapes m^[q]; both facts can be rechecked from scratch
-    with verify_witness.
+    there. A proven verdict carries q = p^e, an explicit generator product
+    ``witness_poly`` that escapes m^[q], and its factors ``witness_factors``
+    = (u, v) with u in a'^N and v in I^[q] : I; verify_witness rechecks all
+    of it from scratch.
     """
 
     criterion: str
@@ -126,6 +130,7 @@ class PurityVerdict:
     witness_e: Optional[int] = None
     witness_q: Optional[int] = None
     witness_poly: Optional[SparsePolynomial] = None
+    witness_factors: Optional[tuple[SparsePolynomial, SparsePolynomial]] = None
     note: str = ""
 
     @property
@@ -154,9 +159,12 @@ def _escape_bound(pair: PairSpec, N: int, q: int) -> Optional[int]:
     return sum(weights) * (q - 1) - N * least
 
 
-def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[SparsePolynomial]:
-    """The first generator product u*v of a'^N * (I^[q] : I) outside m^[q],
-    if any, with u running over a'^N and v over the colon.
+def _escape_witness(
+    pair: PairSpec, N: int, q: int
+) -> Optional[tuple[SparsePolynomial, SparsePolynomial]]:
+    """The first generator pair (u, v), u of a'^N and v of I^[q] : I, whose
+    product u*v lies outside m^[q], if any, with u running over a'^N and v
+    over the colon.
 
     Only colon generators of W-degree up to ``_escape_bound`` can take part,
     so the colon is computed only up to it; it is the subsequence of the
@@ -182,7 +190,7 @@ def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[SparsePolynomial
             continue  # u lies in m^[q], and so does every u*v
         for v, pv in zip(cond.generators, packed):
             if box.mul(pu, pv):
-                return u * v
+                return u, v
     return None
 
 
@@ -203,19 +211,20 @@ def _run_criterion(pair: PairSpec, criterion: str, e_values: Iterable[int]) -> P
     p = pair.ring.p
     per_e: dict[int, bool] = {}
     tested: list[int] = []
-    witness = None
+    factors = None
     witness_e = None
     for e in e_values:
         if e < 1:
             raise ValueError(f"criterion exponents start at e=1, got {e}")
         q = p**e
-        g = _escape_witness(pair, _exponent(criterion, pair.t, q), q)
+        found = _escape_witness(pair, _exponent(criterion, pair.t, q), q)
         tested.append(e)
-        per_e[e] = g is not None
-        if g is not None and witness is None:
-            witness, witness_e = g, e
+        per_e[e] = found is not None
+        if found is not None and factors is None:
+            factors, witness_e = found, e
             if criterion != CLASSIC:
                 break
+    witness = None if factors is None else factors[0] * factors[1]
     if criterion in (SHARP, STRONG) and witness is not None:
         note = "proven at the origin; a single splitting exponent suffices"
         if criterion == STRONG:
@@ -231,6 +240,7 @@ def _run_criterion(pair: PairSpec, criterion: str, e_values: Iterable[int]) -> P
             witness_e,
             p**witness_e,
             witness,
+            factors,
             note,
         )
     if criterion in (SHARP, STRONG):
@@ -254,6 +264,7 @@ def _run_criterion(pair: PairSpec, criterion: str, e_values: Iterable[int]) -> P
         witness_e,
         p**witness_e if witness_e else None,
         witness,
+        factors,
         note=(
             "per-exponent diagnostic only: the classic condition quantifies "
             "over all e >> 0, so no finite pattern proves or disproves it"
@@ -308,7 +319,9 @@ def sharp_from_single_split(f: SparsePolynomial, e: int) -> tuple[PairSpec, Puri
     """Build the pair (S, (f)^(1/(p^e - 1))) and settle it from one split.
 
     Over the ambient ring the splitting condition is simply f outside
-    m^[p^e]; when it holds the constructed pair is sharply F-pure.
+    m^[p^e]; when it holds the constructed pair is sharply F-pure, with
+    witness f and factors (f, 1): N = 1, and the colon of the zero ideal
+    is the whole ring.
     """
     if e < 1:
         raise ValueError(f"e must be at least 1, got {e}")
@@ -328,6 +341,7 @@ def sharp_from_single_split(f: SparsePolynomial, e: int) -> tuple[PairSpec, Puri
             e,
             q,
             f,
+            (f, ring.one()),
             note=f"f escapes m^[{q}], so the exponent-1/(q-1) pair splits at e={e}",
         )
     else:
@@ -342,19 +356,29 @@ def sharp_from_single_split(f: SparsePolynomial, e: int) -> tuple[PairSpec, Puri
 
 
 def verify_witness(pair: PairSpec, verdict: PurityVerdict) -> bool:
-    """Recheck a proven verdict's witness from scratch.
+    """Recheck a proven verdict's witness from scratch, by its factors.
 
-    Confirms the stored polynomial lies in a'^N * (I^[q] : I) and escapes
-    m^[q], with N recomputed from the criterion flavor. The colon here is
-    the full one, not the degree-bounded colon the criteria search, so a
-    fault in the bound shows up as a failed recheck.
+    True iff the stored factors (u, v) multiply to the stored witness, u
+    lies in a'^N with N recomputed from the criterion flavor, v * f lies in
+    I^[q] for every generator f of I (which is what v in I^[q] : I means),
+    and the witness escapes m^[q]. Each test is one membership; I^[q] is
+    presented by the Frobenius image of I's reduced basis, which is again a
+    reduced basis. No colon is computed, so a fault in ``fedder_colon``,
+    its degree bound or the box shows up as a failed recheck. A proven
+    verdict without factors raises ValueError.
     """
     if not verdict.proven or verdict.witness_poly is None:
         raise ValueError("only proven verdicts carry a witness")
+    if verdict.witness_factors is None:
+        raise ValueError("a proven verdict must carry its witness factors")
+    u, v = verdict.witness_factors
     q = verdict.witness_q
     N = _exponent(verdict.criterion, pair.t, q)
-    cond = fedder_colon(pair.defining, q)
-    product = ideal_power(pair.a_preimage, N).times(cond)
-    in_product = membership(verdict.witness_poly, product)
-    escapes = not membership(verdict.witness_poly, bracket_power(maximal_ideal(pair.ring), q))
-    return in_product and escapes
+    if u * v != verdict.witness_poly:
+        return False
+    if not membership(u, ideal_power(pair.a_preimage, N)):
+        return False
+    Iq = bracket_power(Ideal(pair.ring, pair.defining.groebner()), q)
+    if not all(membership(v * f, Iq) for f in pair.defining.generators):
+        return False
+    return not membership(verdict.witness_poly, bracket_power(maximal_ideal(pair.ring), q))

@@ -171,6 +171,20 @@ def test_verify_witness_flag():
     assert report["witness"]["verified"] is True
 
 
+def test_failed_witness_recheck_exits_with_bug_code(monkeypatch):
+    # a proven verdict whose own recheck fails is an engine bug, not a
+    # report with "verified": false
+    argv = ["sharp-fedder", "--ring", "p=3; vars=x,y", "--a", "x*y", "--t", "1", "--emax", "2"]
+    monkeypatch.setattr(cli, "verify_witness", lambda pair, verdict: False)
+    assert run(argv + ["--json", "--verify-witness"]) == (
+        EXIT_BUG,
+        "error: internal invariant violated (the witness at e=1, q=3 failed its "
+        "recheck); this is an engine bug",
+    )
+    code, text = run(argv + ["--json"])
+    assert code == EXIT_OK and "verified" not in json.loads(text)["witness"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -258,9 +259,13 @@ def _escaping_pair(pair, N, q):
     return None
 
 
-def _escape_by_membership(pair, N, q):
-    found = _escaping_pair(pair, N, q)
-    return None if found is None else found[0] * found[1]
+def _assert_same_escape(got, expected):
+    """``_escape_witness`` returns the oracle's pair: the same product u*v,
+    with u a generator of a'^N and v one of the full colon."""
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got[0] * got[1] == expected[0] * expected[1]
+        assert got == expected
 
 
 # (variables, defining ideal, largest q): in four variables the oracle's
@@ -299,7 +304,7 @@ def test_box_escape_matches_membership_loop(prime, name):
         for pr in _escape_cases(prime, name):
             for N in (0, 1, ceil_mul(pr.t, q - 1)):
                 got = _escape_witness(pr, N, q)
-                assert got == _escape_by_membership(pr, N, q)
+                _assert_same_escape(got, _escaping_pair(pr, N, q))
                 outcomes.add(got is None)
         q *= prime
     # in characteristic 2 the quadrics are not F-pure: nothing escapes
@@ -308,8 +313,10 @@ def test_box_escape_matches_membership_loop(prime, name):
 
 def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
     # with the colon and the power fixed, the loop itself asks membership
-    # nothing and multiplies in full only the escaping pair
+    # nothing and multiplies nothing in full; the criterion run then forms
+    # the one product u*v of the escaping pair
     from fpurity import poly, purity
+    from fpurity.purity import SHARP, _run_criterion
 
     cone = pair(parse_ring("p=3; vars=x,y,z"), ["x", "y"], 1, ["x^2 - y*z"])
     quadrics = pair(parse_ring("p=3; vars=x,y,z,w"), ["x", "y"], 1, ["x*y - z*w", "x*z - y*w"])
@@ -334,10 +341,16 @@ def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
         monkeypatch.setattr(purity, "membership", counted("membership", membership))
         monkeypatch.setattr(poly, "poly_mul", counted("poly_mul", poly.poly_mul))
         got = _escape_witness(pr, N, q)
+        loop_calls = dict(calls)
+        calls.update(membership=0, poly_mul=0)
+        e = {3: 1, 9: 2}[q]
+        verdict = _run_criterion(pr, SHARP, [e])
         monkeypatch.undo()
         assert (got is not None) == escapes
-        assert got == _escape_by_membership(pr, N, q)
+        _assert_same_escape(got, _escaping_pair(pr, N, q))
+        assert loop_calls == {"membership": 0, "poly_mul": 0}
         assert calls == {"membership": 0, "poly_mul": int(escapes)}
+        assert verdict.witness_factors == got
 
 
 def test_box_escape_keeps_the_iteration_order(monkeypatch):
@@ -350,7 +363,9 @@ def test_box_escape_keeps_the_iteration_order(monkeypatch):
     monkeypatch.setattr(purity, "fedder_colon", lambda I, q, bound=None: colon)
     monkeypatch.setattr(purity, "ideal_power", lambda a, N: Ideal(ring, [p("y", ring), p("x", ring)]))
     pr = pair(ring, ["x", "y"], 1)
-    assert _escape_witness(pr, 1, 3) == p("x^2*y", ring)
+    u, v = _escape_witness(pr, 1, 3)
+    assert u * v == p("x^2*y", ring)
+    assert (u, v) == (p("y", ring), p("x^2", ring))
 
 
 # --- the degree bound ----------------------------------------------------------
@@ -379,7 +394,7 @@ def test_escape_bound_keeps_a_witness_at_exactly_the_bound():
         weights = positive_grading(pr.defining)
         u, v = _escaping_pair(pr, N, q)
         assert _w_degree(v, weights) == _escape_bound(pr, N, q)
-        assert _escape_witness(pr, N, q) == u * v
+        _assert_same_escape(_escape_witness(pr, N, q), (u, v))
     assert positive_grading(cases[-1][0].defining) == (1, 2, 1, 1)
 
 
@@ -466,6 +481,224 @@ def test_bounded_escape_matches_the_full_colon_in_weighted_gradings(prime, qs):
         for q in qs:
             for N in (0, 1, ceil_mul(pr.t, q - 1)):
                 got = _escape_witness(pr, N, q)
-                assert got == _escape_by_membership(pr, N, q)
+                _assert_same_escape(got, _escaping_pair(pr, N, q))
                 outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+# --- rechecking witnesses by their factors ---------------------------------------
+
+
+def _verdict_exponent(verdict, pair):
+    from fpurity.purity import _exponent
+
+    return _exponent(verdict.criterion, pair.t, verdict.witness_q)
+
+
+def _verify_by_full_colon(pair, verdict):
+    """The product recheck: the witness lies in a'^N * (I^[q] : I), with the
+    full colon and a Groebner basis of the product, and escapes m^[q]. The
+    oracle for the factor recheck of ``verify_witness``."""
+    q = verdict.witness_q
+    N = _verdict_exponent(verdict, pair)
+    product = ideal_power(pair.a_preimage, N).times(fedder_colon(pair.defining, q))
+    escapes = not membership(verdict.witness_poly, bracket_power(maximal_ideal(pair.ring), q))
+    return membership(verdict.witness_poly, product) and escapes
+
+
+def _doctored(verdict, u, v, witness=None):
+    """A copy of a proven verdict carrying the factors (u, v) and the
+    witness u*v, or the given witness."""
+    witness = u * v if witness is None else witness
+    return replace(verdict, witness_poly=witness, witness_factors=(u, v))
+
+
+# one fixed pair per colon branch: principal, complete intersection and
+# elimination in the standard grading, and a complete intersection in the
+# grading (1, 2, 1, 1)
+BRANCH_PAIRS = {
+    "principal": ("x,y,z", ["x", "y", "z"], 1, ["x^2 - y*z"]),
+    "complete-intersection": ("x,y,z,w", ["1"], 1, ["x*y - z*w", "x*z - y*w"]),
+    "elimination": (
+        "x,y,z,w", ["x", "y", "z", "w"], Fraction(1, 2), ["x*z - y^2", "x*w - y*z", "y*w - z^2"]
+    ),
+    "weighted": ("x,y,z,w", ["1"], 1, ["2*x*z*w + z^2*w + x*y", "z^2 + 2*w^2"]),
+}
+
+
+def _branch_pair(name):
+    names, a, t, defining = BRANCH_PAIRS[name]
+    return pair(parse_ring(f"p=3; vars={names}"), a, t, defining)
+
+
+@pytest.mark.parametrize("name", BRANCH_PAIRS)
+def test_proven_verdicts_carry_factors_that_reverify(name):
+    pr = _branch_pair(name)
+    sharp = sharp_fedder(pr, 1)
+    assert sharp.proven
+    for verdict in (sharp, strong_fedder(pr, 1)):
+        if not verdict.proven:
+            continue
+        u, v = verdict.witness_factors
+        assert u * v == verdict.witness_poly
+        assert u in ideal_power(pr.a_preimage, _verdict_exponent(verdict, pr)).generators
+        assert v in fedder_colon(pr.defining, verdict.witness_q).generators
+        assert verify_witness(pr, verdict)
+
+
+def _random_form(rng, variables, degree, terms):
+    return " + ".join(
+        f"{rng.randint(1, 2)}*" + "*".join(rng.choice(variables) for _ in range(degree))
+        for _ in range(terms)
+    )
+
+
+def _seeded_branch_pairs(prime, branch):
+    """Endless seeded pairs whose defining ideal takes the given colon
+    branch: a principal quadric, two quadrics of height 2, the 2x2 minors
+    of a 2x3 matrix of variables (height below 3), or a quasi-homogeneous
+    ideal; a' is the unit ideal, one variable or all of them."""
+    if branch == "weighted":
+        yield from _quasi_homogeneous_pairs(prime)
+        return
+    from fpurity.ideals import _height
+
+    ring = parse_ring(f"p={prime}; vars={'x,y,z' if branch == 'principal' else 'x,y,z,w'}")
+    variables = ring.variables
+    rng = random.Random(f"recheck:{prime}:{branch}")
+    while True:
+        if branch == "principal":
+            defining = [_random_form(rng, variables, 2, 3)]
+        elif branch == "complete-intersection":
+            defining = [_random_form(rng, variables, 2, rng.randint(2, 3)) for _ in range(2)]
+        else:
+            m = [[rng.choice(variables) for _ in range(3)] for _ in range(2)]
+            defining = [
+                f"{m[0][i]}*{m[1][j]} - {m[0][j]}*{m[1][i]}" for i, j in ((0, 1), (0, 2), (1, 2))
+            ]
+        a = rng.choice([["1"], [rng.choice(variables)], list(variables)])
+        pr = pair(ring, a, Fraction(1, rng.randint(1, 3)), defining)
+        I = pr.defining
+        if I.is_zero() or I.is_monomial or I.is_unit():
+            continue
+        c = len(I.generators)
+        ci = c >= 2 and _height(I) == c
+        if (branch, c == 1, ci) in (
+            ("principal", True, False),
+            ("complete-intersection", False, True),
+            ("elimination", False, False),
+        ):
+            yield pr
+
+
+@pytest.mark.parametrize("branch", BRANCH_PAIRS)
+@pytest.mark.parametrize("prime", [2, 3])
+def test_factor_recheck_agrees_with_the_full_colon_on_seeded_pairs(prime, branch):
+    # the first four proven verdicts among seeded pairs of each branch
+    proven = 0
+    for pr in itertools.islice(_seeded_branch_pairs(prime, branch), 60):
+        for criterion in (sharp_fedder, strong_fedder):
+            verdict = criterion(pr, 2 if prime == 2 else 1)
+            if verdict.proven:
+                proven += 1
+                assert verify_witness(pr, verdict) is True
+                assert _verify_by_full_colon(pr, verdict) is True
+        if proven >= 4:
+            break
+    assert proven >= 2
+
+
+@pytest.mark.parametrize("name", BRANCH_PAIRS)
+def test_factor_recheck_agrees_with_the_full_colon_on_generator_pairs(name):
+    # every pair of a generator of a'^N and one of the full colon, whether
+    # or not its product escapes: both rechecks reduce to the escape
+    pr = _branch_pair(name)
+    verdict = sharp_fedder(pr, 1)
+    q = verdict.witness_q
+    powered = ideal_power(pr.a_preimage, _verdict_exponent(verdict, pr))
+    cond = fedder_colon(pr.defining, q)
+    outcomes = set()
+    for u in powered.generators[:6]:
+        for v in cond.generators[:6]:
+            doctored = _doctored(verdict, u, v)
+            got = verify_witness(pr, doctored)
+            assert got == _verify_by_full_colon(pr, doctored)
+            outcomes.add(got)
+    assert True in outcomes
+
+
+@pytest.mark.parametrize("name", BRANCH_PAIRS)
+def test_recheck_rejects_a_factor_outside_the_colon(name):
+    # v = 1 is outside I^[q] : I when I is nonzero; u alone still escapes
+    pr = _branch_pair(name)
+    verdict = sharp_fedder(pr, 1)
+    u, _ = verdict.witness_factors
+    one = pr.ring.one()
+    mq = bracket_power(maximal_ideal(pr.ring), verdict.witness_q)
+    assert not membership(u, mq)
+    assert verify_witness(pr, _doctored(verdict, u, one)) is False
+
+
+def test_recheck_rejects_a_factor_outside_the_power():
+    # a' = (x, y, z) + I at N = 2: the unit is outside a'^2, and the colon
+    # generator f^2 alone escapes m^[3]
+    pr = _branch_pair("principal")
+    verdict = sharp_fedder(pr, 1)
+    _, v = verdict.witness_factors
+    assert not membership(v, bracket_power(maximal_ideal(pr.ring), 3))
+    assert not membership(pr.ring.one(), ideal_power(pr.a_preimage, 2))
+    assert verify_witness(pr, _doctored(verdict, pr.ring.one(), v)) is False
+
+
+@pytest.mark.parametrize("name", BRANCH_PAIRS)
+def test_recheck_rejects_factors_that_do_not_multiply_to_the_witness(name):
+    pr = _branch_pair(name)
+    verdict = sharp_fedder(pr, 1)
+    u, v = verdict.witness_factors
+    x = pr.ring.var("x")
+    assert verify_witness(pr, _doctored(verdict, u, v, witness=u * v * x)) is False
+    assert verify_witness(pr, _doctored(verdict, u, v * x, witness=u * v)) is False
+
+
+@pytest.mark.parametrize("name", BRANCH_PAIRS)
+def test_recheck_rejects_a_witness_inside_the_bracket_power(name):
+    # u * x^q stays in a'^N and makes the product land in m^[q]
+    pr = _branch_pair(name)
+    verdict = sharp_fedder(pr, 1)
+    u, v = verdict.witness_factors
+    inside = u * pr.ring.var("x") ** verdict.witness_q
+    assert membership(inside, ideal_power(pr.a_preimage, _verdict_exponent(verdict, pr)))
+    assert verify_witness(pr, _doctored(verdict, inside, v)) is False
+
+
+def test_recheck_needs_the_factors():
+    pr = _branch_pair("principal")
+    verdict = sharp_fedder(pr, 1)
+    with pytest.raises(ValueError, match="factors"):
+        verify_witness(pr, replace(verdict, witness_factors=None))
+    with pytest.raises(ValueError, match="proven"):
+        verify_witness(pr, sharp_fedder(pair(pr.ring, ["x"], 9, ["x^2 - y*z"]), 1))
+
+
+def test_recheck_computes_no_colon(monkeypatch):
+    from fpurity import ideals, purity
+
+    verdicts = [(pr, sharp_fedder(pr, 1)) for pr in map(_branch_pair, BRANCH_PAIRS)]
+    calls = []
+    for module, name in (
+        (ideals, "fedder_colon"), (purity, "fedder_colon"), (ideals, "colon"),
+        (ideals, "_colon_by_poly"), (ideals, "intersect"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: calls.append(name))
+    for pr, verdict in verdicts:
+        assert verify_witness(pr, verdict) is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("text,e", [("x*y", 1), ("x^2*y + y^3", 1), ("1", 2), ("x + y^2", 2)])
+def test_single_split_verdict_reverifies(r3xy, text, e):
+    built, verdict = sharp_from_single_split(p(text, r3xy), e)
+    assert verdict.proven
+    assert verdict.witness_factors == (p(text, r3xy), r3xy.one())
+    assert verify_witness(built, verdict) is True
+    assert _verify_by_full_colon(built, verdict) is True
