@@ -133,6 +133,20 @@ class Ideal:
         self._lock = threading.Lock()
 
     @classmethod
+    def _from_minimal(cls, ring: PolyRing, monos: Iterable[Monomial]) -> "Ideal":
+        """The monomial ideal of monos, trusted to be distinct and minimal
+        (none divides another): they are sorted, not pruned again."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.generators = tuple(
+            SparsePolynomial(ring, {m: 1}, m) for m in sorted(monos, key=grevlex_key)
+        )
+        self.is_monomial = bool(self.generators)
+        self._basis = None
+        self._lock = threading.Lock()
+        return self
+
+    @classmethod
     def zero(cls, ring: PolyRing) -> "Ideal":
         return cls(ring, [])
 
@@ -456,12 +470,15 @@ def root_power(I: Ideal, q: int) -> Ideal:
     the monomials x^C with all exponents below q, because the ring is free
     over its subring of q-th powers with that basis. Coefficients need no
     adjustment: c^q = c in F_p. The ideal generated by all g_C is the
-    minimal choice.
+    minimal choice. For a monomial x^v that piece is x^floor(v/q).
     """
     check_q(I.ring.p, q)
     if q == 1 or I.is_zero():
         return I
     ring = I.ring
+    if I.is_monomial:
+        roots = {tuple(e // q for e in m) for m in I.monomial_exponents()}
+        return Ideal._from_minimal(ring, _minimal_monomials(roots))
     pieces: list[SparsePolynomial] = []
     seen = set()
     for g in I.generators:
@@ -496,9 +513,10 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
     General ideals enumerate the degree-N generator products, in the order
     of ``itertools.combinations_with_replacement``, from each generator's
     powers g^0, ..., g^N, built once with one product each (g^k =
-    g^(k-1) * g), deduplicated; the product count is capped. Redundant
-    generators are harmless (same ideal), and basis-level pruning costs far
-    more than the redundancy it removes at the degrees these powers reach.
+    g^(k-1) * g, or Frob(g^(k/p)) when p divides k), deduplicated; the
+    product count is capped. Redundant generators are harmless (same
+    ideal), and basis-level pruning costs far more than the redundancy it
+    removes at the degrees these powers reach.
     """
     if N < 0:
         raise ValueError(f"negative ideal power {N}")
@@ -530,8 +548,9 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
             if bit == "1":
                 power = minimal_packed({u + v for u in power for v in gens}, guards)
         mask = (1 << w) - 1
-        minimal = [tuple((k >> (w * i)) & mask for i in range(n)) for k in power]
-        return Ideal(ring, [ring.monomial(m) for m in minimal])
+        return Ideal._from_minimal(
+            ring, [tuple((k >> (w * i)) & mask for i in range(n)) for k in power]
+        )
     r = len(a.generators)
     count = math.comb(r + N - 1, N)
     if count > MAX_POWER_PRODUCTS:
@@ -541,11 +560,12 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
             f"{MAX_POWER_PRODUCTS}; use a principal or monomial fast path "
             "or a smaller exponent",
         )
+    p = ring.p
     powers: list[list[SparsePolynomial]] = []
     for g in a.generators:
         row = [ring.one(), g]
         for k in range(2, N + 1):
-            row.append(row[-1] * g)
+            row.append(frobenius_image(row[k // p], p) if k % p == 0 else row[-1] * g)
         powers.append(row)
     kept: list[SparsePolynomial] = []
     seen = set()
@@ -608,7 +628,7 @@ def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
         lcms = [
             mono_lcm(u, v) for u in J.monomial_exponents() for v in K.monomial_exponents()
         ]
-        return Ideal(ring, [ring.monomial(m) for m in _minimal_monomials(lcms)])
+        return Ideal._from_minimal(ring, _minimal_monomials(lcms))
     # t*J + (1-t)*K in the extended ring, then eliminate t
     ext = _extend_ring(ring)
     t = ext.var(_ELIM_VAR)
@@ -693,7 +713,7 @@ def _colon_by_poly(J: Ideal, f: SparsePolynomial, graded: Optional[_Graded] = No
     if J.is_monomial and f.is_monomial():
         fm = f.lead_monomial()
         gens = [mono_div(u, mono_gcd(u, fm)) for u in J.monomial_exponents()]
-        return Ideal(ring, [ring.monomial(m) for m in _minimal_monomials(gens)])
+        return Ideal._from_minimal(ring, _minimal_monomials(gens))
     return _divide(intersect(J, Ideal(ring, [f]), _raised(graded, f)), f)
 
 
@@ -832,12 +852,14 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
     (Fedder, F-purity and rational singularity, Trans. AMS 1983, Prop.
     2.6). The identity holds exactly: colons commute with localization, and
     at every maximal ideal containing I the f_i form a regular sequence,
-    since S is Cohen-Macaulay. The result is its monic reduced basis,
-    sorted by lead, from one Buchberger run in S with no elimination
-    variable. ``colon`` gives the same generators here, because it
-    interreduces its sequential result for two or more generators. Every
-    other ideal (monomial, principal, unit, zero, or not a complete
-    intersection) goes through ``colon``.
+    since S is Cohen-Macaulay. The power enters as prod_(i<e)
+    Frob^i(P^(p-1)), P = f_1 * ... * f_c, each partial product reduced by
+    the q-th powers of I's reduced basis, a Groebner basis of I^[q]. The
+    result is its monic reduced basis, sorted by lead, from one Buchberger
+    run in S with no elimination variable. ``colon`` gives the same
+    generators here, because it interreduces its sequential result for two
+    or more generators. Every other ideal (monomial, principal, unit, zero,
+    or not a complete intersection) goes through ``colon``.
 
     ``bound`` asks only for the generators of degree at most the bound in
     the grading W of ``positive_grading(I)``, which must exist. Both
@@ -864,5 +886,12 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
         product = gens[0]
         for g in gens[1:]:
             product = product * g
-        inputs.append(poly_pow(product, q - 1))
+        table = [_reducer(frobenius_image(g, q)) for g in I.groebner()]
+        counter = _StepCounter()
+        digit = poly_pow(product, ring.p - 1)
+        power, qi = ring.one(), 1
+        while qi < q:
+            power = _normal_form(power * frobenius_image(digit, qi), table, counter)
+            qi *= ring.p
+        inputs.append(power)
     return Ideal(ring, _buchberger(inputs, ring, graded))

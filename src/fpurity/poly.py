@@ -269,7 +269,7 @@ class SparsePolynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, tuple(sorted(self.terms.items()))))
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __repr__(self):
@@ -481,8 +481,20 @@ def minimal_packed(keys: set[int], guards: int) -> list[int]:
     field of (v | guards) - u loses its guard bit: no field borrows from the
     next. A divisor's key is never larger, so ascending order keeps it
     before anything it divides.
+
+    Two-field keys ascend by (high field, low field), so every kept key has
+    a high field no larger than v's, and v is minimal iff its low field is
+    below every kept one: one pass, a staircase.
     """
     kept: list[int] = []
+    if guards.bit_count() == 2:
+        mask = ((guards & -guards) << 1) - 1
+        floor = mask + 1
+        for v in sorted(keys):
+            if v & mask < floor:
+                floor = v & mask
+                kept.append(v)
+        return kept
     for v in sorted(keys):
         raised = v | guards
         if not any((raised - u) & guards == guards for u in kept):

@@ -11,6 +11,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # argv, exit code and exact output of each README example; the engine may
 # change inside, but not one byte of what these print
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+# the same for test-ideal chains and closure probes: monomial and binomial
+# chains, and probes over homogeneous, quasi-homogeneous and non-graded
+# hypersurfaces
+GOLDEN_CHAINS = Path(__file__).with_name("golden_chains.json")
 
 
 def readme_examples():
@@ -274,4 +278,11 @@ def test_goldens_cover_the_readme_examples():
     "entry", json.loads(GOLDEN.read_text()), ids=lambda entry: entry["argv"][0]
 )
 def test_readme_example_json_is_byte_identical(entry):
+    assert run(entry["argv"]) == (entry["exit"], entry["output"])
+
+
+@pytest.mark.parametrize(
+    "entry", json.loads(GOLDEN_CHAINS.read_text()), ids=lambda entry: entry["argv"][0]
+)
+def test_chain_and_probe_json_is_byte_identical(entry):
     assert run(entry["argv"]) == (entry["exit"], entry["output"])

@@ -264,7 +264,7 @@ def test_power_work_is_logarithmic(monkeypatch):
 
         return wrapper
 
-    # the packed passes of the power plus the constructor's own pruning
+    # the packed passes of the power; its minimal result is not pruned again
     monkeypatch.setattr(ideals, "minimal_packed", counting(ideals.minimal_packed))
     monkeypatch.setattr(ideals, "_minimal_monomials", counting(ideals._minimal_monomials))
     got = ideal_power(a, 94)
