@@ -5,11 +5,9 @@ nu_a(q) is the largest s with a^s escaping m^[q], for m the homogeneous
 maximal ideal of a's ring; every function here takes m from a, never as an
 argument. It is computed inside the Frobenius box S/m^[q], where a term
 drops out as soon as one of its exponents reaches q, so "a^s inside m^[q]"
-is "a^s vanishes in the box". The walk q' = p, p^2, ..., q
-binary-searches each nu(q') in the window that nu = nu(q'/p) allows,
-[p*nu, p*nu + p - 1] for principal a and [p*nu, p*(nu + 1) + mu*(p - 1) - 1]
-for mu generators, after checking that the window's ends hold; see
-``nu_value``.
+is "a^s vanishes in the box"; ``EscapeTest``, the enumeration of the
+purity criteria, asks it. The walk q' = p, p^2, ..., q binary-searches each
+nu(q') in the window that nu(q'/p) allows; see ``nu_value``.
 
 Dividing nu by q gives a lower bound for the threshold of a; the matching
 upper bound is (nu + mu)/q where mu is the number of generators of a
@@ -20,20 +18,23 @@ scaling argument).
 An exact value is only ever claimed with a certificate: either the
 interval degenerates onto a proven-sharp exponent, or the principal
 integrality pattern nu(p^e) = t(p^e - 1) pins the threshold down. Anything
-less is reported as a proven lower bound or a bare interval.
+less is reported as a proven lower bound or a bare interval. Over S the
+sharp criterion at t and q is ceil(t(q-1)) <= nu(q), so sharp proofs are
+read off the nu table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from math import isqrt
+from typing import Optional
 
 from .ceilarith import ceil_mul, denominator_order
 from .errors import ResourceCapExceeded
-from .ideals import MAX_POWER_PRODUCTS, Ideal
+from .ideals import Ideal
 from .poly import FrobeniusBox, check_q
-from .purity import PairSpec, sharp_fedder, strong_fedder
+from .purity import EscapeTest, PairSpec, sharp_fedder, strong_fedder
 from .report import ConsistencyReport
 
 CANDIDATE_CAP = 10_000
@@ -94,11 +95,8 @@ def nu_value(a: Ideal, q: int) -> int:
     contained); a failed check is an engine bug and raises AssertionError.
     a^0 is the whole ring and never contained.
 
-    Principal a takes its powers from base-p digits in the box. Monomial
-    a multiplies minimal monomial generators, pruned to the box. Any other
-    a enumerates the generator products of a^s in the box, stops at the
-    first that escapes, and raises ResourceCapExceeded once more than
-    ``MAX_POWER_PRODUCTS`` products have been formed.
+    Each level asks one ``EscapeTest``, the enumeration the Fedder criteria
+    use, so a cap on the products it forms applies here too.
     """
     if a.is_zero():
         raise ValueError("nu is undefined for the zero ideal")
@@ -112,13 +110,10 @@ def nu_value(a: Ideal, q: int) -> int:
     nu, level = 0, 1
     while level < q:
         level *= p
-        escapes = _escape_test(a, FrobeniusBox(ring, level))
+        escapes = EscapeTest(a, FrobeniusBox(ring, level)).escapes
         # a^lo escapes and a^hi is contained, so lo <= nu(level) < hi
         lo = p * nu
-        if mu == 1:
-            hi = lo + p
-        else:
-            hi = min(p * (nu + 1) + mu * (p - 1), n * (level - 1) + 1)
+        hi = lo + p if mu == 1 else min(p * (nu + 1) + mu * (p - 1), n * (level - 1) + 1)
         if not escapes(lo) or escapes(hi):
             raise AssertionError(
                 f"nu({level}) left the window [{lo}, {hi - 1}] "
@@ -126,67 +121,9 @@ def nu_value(a: Ideal, q: int) -> int:
             )
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if escapes(mid):
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if escapes(mid) else (lo, mid)
         nu = lo
     return nu
-
-
-def _escape_test(a: Ideal, box: FrobeniusBox) -> Callable[[int], bool]:
-    """The predicate "a^s escapes m^[q]" for the box's q."""
-    if len(a.generators) == 1:
-        f = box.pack(a.generators[0])
-        return lambda s: bool(box.pow(f, s))
-    if a.is_monomial:
-        base = [key for g in a.generators for key in box.pack(g)]
-
-        def monomial_escapes(s: int) -> bool:
-            power, square = [0], base
-            while s:
-                if s & 1:
-                    power = box.monomial_ideal_mul(power, square)
-                s >>= 1
-                if s:
-                    square = box.monomial_ideal_mul(square, square)
-            return bool(power)
-
-        return monomial_escapes
-
-    gens = [box.pack(g) for g in a.generators]
-    powers: list[dict[int, dict[int, int]]] = [{} for _ in gens]
-    cap = MAX_POWER_PRODUCTS
-    last = len(gens) - 1
-
-    def power(j: int, k: int) -> dict[int, int]:
-        if k not in powers[j]:
-            powers[j][k] = box.pow(gens[j], k)
-        return powers[j][k]
-
-    def product_escapes(s: int) -> bool:
-        formed = 0
-
-        def extend(j: int, left: int, partial: dict[int, int]) -> bool:
-            # some product partial * g_j^(k_j) * ... * g_last^(k_last)
-            # with k_j + ... + k_last = left escapes
-            nonlocal formed
-            for k in range(left + 1) if j < last else (left,):
-                formed += 1
-                if formed > cap:
-                    raise ResourceCapExceeded(
-                        "max_power_products",
-                        f"more than {cap} products of {len(gens)} generators "
-                        f"formed for a^{s} modulo m^[{box.q}]",
-                    )
-                product = box.mul(partial, power(j, k))
-                if product and (j == last or extend(j + 1, left - k, product)):
-                    return True
-            return False
-
-        return extend(0, s, {0: 1})
-
-    return product_escapes
 
 
 def fpt_bounds(a: Ideal, e: int) -> NuRecord:
@@ -201,16 +138,9 @@ def nu_table(a: Ideal, e_max: int) -> list[NuRecord]:
     return [fpt_bounds(a, e) for e in range(1, e_max + 1)]
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _divisors(n: int) -> set[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return {*small, *(n // d for d in small)}
 
 
 def _candidates(lo: Fraction, hi: Fraction, p: int, e_max: int) -> list[Fraction]:
@@ -244,14 +174,18 @@ def fpt_estimate(a: Ideal, e_max: int) -> FptEstimate:
       * otherwise a sharp purity proof at the candidate, with every higher
         candidate inconclusive, certifies a proven lower bound, exact only
         if the candidate already sits at the interval's top.
+
+    The sharp proof is read off the nu table at the exponents e <= e_max
+    that ``sharp_fedder`` would try (see the module docstring).
     """
+    if e_max < 1:
+        raise ValueError(f"e_max must be at least 1, got {e_max}")
     records = nu_table(a, e_max)
     lo = max(r.lo for r in records)
     hi = min(r.hi for r in records)
     if lo > hi:
         raise AssertionError("nu intervals failed to nest")
     p = a.ring.p
-    principal = len(a.generators) == 1
     nu_by_e = {r.e: r.nu for r in records}
 
     def nu_at(e: int) -> int:
@@ -260,35 +194,23 @@ def fpt_estimate(a: Ideal, e_max: int) -> FptEstimate:
         return nu_by_e[e]
 
     for t_star in _candidates(lo, hi, p, e_max):
-        if principal and t_star < 1:
+        if len(a.generators) == 1 and t_star < 1:
             e_star = denominator_order(t_star, p, e_cap=e_max)
             if e_star is not None and e_star <= e_max:
                 # a true threshold with integral t(p^(e*) - 1) matches nu at
                 # every multiple of e*; a single-exponent match can be a
                 # numerical accident, so insist on all multiples up to at
                 # least 2*e* before certifying
-                top = max(e_max, 2 * e_star)
-                exponents = range(e_star, top + 1, e_star)
-                if all(
-                    nu_at(e) == t_star * (p**e - 1) for e in exponents
-                ):
-                    return FptEstimate(
-                        lo,
-                        hi,
-                        records,
-                        FptCertificate(t_star, e_star, CERT_MUSTATA, exact=True),
-                        LABEL_EXACT,
-                    )
-        pair = PairSpec(a.ring, Ideal.zero(a.ring), a, t_star)
-        if sharp_fedder(pair, e_max).proven:
+                exponents = range(e_star, max(e_max, 2 * e_star) + 1, e_star)
+                if all(nu_at(e) == t_star * (p**e - 1) for e in exponents):
+                    certificate = FptCertificate(t_star, e_star, CERT_MUSTATA, exact=True)
+                    return FptEstimate(lo, hi, records, certificate, LABEL_EXACT)
+        if any(ceil_mul(t_star, r.q - 1) <= r.nu for r in records):
             e_star = denominator_order(t_star, p, e_cap=e_max)
             exact = t_star == hi
+            certificate = FptCertificate(t_star, e_star, CERT_SHARP, exact=exact)
             return FptEstimate(
-                lo,
-                hi,
-                records,
-                FptCertificate(t_star, e_star, CERT_SHARP, exact=exact),
-                LABEL_EXACT if exact else LABEL_LOWER_BOUND,
+                lo, hi, records, certificate, LABEL_EXACT if exact else LABEL_LOWER_BOUND
             )
     return FptEstimate(lo, hi, records, None, LABEL_INTERVAL)
 

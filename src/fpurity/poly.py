@@ -386,13 +386,14 @@ class FrobeniusBox:
             if all(e < q for e in mono)
         }
 
-    def unpack(self, terms: dict[int, int]) -> SparsePolynomial:
-        w, n = self._width, self.ring.nvars
+    def exponents(self, key: int) -> Monomial:
+        """The exponent vector of a packed monomial."""
+        w = self._width
         mask = (1 << w) - 1
-        return SparsePolynomial(
-            self.ring,
-            {tuple((key >> (w * i)) & mask for i in range(n)): c for key, c in terms.items()},
-        )
+        return tuple((key >> (w * i)) & mask for i in range(self.ring.nvars))
+
+    def unpack(self, terms: dict[int, int]) -> SparsePolynomial:
+        return SparsePolynomial(self.ring, {self.exponents(key): c for key, c in terms.items()})
 
     def _truncate(self, f: dict[int, int], b: int) -> dict[int, int]:
         off, high = self._offset(b), self._high

@@ -15,17 +15,19 @@ evidence only.
 
 The colon comes from ``fedder_colon``. When I is homogeneous in positive
 weights W, a monomial outside m^[q] has W-degree at most sum(W) * (q-1), so
-only colon generators up to a degree bound D can enter an escaping
-product; the colon is computed only up to D, and a negative D settles
-containment with no Groebner work. Because m^[q] is monomial, each
-generator product is tested in the finite quotient S/m^[q]
-(``FrobeniusBox``): it escapes iff its truncated product is nonzero. Only
-the escaping product is formed in full. A proven verdict keeps the
-escaping pair (u, v) beside the product, and ``verify_witness`` rechecks
-the pair by its factors: u in a'^N, v * f in I^[q] for every generator f of
-I (the definition of v in I^[q] : I), u * v the stored witness, and the
-witness outside m^[q]. The recheck computes no colon, so it is independent
-of ``fedder_colon``, the degree bound and the box.
+only colon generators up to a degree bound D can enter an escaping product;
+the colon is computed only up to D, and a negative D settles containment
+with no Groebner work. Because m^[q] is monomial, each generator product is
+tested in the finite quotient S/m^[q] (``FrobeniusBox``): it escapes iff
+its truncated product is nonzero. ``EscapeTest`` enumerates the products u
+of a'^N lazily, with the colon generators v inside, and forms in full only
+the u of the escaping pair; ``nu_value`` asks the same enumeration with no
+colon. A proven verdict keeps the escaping pair (u, v) beside the product,
+and ``verify_witness`` rechecks the pair by its factors: u in a'^N, v*f in
+I^[q] for every generator f of I (the definition of v in I^[q] : I), u*v
+the stored witness, and the witness outside m^[q]. The recheck computes no
+colon, so it is independent of ``fedder_colon``, the degree bound and the
+box.
 
 All checks happen at the homogeneous maximal ideal, the standard
 computable model for the local criterion. The defining ideal I is assumed
@@ -35,13 +37,15 @@ radical; the package does not verify that (it is expensive in general).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import mul
 from typing import Iterable, Optional
 
 from .ceilarith import ceil_mul, floor_mul
-from .errors import RingMismatchError
+from .errors import ResourceCapExceeded, RingMismatchError
 from .ideals import (
+    MAX_POWER_PRODUCTS,
     Ideal,
     bracket_power,
     fedder_colon,
@@ -50,7 +54,7 @@ from .ideals import (
     membership,
     positive_grading,
 )
-from .poly import FrobeniusBox, PolyRing, SparsePolynomial
+from .poly import FrobeniusBox, PolyRing, SparsePolynomial, grevlex_key, poly_pow
 from .report import ConsistencyReport
 
 SHARP = "sharp"
@@ -61,6 +65,8 @@ PROVEN_PURE = "proven-pure"
 INCONCLUSIVE = "inconclusive"
 FAILED_AT_ALL = "failed-at-all"
 DEGENERATE = "degenerate"
+
+Factors = tuple[SparsePolynomial, SparsePolynomial]  # (u, v) of a witness u*v
 
 
 def maximal_ideal(ring: PolyRing) -> Ideal:
@@ -130,7 +136,7 @@ class PurityVerdict:
     witness_e: Optional[int] = None
     witness_q: Optional[int] = None
     witness_poly: Optional[SparsePolynomial] = None
-    witness_factors: Optional[tuple[SparsePolynomial, SparsePolynomial]] = None
+    witness_factors: Optional[Factors] = None
     note: str = ""
 
     @property
@@ -159,21 +165,122 @@ def _escape_bound(pair: PairSpec, N: int, q: int) -> Optional[int]:
     return sum(weights) * (q - 1) - N * least
 
 
-def _escape_witness(
-    pair: PairSpec, N: int, q: int
-) -> Optional[tuple[SparsePolynomial, SparsePolynomial]]:
+_UNIT = {0: 1}
+
+
+class EscapeTest:
+    """Generator products of a^N tested for escape from m^[q] in the box
+    S/m^[q]; built once per ideal and box, so generator powers are shared
+    by every N asked.
+
+    ``witness`` takes the products in ``ideal_power``'s order. Monomial a
+    (two or more generators): the minimal generators of a^N inside the box
+    in grevlex order. Otherwise: g_1^k_1 * ... * g_r^k_r with sum k_j = N,
+    k_1 = N first (``combinations_with_replacement`` order), built one
+    generator at a time; a vanishing partial product drops its extensions,
+    and more than ``MAX_POWER_PRODUCTS`` products raise ResourceCapExceeded.
+    ``escapes`` needs no particular product: one generator takes one box
+    power, and more run each k_j up from 0, since on capped inputs the other
+    order formed larger products and ran up to 10x longer.
+    """
+
+    def __init__(self, a: Ideal, box: FrobeniusBox):
+        self.a, self.box = a, box
+        self._gens = [box.pack(g) for g in a.generators]
+        self._powers: list[dict[int, dict[int, int]]] = [{} for _ in a.generators]
+        monomial = a.is_monomial and len(a.generators) > 1
+        self._base = [key for g in self._gens for key in g] if monomial else None
+
+    def escapes(self, N: int) -> bool:
+        """Whether a^N escapes m^[q]."""
+        if self._base is not None:
+            return bool(self._monomial_power(N))
+        if len(self._gens) == 1:
+            return bool(self.box.pow(self._gens[0], N))
+        return self._first(N, bool, rising=True) is not None  # reached products are nonzero
+
+    def witness(self, N: int, cofactors: Iterable[SparsePolynomial]) -> Optional[Factors]:
+        """The first pair (u, v), u a product of a^N and v a cofactor, with
+        u*v outside m^[q]; v runs inside u. Only that u is formed in full."""
+        box = self.box
+        packed = [(v, None if v.is_constant() else box.pack(v)) for v in cofactors]
+
+        def accept(product: dict[int, int]) -> Optional[SparsePolynomial]:
+            return next((v for v, pv in packed if pv is None or box.mul(product, pv)), None)
+
+        if self._base is not None:
+            for key in sorted(self._monomial_power(N), key=lambda k: grevlex_key(box.exponents(k))):
+                v = accept({key: 1})
+                if v is not None:
+                    return box.unpack({key: 1}), v
+            return None
+        found = self._first(N, accept, rising=False)
+        return None if found is None else (_power_product(self.a.generators, found[0]), found[1])
+
+    def _monomial_power(self, N: int) -> list[int]:
+        box = self.box
+        power, square = [0], self._base
+        while N:
+            if N & 1:
+                power = box.monomial_ideal_mul(power, square)
+            N >>= 1
+            if N:
+                square = box.monomial_ideal_mul(square, square)
+        return power
+
+    def _first(self, N: int, accept, rising: bool):
+        """(k_1, ..., k_r) and accept(product) for the first product of a^N
+        nonzero in the box that accept maps to other than None, else None."""
+        box, gens, powers = self.box, self._gens, self._powers
+        cap, last = MAX_POWER_PRODUCTS, len(gens) - 1
+        exponents = [0] * len(gens)
+        formed = 0
+
+        def extend(j: int, left: int, partial: dict[int, int]):
+            # the first taken partial * g_j^k_j * ... * g_last^k_last with
+            # k_j + ... + k_last = left
+            nonlocal formed
+            ks = (left,) if j == last else range(left + 1) if rising else range(left, -1, -1)
+            for k in ks:
+                formed += 1
+                if formed > cap:
+                    raise ResourceCapExceeded(
+                        "max_power_products",
+                        f"more than {cap} products of {len(gens)} generators "
+                        f"formed for a^{N} modulo m^[{box.q}]",
+                    )
+                if not k:
+                    product = partial
+                else:
+                    if k not in powers[j]:
+                        powers[j][k] = box.pow(gens[j], k)
+                    product = powers[j][k] if partial is _UNIT else box.mul(partial, powers[j][k])
+                if product:
+                    exponents[j] = k
+                    found = accept(product) if j == last else extend(j + 1, left - k, product)
+                    if found is not None:
+                        return found
+            return None
+
+        found = extend(0, N, _UNIT)
+        return None if found is None else (exponents, found)
+
+
+def _power_product(gens: tuple[SparsePolynomial, ...], exponents: list[int]) -> SparsePolynomial:
+    """g_1^k_1 * ... * g_r^k_r, formed in full."""
+    factors = [poly_pow(g, k) for g, k in zip(gens, exponents) if k]
+    return reduce(mul, factors) if factors else gens[0].ring.one()
+
+
+def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[Factors]:
     """The first generator pair (u, v), u of a'^N and v of I^[q] : I, whose
-    product u*v lies outside m^[q], if any, with u running over a'^N and v
-    over the colon.
+    product u*v lies outside m^[q], if any, with u running over a'^N in
+    ``ideal_power``'s order and v over the colon (``EscapeTest``).
 
     Only colon generators of W-degree up to ``_escape_bound`` can take part,
     so the colon is computed only up to it; it is the subsequence of the
     full colon's generators up to that degree, so the first escaping pair
-    is the same. A negative bound settles containment with no colon, power
-    or basis at all. Each product is tested in ``FrobeniusBox(ring, q)``:
-    u*v escapes m^[q] iff its truncated product is nonzero, since m^[q] is
-    monomial. Each generator is packed once, and the full product is formed
-    only for the pair that escapes.
+    is the same. A negative bound settles containment with no colon at all.
     """
     bound = _escape_bound(pair, N, q)
     if bound is not None and bound < 0:
@@ -181,17 +288,7 @@ def _escape_witness(
     cond = fedder_colon(pair.defining, q, bound)
     if cond.is_zero():
         return None  # no colon generator is low enough, so nothing escapes
-    powered = ideal_power(pair.a_preimage, N)
-    box = FrobeniusBox(pair.ring, q)
-    packed = [box.pack(v) for v in cond.generators]
-    for u in powered.generators:
-        pu = box.pack(u)
-        if not pu:
-            continue  # u lies in m^[q], and so does every u*v
-        for v, pv in zip(cond.generators, packed):
-            if box.mul(pu, pv):
-                return u, v
-    return None
+    return EscapeTest(pair.a_preimage, FrobeniusBox(pair.ring, q)).witness(N, cond.generators)
 
 
 def _exponent(criterion: str, t: Fraction, q: int) -> int:
@@ -225,50 +322,30 @@ def _run_criterion(pair: PairSpec, criterion: str, e_values: Iterable[int]) -> P
             if criterion != CLASSIC:
                 break
     witness = None if factors is None else factors[0] * factors[1]
-    if criterion in (SHARP, STRONG) and witness is not None:
+    if criterion == CLASSIC:
+        outcome = FAILED_AT_ALL if not any(per_e.values()) else INCONCLUSIVE
+        note = (
+            "per-exponent diagnostic only: the classic condition quantifies "
+            "over all e >> 0, so no finite pattern proves or disproves it"
+        )
+    elif witness is not None:
+        outcome = PROVEN_PURE
         note = "proven at the origin; a single splitting exponent suffices"
         if criterion == STRONG:
             note += (
                 "; strong-exponent variant ceil(t*q) of the sharp splitting "
                 "criterion, proving strong F-purity"
             )
-        return PurityVerdict(
-            criterion,
-            PROVEN_PURE,
-            tuple(tested),
-            per_e,
-            witness_e,
-            p**witness_e,
-            witness,
-            factors,
-            note,
+    else:
+        outcome = INCONCLUSIVE
+        note = (
+            "containment held at every tested e; the criterion quantifies "
+            "over infinitely many q, so failure at finitely many exponents "
+            "disproves nothing"
         )
-    if criterion in (SHARP, STRONG):
-        return PurityVerdict(
-            criterion,
-            INCONCLUSIVE,
-            tuple(tested),
-            per_e,
-            note=(
-                "containment held at every tested e; the criterion quantifies "
-                "over infinitely many q, so failure at finitely many exponents "
-                "disproves nothing"
-            ),
-        )
-    outcome = FAILED_AT_ALL if not any(per_e.values()) else INCONCLUSIVE
+    witness_q = p**witness_e if witness_e else None
     return PurityVerdict(
-        criterion,
-        outcome,
-        tuple(tested),
-        per_e,
-        witness_e,
-        p**witness_e if witness_e else None,
-        witness,
-        factors,
-        note=(
-            "per-exponent diagnostic only: the classic condition quantifies "
-            "over all e >> 0, so no finite pattern proves or disproves it"
-        ),
+        criterion, outcome, tuple(tested), per_e, witness_e, witness_q, witness, factors, note
     )
 
 

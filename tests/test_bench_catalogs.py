@@ -1,0 +1,54 @@
+"""One catalog pass of the benchmark's ``thresholds`` and ``quotients``
+workloads (seed 23), checked as the benchmark checks it: every report
+must pass ``checker.invariant_violation`` and match its recorded output
+under ``checker.expected_mismatch``.
+
+``chains`` is left out: its checker needs sympy to compare chain entries
+that differ by a unit.
+"""
+
+import importlib.util
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+from fpurity.cli import EXIT_OK, run
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checker = _bench_module("checker")
+workloads = _bench_module("workloads")
+
+
+@pytest.mark.parametrize("workload", ["thresholds", "quotients"])
+def test_catalog_pass_matches_the_recorded_outputs(workload):
+    expected = workloads.load_expected(workload)
+    queries = list(itertools.islice(workloads.stream(workload, 23), workloads.pass_length(workload)))
+    failed = []
+    for argv in queries:
+        key = workloads.query_key(argv)
+        code, text = run(argv + ["--json"])
+        if code != EXIT_OK:
+            reason = f"exit code {code}: {text[:200]}"
+        else:
+            report = json.loads(text)
+            reason = checker.invariant_violation(report, argv)
+            if reason is None:
+                if key in expected:
+                    reason = checker.expected_mismatch(report, expected[key])
+                else:
+                    reason = "no recorded output"
+        if reason is not None:
+            failed.append(f"{reason} <- {key}")
+    assert len(queries) == workloads.pass_length(workload)
+    assert failed == []

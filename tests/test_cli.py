@@ -126,6 +126,16 @@ def test_parse_error_exit_code():
     assert "not prime" in text
 
 
+@pytest.mark.parametrize("command", ["fpt", "sharp-fedder"])
+def test_emax_below_one_is_a_usage_error(command):
+    # fpt reads its sharp certificate off the nu table, and rejects an empty
+    # table with the message the criterion uses
+    argv = [command, "--ring", "p=3; vars=x", "--a", "x^2", "--emax", "0"]
+    code, text = run(argv + (["--t", "1"] if command == "sharp-fedder" else []))
+    assert code == EXIT_USAGE
+    assert text == "error: e_max must be at least 1, got 0"
+
+
 def test_cap_exit_code():
     code, text = run(["lemma-audit", "--p", "3", "--emax", "900", "--dmax", "900", "--tmax", "40"])
     assert code == EXIT_CAP

@@ -328,6 +328,96 @@ def test_nu_rejects_q_not_a_power_of_p(r3xy):
 def test_nu_product_cap(r3xy, monkeypatch):
     a = ideal(["x + y", "x*y + y^2", "x^2"], r3xy)
     assert nu_value(a, 9) == nu_oracle(a, 9)
-    monkeypatch.setattr("fpurity.fpt.MAX_POWER_PRODUCTS", 5)
+    # the cap lives with the escape test that nu and the criteria share
+    monkeypatch.setattr("fpurity.purity.MAX_POWER_PRODUCTS", 5)
     with pytest.raises(ResourceCapExceeded, match="max_power_products"):
         nu_value(a, 9)
+
+
+# --- the sharp certificate read off the nu table ---------------------------------
+
+
+def fpt_estimate_oracle(a, e_max):
+    """fpt_estimate with the route it replaced: a full ``sharp_fedder`` run
+    over the pair (S, a^t*) for every candidate t* that the principal
+    integrality pattern does not settle."""
+    from fpurity.ceilarith import denominator_order
+    from fpurity.fpt import (
+        CERT_MUSTATA,
+        CERT_SHARP,
+        LABEL_EXACT,
+        LABEL_INTERVAL,
+        LABEL_LOWER_BOUND,
+        FptCertificate,
+        FptEstimate,
+        _candidates,
+    )
+
+    records = nu_table(a, e_max)
+    lo = max(r.lo for r in records)
+    hi = min(r.hi for r in records)
+    p = a.ring.p
+    for t_star in _candidates(lo, hi, p, e_max):
+        if len(a.generators) == 1 and t_star < 1:
+            e_star = denominator_order(t_star, p, e_cap=e_max)
+            if e_star is not None and e_star <= e_max:
+                exponents = range(e_star, max(e_max, 2 * e_star) + 1, e_star)
+                if all(nu_value(a, p**e) == t_star * (p**e - 1) for e in exponents):
+                    certificate = FptCertificate(t_star, e_star, CERT_MUSTATA, exact=True)
+                    return FptEstimate(lo, hi, records, certificate, LABEL_EXACT)
+        pair = PairSpec(a.ring, Ideal.zero(a.ring), a, t_star)
+        if sharp_fedder(pair, e_max).proven:
+            e_star = denominator_order(t_star, p, e_cap=e_max)
+            certificate = FptCertificate(t_star, e_star, CERT_SHARP, exact=t_star == hi)
+            label = LABEL_EXACT if t_star == hi else LABEL_LOWER_BOUND
+            return FptEstimate(lo, hi, records, certificate, label)
+    return FptEstimate(lo, hi, records, None, LABEL_INTERVAL)
+
+
+# (p, variables, e_max for principal a, e_max for two or three generators);
+# the oracle's powers of three generators at q = 125 take minutes
+ESTIMATE_CASES = [(2, "x,y", 3, 3), (3, "x,y", 3, 3), (5, "x,y", 3, 2), (3, "x,y,z", 3, 3)]
+
+
+@pytest.mark.parametrize("p_, names, e_principal, e_ideal", ESTIMATE_CASES)
+def test_fpt_estimate_matches_the_sharp_fedder_route(p_, names, e_principal, e_ideal):
+    import random
+
+    ring = parse_ring(f"p={p_}; vars={names}")
+    rng = random.Random(f"estimate:{p_}:{names}")
+    kinds = set()
+    for k in range(9):
+        ngens = k % 3 + 1
+        a = Ideal(ring, [random_poly(rng, ring, max_terms=3) for _ in range(ngens)])
+        e_max = e_principal if len(a.generators) == 1 else e_ideal
+        got = fpt_estimate(a, e_max)
+        assert got == fpt_estimate_oracle(a, e_max), (a, e_max)
+        kinds.add(got.certificate.kind if got.certificate else None)
+    assert "sharp-fedder" in kinds
+
+
+def test_fpt_estimate_runs_no_criterion(monkeypatch):
+    # the sharp proof is ceil(t(q-1)) <= nu(q) on the table already built:
+    # no pair, no colon, no power of a
+    import fpurity.fpt
+    import fpurity.ideals
+    import fpurity.purity
+
+    calls = []
+    for module, name in (
+        (fpurity.fpt, "sharp_fedder"),
+        (fpurity.purity, "sharp_fedder"),
+        (fpurity.purity, "fedder_colon"),
+        (fpurity.ideals, "fedder_colon"),
+        (fpurity.purity, "ideal_power"),
+        (fpurity.ideals, "ideal_power"),
+        (fpurity.fpt, "PairSpec"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    r3x, r3xy = parse_ring("p=3; vars=x"), parse_ring("p=3; vars=x,y")
+    labels = [
+        fpt_estimate(ideal(texts, ring), 3).label
+        for texts, ring in ((["x"], r3x), (["x^2"], r3x), (["x", "y"], r3xy), (["x^2 + y^3"], r3xy))
+    ]
+    assert calls == []
+    assert labels == ["exact", "exact", "exact", "lower-bound"]

@@ -311,12 +311,68 @@ def test_box_escape_matches_membership_loop(prime, name):
     assert outcomes == ({True} if (prime, name) == (2, "quadric-ci") else {True, False})
 
 
+def _kernel_cases(prime):
+    """Pairs the seeded escape cases never draw: a' with two or three
+    non-monomial generators (the lazy product order), a' with a constant
+    generator, and a' with a generator inside I besides I's own."""
+    ring = parse_ring(f"p={prime}; vars=x,y,z")
+    cone = ["x^2 - y*z"]
+    yield pair(ring, ["x + y^2", "y + z^2", "x*z + y*z"], Fraction(1, 2))
+    yield pair(ring, ["x + y", "y*z + z^2"], Fraction(1, 5), cone)
+    yield pair(ring, ["1", "x"], Fraction(1, 2), cone)
+    yield pair(ring, ["x^3 - x*y*z", "y + z"], Fraction(1, 5), cone)
+
+
+@pytest.mark.parametrize("prime, top", [(2, 8), (3, 9), (5, 5)])
+def test_box_escape_matches_membership_loop_on_kernel_cases(prime, top):
+    from fpurity.purity import CLASSIC, SHARP, STRONG, _escape_bound, _exponent
+
+    outcomes = set()
+    classic_zero = False
+    for pr in _kernel_cases(prime):
+        e, q = 1, prime
+        while q <= top:
+            exponents = {_exponent(c, pr.t, q) for c in (CLASSIC, SHARP, STRONG)}
+            # the largest N the degree bound lets through to the products
+            reach = max(N for N in range(3 * q) if _escape_bound(pr, N, q) >= 0)
+            for N in sorted(exponents | {0, 1, q, reach}):
+                got = _escape_witness(pr, N, q)
+                _assert_same_escape(got, _escaping_pair(pr, N, q))
+                outcomes.add(got is None)
+            classic = classic_fpure(pr, [e])
+            N = _exponent(CLASSIC, pr.t, q)
+            classic_zero |= N == 0
+            expected = _escaping_pair(pr, N, q)
+            assert classic.per_e[e] == (expected is not None)
+            assert classic.witness_factors == expected
+            e, q = e + 1, q * prime
+    assert classic_zero
+    assert outcomes == {True, False}
+
+
+def test_escape_witness_forms_no_power(monkeypatch):
+    # the escape test enumerates products of a' itself; a'^N is never built
+    from fpurity import ideals, purity
+
+    calls = []
+    for module in (ideals, purity):
+        monkeypatch.setattr(module, "ideal_power", lambda *args: calls.append(args))
+    found = 0
+    for pr in itertools.chain(_kernel_cases(3), _escape_cases(3, "cone")):
+        for q in (3, 9):
+            for N in (0, 1, ceil_mul(pr.t, q - 1)):
+                found += _escape_witness(pr, N, q) is not None
+    assert found > 0
+    assert calls == []
+
+
 def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
-    # with the colon and the power fixed, the loop itself asks membership
-    # nothing and multiplies nothing in full; the criterion run then forms
-    # the one product u*v of the escaping pair
+    # with the colon, the exponent N and the escaping factor u fixed, the
+    # loop itself asks membership nothing and multiplies nothing in full;
+    # it forms u in full once, for the pair it returns, and the criterion
+    # run then forms the one product u*v of the escaping pair
     from fpurity import poly, purity
-    from fpurity.purity import SHARP, _run_criterion
+    from fpurity.purity import SHARP, _power_product, _run_criterion
 
     cone = pair(parse_ring("p=3; vars=x,y,z"), ["x", "y"], 1, ["x^2 - y*z"])
     quadrics = pair(parse_ring("p=3; vars=x,y,z,w"), ["x", "y"], 1, ["x*y - z*w", "x*z - y*w"])
@@ -326,10 +382,21 @@ def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
     ]
     for pr, q, N, escapes in cases:
         cond = fedder_colon(pr.defining, q)
-        powered = ideal_power(pr.a_preimage, N)
+        formed = {}
+
+        def power_product(gens, exponents):
+            calls["power_product"] += 1
+            key = (gens, tuple(exponents))
+            if key not in formed:
+                formed[key] = _power_product(gens, exponents)
+            return formed[key]
+
+        calls = {"power_product": 0}
         monkeypatch.setattr(purity, "fedder_colon", lambda I, q, bound=None: cond)
-        monkeypatch.setattr(purity, "ideal_power", lambda a, N: powered)
-        calls = {"membership": 0, "poly_mul": 0}
+        monkeypatch.setattr(purity, "_exponent", lambda criterion, t, q: N)
+        monkeypatch.setattr(purity, "_power_product", power_product)
+        _escape_witness(pr, N, q)  # forms the escaping u, if any, uncounted
+        calls = {"membership": 0, "poly_mul": 0, "power_product": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -342,30 +409,38 @@ def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
         monkeypatch.setattr(poly, "poly_mul", counted("poly_mul", poly.poly_mul))
         got = _escape_witness(pr, N, q)
         loop_calls = dict(calls)
-        calls.update(membership=0, poly_mul=0)
+        calls.update(membership=0, poly_mul=0, power_product=0)
         e = {3: 1, 9: 2}[q]
         verdict = _run_criterion(pr, SHARP, [e])
         monkeypatch.undo()
         assert (got is not None) == escapes
         _assert_same_escape(got, _escaping_pair(pr, N, q))
-        assert loop_calls == {"membership": 0, "poly_mul": 0}
-        assert calls == {"membership": 0, "poly_mul": int(escapes)}
+        assert loop_calls == {"membership": 0, "poly_mul": 0, "power_product": int(escapes)}
+        assert calls == {"membership": 0, "poly_mul": int(escapes), "power_product": int(escapes)}
         assert verdict.witness_factors == got
 
 
 def test_box_escape_keeps_the_iteration_order(monkeypatch):
     # u runs over a'^N outside, v over the colon inside: at q = 3, y*x^2
-    # escapes first; running v outside would give x*y^2 instead
+    # escapes first; running v outside would give x*y^2 instead. a'^1 runs
+    # y, x: the monomial route's grevlex order, and the generator order of
+    # the product route
     from fpurity import purity
 
     ring = parse_ring("p=3; vars=x,y")
     colon = Ideal(ring, [p("y^2", ring), p("x^2", ring)])
     monkeypatch.setattr(purity, "fedder_colon", lambda I, q, bound=None: colon)
-    monkeypatch.setattr(purity, "ideal_power", lambda a, N: Ideal(ring, [p("y", ring), p("x", ring)]))
-    pr = pair(ring, ["x", "y"], 1)
-    u, v = _escape_witness(pr, 1, 3)
-    assert u * v == p("x^2*y", ring)
-    assert (u, v) == (p("y", ring), p("x^2", ring))
+    for a, first in ((["x", "y"], "y"), (["y", "x + x*y"], "y"), (["x + x*y", "y"], "x + x*y")):
+        pr = pair(ring, a, 1)
+        assert pr.a_preimage.is_monomial == (a == ["x", "y"])
+        assert ideal_power(pr.a_preimage, 1).generators[0] == p(first, ring)
+        u, v = _escape_witness(pr, 1, 3)
+        if first == "y":
+            assert u * v == p("x^2*y", ring)
+            assert (u, v) == (p("y", ring), p("x^2", ring))
+        else:
+            assert u * v == p("x*y^2 + x*y^3", ring)
+            assert (u, v) == (p("x + x*y", ring), p("y^2", ring))
 
 
 # --- the degree bound ----------------------------------------------------------
@@ -408,7 +483,7 @@ def test_escape_below_the_lowest_degree_forms_nothing(monkeypatch):
     pr = pair(ring, ["x"], 4, ["x^2 - y*z"])
     calls = []
     for module, name in (
-        (ideals, "_buchberger"), (purity, "fedder_colon"), (purity, "ideal_power")
+        (ideals, "_buchberger"), (purity, "fedder_colon"), (purity, "EscapeTest")
     ):
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     for e in (1, 2):
@@ -439,7 +514,7 @@ def test_empty_bounded_colon_forms_no_power(monkeypatch):
     powered = ideal_power(pr.a_preimage, N)
     assert all(membership(u * v, mq) for u in powered.generators for v in full.generators)
     calls = []
-    monkeypatch.setattr(purity, "ideal_power", lambda *args: calls.append(args))
+    monkeypatch.setattr(purity, "EscapeTest", lambda *args: calls.append(args))
     assert _escape_witness(pr, N, q) is None
     assert calls == []
 
