@@ -16,15 +16,25 @@ adjoining the defining ideal: J inside K in R means J inside K + I_def
 in S. Since every such target contains I_def, the generators of a' that
 lie in I_def are dropped before a' is powered: a pair (x, f) over S/(f)
 powers the principal ideal (x).
+
+Every containment here, the products at each e and the "z in I" check,
+is decided by ``ideals.all_members``. When the targets are homogeneous in
+positive weights W, that is one Buchberger run truncated at the top
+W-degree of the products, not the full reduced basis of I^[q] + I_def.
+Frobenius multiplies every exponent difference of a generator by q, so
+I^[q] + I_def is homogeneous in exactly the weights that grade I + I_def:
+W is found once per probe. A probe whose I + I_def has no evident
+grading, such as a non-quasi-homogeneous I_def, falls back to the full
+basis at each e; zero, unit and monomial targets need no basis at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .ceilarith import ceil_mul, denominator_order
-from .ideals import Ideal, bracket_power, ideal_power, membership
+from .ideals import Ideal, all_members, ideal_power, positive_grading
 from .poly import SparsePolynomial, frobenius_image, poly_pow
 from .purity import PairSpec
 from .report import ConsistencyReport
@@ -49,15 +59,29 @@ class ClosureVerdict:
 
 
 def _quotient_target(I: Ideal, pair: PairSpec, q: int) -> Ideal:
-    """I^[q] as seen from the ambient ring (defining ideal adjoined)."""
-    target = bracket_power(I, q)
-    if pair.defining.is_zero():
-        return target
-    return target.plus(pair.defining)
+    """I^[q] as seen from the ambient ring: I^[q] + I_def."""
+    bracket = [frobenius_image(g, q) for g in I.generators]
+    return Ideal(I.ring, bracket + list(pair.defining.generators))
 
 
-def _power_times_contained(g: SparsePolynomial, pair: PairSpec, N: int, target: Ideal) -> bool:
-    """a'^N * g inside target, checked generator by generator.
+def _grading(I: Ideal, pair: PairSpec) -> Optional[tuple[int, ...]]:
+    """Positive weights grading every target I^[q] + I_def, or None."""
+    return positive_grading(_quotient_target(I, pair, 1))
+
+
+def _power_times_contained(
+    g: SparsePolynomial,
+    pair: PairSpec,
+    N: int,
+    target: Ideal,
+    weights: Optional[Sequence[int]] = None,
+) -> bool:
+    """a'^N * g inside target, decided by ``all_members``.
+
+    A graded target is decided against its basis truncated at the
+    products' top W-degree; ``weights``, the probe's grading from
+    ``_grading``, spares ``all_members`` the search for one. Ungraded
+    targets take the full basis.
 
     Only the generators of a' outside the defining ideal are powered. That
     is exact because every target here contains I_def: with a' = a'' + b
@@ -66,16 +90,17 @@ def _power_times_contained(g: SparsePolynomial, pair: PairSpec, N: int, target: 
     generator of a' lies in I_def, a''^N is the zero ideal for N >= 1.
     """
     powered = ideal_power(Ideal(pair.ring, pair.outside_defining), N)
-    return all(membership(u * g, target) for u in powered.generators)
+    return all_members([u * g for u in powered.generators], target, weights)
 
 
 def sharp_frobenius_membership(
     z: SparsePolynomial,
     I: Ideal,
     pair: PairSpec,
-    e_range: Iterable[int],
+    e_max: int,
 ) -> ClosureVerdict:
-    """Probe z against the sharp Frobenius closure of I under the pair.
+    """Probe z against the sharp Frobenius closure of I under the pair,
+    at e = 1..e_max.
 
     z in I (mod the defining ideal) short-circuits to trivially-in. A
     certificate is issued when the pair ideal is principal and some tested
@@ -83,12 +108,13 @@ def sharp_frobenius_membership(
     certificate stands regardless of failures at other exponents, which
     the large-e quantifier tolerates.
     """
+    if e_max < 1:
+        raise ValueError(f"e_max must be at least 1, got {e_max}")
     p = pair.ring.p
-    if membership(z, I.plus(pair.defining) if not pair.defining.is_zero() else I):
+    weights = _grading(I, pair)
+    if all_members([z], _quotient_target(I, pair, 1), weights):
         return ClosureVerdict(TRIVIALLY_IN, note="z already lies in I")
-    e_values = sorted(set(e_range))
-    if any(e < 1 for e in e_values):
-        raise ValueError("closure exponents start at e=1")
+    e_values = range(1, e_max + 1)
     order = denominator_order(pair.t, p) if pair.principal_modulo_defining() else None
     held: list[int] = []
     failed: list[int] = []
@@ -96,7 +122,11 @@ def sharp_frobenius_membership(
     for e in e_values:
         q = p**e
         contained = _power_times_contained(
-            frobenius_image(z, q), pair, ceil_mul(pair.t, q - 1), _quotient_target(I, pair, q)
+            frobenius_image(z, q),
+            pair,
+            ceil_mul(pair.t, q - 1),
+            _quotient_target(I, pair, q),
+            weights,
         )
         (held if contained else failed).append(e)
         if contained and certified is None and order is not None and e % order == 0:
@@ -152,12 +182,19 @@ def tight_closure_witness_check(
     """
     if c.is_zero():
         raise ValueError("witness multiplier c must be nonzero")
+    if e_max < 0:
+        raise ValueError(f"e_max must be at least 0, got {e_max}")
     p = pair.ring.p
+    weights = _grading(I, pair)
     trace: dict[int, bool] = {}
     for e in range(0, e_max + 1):
         q = p**e
         trace[e] = _power_times_contained(
-            c * frobenius_image(z, q), pair, ceil_mul(pair.t, q - 1), _quotient_target(I, pair, q)
+            c * frobenius_image(z, q),
+            pair,
+            ceil_mul(pair.t, q - 1),
+            _quotient_target(I, pair, q),
+            weights,
         )
     return all(trace.values()), trace
 
@@ -178,8 +215,8 @@ def sharp_multiplier_check(
     report = ConsistencyReport(subject="sharp test multiplier containments")
     p = pair.ring.p
     for idx, (I, z) in enumerate(instances):
-        member_target = I.plus(pair.defining) if not pair.defining.is_zero() else I
-        if not membership(z, member_target):
+        weights = _grading(I, pair)
+        if not all_members([z], _quotient_target(I, pair, 1), weights):
             raise ValueError(f"instance {idx}: z must lie in I")
         for e in range(0, e_max + 1):
             q = p**e
@@ -188,6 +225,7 @@ def sharp_multiplier_check(
                 pair,
                 ceil_mul(pair.t, q - 1),
                 _quotient_target(I, pair, q),
+                weights,
             )
             report.record(ok, instance=idx, e=e, c=repr(c))
     return report
@@ -215,6 +253,7 @@ def power_into_closure_check(
     p = pair.ring.p
     z_q = frobenius_image(z, q)
     outer = ideal_power(pair.a_preimage, ceil_mul(pair.t, q - 1))
+    weights = _grading(I, pair)
     for gi, u in enumerate(outer.generators):
         g = u * z_q
         for d in range(0, d_max + 1):
@@ -224,6 +263,7 @@ def power_into_closure_check(
                 pair,
                 ceil_mul(pair.t, qd - 1),
                 _quotient_target(I, pair, q * qd),
+                weights,
             )
             report.record(ok, generator=gi, d=d)
     return report

@@ -135,6 +135,9 @@ def fpt_bounds(a: Ideal, e: int) -> NuRecord:
 
 
 def nu_table(a: Ideal, e_max: int) -> list[NuRecord]:
+    """The records of ``fpt_bounds`` for e = 1..e_max; e_max < 1 is refused."""
+    if e_max < 1:
+        raise ValueError(f"e_max must be at least 1, got {e_max}")
     return [fpt_bounds(a, e) for e in range(1, e_max + 1)]
 
 
@@ -178,8 +181,6 @@ def fpt_estimate(a: Ideal, e_max: int) -> FptEstimate:
     The sharp proof is read off the nu table at the exponents e <= e_max
     that ``sharp_fedder`` would try (see the module docstring).
     """
-    if e_max < 1:
-        raise ValueError(f"e_max must be at least 1, got {e_max}")
     records = nu_table(a, e_max)
     lo = max(r.lo for r in records)
     hi = min(r.hi for r in records)

@@ -26,7 +26,9 @@ by degree, the basis elements up to the bound are exactly those of the
 full reduced basis, because homogeneous S-polynomials and remainders keep
 the degree of their lcm. Giving t weight 0 makes t*J + (1-t)*K homogeneous
 as well, so eliminations truncate the same way. ``fedder_colon`` uses this
-to return only the low-degree generators the escape test can use.
+to return only the low-degree generators the escape test can use, and
+``all_members``, the containment kernel, to decide several memberships
+against one basis truncated at their top degree.
 
 Monomial ideals are recognized at construction and stored by their unique
 minimal monomial generators; most operations have a fast path for them.
@@ -300,7 +302,10 @@ def _s_poly(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
 
 
 def _buchberger(
-    gens: list[SparsePolynomial], ring: PolyRing, graded: Optional[_Graded] = None
+    gens: list[SparsePolynomial],
+    ring: PolyRing,
+    graded: Optional[_Graded] = None,
+    reduced: bool = True,
 ) -> list[SparsePolynomial]:
     """Reduced Groebner basis by Buchberger's algorithm.
 
@@ -324,6 +329,10 @@ def _buchberger(
     degree d has a standard representation through pairs of degree at most
     d alone, and so the truncated run is a Groebner basis in every degree up
     to the bound (the DegreeLimit of Macaulay2).
+
+    ``reduced=False`` skips the final interreduction and returns the basis
+    as the run built it: still a Groebner basis, which is all a membership
+    test needs.
     """
     counter = _StepCounter()
     if graded is not None:
@@ -384,7 +393,7 @@ def _buchberger(
         table.append(_reducer(basis[-1]))
         leads.append(basis[-1].lead_monomial())
         add_pairs(len(basis) - 1)
-    return _interreduce(basis, counter)
+    return _interreduce(basis, counter) if reduced else basis
 
 
 def _interreduce(
@@ -432,6 +441,41 @@ def membership(g: SparsePolynomial, I: Ideal) -> bool:
         gens = I.monomial_exponents()
         return all(any(mono_divides(u, m) for u in gens) for m in g.terms)
     return _normal_form(g, [_reducer(b) for b in I.groebner()], _StepCounter()).is_zero()
+
+
+def all_members(
+    polys: Iterable[SparsePolynomial], J: Ideal, weights: Optional[Sequence[int]] = None
+) -> bool:
+    """Decide h in J for every h in polys, against one degree-bounded basis.
+
+    When J is neither zero, unit nor monomial and is homogeneous in
+    positive integer weights W (``weights``, if the caller knows them,
+    else ``positive_grading(J)``), one Buchberger run truncated at D, the
+    largest W-degree of a term of any h, gives a Groebner basis of J in
+    every W-degree up to D (see ``_buchberger``; it is not interreduced),
+    and every h is reduced against it. The h need not be homogeneous. This
+    is exact: h lies in J iff each W-homogeneous component of h does, and a
+    reduction step by a homogeneous divisor stays in the degree of the term
+    it handles. Every other J, including one with no evident grading, goes
+    through ``membership`` and J's full cached basis. Weights that do not
+    grade J raise ValueError. Stops at the first h outside J.
+    """
+    polys = list(polys)
+    if any(h.ring != J.ring for h in polys):
+        raise RingMismatchError("polynomial and ideal over different rings")
+    polys = [h for h in polys if not h.is_zero()]
+    if not polys or J.is_zero() or J.has_constant_generator() or J.is_monomial:
+        return all(membership(h, J) for h in polys)
+    if weights is None:
+        weights = positive_grading(J)
+        if weights is None:
+            return all(membership(h, J) for h in polys)
+    elif any(len({_w_degree(m, weights) for m in g.terms}) > 1 for g in J.generators):
+        raise ValueError("J is not homogeneous in the given weights")
+    bound = max(_w_degree(m, weights) for h in polys for m in h.terms)
+    basis = _buchberger(list(J.generators), J.ring, (weights, bound), reduced=False)
+    table = [_reducer(b) for b in basis]
+    return all(_normal_form(h, table, _StepCounter()).is_zero() for h in polys)
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:

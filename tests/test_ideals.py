@@ -700,3 +700,137 @@ def test_colon_runs_one_elimination_per_generator(monkeypatch, names, texts):
     monkeypatch.undo()
     assert got.generators == groebner_basis(Ideal(ring, got.generators))
     assert ideal_contains(J, got.times(I))
+
+
+# --- the containment kernel -------------------------------------------------------
+
+
+def _w_form(rng, ring, weights, d):
+    """A seeded polynomial whose terms all have W-degree d (zero if none)."""
+    monos = [
+        m for m in itertools.product(range(d + 1), repeat=ring.nvars)
+        if sum(e * w for e, w in zip(m, weights)) == d
+    ]
+    chosen = rng.sample(monos, min(len(monos), 3))
+    return ring.poly({m: rng.randrange(1, ring.p) for m in chosen})
+
+
+def _kernel_targets(prime):
+    """(J, weights) on seeded hypersurface quotients I^[q] + (f): f a form,
+    a quasi-homogeneous f, and an f with no positive grading (weights
+    None); the monomial I^[q] keeps every grading of f."""
+    ring = parse_ring(f"p={prime}; vars=x,y,z")
+    rng = random.Random(f"kernel:{prime}")
+    for weights, f_text in (
+        ((1, 1, 1), None),
+        ((2, 3, 1), "x^3 + 2*y^2 + x*y*z + z^6"),
+        ((1, 2, 3), "x^3*z^2 + y^3*z + x*y*z^2"),
+        (None, "x^2 + y^2 + x*z + y"),
+    ):
+        for q in (1, prime):
+            f = _w_form(rng, ring, weights, 3) if f_text is None else p(f_text, ring)
+            monos = [[rng.randrange(3) for _ in range(3)] for _ in range(2)]
+            for m in monos:
+                m[rng.randrange(3)] += 1  # not the unit ideal
+            J = Ideal(ring, [ring.monomial(tuple(q * e for e in m)) for m in monos] + [f])
+            yield J, weights
+
+
+def _kernel_polys(rng, J, weights):
+    """Members of J in one or two W-degrees (all ones standing in for W
+    when J has none), each also with one stray term added."""
+    ring = J.ring
+    w = weights or (1,) * ring.nvars
+    top = max(sum(e * x for e, x in zip(g.lead_monomial(), w)) for g in J.generators)
+    out = []
+    for _ in range(6):
+        degrees = rng.sample(range(1, top + 3), rng.choice((1, 2)))
+        h = ring.zero()
+        for d in degrees:
+            for g in J.generators:
+                dg = sum(e * x for e, x in zip(g.lead_monomial(), w))
+                if d >= dg:
+                    h = h + _w_form(rng, ring, w, d - dg) * g
+        out.append(h)
+        out.append(h + _w_form(rng, ring, w, rng.choice(degrees)))
+    return [h for h in out if not h.is_zero()]
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeypatch):
+    # one polynomial at a time and all at once, against membership's full
+    # basis; a graded target runs only truncated Buchberger and a target
+    # with no grading only the full one
+    from fpurity import all_members, ideals
+
+    runs = []
+    run = ideals._buchberger
+    monkeypatch.setattr(
+        ideals, "_buchberger", lambda gens, ring, graded=None, reduced=True: runs.append(graded)
+        or run(gens, ring, graded, reduced),
+    )
+    rng = random.Random(f"kernel-polys:{prime}")
+    outcomes = set()
+    for J, weights in _kernel_targets(prime):
+        polys = _kernel_polys(rng, J, weights)
+        want = [membership(h, J) for h in polys]
+        runs.clear()
+        for h, expected in zip(polys, want):
+            assert all_members([h], J) is expected, (J, h)
+            assert all_members([h], J, weights) is expected, (J, h)
+            outcomes.add(expected)
+        assert all_members(polys, J) is all(want)
+        if weights is None:
+            assert all(graded is None for graded in runs)
+        else:
+            assert runs and all(graded is not None for graded in runs)
+    assert outcomes == {True, False}
+
+
+def test_all_members_decides_a_term_at_the_bound_on_its_own_degree():
+    # in (x^2, x^3 + y^3 + z^3) the product (y + z)(y^2 - yz + z^2) = y^3 + z^3
+    # needs the basis element of degree 3, its own top degree
+    from fpurity import all_members
+
+    for prime in (2, 3, 5):
+        ring = parse_ring(f"p={prime}; vars=x,y,z")
+        J = ideal(["x^2", "x^3 + y^3 + z^3"], ring)
+        h = p("y + z", ring) * p("y^2 - y*z + z^2", ring)
+        assert all_members([h], J) and membership(h, J)
+        assert not all_members([p("y^3", ring)], J)
+        assert not all_members([h, p("y^3", ring)], J)
+
+
+def test_all_members_without_a_grading_keeps_the_full_basis(r3xyz):
+    # x - y + z = (x^3 - y) - (x^3 - x - z) has degree 1, below both
+    # generators: a basis truncated at degree 1 would miss it
+    from fpurity import all_members
+    from fpurity.ideals import positive_grading
+
+    J = ideal(["x^3 - y", "x^3 - x - z"], r3xyz)
+    assert positive_grading(J) is None
+    assert all_members([p("x - y + z", r3xyz)], J)
+    assert not all_members([p("x - y", r3xyz)], J)
+
+
+def test_all_members_on_zero_unit_and_monomial_targets(r3xyz, monkeypatch):
+    from fpurity import all_members, ideals
+
+    monkeypatch.setattr(ideals, "_buchberger", None)  # none of these needs a basis
+    zero, h = r3xyz.zero(), p("x^2*y + z^3", r3xyz)
+    assert all_members([zero], Ideal.zero(r3xyz))
+    assert not all_members([h], Ideal.zero(r3xyz))
+    assert all_members([h, zero], Ideal.unit(r3xyz))
+    assert all_members([], ideal(["x - y"], r3xyz))
+    assert all_members([h], ideal(["x^2", "z^3"], r3xyz))
+    assert not all_members([h], ideal(["x^2", "z^4"], r3xyz))
+    assert not all_members([h], ideal(["x^3", "z^3"], r3xyz), (1, 1, 1))
+
+
+def test_all_members_refuses_weights_that_do_not_grade_the_target(r3xyz):
+    from fpurity import all_members
+
+    J = ideal(["x^3 + y^2"], r3xyz)
+    assert all_members([p("x^4 + x*y^2", r3xyz)], J, (2, 3, 1))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        all_members([p("x^3 + y^2", r3xyz)], J, (1, 1, 1))
