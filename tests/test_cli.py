@@ -137,7 +137,7 @@ def test_emax_below_one_is_a_usage_error(command):
 
 
 PROBE = ["--ring", "p=3; vars=x,y", "--defining", "x^3 + y^3", "--ideal", "x^2",
-         "--a", "x", "--t", "1", "--z", "x"]
+         "--a", "x", "--t", "1"]
 
 
 @pytest.mark.parametrize(
@@ -146,10 +146,11 @@ PROBE = ["--ring", "p=3; vars=x,y", "--defining", "x^3 + y^3", "--ideal", "x^2",
         (["nu", "--ring", "p=3; vars=x", "--a", "x^2", "--emax", "0"],
          "e_max must be at least 1, got 0"),
         # z = x^2 would be trivially in; an empty range is refused first
-        (["closure", *PROBE[:-1], "x^2", "--emax", "0"], "e_max must be at least 1, got 0"),
-        (["closure", *PROBE, "--emax", "0"], "e_max must be at least 1, got 0"),
+        (["closure", *PROBE, "--z", "x^2", "--emax", "0"], "e_max must be at least 1, got 0"),
+        (["closure", *PROBE, "--z", "x", "--emax", "0"], "e_max must be at least 1, got 0"),
         # the witness trace starts at e = 0, so e_max = 0 is a real check
-        (["witness-check", *PROBE, "--c", "y", "--emax", "-1"], "e_max must be at least 0, got -1"),
+        (["witness-check", *PROBE, "--z", "x", "--c", "y", "--emax", "-1"],
+         "e_max must be at least 0, got -1"),
     ],
 )
 def test_empty_exponent_range_is_a_usage_error(argv, message):
@@ -159,7 +160,7 @@ def test_empty_exponent_range_is_a_usage_error(argv, message):
 
 
 def test_witness_check_at_emax_zero_runs_the_e0_row():
-    report = run_json(["witness-check", *PROBE, "--c", "y", "--emax", "0"])
+    report = run_json(["witness-check", *PROBE, "--z", "x", "--c", "y", "--emax", "0"])
     assert list(report["verdict"]["trace"]) == ["0"]
 
 
