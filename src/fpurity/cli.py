@@ -309,7 +309,7 @@ def _run_closure(args) -> dict:
     target = _parse_ideal(args.ideal, ring)
     pair = _make_pair(args, ring, defining)
     z = parse_poly(args.z, ring)
-    verdict = sharp_frobenius_membership(z, target, pair, args.emax)
+    verdict = sharp_frobenius_membership(z, target, pair, range(1, args.emax + 1))
     return {
         "command": "closure",
         "inputs": _quotient_inputs(args, ring, pair)

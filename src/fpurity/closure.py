@@ -18,23 +18,23 @@ lie in I_def are dropped before a' is powered: a pair (x, f) over S/(f)
 powers the principal ideal (x).
 
 Every containment here, the products at each e and the "z in I" check,
-is decided by ``ideals.all_members``. When the targets are homogeneous in
-positive weights W, that is one Buchberger run truncated at the top
-W-degree of the products, not the full reduced basis of I^[q] + I_def.
-Frobenius multiplies every exponent difference of a generator by q, so
-I^[q] + I_def is homogeneous in exactly the weights that grade I + I_def:
-W is found once per probe. A probe whose I + I_def has no evident
-grading, such as a non-quasi-homogeneous I_def, falls back to the full
-basis at each e; zero, unit and monomial targets need no basis at all.
+is decided by ``ideals.all_members``. When a target I^[q] + I_def is
+homogeneous in positive weights W, that is one Buchberger run truncated
+at the top W-degree of the products, not the full reduced basis of
+I^[q] + I_def. Frobenius multiplies every exponent difference of a
+generator by q, so the targets of one probe are graded by the weights
+that grade I + I_def. A probe whose I + I_def has no evident grading,
+such as a non-quasi-homogeneous I_def, falls back to the full basis at
+each e; zero, unit and monomial targets need no basis at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .ceilarith import ceil_mul, denominator_order
-from .ideals import Ideal, all_members, ideal_power, positive_grading
+from .ideals import Ideal, all_members, ideal_power
 from .poly import SparsePolynomial, frobenius_image, poly_pow
 from .purity import PairSpec
 from .report import ConsistencyReport
@@ -64,24 +64,11 @@ def _quotient_target(I: Ideal, pair: PairSpec, q: int) -> Ideal:
     return Ideal(I.ring, bracket + list(pair.defining.generators))
 
 
-def _grading(I: Ideal, pair: PairSpec) -> Optional[tuple[int, ...]]:
-    """Positive weights grading every target I^[q] + I_def, or None."""
-    return positive_grading(_quotient_target(I, pair, 1))
-
-
-def _power_times_contained(
-    g: SparsePolynomial,
-    pair: PairSpec,
-    N: int,
-    target: Ideal,
-    weights: Optional[Sequence[int]] = None,
-) -> bool:
+def _power_times_contained(g: SparsePolynomial, pair: PairSpec, N: int, target: Ideal) -> bool:
     """a'^N * g inside target, decided by ``all_members``.
 
     A graded target is decided against its basis truncated at the
-    products' top W-degree; ``weights``, the probe's grading from
-    ``_grading``, spares ``all_members`` the search for one. Ungraded
-    targets take the full basis.
+    products' top weighted degree; an ungraded one takes the full basis.
 
     Only the generators of a' outside the defining ideal are powered. That
     is exact because every target here contains I_def: with a' = a'' + b
@@ -90,31 +77,32 @@ def _power_times_contained(
     generator of a' lies in I_def, a''^N is the zero ideal for N >= 1.
     """
     powered = ideal_power(Ideal(pair.ring, pair.outside_defining), N)
-    return all_members([u * g for u in powered.generators], target, weights)
+    return all_members([u * g for u in powered.generators], target)
 
 
 def sharp_frobenius_membership(
     z: SparsePolynomial,
     I: Ideal,
     pair: PairSpec,
-    e_max: int,
+    e_range: Iterable[int],
 ) -> ClosureVerdict:
-    """Probe z against the sharp Frobenius closure of I under the pair,
-    at e = 1..e_max.
+    """Probe z against the sharp Frobenius closure of I under the pair.
 
-    z in I (mod the defining ideal) short-circuits to trivially-in. A
-    certificate is issued when the pair ideal is principal and some tested
-    e has t(p^e - 1) integral with the containment verified there; the
-    certificate stands regardless of failures at other exponents, which
-    the large-e quantifier tolerates.
+    The exponents tried are e_range, usually 1..e_max; an empty range is
+    refused. z in I (mod the defining ideal) short-circuits to
+    trivially-in. A certificate is issued when the pair ideal is principal
+    and some tested e has t(p^e - 1) integral with the containment
+    verified there; the certificate stands regardless of failures at other
+    exponents, which the large-e quantifier tolerates.
     """
-    if e_max < 1:
-        raise ValueError(f"e_max must be at least 1, got {e_max}")
+    e_values = sorted(set(e_range))
+    if not e_values:
+        raise ValueError("e_max must be at least 1: the exponent range is empty")
+    if e_values[0] < 1:
+        raise ValueError("closure exponents start at e=1")
     p = pair.ring.p
-    weights = _grading(I, pair)
-    if all_members([z], _quotient_target(I, pair, 1), weights):
+    if all_members([z], _quotient_target(I, pair, 1)):
         return ClosureVerdict(TRIVIALLY_IN, note="z already lies in I")
-    e_values = range(1, e_max + 1)
     order = denominator_order(pair.t, p) if pair.principal_modulo_defining() else None
     held: list[int] = []
     failed: list[int] = []
@@ -122,11 +110,7 @@ def sharp_frobenius_membership(
     for e in e_values:
         q = p**e
         contained = _power_times_contained(
-            frobenius_image(z, q),
-            pair,
-            ceil_mul(pair.t, q - 1),
-            _quotient_target(I, pair, q),
-            weights,
+            frobenius_image(z, q), pair, ceil_mul(pair.t, q - 1), _quotient_target(I, pair, q)
         )
         (held if contained else failed).append(e)
         if contained and certified is None and order is not None and e % order == 0:
@@ -185,16 +169,11 @@ def tight_closure_witness_check(
     if e_max < 0:
         raise ValueError(f"e_max must be at least 0, got {e_max}")
     p = pair.ring.p
-    weights = _grading(I, pair)
     trace: dict[int, bool] = {}
     for e in range(0, e_max + 1):
         q = p**e
         trace[e] = _power_times_contained(
-            c * frobenius_image(z, q),
-            pair,
-            ceil_mul(pair.t, q - 1),
-            _quotient_target(I, pair, q),
-            weights,
+            c * frobenius_image(z, q), pair, ceil_mul(pair.t, q - 1), _quotient_target(I, pair, q)
         )
     return all(trace.values()), trace
 
@@ -215,8 +194,7 @@ def sharp_multiplier_check(
     report = ConsistencyReport(subject="sharp test multiplier containments")
     p = pair.ring.p
     for idx, (I, z) in enumerate(instances):
-        weights = _grading(I, pair)
-        if not all_members([z], _quotient_target(I, pair, 1), weights):
+        if not all_members([z], _quotient_target(I, pair, 1)):
             raise ValueError(f"instance {idx}: z must lie in I")
         for e in range(0, e_max + 1):
             q = p**e
@@ -225,7 +203,6 @@ def sharp_multiplier_check(
                 pair,
                 ceil_mul(pair.t, q - 1),
                 _quotient_target(I, pair, q),
-                weights,
             )
             report.record(ok, instance=idx, e=e, c=repr(c))
     return report
@@ -253,7 +230,6 @@ def power_into_closure_check(
     p = pair.ring.p
     z_q = frobenius_image(z, q)
     outer = ideal_power(pair.a_preimage, ceil_mul(pair.t, q - 1))
-    weights = _grading(I, pair)
     for gi, u in enumerate(outer.generators):
         g = u * z_q
         for d in range(0, d_max + 1):
@@ -263,7 +239,6 @@ def power_into_closure_check(
                 pair,
                 ceil_mul(pair.t, qd - 1),
                 _quotient_target(I, pair, q * qd),
-                weights,
             )
             report.record(ok, generator=gi, d=d)
     return report

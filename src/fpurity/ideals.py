@@ -302,10 +302,7 @@ def _s_poly(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
 
 
 def _buchberger(
-    gens: list[SparsePolynomial],
-    ring: PolyRing,
-    graded: Optional[_Graded] = None,
-    reduced: bool = True,
+    gens: list[SparsePolynomial], ring: PolyRing, graded: Optional[_Graded] = None
 ) -> list[SparsePolynomial]:
     """Reduced Groebner basis by Buchberger's algorithm.
 
@@ -329,10 +326,6 @@ def _buchberger(
     degree d has a standard representation through pairs of degree at most
     d alone, and so the truncated run is a Groebner basis in every degree up
     to the bound (the DegreeLimit of Macaulay2).
-
-    ``reduced=False`` skips the final interreduction and returns the basis
-    as the run built it: still a Groebner basis, which is all a membership
-    test needs.
     """
     counter = _StepCounter()
     if graded is not None:
@@ -393,7 +386,7 @@ def _buchberger(
         table.append(_reducer(basis[-1]))
         leads.append(basis[-1].lead_monomial())
         add_pairs(len(basis) - 1)
-    return _interreduce(basis, counter) if reduced else basis
+    return _interreduce(basis, counter)
 
 
 def _interreduce(
@@ -443,38 +436,30 @@ def membership(g: SparsePolynomial, I: Ideal) -> bool:
     return _normal_form(g, [_reducer(b) for b in I.groebner()], _StepCounter()).is_zero()
 
 
-def all_members(
-    polys: Iterable[SparsePolynomial], J: Ideal, weights: Optional[Sequence[int]] = None
-) -> bool:
+def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
     """Decide h in J for every h in polys, against one degree-bounded basis.
 
-    When J is neither zero, unit nor monomial and is homogeneous in
-    positive integer weights W (``weights``, if the caller knows them,
-    else ``positive_grading(J)``), one Buchberger run truncated at D, the
-    largest W-degree of a term of any h, gives a Groebner basis of J in
-    every W-degree up to D (see ``_buchberger``; it is not interreduced),
-    and every h is reduced against it. The h need not be homogeneous. This
-    is exact: h lies in J iff each W-homogeneous component of h does, and a
-    reduction step by a homogeneous divisor stays in the degree of the term
-    it handles. Every other J, including one with no evident grading, goes
-    through ``membership`` and J's full cached basis. Weights that do not
-    grade J raise ValueError. Stops at the first h outside J.
+    When J is neither zero, unit nor monomial and ``positive_grading(J)``
+    finds positive integer weights W, one Buchberger run truncated at D,
+    the largest W-degree of a term of any h, gives the reduced basis of J
+    in every W-degree up to D (see ``_buchberger``), and every h is reduced
+    against it. The h need not be homogeneous. This is exact: h lies in J
+    iff each W-homogeneous component of h does, and a reduction step by a
+    homogeneous divisor stays in the degree of the term it handles. Every
+    other J, including one with no evident grading, goes through
+    ``membership`` and J's full cached basis. Stops at the first h outside J.
     """
     polys = list(polys)
     if any(h.ring != J.ring for h in polys):
         raise RingMismatchError("polynomial and ideal over different rings")
     polys = [h for h in polys if not h.is_zero()]
-    if not polys or J.is_zero() or J.has_constant_generator() or J.is_monomial:
-        return all(membership(h, J) for h in polys)
-    if weights is None:
+    weights = None
+    if polys and not (J.is_zero() or J.has_constant_generator() or J.is_monomial):
         weights = positive_grading(J)
-        if weights is None:
-            return all(membership(h, J) for h in polys)
-    elif any(len({_w_degree(m, weights) for m in g.terms}) > 1 for g in J.generators):
-        raise ValueError("J is not homogeneous in the given weights")
+    if weights is None:
+        return all(membership(h, J) for h in polys)
     bound = max(_w_degree(m, weights) for h in polys for m in h.terms)
-    basis = _buchberger(list(J.generators), J.ring, (weights, bound), reduced=False)
-    table = [_reducer(b) for b in basis]
+    table = [_reducer(b) for b in _buchberger(list(J.generators), J.ring, (weights, bound))]
     return all(_normal_form(h, table, _StepCounter()).is_zero() for h in polys)
 
 

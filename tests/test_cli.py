@@ -146,8 +146,10 @@ PROBE = ["--ring", "p=3; vars=x,y", "--defining", "x^3 + y^3", "--ideal", "x^2",
         (["nu", "--ring", "p=3; vars=x", "--a", "x^2", "--emax", "0"],
          "e_max must be at least 1, got 0"),
         # z = x^2 would be trivially in; an empty range is refused first
-        (["closure", *PROBE, "--z", "x^2", "--emax", "0"], "e_max must be at least 1, got 0"),
-        (["closure", *PROBE, "--z", "x", "--emax", "0"], "e_max must be at least 1, got 0"),
+        (["closure", *PROBE, "--z", "x^2", "--emax", "0"],
+         "e_max must be at least 1: the exponent range is empty"),
+        (["closure", *PROBE, "--z", "x", "--emax", "0"],
+         "e_max must be at least 1: the exponent range is empty"),
         # the witness trace starts at e = 0, so e_max = 0 is a real check
         (["witness-check", *PROBE, "--z", "x", "--c", "y", "--emax", "-1"],
          "e_max must be at least 0, got -1"),

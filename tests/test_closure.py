@@ -37,14 +37,14 @@ def ideal(texts, ring):
 
 def test_trivially_in(r3x):
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x"], r3x), pr, 4)
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x"], r3x), pr, range(1, 5))
     assert v.outcome == "trivially-in"
 
 
 def test_member_of_target_short_circuits(r3x):
     # the containment at e=1 also holds here, but z in I wins
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x^3", r3x), ideal(["x^3"], r3x), pr, 4)
+    v = sharp_frobenius_membership(p("x^3", r3x), ideal(["x^3"], r3x), pr, range(1, 5))
     assert v.outcome == "trivially-in"
 
 
@@ -52,7 +52,7 @@ def test_certified_membership_outside_ideal(r3x):
     # z = x against (x^2) under ((x), 3/2): t(p-1) = 3 is integral and
     # x^ceil(3(q-1)/2) * x^q lies in (x^2q) for every q >= 3
     pr = pair(r3x, ["x"], Fraction(3, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, 4)
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, range(1, 5))
     assert v.outcome == "certified-in"
     assert v.certified_e == 1
     assert v.certificate == "principal-integral-exponent"
@@ -61,7 +61,7 @@ def test_certified_membership_outside_ideal(r3x):
 
 def test_failed_at_every_tested_exponent(r3x):
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, 4)
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, range(1, 5))
     assert v.outcome == "failed-at"
     assert v.failed_e == (1, 2, 3, 4)
     assert "diagnostic" in v.note
@@ -71,7 +71,7 @@ def test_bounded_in_without_certificate(r3x):
     # denominator divisible by p blocks the integrality certificate, but
     # the containment itself holds at every tested e
     pr = pair(r3x, ["x"], Fraction(4, 3))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, 4)
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, range(1, 5))
     assert v.outcome == "bounded-in"
 
 
@@ -80,7 +80,7 @@ def test_quotient_pair_membership(r3xyz):
     # ideal is adjoined
     pr = pair(r3xyz, ["1"], 1, defining_texts=["x^2 - y*z"])
     v = sharp_frobenius_membership(
-        p("x^2 - y*z", r3xyz), ideal(["y"], r3xyz), pr, 2
+        p("x^2 - y*z", r3xyz), ideal(["y"], r3xyz), pr, range(1, 3)
     )
     assert v.outcome == "trivially-in"
 
@@ -96,15 +96,28 @@ def test_pure_pair_closure_is_trivial_randomized(r3xy):
         z_exp = tuple(max(0, e - 1 - rng.randrange(2)) for e in i_exp)
         target = Ideal(r3xy, [r3xy.monomial(i_exp)])
         z = r3xy.monomial(z_exp)
-        v = sharp_frobenius_membership(z, target, pr, 4)
+        v = sharp_frobenius_membership(z, target, pr, range(1, 5))
         assert v.outcome in ("trivially-in", "failed-at")
 
 
 def test_failed_at_reports_the_tested_range(r3x):
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, 6)
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, range(1, 7))
     assert v.e_tested == (1, 2, 3, 4, 5, 6)
     assert v.outcome == "failed-at"
+
+
+def test_chosen_exponents_and_empty_ranges(r3x):
+    # any set of exponents e >= 1 may be probed; none at all is refused,
+    # even when z lies in I
+    pr = pair(r3x, ["x"], Fraction(1, 2))
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, [4, 2, 2])
+    assert v.e_tested == (2, 4)
+    for z in ("x", "x^2"):
+        with pytest.raises(ValueError, match="e_max must be at least 1"):
+            sharp_frobenius_membership(p(z, r3x), ideal(["x^2"], r3x), pr, range(1, 1))
+    with pytest.raises(ValueError, match="start at e=1"):
+        sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, [0, 1])
 
 
 def test_membership_monotone_in_t(r3x):
@@ -112,10 +125,10 @@ def test_membership_monotone_in_t(r3x):
     target = ideal(["x^2"], r3x)
     z = p("x", r3x)
     held_small = sharp_frobenius_membership(
-        z, target, pair(r3x, ["x"], Fraction(3, 2)), 4
+        z, target, pair(r3x, ["x"], Fraction(3, 2)), range(1, 5)
     ).held_e
     held_large = sharp_frobenius_membership(
-        z, target, pair(r3x, ["x"], Fraction(5, 2)), 4
+        z, target, pair(r3x, ["x"], Fraction(5, 2)), range(1, 5)
     ).held_e
     assert set(held_small) <= set(held_large)
 
@@ -232,7 +245,7 @@ def _random_form(rng, ring, d):
 def test_power_times_contained_matches_full_power():
     # hypersurface probes over S/(f): a' = (x, f), (x, y, f), (f, x*f) (every
     # generator inside I_def) and the same a' over S itself (zero I_def)
-    from fpurity.closure import _grading, _power_times_contained, _quotient_target
+    from fpurity.closure import _power_times_contained, _quotient_target
 
     rng = random.Random(53)
     outcomes = set()
@@ -259,8 +272,6 @@ def test_power_times_contained_matches_full_power():
                     for N in (0, 1, ceil_mul(pr.t, q - 1), ceil_mul(pr.t, q)):
                         got = _power_times_contained(g, pr, N, target)
                         assert got == _full_power_contained(g, pr, N, target), (pr, I, z, e, N)
-                        # the probe's grading, found once, gives the same verdict
-                        assert _power_times_contained(g, pr, N, target, _grading(I, pr)) == got
                         outcomes.add(got)
     assert outcomes == {True, False}
 
@@ -284,7 +295,8 @@ def test_power_times_contained_on_weighted_and_non_graded_quotients():
     # z with components in several degrees, so the products are not
     # homogeneous: the graded kernel and its fallback match the full power
     # tested against the full basis
-    from fpurity.closure import _grading, _power_times_contained, _quotient_target
+    from fpurity.closure import _power_times_contained, _quotient_target
+    from fpurity.ideals import positive_grading
 
     rng = random.Random(59)
     outcomes = {}
@@ -301,7 +313,7 @@ def test_power_times_contained_on_weighted_and_non_graded_quotients():
                               Fraction(rng.choice((1, 2)), rng.choice((1, 2, 3))))
                 I = Ideal(ring, [ring.monomial(tuple(rng.randrange(1, 3) if i == j else 0
                                                      for j in range(3))) for i in range(3)])
-                assert (_grading(I, pr) is not None) is graded
+                assert (positive_grading(_quotient_target(I, pr, 1)) is not None) is graded
                 z = ring.monomial((rng.randrange(2), 0, 1)) + ring.monomial((1, rng.randrange(3), 0))
                 for e in (0, 1):
                     q = prime**e
@@ -310,7 +322,6 @@ def test_power_times_contained_on_weighted_and_non_graded_quotients():
                     for N in (1, ceil_mul(pr.t, q - 1), 2 * q + 1):
                         want = _full_power_contained(g, pr, N, target)
                         assert _power_times_contained(g, pr, N, target) is want
-                        assert _power_times_contained(g, pr, N, target, _grading(I, pr)) is want
                         outcomes.setdefault(graded, set()).add(want)
     assert outcomes == {True: {True, False}, False: {True, False}}
 
@@ -330,7 +341,7 @@ def test_graded_probes_never_build_a_full_basis(f_text, r3xyz, monkeypatch):
         raise AssertionError(f"full basis of {self}")
 
     monkeypatch.setattr(Ideal, "groebner", forbidden)
-    assert sharp_frobenius_membership(z, target, graded, 3).e_tested == (1, 2, 3)
+    assert sharp_frobenius_membership(z, target, graded, range(1, 4)).e_tested == (1, 2, 3)
     assert len(tight_closure_witness_check(z, target, graded, p("y", r3xyz), 2)[1]) == 3
     with pytest.raises(AssertionError, match="full basis"):
-        sharp_frobenius_membership(z, target, ungraded, 1)
+        sharp_frobenius_membership(z, target, ungraded, [1])
