@@ -5,22 +5,17 @@ F-pure-threshold estimation with rationality certificates.
 """
 
 from .ceilarith import (
-    AuditReport,
-    audit_inequalities,
     ceil_mul,
     denominator_order,
     floor_mul,
 )
 from .closure import (
     ClosureVerdict,
-    power_into_closure_check,
     sharp_frobenius_membership,
-    sharp_multiplier_check,
     tight_closure_witness_check,
 )
 from .errors import (
     ExponentOverflowError,
-    NonMonomialIdealError,
     ParseError,
     ResourceCapExceeded,
     RingMismatchError,
@@ -34,7 +29,6 @@ from .fpt import (
     fpt_estimate,
     nu_table,
     nu_value,
-    threshold_consistency,
 )
 from .ideals import (
     Ideal,
@@ -42,7 +36,6 @@ from .ideals import (
     bracket_power,
     colon,
     fedder_colon,
-    groebner_basis,
     ideal_contains,
     ideal_equals,
     ideal_power,
@@ -62,8 +55,6 @@ from .poly import (
     FrobeniusBox,
     PolyRing,
     SparsePolynomial,
-    box_mul,
-    box_pow,
     frobenius_image,
     poly_mul,
     poly_pow,
@@ -73,32 +64,22 @@ from .purity import (
     PurityVerdict,
     classic_fpure,
     maximal_ideal,
-    principal_sharp_implies_classic,
     sharp_fedder,
-    sharp_from_single_split,
     strong_fedder,
     verify_witness,
 )
-from .report import ConsistencyReport
 from .testideal import (
     TestIdealResult,
-    is_radical_monomial,
-    quotient_fpure_check,
-    radical_probe,
     test_ideal,
-    vassilev_containment,
 )
 
 __all__ = [
-    "AuditReport",
     "ClosureVerdict",
-    "ConsistencyReport",
     "ExponentOverflowError",
     "FptCertificate",
     "FptEstimate",
     "FrobeniusBox",
     "Ideal",
-    "NonMonomialIdealError",
     "NuRecord",
     "PairSpec",
     "ParseError",
@@ -110,9 +91,6 @@ __all__ = [
     "SparsePolynomial",
     "TestIdealResult",
     "all_members",
-    "audit_inequalities",
-    "box_mul",
-    "box_pow",
     "bracket_power",
     "ceil_mul",
     "classic_fpure",
@@ -123,12 +101,10 @@ __all__ = [
     "fpt_bounds",
     "fpt_estimate",
     "frobenius_image",
-    "groebner_basis",
     "ideal_contains",
     "ideal_equals",
     "ideal_power",
     "intersect",
-    "is_radical_monomial",
     "maximal_ideal",
     "membership",
     "nu_table",
@@ -140,20 +116,12 @@ __all__ = [
     "poly_mul",
     "poly_pow",
     "poly_to_str",
-    "power_into_closure_check",
-    "principal_sharp_implies_classic",
-    "quotient_fpure_check",
-    "radical_probe",
     "read_poly_file",
     "root_power",
     "sharp_fedder",
     "sharp_frobenius_membership",
-    "sharp_from_single_split",
-    "sharp_multiplier_check",
     "strong_fedder",
     "test_ideal",
-    "threshold_consistency",
     "tight_closure_witness_check",
-    "vassilev_containment",
     "verify_witness",
 ]

@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Subcommands: fedder, sharp-fedder, strong-fedder, fpt, nu, testideal,
-closure, witness-check, lemma-audit. Exit code 0 means the computation
-completed (an inconclusive verdict is a completed computation), 1 means a
-usage or parse error, 2 means a resource cap (the 2^63-1 exponent cap
-included) aborted the run, 3 means an internal invariant failed, which is
-always an engine bug.
+closure, witness-check. Exit code 0 means the computation completed (an
+inconclusive verdict is a completed computation), 1 means a usage or parse
+error, 2 means a resource cap (the 2^63-1 exponent cap included) aborted
+the run, 3 means an internal invariant failed, which is always an engine
+bug.
 
 Each subcommand takes only flags it reads: ``nu`` and ``fpt`` take --ring,
 --a, --emax and --json; --verify-witness exists only on sharp-fedder and
 strong-fedder, whose proven verdicts carry a witness. Any other flag is a
-usage error, never silently ignored.
+usage error, never silently ignored. So is an --emax below 1 (below 0 for
+witness-check, whose trace starts at e = 0).
 
 Structured output (--json) is a single JSON document with stable field
 names; exact rationals are serialized as strings like "5/6" so nothing
@@ -26,7 +27,6 @@ import json
 import sys
 import time
 
-from .ceilarith import audit_inequalities, default_rational_grid
 from .closure import ClosureVerdict, sharp_frobenius_membership, tight_closure_witness_check
 from .errors import ExponentOverflowError, ParseError, ResourceCapExceeded
 from .fpt import fpt_estimate, nu_table
@@ -122,14 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--c", required=True, help="witness multiplier")
     _add_json_flag(sub)
 
-    sub = subs.add_parser("lemma-audit")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--emax", type=int, default=5)
-    sub.add_argument("--dmax", type=int, default=5)
-    sub.add_argument("--nmax", type=int, default=4)
-    sub.add_argument("--tmax", type=int, default=12, help="audit all t = a/b with a,b <= tmax")
-    _add_json_flag(sub)
-
     return top
 
 
@@ -196,7 +188,7 @@ def _run_fedder(args, flavor: str) -> dict:
     elif flavor == "strong":
         verdict = strong_fedder(pair, args.emax)
     else:
-        verdict = classic_fpure(pair, range(1, args.emax + 1))
+        verdict = classic_fpure(pair, args.emax)
     report = {
         "command": args.command,
         "inputs": _pair_inputs(args, ring, pair),
@@ -337,31 +329,6 @@ def _run_witness_check(args) -> dict:
     }
 
 
-def _run_lemma_audit(args) -> dict:
-    t_set = default_rational_grid(args.tmax, args.tmax)
-    report = audit_inequalities(args.p, args.emax, args.dmax, t_set, n_max=args.nmax)
-    return {
-        "command": "lemma-audit",
-        "inputs": {
-            "p": args.p,
-            "emax": args.emax,
-            "dmax": args.dmax,
-            "nmax": args.nmax,
-            "tmax": args.tmax,
-        },
-        "checks": report.checks,
-        "total_checks": report.total_checks,
-        "violations": [
-            {
-                "inequality": v["inequality"],
-                "t": rational_to_str(v["t"]),
-                "where": {k: v[k] for k in v if k not in ("inequality", "t")},
-            }
-            for v in report.violations
-        ],
-    }
-
-
 def emit(report: dict, fmt: str) -> str:
     """Render a report as an aligned table or a canonical JSON document."""
     if fmt == "structured":
@@ -417,7 +384,6 @@ _RUNNERS = {
     "testideal": _run_testideal,
     "closure": _run_closure,
     "witness-check": _run_witness_check,
-    "lemma-audit": _run_lemma_audit,
 }
 
 

@@ -11,6 +11,12 @@ verified there); containment over a finite range without that shortcut is
 reported as bounded evidence, and failures are diagnostic (failure at
 finitely many e disproves nothing, since legitimacy only requires large e).
 
+A tight-closure witness trace checks c * a^ceil(t(q-1)) * z^q inside I^[q]
+for e = 0..e_max. With c a generator of the test ideal and z in I it is the
+containment a sharp test element must satisfy; with u * z^q in place of z,
+for u in a^ceil(t(q-1)), and I^[q] in place of I, it checks that
+a^ceil(t(q-1)) * z^q lands in the closure of I^[q].
+
 Pairs over a quotient R = S/I_def are handled in the ambient ring by
 adjoining the defining ideal: J inside K in R means J inside K + I_def
 in S. Since every such target contains I_def, the generators of a' that
@@ -35,9 +41,8 @@ from typing import Iterable, Optional
 
 from .ceilarith import ceil_mul, denominator_order
 from .ideals import Ideal, all_members, ideal_power
-from .poly import SparsePolynomial, frobenius_image, poly_pow
+from .poly import SparsePolynomial, frobenius_image
 from .purity import PairSpec
-from .report import ConsistencyReport
 
 TRIVIALLY_IN = "trivially-in"
 CERTIFIED_IN = "certified-in"
@@ -177,68 +182,3 @@ def tight_closure_witness_check(
         )
     return all(trace.values()), trace
 
-
-def sharp_multiplier_check(
-    c: SparsePolynomial,
-    pair: PairSpec,
-    instances: list[tuple[Ideal, SparsePolynomial]],
-    e_max: int,
-) -> ConsistencyReport:
-    """Exercise the multiplier containments of c over computable instances.
-
-    Each instance is a pair (I, z) with z in I, the closure members one
-    can actually produce. When c comes from the computed test ideal the
-    containments must all hold; a violation indicts either the test-ideal
-    computation or the containment engine.
-    """
-    report = ConsistencyReport(subject="sharp test multiplier containments")
-    p = pair.ring.p
-    for idx, (I, z) in enumerate(instances):
-        if not all_members([z], _quotient_target(I, pair, 1)):
-            raise ValueError(f"instance {idx}: z must lie in I")
-        for e in range(0, e_max + 1):
-            q = p**e
-            ok = _power_times_contained(
-                c * frobenius_image(z, q),
-                pair,
-                ceil_mul(pair.t, q - 1),
-                _quotient_target(I, pair, q),
-            )
-            report.record(ok, instance=idx, e=e, c=repr(c))
-    return report
-
-
-def power_into_closure_check(
-    z: SparsePolynomial,
-    I: Ideal,
-    pair: PairSpec,
-    c: SparsePolynomial,
-    q: int,
-    d_max: int,
-) -> ConsistencyReport:
-    """Witness-level check that a^ceil(t(q-1)) * z^q lands in the tight
-    closure of I^[q].
-
-    For each generator g of a^ceil(t(q-1)) * z^q it verifies
-
-        c * a^ceil(t(p^d - 1)) * g^(p^d)  inside  I^[q * p^d],  d <= d_max,
-
-    which is what the composed exponent inequality promises once
-    tight_closure_witness_check has passed through matching exponents.
-    """
-    report = ConsistencyReport(subject="pair power lands in closure of bracket")
-    p = pair.ring.p
-    z_q = frobenius_image(z, q)
-    outer = ideal_power(pair.a_preimage, ceil_mul(pair.t, q - 1))
-    for gi, u in enumerate(outer.generators):
-        g = u * z_q
-        for d in range(0, d_max + 1):
-            qd = p**d
-            ok = _power_times_contained(
-                c * poly_pow(g, qd),
-                pair,
-                ceil_mul(pair.t, qd - 1),
-                _quotient_target(I, pair, q * qd),
-            )
-            report.record(ok, generator=gi, d=d)
-    return report

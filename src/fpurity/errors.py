@@ -31,6 +31,3 @@ class ResourceCapExceeded(RuntimeError):
         super().__init__(msg)
         self.cap_name = cap_name
 
-
-class NonMonomialIdealError(ValueError):
-    """An operation that only supports monomial ideals got a general one."""

@@ -30,12 +30,11 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .ceilarith import ceil_mul, denominator_order
+from .ceilarith import ceil_mul, denominator_order, exponent_range
 from .errors import ResourceCapExceeded
 from .ideals import Ideal
 from .poly import FrobeniusBox, check_q
-from .purity import EscapeTest, PairSpec, sharp_fedder, strong_fedder
-from .report import ConsistencyReport
+from .purity import EscapeTest
 
 CANDIDATE_CAP = 10_000
 
@@ -136,9 +135,7 @@ def fpt_bounds(a: Ideal, e: int) -> NuRecord:
 
 def nu_table(a: Ideal, e_max: int) -> list[NuRecord]:
     """The records of ``fpt_bounds`` for e = 1..e_max; e_max < 1 is refused."""
-    if e_max < 1:
-        raise ValueError(f"e_max must be at least 1, got {e_max}")
-    return [fpt_bounds(a, e) for e in range(1, e_max + 1)]
+    return [fpt_bounds(a, e) for e in exponent_range(e_max)]
 
 
 def _divisors(n: int) -> set[int]:
@@ -215,37 +212,3 @@ def fpt_estimate(a: Ideal, e_max: int) -> FptEstimate:
             )
     return FptEstimate(lo, hi, records, None, LABEL_INTERVAL)
 
-
-def threshold_consistency(
-    a: Ideal,
-    t_proven: Fraction,
-    epsilons: list[Fraction],
-    e_max: int = 4,
-) -> ConsistencyReport:
-    """Sharp purity at t forces strong purity below t; verify it.
-
-    For every epsilon the pair at t - epsilon must be provably strongly
-    F-pure, searching exponents up to the first multiple of the sharp
-    witness exponent where epsilon * p^e clears t. Any failure is an
-    implementation bug report, not a mathematical finding.
-    """
-    report = ConsistencyReport(subject="sharp at t => strong below t")
-    ring = a.ring
-    pair = PairSpec(ring, Ideal.zero(ring), a, t_proven)
-    sharp = sharp_fedder(pair, e_max)
-    if not sharp.proven:
-        raise ValueError("t_proven must come with a sharp purity proof")
-    e0 = sharp.witness_e
-    for eps in epsilons:
-        if eps <= 0 or eps > t_proven:
-            raise ValueError(f"epsilon must lie in (0, t], got {eps}")
-        if eps == t_proven:
-            report.record(True, epsilon=eps, note="exponent zero pair is trivially strongly pure")
-            continue
-        e_need = 1
-        while eps * ring.p**e_need <= t_proven:
-            e_need += 1
-        e_run = e0 * (-(-e_need // e0))
-        strong = strong_fedder(PairSpec(ring, Ideal.zero(ring), a, t_proven - eps), e_run)
-        report.record(strong.proven, epsilon=eps, searched_up_to=e_run)
-    return report

@@ -411,11 +411,6 @@ def _interreduce(
     return reduced
 
 
-def groebner_basis(I: Ideal) -> tuple[SparsePolynomial, ...]:
-    """Reduced grevlex Groebner basis of I (cached on the ideal)."""
-    return I.groebner()
-
-
 # ---------------------------------------------------------------------------
 # membership and containment
 

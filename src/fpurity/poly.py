@@ -503,20 +503,6 @@ def minimal_packed(keys: set[int], guards: int) -> list[int]:
     return kept
 
 
-def box_mul(f: SparsePolynomial, g: SparsePolynomial, q: int) -> SparsePolynomial:
-    """f * g modulo m^[q]: the product with every term that has an exponent
-    >= q dropped."""
-    f._check_ring(g)
-    box = FrobeniusBox(f.ring, q)
-    return box.unpack(box.mul(box.pack(f), box.pack(g)))
-
-
-def box_pow(f: SparsePolynomial, s: int, q: int) -> SparsePolynomial:
-    """f^s modulo m^[q], q = p^e; zero exactly when f^s lies in m^[q]."""
-    box = FrobeniusBox(f.ring, q)
-    return box.unpack(box.pow(box.pack(f), s))
-
-
 def check_q(p: int, q: int):
     """Raise ValueError unless q = p^e for some e >= 0."""
     if q < 1:

@@ -42,7 +42,7 @@ from functools import cached_property, reduce
 from operator import mul
 from typing import Iterable, Optional
 
-from .ceilarith import ceil_mul, floor_mul
+from .ceilarith import ceil_mul, exponent_range, floor_mul
 from .errors import ResourceCapExceeded, RingMismatchError
 from .ideals import (
     MAX_POWER_PRODUCTS,
@@ -55,7 +55,6 @@ from .ideals import (
     positive_grading,
 )
 from .poly import FrobeniusBox, PolyRing, SparsePolynomial, grevlex_key, poly_pow
-from .report import ConsistencyReport
 
 SHARP = "sharp"
 STRONG = "strong"
@@ -64,7 +63,6 @@ CLASSIC = "classic-F-pure"
 PROVEN_PURE = "proven-pure"
 INCONCLUSIVE = "inconclusive"
 FAILED_AT_ALL = "failed-at-all"
-DEGENERATE = "degenerate"
 
 Factors = tuple[SparsePolynomial, SparsePolynomial]  # (u, v) of a witness u*v
 
@@ -355,81 +353,21 @@ def sharp_fedder(pair: PairSpec, e_max: int) -> PurityVerdict:
     An escape at any single e is a proof; containment throughout is
     inconclusive by design.
     """
-    if e_max < 1:
-        raise ValueError(f"e_max must be at least 1, got {e_max}")
-    return _run_criterion(pair, SHARP, range(1, e_max + 1))
+    return _run_criterion(pair, SHARP, exponent_range(e_max))
 
 
 def strong_fedder(pair: PairSpec, e_max: int) -> PurityVerdict:
     """Strong F-purity via the ceil(t*q) exponent; one escape proves it."""
-    if e_max < 1:
-        raise ValueError(f"e_max must be at least 1, got {e_max}")
-    return _run_criterion(pair, STRONG, range(1, e_max + 1))
+    return _run_criterion(pair, STRONG, exponent_range(e_max))
 
 
-def classic_fpure(pair: PairSpec, e_list: Iterable[int]) -> PurityVerdict:
-    """Classic F-purity condition with floor(t(q-1)), per listed exponent.
+def classic_fpure(pair: PairSpec, e_max: int) -> PurityVerdict:
+    """Classic F-purity condition with floor(t(q-1)) at each e <= e_max.
 
     Purely diagnostic: the result reports where the condition held and
     where it failed, and proves nothing globally.
     """
-    return _run_criterion(pair, CLASSIC, list(e_list))
-
-
-def principal_sharp_implies_classic(pair: PairSpec, e_max: int) -> ConsistencyReport:
-    """For principal pairs, a sharp proof forces the classic condition
-    everywhere; any counterexample is an implementation bug report."""
-    report = ConsistencyReport(subject="principal sharp => classic at every e")
-    if not pair.principal_modulo_defining():
-        raise ValueError("pair ideal must be principal modulo the defining ideal")
-    sharp = sharp_fedder(pair, e_max)
-    if not sharp.proven:
-        report.note = "sharp criterion inconclusive here; nothing to cross-check"
-        return report
-    classic = classic_fpure(pair, range(1, e_max + 1))
-    for e in range(1, e_max + 1):
-        report.record(classic.per_e[e], e=e, t=pair.t, missing="classic condition")
-    return report
-
-
-def sharp_from_single_split(f: SparsePolynomial, e: int) -> tuple[PairSpec, PurityVerdict]:
-    """Build the pair (S, (f)^(1/(p^e - 1))) and settle it from one split.
-
-    Over the ambient ring the splitting condition is simply f outside
-    m^[p^e]; when it holds the constructed pair is sharply F-pure, with
-    witness f and factors (f, 1): N = 1, and the colon of the zero ideal
-    is the whole ring.
-    """
-    if e < 1:
-        raise ValueError(f"e must be at least 1, got {e}")
-    if f.is_zero():
-        raise ValueError("f must be nonzero")
-    ring = f.ring
-    q = ring.p**e
-    t = Fraction(1, q - 1)
-    pair = PairSpec(ring, Ideal.zero(ring), Ideal(ring, [f]), t)
-    splits = not membership(f, bracket_power(maximal_ideal(ring), q))
-    if splits:
-        verdict = PurityVerdict(
-            SHARP,
-            PROVEN_PURE,
-            (e,),
-            {e: True},
-            e,
-            q,
-            f,
-            (f, ring.one()),
-            note=f"f escapes m^[{q}], so the exponent-1/(q-1) pair splits at e={e}",
-        )
-    else:
-        verdict = PurityVerdict(
-            SHARP,
-            INCONCLUSIVE,
-            (e,),
-            {e: False},
-            note=f"f lies in m^[{q}]: this map does not split; no conclusion",
-        )
-    return pair, verdict
+    return _run_criterion(pair, CLASSIC, exponent_range(e_max))
 
 
 def verify_witness(pair: PairSpec, verdict: PurityVerdict) -> bool:

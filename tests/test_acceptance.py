@@ -17,33 +17,32 @@ from fractions import Fraction
 from fpurity import (
     Ideal,
     PairSpec,
-    audit_inequalities,
+    all_members,
     bracket_power,
     classic_fpure,
+    fedder_colon,
     fpt_estimate,
     ideal_contains,
-    is_radical_monomial,
+    ideal_power,
     maximal_ideal,
     membership,
     nu_table,
     parse_poly,
     parse_ring,
     poly_to_str,
-    quotient_fpure_check,
-    radical_probe,
     root_power,
     sharp_fedder,
-    sharp_multiplier_check,
+    strong_fedder,
     test_ideal as compute_test_ideal,
-    threshold_consistency,
-    vassilev_containment,
+    tight_closure_witness_check,
 )
-from fpurity.ceilarith import default_rational_grid
+from fpurity.ceilarith import ceil_mul
 from fpurity.ideals import colon
 from fpurity.parser import parse_poly_list
 from fpurity.poly import poly_pow
 
 from battery import battery_pairs
+from test_ceilarith import assert_inequalities
 
 
 class criterion:
@@ -76,11 +75,9 @@ class criterion:
 
 def test_criterion_1_lemma_audit():
     with criterion(1, 30, "inequality audit, zero violations over all four primes"):
-        grid = default_rational_grid(12, 12)
         for p in (2, 3, 5, 7):
-            report = audit_inequalities(p, 5, 5, grid, n_max=4)
-            assert report.clean, report.violations[:3]
-            assert all(report.checks[k] > 0 for k in "abcd")
+            counts = assert_inequalities(p, 5, 5, n_max=4)
+            assert all(counts[k] > 0 for k in "abcd")
 
 
 def test_criterion_2_fedder_classic_quadric_cone():
@@ -99,7 +96,7 @@ def test_criterion_2_fedder_classic_quadric_cone():
         assert not membership(square, bracket_power(maximal_ideal(ring), 3))
         # the colon ideal route really produced (f^2)
         assert membership(square, colon(bracket_power(defining, 3), defining))
-        assert classic_fpure(pair, [1]).per_e[1] is True
+        assert classic_fpure(pair, 1).per_e[1] is True
 
 
 def test_criterion_3_sharp_positive_negative_pair():
@@ -176,16 +173,23 @@ def test_criterion_6_radical_corollary_battery():
         saw_nonmonomial = False
         for pair in battery_pairs():
             assert sharp_fedder(pair, 4).proven
+            ring = pair.ring
             tau = compute_test_ideal(pair.a_preimage, pair.t).tau
             if tau.is_monomial or tau.is_zero() or tau.has_constant_generator():
-                assert is_radical_monomial(tau)
+                # exact: a monomial ideal is radical iff it contains the
+                # support of each of its generators
+                supports = [ring.monomial(tuple(min(e, 1) for e in v)) for v in tau.monomial_exponents()]
+                assert ideal_contains(tau, Ideal(ring, supports))
             else:
+                # evidence: no probe g has g^k in tau while g is not
                 saw_nonmonomial = True
-                ring = pair.ring
                 probes = [ring.var(v) for v in ring.variables]
                 probes += list(tau.generators)
                 probes.append(ring.var(ring.variables[0]) + ring.one())
-                assert radical_probe(tau, probes, 4).passed
+                for g in probes:
+                    inside = membership(g, tau)
+                    for k in range(2, 5):
+                        assert not membership(poly_pow(g, k), tau) or inside, (g, k)
             count += 1
         assert count >= 10
         assert saw_nonmonomial
@@ -194,13 +198,17 @@ def test_criterion_6_radical_corollary_battery():
 def test_criterion_7_vassilev_suite():
     with criterion(7, 30, "quotient containments at q in {p, p^2}; S/tau F-pure"):
         for pair in battery_pairs():
+            ring, I = pair.ring, pair.defining
             tau = compute_test_ideal(pair.a_preimage, pair.t).tau
+            assert ideal_contains(tau, I)
+            # Vassilev: a'^ceil(t(q-1)) (I^[q] : I) lies in (tau^[q] : tau)
             for e in (1, 2):
-                assert vassilev_containment(
-                    pair.defining, pair.a_preimage, pair.t, tau, pair.ring.p**e
-                )
+                q = ring.p**e
+                lhs = ideal_power(pair.a_preimage, ceil_mul(pair.t, q - 1)).times(fedder_colon(I, q))
+                assert ideal_contains(fedder_colon(tau, q), lhs), (pair, e)
+            # hence S/tau is F-pure, proven by the trivial pair on it
             if not tau.has_constant_generator():
-                assert quotient_fpure_check(tau).proven
+                assert sharp_fedder(PairSpec(ring, tau, Ideal.unit(ring), Fraction(1)), 4).proven
 
 
 def test_criterion_8_sharp_multiplier_consistency():
@@ -210,19 +218,30 @@ def test_criterion_8_sharp_multiplier_consistency():
             tau = compute_test_ideal(pair.a_preimage, pair.t).tau
             instances = [(Ideal(ring, [ring.var(v)]), ring.var(v)) for v in ring.variables]
             instances += [(pair.a_preimage, g) for g in pair.a_preimage.generators]
+            # c * a^ceil(t(q-1)) * z^q inside I^[q] for each c in tau, z in I
+            # and e = 0..4
             for c in tau.generators:
-                report = sharp_multiplier_check(c, pair, instances, 4)
-                assert report.passed, report.violations[:3]
-                assert report.checks == 5 * len(instances)
+                for I, z in instances:
+                    assert all_members([z], I)
+                    held, trace = tight_closure_witness_check(z, I, pair, c, 4)
+                    assert held and len(trace) == 5, (pair, c, I, z, trace)
 
 
 def test_criterion_9_threshold_consistency():
     with criterion(9, 30, "strong purity proven below every proven t"):
         for pair in battery_pairs():
-            epsilons = [pair.t / 4, pair.t / 2]
-            report = threshold_consistency(pair.a_preimage, pair.t, epsilons, e_max=4)
-            assert report.passed, report.violations[:3]
-            assert report.checks == 2
+            ring, a, t = pair.ring, pair.a_preimage, pair.t
+            sharp = sharp_fedder(pair, 4)
+            assert sharp.proven
+            e0 = sharp.witness_e
+            for eps in (t / 4, t / 2):
+                # sharp at t forces strong at t - eps, proven by the first
+                # multiple of e0 with eps * p^e > t
+                e_need = 1
+                while eps * ring.p**e_need <= t:
+                    e_need += 1
+                e_run = e0 * -(-e_need // e0)
+                assert strong_fedder(PairSpec(ring, pair.defining, a, t - eps), e_run).proven, (pair, eps)
 
 
 def test_criterion_10_engine_cross_checks():

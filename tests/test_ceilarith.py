@@ -1,17 +1,48 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fpurity import (
-    ResourceCapExceeded,
-    audit_inequalities,
-    ceil_mul,
-    denominator_order,
-    floor_mul,
-)
-from fpurity.ceilarith import default_rational_grid
+from fpurity import ResourceCapExceeded, ceil_mul, denominator_order, floor_mul
 from fpurity.purity import CLASSIC, SHARP, STRONG, _exponent
+
+# every reduced a/b with 1 <= a, b <= 12
+GRID = sorted({Fraction(a, b) for a in range(1, 13) for b in range(1, 13)})
+
+
+def assert_inequalities(p, e_max=5, d_max=5, n_max=4):
+    """Assert the four inequalities that let the criteria compose across
+    exponents, for every t in GRID, 1 <= e <= e_max, 1 <= d <= d_max and
+    1 <= n <= n_max; return how many cases each one had.
+
+    (a) ceil(t(p^d-1)) + p^d * ceil(t(p^e-1))          >= ceil(t(p^(d+e)-1))
+    (b) (1 + p^e + ... + p^((n-1)e)) * ceil(t(p^e-1))  >= ceil(t(p^(ne)-1))
+    (c) p^(e-d) * floor(t(p^d-1))                      <= ceil(t(p^e-1))   for d < e
+    (d) ceil(t(p^(d+e)-1))                             >= p^d * ceil(t(p^e-1))
+                                                          when t(p^e-1) is an integer
+    """
+    counts = Counter()
+    for t in GRID:
+        def sharp(e):
+            return ceil_mul(t, p**e - 1)
+
+        for e in range(1, e_max + 1):
+            for d in range(1, d_max + 1):
+                assert sharp(d) + p**d * sharp(e) >= sharp(d + e), ("a", p, t, e, d)
+                counts["a"] += 1
+            for n in range(1, n_max + 1):
+                geometric = sum(p ** (k * e) for k in range(n))
+                assert geometric * sharp(e) >= sharp(n * e), ("b", p, t, e, n)
+                counts["b"] += 1
+            for d in range(1, e):
+                assert p ** (e - d) * floor_mul(t, p**d - 1) <= sharp(e), ("c", p, t, e, d)
+                counts["c"] += 1
+            if (t * (p**e - 1)).denominator == 1:
+                for d in range(1, d_max + 1):
+                    assert sharp(d + e) >= p**d * sharp(e), ("d", p, t, e, d)
+                    counts["d"] += 1
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -75,16 +106,7 @@ def test_single_case_integral_scaling():
 
 
 def test_audit_small_range_clean():
-    report = audit_inequalities(3, 5, 5, default_rational_grid(12, 12))
-    assert report.clean
-    assert report.total_checks > 0
-    assert all(count > 0 for count in report.checks.values())
-
-
-def test_audit_range_cap():
-    huge = default_rational_grid(60, 60)
-    with pytest.raises(ResourceCapExceeded):
-        audit_inequalities(3, 500, 500, huge)
+    assert assert_inequalities(3) == {"a": 2275, "b": 1820, "c": 910, "d": 700}
 
 
 @pytest.mark.parametrize(

@@ -114,24 +114,17 @@ def test_witness_check_trace():
     assert report["verdict"]["trace"] == {"0": True, "1": False, "2": False, "3": False}
 
 
-def test_lemma_audit_clean():
-    report = run_json(["lemma-audit", "--p", "3", "--emax", "5", "--dmax", "5"])
-    assert report["violations"] == []
-    assert report["total_checks"] > 0
-
-
 def test_parse_error_exit_code():
     code, text = run(["sharp-fedder", "--ring", "p=4; vars=x", "--a", "x"])
     assert code == EXIT_USAGE
     assert "not prime" in text
 
 
-@pytest.mark.parametrize("command", ["fpt", "sharp-fedder"])
+@pytest.mark.parametrize("command", ["fpt", "sharp-fedder", "fedder", "strong-fedder", "testideal"])
 def test_emax_below_one_is_a_usage_error(command):
-    # fpt reads its sharp certificate off the nu table, and rejects an empty
-    # table with the message the criterion uses
-    argv = [command, "--ring", "p=3; vars=x", "--a", "x^2", "--emax", "0"]
-    code, text = run(argv + (["--t", "1"] if command == "sharp-fedder" else []))
+    # the criteria, fpt (which reads its sharp certificate off the nu table)
+    # and the test-ideal chain share one check of the exponent range
+    code, text = run([command, "--ring", "p=3; vars=x", "--a", "x^2", "--emax", "0"])
     assert code == EXIT_USAGE
     assert text == "error: e_max must be at least 1, got 0"
 
@@ -167,9 +160,14 @@ def test_witness_check_at_emax_zero_runs_the_e0_row():
 
 
 def test_cap_exit_code():
-    code, text = run(["lemma-audit", "--p", "3", "--emax", "900", "--dmax", "900", "--tmax", "40"])
+    # the 2x2 minors of a generic 2x3 matrix with a = m at t = 3: a^24 has
+    # too many generator products to enumerate modulo m^[9]
+    code, text = run([
+        "sharp-fedder", "--ring", "p=3; vars=a,b,c,d,e,f",
+        "--ideal", "a*e - b*d, a*f - c*d, b*f - c*e", "--a", "a,b,c,d,e,f", "--t", "3", "--emax", "2",
+    ])
     assert code == EXIT_CAP
-    assert "cap" in text
+    assert text.startswith("error: resource cap exceeded: max_power_products")
 
 
 def test_exponent_overflow_exits_with_cap_code():
@@ -258,7 +256,6 @@ EVERY_OPTION_READ = {
     "witness-check": [
         "--ring", "p=3; vars=x", "--ideal", "x^2", "--a", "1", "--z", "x", "--c", "x", "--emax", "2"
     ],
-    "lemma-audit": ["--p", "3", "--emax", "2", "--dmax", "2"],
 }
 
 
@@ -289,6 +286,41 @@ def test_every_option_is_read():
         assert options - {"json"} <= args.read, (name, options - {"json"} - args.read)
         code, text = run([name] + EVERY_OPTION_READ[name] + ["--json"])
         assert code == EXIT_OK and text.startswith("{"), name
+
+
+# A public name has a caller outside tests/: the CLI, the benchmark, or a
+# library user's documented entry point. A check that only tests call is
+# written in the tests, over these names, not exported from src/.
+PUBLIC_NAMES = [
+    "ClosureVerdict", "ExponentOverflowError", "FptCertificate", "FptEstimate", "FrobeniusBox",
+    "Ideal", "NuRecord", "PairSpec", "ParseError", "PolyRing", "PrimeField", "PurityVerdict",
+    "ResourceCapExceeded", "RingMismatchError", "SparsePolynomial", "TestIdealResult",
+    "all_members", "bracket_power", "ceil_mul", "classic_fpure", "colon", "denominator_order",
+    "fedder_colon", "floor_mul", "fpt_bounds", "fpt_estimate", "frobenius_image",
+    "ideal_contains", "ideal_equals", "ideal_power", "intersect", "maximal_ideal", "membership",
+    "nu_table", "nu_value", "parse_poly", "parse_poly_list", "parse_rational", "parse_ring",
+    "poly_mul", "poly_pow", "poly_to_str", "read_poly_file", "root_power", "sharp_fedder",
+    "sharp_frobenius_membership", "strong_fedder", "test_ideal", "tight_closure_witness_check",
+    "verify_witness",
+]
+SUBCOMMANDS = [
+    "fedder", "sharp-fedder", "strong-fedder", "nu", "fpt", "testideal", "closure", "witness-check",
+]
+
+
+def test_public_names_and_subcommands_are_pinned():
+    import argparse
+
+    import fpurity
+
+    assert sorted(fpurity.__all__) == sorted(PUBLIC_NAMES)
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == SUBCOMMANDS
+    settable = sum(
+        1 for sub in subparsers.choices.values() for a in sub._actions
+        if not isinstance(a, argparse._HelpAction)
+    )
+    assert settable == 51
 
 
 def test_table_output_has_elapsed_line():

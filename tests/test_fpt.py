@@ -5,8 +5,8 @@ import pytest
 from fpurity import (
     Ideal,
     PairSpec,
+    FrobeniusBox,
     ResourceCapExceeded,
-    box_pow,
     bracket_power,
     fpt_bounds,
     fpt_estimate,
@@ -20,7 +20,7 @@ from fpurity import (
     parse_ring,
     poly_pow,
     sharp_fedder,
-    threshold_consistency,
+    strong_fedder,
 )
 
 
@@ -193,31 +193,26 @@ def test_estimate_below_true_threshold_is_lower_bound():
 # --- threshold consistency ------------------------------------------------------------
 
 
+def assert_strong_below(a, t, eps):
+    """Sharp purity of (S, a^t) forces strong purity of (S, a^(t - eps)),
+    proven by the first multiple of the sharp witness exponent e0 at which
+    eps * p^e exceeds t."""
+    ring = a.ring
+    sharp = sharp_fedder(PairSpec(ring, Ideal.zero(ring), a, t), 4)
+    assert sharp.proven
+    e0, e_need = sharp.witness_e, 1
+    while eps * ring.p**e_need <= t:
+        e_need += 1
+    e_run = e0 * -(-e_need // e0)
+    assert strong_fedder(PairSpec(ring, Ideal.zero(ring), a, t - eps), e_run).proven
+
+
 def test_consistency_monomial(r3xy):
-    report = threshold_consistency(
-        ideal(["x*y"], r3xy), Fraction(1), [Fraction(1, 3)]
-    )
-    assert report.passed
+    assert_strong_below(ideal(["x*y"], r3xy), Fraction(1), Fraction(1, 3))
 
 
 def test_consistency_variable(r3x):
-    report = threshold_consistency(ideal(["x"], r3x), Fraction(1), [Fraction(1, 2)])
-    assert report.passed
-
-
-def test_consistency_degenerate_epsilon(r3xy):
-    report = threshold_consistency(ideal(["x*y"], r3xy), Fraction(1), [Fraction(1)])
-    assert report.passed and report.checks == 1
-
-
-def test_consistency_requires_proven_t(r3xy):
-    with pytest.raises(ValueError, match="sharp purity proof"):
-        threshold_consistency(ideal(["x*y"], r3xy), Fraction(3, 2), [Fraction(1, 2)])
-
-
-def test_consistency_rejects_bad_epsilon(r3xy):
-    with pytest.raises(ValueError):
-        threshold_consistency(ideal(["x*y"], r3xy), Fraction(1), [Fraction(2)])
+    assert_strong_below(ideal(["x"], r3x), Fraction(1), Fraction(1, 2))
 
 
 # --- the box kernel against the old route ------------------------------------------
@@ -317,7 +312,8 @@ def test_nu_zero_when_a_lies_in_the_bracket_power(texts, r3xy):
 def test_box_power_zero_is_one(r3xy):
     f = parse_poly("x^2 + y", r3xy)
     for q in (1, 3, 9):
-        assert box_pow(f, 0, q) == r3xy.one()
+        box = FrobeniusBox(r3xy, q)
+        assert box.unpack(box.pow(box.pack(f), 0)) == r3xy.one()
 
 
 def test_nu_rejects_q_not_a_power_of_p(r3xy):
@@ -398,20 +394,21 @@ def test_fpt_estimate_matches_the_sharp_fedder_route(p_, names, e_principal, e_i
 
 def test_fpt_estimate_runs_no_criterion(monkeypatch):
     # the sharp proof is ceil(t(q-1)) <= nu(q) on the table already built:
-    # no pair, no colon, no power of a
+    # no pair, no colon, no power of a (fpt imports neither sharp_fedder
+    # nor PairSpec, so it can reach them only through purity)
     import fpurity.fpt
     import fpurity.ideals
     import fpurity.purity
 
+    assert not hasattr(fpurity.fpt, "sharp_fedder") and not hasattr(fpurity.fpt, "PairSpec")
     calls = []
     for module, name in (
-        (fpurity.fpt, "sharp_fedder"),
         (fpurity.purity, "sharp_fedder"),
         (fpurity.purity, "fedder_colon"),
         (fpurity.ideals, "fedder_colon"),
         (fpurity.purity, "ideal_power"),
         (fpurity.ideals, "ideal_power"),
-        (fpurity.fpt, "PairSpec"),
+        (fpurity.purity, "PairSpec"),
     ):
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     r3x, r3xy = parse_ring("p=3; vars=x"), parse_ring("p=3; vars=x,y")

@@ -17,9 +17,7 @@ from fpurity import (
     membership,
     parse_poly,
     parse_ring,
-    principal_sharp_implies_classic,
     sharp_fedder,
-    sharp_from_single_split,
     strong_fedder,
     verify_witness,
 )
@@ -100,17 +98,17 @@ def test_strong_trivial_pair_ideal(r3xy):
 
 
 def test_classic_quadric_cone_holds(r3xyz):
-    v = classic_fpure(pair(r3xyz, ["1"], 1, defining_texts=["x^2 - y*z"]), [1])
+    v = classic_fpure(pair(r3xyz, ["1"], 1, defining_texts=["x^2 - y*z"]), 1)
     assert v.per_e[1] is True
 
 
 def test_classic_monomial_holds(r3xy):
-    v = classic_fpure(pair(r3xy, ["x*y"], 1), [1])
+    v = classic_fpure(pair(r3xy, ["x*y"], 1), 1)
     assert v.per_e[1] is True
 
 
 def test_classic_failure_is_diagnostic(r3x):
-    v = classic_fpure(pair(r3x, ["x"], 2), [1])
+    v = classic_fpure(pair(r3x, ["x"], 2), 1)
     assert v.per_e[1] is False
     assert v.outcome == "failed-at-all"
 
@@ -126,7 +124,7 @@ def test_exponent_level_ordering(r3xy, a_texts, t):
     pr = pair(r3xy, a_texts, t)
     strong = strong_fedder(pr, 3).per_e
     sharp = sharp_fedder(pr, 3).per_e
-    classic = classic_fpure(pr, (1, 2, 3)).per_e
+    classic = classic_fpure(pr, 3).per_e
     for e in (1, 2, 3):
         if e in strong and strong[e]:
             assert sharp.get(e, True)
@@ -144,57 +142,72 @@ def test_monotone_in_t(r3xy):
 
 
 def test_sharp_equals_classic_at_integrality_exponent(r3xy):
-    from fpurity.purity import SHARP, _run_criterion
+    from fpurity.purity import CLASSIC, SHARP, _run_criterion
 
     for t in (Fraction(1, 2), Fraction(3, 4), Fraction(5, 8), Fraction(3, 2)):
         e0 = denominator_order(t, 3)
         assert e0 is not None
         pr = pair(r3xy, ["x*y"], t)
         sharp_at_e0 = _run_criterion(pr, SHARP, [e0]).per_e[e0]
-        classic_at_e0 = classic_fpure(pr, [e0]).per_e[e0]
+        classic_at_e0 = _run_criterion(pr, CLASSIC, [e0]).per_e[e0]
         assert sharp_at_e0 == classic_at_e0
 
 
 # --- principal consistency ------------------------------------------------------
 
 
+def assert_sharp_forces_classic(pr, e_max):
+    """For a principal pair, a sharp proof forces the classic condition at
+    every e."""
+    assert pr.principal_modulo_defining()
+    assert sharp_fedder(pr, e_max).proven
+    classic = classic_fpure(pr, e_max)
+    assert classic.per_e == {e: True for e in range(1, e_max + 1)}
+
+
 def test_principal_sharp_implies_classic_monomial(r3xy):
-    report = principal_sharp_implies_classic(pair(r3xy, ["x*y"], 1), 4)
-    assert report.passed and report.checks == 4
+    assert_sharp_forces_classic(pair(r3xy, ["x*y"], 1), 4)
 
 
 def test_principal_sharp_implies_classic_half(r3x):
-    report = principal_sharp_implies_classic(pair(r3x, ["x"], Fraction(1, 2)), 4)
-    assert report.passed and report.checks == 4
+    assert_sharp_forces_classic(pair(r3x, ["x"], Fraction(1, 2)), 4)
 
 
 def test_principal_check_trivial_pair(r3xy):
-    report = principal_sharp_implies_classic(pair(r3xy, ["1"], 1), 3)
-    assert report.passed
+    assert_sharp_forces_classic(pair(r3xy, ["1"], 1), 3)
 
 
-def test_principal_check_rejects_non_principal(r3xy):
-    with pytest.raises(ValueError, match="principal"):
-        principal_sharp_implies_classic(pair(r3xy, ["x", "y"], 1), 2)
+def test_principal_check_rejects_non_principal(r3xy, r3xyz):
+    # the corollary needs a principal pair ideal; (x, y) is not, while
+    # (x, x^2 - y*z) over S/(x^2 - y*z) is
+    assert not pair(r3xy, ["x", "y"], 1).principal_modulo_defining()
+    assert pair(r3xyz, ["x", "x^2 - y*z"], 1, defining_texts=["x^2 - y*z"]).principal_modulo_defining()
 
 
-# --- single-splitting constructor ------------------------------------------------
+# --- one split: (S, (f)^(1/(q-1))) is sharply F-pure when f escapes m^[q] ---------
+
+
+def single_split(f, e):
+    """The pair (S, (f)^(1/(p^e - 1))) and its sharp verdict through e."""
+    ring = f.ring
+    built = PairSpec(ring, Ideal.zero(ring), Ideal(ring, [f]), Fraction(1, ring.p**e - 1))
+    return built, sharp_fedder(built, e)
 
 
 def test_split_from_monomial(r3xy):
-    built, verdict = sharp_from_single_split(p("x*y", r3xy), 1)
+    built, verdict = single_split(p("x*y", r3xy), 1)
     assert verdict.proven
     assert built.t == Fraction(1, 2)
 
 
 def test_split_fails_inside_bracket(r3xy):
-    _, verdict = sharp_from_single_split(p("x^3", r3xy), 1)
+    _, verdict = single_split(p("x^3", r3xy), 1)
     assert not verdict.proven
-    assert "does not split" in verdict.note
+    assert verdict.outcome == "inconclusive"
 
 
 def test_split_unit(r3xy):
-    _, verdict = sharp_from_single_split(r3xy.one(), 2)
+    _, verdict = single_split(r3xy.one(), 2)
     assert verdict.proven
 
 
@@ -325,7 +338,7 @@ def _kernel_cases(prime):
 
 @pytest.mark.parametrize("prime, top", [(2, 8), (3, 9), (5, 5)])
 def test_box_escape_matches_membership_loop_on_kernel_cases(prime, top):
-    from fpurity.purity import CLASSIC, SHARP, STRONG, _escape_bound, _exponent
+    from fpurity.purity import CLASSIC, SHARP, STRONG, _escape_bound, _exponent, _run_criterion
 
     outcomes = set()
     classic_zero = False
@@ -339,7 +352,7 @@ def test_box_escape_matches_membership_loop_on_kernel_cases(prime, top):
                 got = _escape_witness(pr, N, q)
                 _assert_same_escape(got, _escaping_pair(pr, N, q))
                 outcomes.add(got is None)
-            classic = classic_fpure(pr, [e])
+            classic = _run_criterion(pr, CLASSIC, [e])
             N = _exponent(CLASSIC, pr.t, q)
             classic_zero |= N == 0
             expected = _escaping_pair(pr, N, q)
@@ -772,7 +785,7 @@ def test_recheck_computes_no_colon(monkeypatch):
 
 @pytest.mark.parametrize("text,e", [("x*y", 1), ("x^2*y + y^3", 1), ("1", 2), ("x + y^2", 2)])
 def test_single_split_verdict_reverifies(r3xy, text, e):
-    built, verdict = sharp_from_single_split(p(text, r3xy), e)
+    built, verdict = single_split(p(text, r3xy), e)
     assert verdict.proven
     assert verdict.witness_factors == (p(text, r3xy), r3xy.one())
     assert verify_witness(built, verdict) is True

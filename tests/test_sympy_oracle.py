@@ -26,7 +26,6 @@ from fpurity import (  # noqa: E402
     bracket_power,
     colon,
     fedder_colon,
-    groebner_basis,
     intersect,
     parse_poly_list,
     parse_ring,
@@ -47,7 +46,7 @@ def monic_terms(poly_dict, p):
 
 
 def engine_basis(I):
-    return {monic_terms(g.terms, I.ring.p) for g in groebner_basis(I)}
+    return {monic_terms(g.terms, I.ring.p) for g in I.groebner()}
 
 
 def sympy_basis(exprs, gens, p):

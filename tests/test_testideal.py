@@ -5,17 +5,18 @@ import pytest
 
 from fpurity import (
     Ideal,
-    NonMonomialIdealError,
+    PairSpec,
     ResourceCapExceeded,
+    fedder_colon,
     ideal_contains,
     ideal_equals,
-    is_radical_monomial,
+    ideal_power,
+    membership,
     parse_poly,
-    quotient_fpure_check,
-    radical_probe,
+    poly_pow,
     sharp_fedder,
-    vassilev_containment,
 )
+from fpurity.ceilarith import ceil_mul
 
 from fpurity import test_ideal as compute_test_ideal
 
@@ -82,82 +83,82 @@ def test_rejects_zero_ideal(r3xy):
 # --- radicality ---------------------------------------------------------------
 
 
+def supports(I):
+    """The supports of I's monomial generators: they generate its radical."""
+    return Ideal(I.ring, [I.ring.monomial(tuple(min(e, 1) for e in v)) for v in I.monomial_exponents()])
+
+
 @pytest.mark.parametrize(
     "texts,expected",
     [(["x*y"], True), (["x^2", "y"], False), (["x", "y*z"], True)],
 )
 def test_is_radical_monomial(texts, expected, r3xyz):
-    assert is_radical_monomial(ideal(texts, r3xyz)) is expected
-
-
-def test_is_radical_monomial_rejects_general(r3xy):
-    with pytest.raises(NonMonomialIdealError):
-        is_radical_monomial(ideal(["x + y^2"], r3xy))
+    I = ideal(texts, r3xyz)
+    assert ideal_contains(I, supports(I)) is expected
 
 
 def test_radical_probe_finds_violation(r3x):
-    report = radical_probe(ideal(["x^2"], r3x), [p("x", r3x)], 2)
-    assert not report.passed
-    assert report.violations[0]["k"] == 2
+    x = p("x", r3x)
+    assert membership(poly_pow(x, 2), ideal(["x^2"], r3x))
+    assert not membership(x, ideal(["x^2"], r3x))
 
 
 def test_radical_probe_clean(r3xy):
-    probes = [p(s, r3xy) for s in ("x", "y", "x + y")]
-    assert radical_probe(ideal(["x*y"], r3xy), probes, 3).passed
+    I = ideal(["x*y"], r3xy)
+    for g in (p(s, r3xy) for s in ("x", "y", "x + y")):
+        for k in (2, 3):
+            assert not membership(poly_pow(g, k), I) or membership(g, I)
 
 
 def test_radical_probe_unit_is_vacuous(r3xy):
-    assert radical_probe(Ideal.unit(r3xy), [p("x", r3xy)], 3).passed
+    assert membership(p("x", r3xy), Ideal.unit(r3xy))
 
 
 # --- quotient containment -------------------------------------------------------
 
 
+def vassilev_holds(I, a, t, tau, q):
+    """a^ceil(t(q-1)) (I^[q] : I) inside (tau^[q] : tau)."""
+    return ideal_contains(fedder_colon(tau, q), ideal_power(a, ceil_mul(t, q - 1)).times(fedder_colon(I, q)))
+
+
 def test_vassilev_monomial(r3xy):
-    assert vassilev_containment(
+    assert vassilev_holds(
         Ideal.zero(r3xy), ideal(["x*y"], r3xy), Fraction(1), ideal(["x*y"], r3xy), 3
     )
 
 
 def test_vassilev_trivial(r3xy):
-    assert vassilev_containment(
+    assert vassilev_holds(
         Ideal.zero(r3xy), Ideal.unit(r3xy), Fraction(1), Ideal.unit(r3xy), 9
     )
 
 
 def test_vassilev_square_half(r3x):
-    assert vassilev_containment(
+    assert vassilev_holds(
         Ideal.zero(r3x), ideal(["x^2"], r3x), Fraction(1, 2), ideal(["x"], r3x), 3
     )
-
-
-def test_vassilev_requires_pullback_over_defining(r3xy):
-    with pytest.raises(ValueError):
-        vassilev_containment(
-            ideal(["x"], r3xy), ideal(["x", "y"], r3xy), Fraction(1), ideal(["y"], r3xy), 3
-        )
 
 
 # --- quotient F-purity ------------------------------------------------------------
 
 
+def quotient_verdict(tau):
+    """The sharp criterion on the trivial pair (S/tau, (1)^1)."""
+    return sharp_fedder(PairSpec(tau.ring, tau, Ideal.unit(tau.ring), Fraction(1)), 4)
+
+
 def test_quotient_fpure_monomial(r3xy):
-    verdict = quotient_fpure_check(ideal(["x*y"], r3xy))
+    verdict = quotient_verdict(ideal(["x*y"], r3xy))
     assert verdict.proven and verdict.witness_e == 1
 
 
 def test_quotient_fpure_principal_variable(r3xy):
-    assert quotient_fpure_check(ideal(["x"], r3xy)).proven
-
-
-def test_quotient_fpure_unit_is_degenerate(r3xy):
-    verdict = quotient_fpure_check(Ideal.unit(r3xy))
-    assert verdict.outcome == "degenerate"
-    assert "zero ring" in verdict.note
+    assert quotient_verdict(ideal(["x"], r3xy)).proven
 
 
 def test_quotient_fpure_zero_is_ambient(r3xy):
-    assert quotient_fpure_check(Ideal.zero(r3xy)).proven
+    assert quotient_verdict(Ideal.zero(r3xy)).proven
 
 
 # --- corollary-level cross-checks over the battery ---------------------------------
@@ -168,12 +169,14 @@ def test_battery_taus_are_radical():
         assert sharp_fedder(pr, 4).proven
         tau = compute_test_ideal(pr.a_preimage, pr.t).tau
         if tau.is_monomial or tau.is_zero() or tau.has_constant_generator():
-            assert is_radical_monomial(tau)
+            assert ideal_contains(tau, supports(tau))
         else:
             probes = [pr.ring.var(v) for v in pr.ring.variables]
             probes += list(tau.generators)
             probes.append(pr.ring.var(pr.ring.variables[0]) + pr.ring.one())
-            assert radical_probe(tau, probes, 3).passed
+            for g in probes:
+                for k in (2, 3):
+                    assert not membership(poly_pow(g, k), tau) or membership(g, tau)
 
 
 def test_battery_quotients_are_fpure():
@@ -181,16 +184,14 @@ def test_battery_quotients_are_fpure():
         tau = compute_test_ideal(pr.a_preimage, pr.t).tau
         if tau.has_constant_generator():
             continue
-        assert quotient_fpure_check(tau).proven
+        assert quotient_verdict(tau).proven
 
 
 def test_battery_vassilev_containments():
     for pr in battery_pairs():
         tau = compute_test_ideal(pr.a_preimage, pr.t).tau
         for e in (1, 2):
-            assert vassilev_containment(
-                pr.defining, pr.a_preimage, pr.t, tau, pr.ring.p**e
-            )
+            assert vassilev_holds(pr.defining, pr.a_preimage, pr.t, tau, pr.ring.p**e)
 
 
 # --- closed form for monomial ideals in two variables -----------------------------
