@@ -49,7 +49,6 @@ from .parser import (
     parse_rational,
     parse_ring,
     poly_to_str,
-    read_poly_file,
 )
 from .poly import (
     FrobeniusBox,
@@ -116,7 +115,6 @@ __all__ = [
     "poly_mul",
     "poly_pow",
     "poly_to_str",
-    "read_poly_file",
     "root_power",
     "sharp_fedder",
     "sharp_frobenius_membership",

@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ring", required=True, help=RING_HELP)
     sub.add_argument("--a", required=True, help=A_HELP)
     sub.add_argument("--t", default="1", help="pair exponent, e.g. 5/6")
-    sub.add_argument("--efloor", type=int, default=None, help="earliest admissible stabilization exponent")
     sub.add_argument("--emax", type=int, default=12, help="chain cap; no stabilization by here aborts")
     _add_json_flag(sub)
 
@@ -273,7 +272,7 @@ def _run_testideal(args) -> dict:
     ring = parse_ring(args.ring)
     a = _parse_ideal(args.a, ring)
     t = parse_rational(args.t)
-    result = test_ideal(a, t, e_floor=args.efloor, e_cap=args.emax)
+    result = test_ideal(a, t, e_cap=args.emax)
     return {
         "command": "testideal",
         "inputs": {
@@ -301,7 +300,7 @@ def _run_closure(args) -> dict:
     target = _parse_ideal(args.ideal, ring)
     pair = _make_pair(args, ring, defining)
     z = parse_poly(args.z, ring)
-    verdict = sharp_frobenius_membership(z, target, pair, range(1, args.emax + 1))
+    verdict = sharp_frobenius_membership(z, target, pair, args.emax)
     return {
         "command": "closure",
         "inputs": _quotient_inputs(args, ring, pair)

@@ -14,11 +14,11 @@ divisor's terms for it. A reduction takes its largest remaining term from
 a heap keyed by the negated order key, against a table of divisor rows
 that one Buchberger run builds once and extends as the basis grows.
 
-Colons run by elimination of an extra variable t, one elimination per
-generator of the divisor ideal, except for monomial and principal cases
-and the Fedder colon I^[q] : I of a complete intersection, which
-``fedder_colon`` takes from Fedder's lemma with one Buchberger run in the
-ring itself.
+Colons run one intersection per generator of the divisor ideal, each by
+elimination of an extra variable t unless both sides are monomial or the
+target is principal and divisible by the other side; the Fedder colon
+I^[q] : I of a complete intersection ``fedder_colon`` takes from Fedder's
+lemma with one Buchberger run in the ring itself.
 
 For an ideal that is homogeneous in positive integer weights W
 (``positive_grading``), Buchberger can stop at a W-degree: with pairs taken
@@ -60,7 +60,6 @@ from .poly import (
     minimal_packed,
     mono_div,
     mono_divides,
-    mono_gcd,
     mono_lcm,
     mono_mul,
     poly_pow,
@@ -464,13 +463,9 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_equals(I: Ideal, J: Ideal) -> bool:
-    """Exact equality, via minimal generators or canonical reduced bases."""
+    """Exact equality of the canonical reduced bases."""
     I._check_ring(J)
-    if I.is_monomial and J.is_monomial:
-        return sorted(I.monomial_exponents()) == sorted(J.monomial_exponents())
-    if I.is_zero() or J.is_zero():
-        return I.is_zero() and J.is_zero()
-    return list(I.groebner()) == list(J.groebner())
+    return I.groebner() == J.groebner()
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +634,11 @@ def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
     weights, t gets weight 0, which makes t*J + (1-t)*K homogeneous too;
     the elimination is then truncated at the bound, and the result holds
     exactly the reduced-basis elements of J intersect K up to it.
+
+    Monomial against monomial takes the lcms, and two principal ideals
+    (g) and (f) with f dividing g meet in (g), with no elimination; that
+    is how a hypersurface's colon (f^q) : (f) runs. A graded (g) above the
+    bound holds nothing up to it, which is settled before any division.
     """
     J._check_ring(K)
     ring = J.ring
@@ -653,6 +653,12 @@ def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
             mono_lcm(u, v) for u in J.monomial_exponents() for v in K.monomial_exponents()
         ]
         return Ideal._from_minimal(ring, _minimal_monomials(lcms))
+    if len(J.generators) == 1 and len(K.generators) == 1:
+        (g,), (f,) = J.generators, K.generators
+        if graded is not None and _degree(g, graded[0]) > graded[1]:
+            return Ideal.zero(ring)
+        if _try_exact_div(g, f) is not None:
+            return J
     # t*J + (1-t)*K in the extended ring, then eliminate t
     ext = _extend_ring(ring)
     t = ext.var(_ELIM_VAR)
@@ -668,28 +674,38 @@ def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
 
 
 def _try_exact_div(g: SparsePolynomial, f: SparsePolynomial) -> Optional[SparsePolynomial]:
-    """g / f when f divides g exactly, else None."""
+    """g / f when f divides g exactly, else None. As in ``_normal_form``,
+    the largest remaining term comes off a heap on the negated order key."""
     ring = g.ring
     p = ring.p
+    hkey = _descending_key(ring)
     flm = f.lead_monomial()
     finv = ring.field.inv(f.lead_coeff())
     work = dict(g.terms)
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
     quote: dict[Monomial, int] = {}
-    while work:
-        m = max(work, key=ring.key)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
         if not mono_divides(flm, m):
             return None
-        factor = (work[m] * finv) % p
+        factor = (c * finv) % p
         shift = mono_div(m, flm)
         quote[shift] = factor
         for tm, tc in f.terms.items():
             t = mono_mul(tm, shift)
-            s = (work.get(t, 0) - factor * tc) % p
+            old = work.get(t, 0)
+            s = (old - factor * tc) % p
             if s:
                 work[t] = s
+                if not old:
+                    heapq.heappush(heap, (hkey(t), t))
             else:
-                work.pop(t, None)
-    return SparsePolynomial(ring, quote)
+                del work[t]
+    return SparsePolynomial(ring, quote, next(iter(quote), None))
 
 
 def _degree(f: SparsePolynomial, weights: Sequence[int]) -> int:
@@ -716,43 +732,18 @@ def _divide(meet: Ideal, f: SparsePolynomial) -> Ideal:
     return Ideal(meet.ring, out)
 
 
-def _colon_by_poly(J: Ideal, f: SparsePolynomial, graded: Optional[_Graded] = None) -> Ideal:
-    """J : (f) for one nonzero f, via (J intersect (f)) / f.
-
-    With ``graded``, the intersection is truncated at the bound plus the
-    degree of f, which keeps every quotient of degree up to the bound.
-    """
-    ring = J.ring
-    if f.is_constant():
-        return J
-    if len(J.generators) == 1:
-        g = J.generators[0]
-        if graded is not None:
-            weights, bound = graded
-            if _degree(g, weights) - _degree(f, weights) > bound:
-                return Ideal.zero(ring)  # g / f, if it exists, lies above the bound
-        quotient = _try_exact_div(g, f)
-        if quotient is not None:
-            return Ideal(ring, [quotient])
-    if J.is_monomial and f.is_monomial():
-        fm = f.lead_monomial()
-        gens = [mono_div(u, mono_gcd(u, fm)) for u in J.monomial_exponents()]
-        return Ideal._from_minimal(ring, _minimal_monomials(gens))
-    return _divide(intersect(J, Ideal(ring, [f]), _raised(graded, f)), f)
-
-
 def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
     """The colon ideal J : I = {g : g*I inside J}.
 
-    Generator by generator: R_1 = J : f_1, and for k > 1
+    Generator by generator, from R_0 = S: for k = 1, ..., r
 
         R_k  =  R_(k-1) intersect (J : f_k)  =  (J intersect f_k*R_(k-1)) / f_k,
 
     since g*f_k lies in both J and f_k*R_(k-1) exactly when g is in R_k
-    (S is a domain). That is one elimination per generator of I, where
-    intersecting the r single colons took 2r - 1. Monomial against
-    monomial never eliminates: single colons use the gcd-quotient formula
-    and intersections the lcm formula. The quotients of a Groebner basis of
+    (S is a domain). That is one intersection per generator of I, where
+    intersecting the r single colons took 2r - 1, and ``intersect`` needs
+    no elimination for monomial against monomial (lcms) or for (g) against
+    a divisor (f) of g. The quotients of a Groebner basis of
     J intersect f_k*R_(k-1) by f_k form a Groebner basis of R_k, so for
     r >= 2 one interreduction turns them into the monic reduced basis,
     sorted by lead; a principal I keeps the quotients as they come. For
@@ -761,10 +752,12 @@ def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
 
     ``graded = (weights, bound)``, for J and I homogeneous in positive
     integer weights, returns only the generators of weighted degree at most
-    the bound: each elimination is truncated at the bound plus the degree
-    of f_k (the elimination variable gets weight 0). The bounded result is
-    the subsequence of the unbounded one of degree at most the bound, and
-    generates an ideal that agrees with J : I in every degree up to it.
+    the bound: each intersection is truncated at the bound plus the degree
+    of f_k (the elimination variable gets weight 0), so a principal J whose
+    quotient would lie above the bound costs no division. The bounded
+    result is the subsequence of the unbounded one of degree at most the
+    bound, and generates an ideal that agrees with J : I in every degree up
+    to it.
     """
     J._check_ring(I)
     ring = J.ring
@@ -772,16 +765,13 @@ def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
         return Ideal.unit(ring)
     if J.has_constant_generator():
         return Ideal.unit(ring)
-    if J.is_zero():
-        return Ideal.zero(ring)  # annihilator of a nonzero ideal in a domain
     if I.has_constant_generator():
         return J
-    first, *rest = I.generators
-    result = _colon_by_poly(J, first, graded)
-    for f in rest:
+    result = Ideal.unit(ring)
+    for f in I.generators:
         raised = Ideal(ring, [f * g for g in result.generators])
         result = _divide(intersect(J, raised, _raised(graded, f)), f)
-    if rest and not result.is_monomial:
+    if len(I.generators) > 1 and not result.is_monomial:
         result = Ideal(ring, _interreduce(list(result.generators), _StepCounter()))
     if graded is not None:
         weights, bound = graded

@@ -14,8 +14,6 @@ Exponentiation binds tightest, then "*", then "+"/"-". Implicit
 multiplication is not part of the grammar: "xy" is a single identifier.
 Integer literals must fit in 64 bits. Every failure raises ParseError
 carrying the offending position.
-
-Fixture files hold one polynomial per line; "#" starts a comment.
 """
 
 from __future__ import annotations
@@ -198,17 +196,6 @@ def parse_rational(text: str) -> Fraction:
     if value <= 0:
         raise ParseError("exponent must be positive", start)
     return value
-
-
-def read_poly_file(path, ring: PolyRing) -> list[SparsePolynomial]:
-    """Read a fixture file: one polynomial per line, '#' comments, blanks ok."""
-    polys = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            body = line.split("#", 1)[0].strip()
-            if body:
-                polys.append(parse_poly(body, ring))
-    return polys
 
 
 def mono_to_str(ring: PolyRing, mono, coeff: int) -> str:

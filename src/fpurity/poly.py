@@ -57,10 +57,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(min, a, b))
-
-
 def grevlex_key(mono: Monomial):
     """Sort key realizing graded reverse lexicographic order (ascending)."""
     return (sum(mono), tuple(map(neg, reversed(mono))))
@@ -164,11 +160,6 @@ class SparsePolynomial:
         """Single-term polynomial (the zero polynomial does not count)."""
         return len(self.terms) == 1
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
     def lead_monomial(self) -> Monomial:
         lead = self._lead
         if lead is None:
@@ -233,17 +224,6 @@ class SparsePolynomial:
 
     def __pow__(self, s: int) -> "SparsePolynomial":
         return poly_pow(self, s)
-
-    def scale(self, c: int) -> "SparsePolynomial":
-        c = c % self.ring.p
-        if c == 0:
-            return self.ring.zero()
-        if c == 1:
-            return self
-        p = self.ring.p
-        return SparsePolynomial(
-            self.ring, {m: (k * c) % p for m, k in self.terms.items()}, self._lead
-        )
 
     def mul_term(self, mono: Monomial, coeff: int) -> "SparsePolynomial":
         """Multiply by coeff * x^mono in one pass.

@@ -30,7 +30,8 @@ colon, so it is independent of ``fedder_colon``, the degree bound and the
 box.
 
 All checks happen at the homogeneous maximal ideal, the standard
-computable model for the local criterion. The defining ideal I is assumed
+computable model for the local criterion, so an I outside m, where S/I has
+no point at the origin, is refused. The defining ideal I is assumed
 radical; the package does not verify that (it is expensive in general).
 """
 
@@ -302,8 +303,16 @@ def _exponent(criterion: str, t: Fraction, q: int) -> int:
 
 def _run_criterion(pair: PairSpec, criterion: str, e_values: Iterable[int]) -> PurityVerdict:
     """Test the escape condition at each e in turn; a sharp or strong run
-    stops at its first escape, which already proves purity."""
-    p = pair.ring.p
+    stops at its first escape, which already proves purity. A defining
+    ideal outside m, one with a generator that has a nonzero constant
+    term, raises ValueError."""
+    ring = pair.ring
+    if any((0,) * ring.nvars in f.terms for f in pair.defining.generators):
+        raise ValueError(
+            f"the defining ideal must lie in m = ({', '.join(ring.variables)}) "
+            "because the criteria are local at the origin"
+        )
+    p = ring.p
     per_e: dict[int, bool] = {}
     tested: list[int] = []
     factors = None

@@ -33,26 +33,22 @@ class TestIdealResult:
     note: str = ""
 
 
-def test_ideal(
-    a: Ideal,
-    t: Fraction,
-    e_floor: Optional[int] = None,
-    e_cap: int = 12,
-) -> TestIdealResult:
+def test_ideal(a: Ideal, t: Fraction, e_cap: int = 12) -> TestIdealResult:
     """Compute the test ideal of (S, a^t) over the regular ambient ring.
 
-    Returns the first chain entry K_e with K_e = K_(e+1) = K_(e+2) and
-    e >= e_floor. The chain's ascent is verified entry by entry; an ascent
-    violation raises AssertionError because it can only mean a bug here.
-    An e_cap below 1 is refused with ValueError.
+    Returns the first chain entry K_e with K_e = K_(e+1) = K_(e+2) and e
+    at least the floor, the least e with t(p^e - 1) integral, or 1 when
+    there is none. The chain's ascent is verified entry by entry, so
+    K_e = K_(e+2) already gives all three equal; an ascent violation
+    raises AssertionError because it can only mean a bug here. An e_cap
+    below 1 is refused with ValueError.
     """
     if a.is_zero():
         raise ValueError("test ideal of the zero ideal is not defined")
     if t <= 0:
         raise ValueError(f"exponent must be positive, got {t}")
     ring = a.ring
-    if e_floor is None:
-        e_floor = denominator_order(t, ring.p) or 1
+    e_floor = denominator_order(t, ring.p) or 1
     chain: list[tuple[int, Ideal]] = []
     previous: Optional[Ideal] = None
     for e in exponent_range(e_cap):
@@ -64,11 +60,7 @@ def test_ideal(
         previous = entry
         if len(chain) >= 3:
             e_star, base = chain[-3]
-            if (
-                e_star >= e_floor
-                and ideal_equals(base, chain[-2][1])
-                and ideal_equals(base, chain[-1][1])
-            ):
+            if e_star >= e_floor and ideal_equals(base, chain[-1][1]):
                 return TestIdealResult(
                     tau=base,
                     stabilized_at=e_star,

@@ -11,6 +11,7 @@ deduping ``root_power`` pieces up to a unit would not drop the import.
 ``expected_mismatch`` never falls back to sympy.
 """
 
+import importlib
 import importlib.util
 import itertools
 import json
@@ -31,7 +32,15 @@ def _bench_module(name):
 
 
 checker = _bench_module("checker")
+layertrace = _bench_module("layertrace")
 workloads = _bench_module("workloads")
+
+
+def test_every_traced_name_resolves():
+    # bench/run.py --trace 1 wraps these by name; a deleted one breaks it
+    for _, module, attr in layertrace.SPANS:
+        assert hasattr(importlib.import_module(f"fpurity.{module}"), attr), f"{module}.{attr}"
+    assert callable(importlib.import_module("fpurity.ideals").Ideal.groebner)
 
 
 @pytest.mark.parametrize("workload", ["thresholds", "quotients", "chains"])

@@ -140,9 +140,9 @@ PROBE = ["--ring", "p=3; vars=x,y", "--defining", "x^3 + y^3", "--ideal", "x^2",
          "e_max must be at least 1, got 0"),
         # z = x^2 would be trivially in; an empty range is refused first
         (["closure", *PROBE, "--z", "x^2", "--emax", "0"],
-         "e_max must be at least 1: the exponent range is empty"),
+         "e_max must be at least 1, got 0"),
         (["closure", *PROBE, "--z", "x", "--emax", "0"],
-         "e_max must be at least 1: the exponent range is empty"),
+         "e_max must be at least 1, got 0"),
         # the witness trace starts at e = 0, so e_max = 0 is a real check
         (["witness-check", *PROBE, "--z", "x", "--c", "y", "--emax", "-1"],
          "e_max must be at least 0, got -1"),
@@ -152,6 +152,27 @@ def test_empty_exponent_range_is_a_usage_error(argv, message):
     code, text = run(argv)
     assert code == EXIT_USAGE
     assert text == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["fedder", "sharp-fedder", "strong-fedder"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ideal", "1"],
+        ["--ideal", "x, x + 1", "--a", "1"],
+        ["--ideal", "x - 1", "--a", "x - 1, y^3", "--t", "1", "--emax", "2"],
+    ],
+    ids=["unit", "unit-from-two-generators", "off-origin"],
+)
+def test_defining_ideal_outside_m_is_a_usage_error(command, flags):
+    # the criteria are local at the origin, and S/(1) and S/(x - 1) have no
+    # point there
+    code, text = run([command, "--ring", "p=3; vars=x,y", *flags, "--json"])
+    assert code == EXIT_USAGE
+    assert text == (
+        "error: the defining ideal must lie in m = (x, y) because the criteria "
+        "are local at the origin"
+    )
 
 
 def test_witness_check_at_emax_zero_runs_the_e0_row():
@@ -299,7 +320,7 @@ PUBLIC_NAMES = [
     "fedder_colon", "floor_mul", "fpt_bounds", "fpt_estimate", "frobenius_image",
     "ideal_contains", "ideal_equals", "ideal_power", "intersect", "maximal_ideal", "membership",
     "nu_table", "nu_value", "parse_poly", "parse_poly_list", "parse_rational", "parse_ring",
-    "poly_mul", "poly_pow", "poly_to_str", "read_poly_file", "root_power", "sharp_fedder",
+    "poly_mul", "poly_pow", "poly_to_str", "root_power", "sharp_fedder",
     "sharp_frobenius_membership", "strong_fedder", "test_ideal", "tight_closure_witness_check",
     "verify_witness",
 ]
@@ -320,7 +341,7 @@ def test_public_names_and_subcommands_are_pinned():
         1 for sub in subparsers.choices.values() for a in sub._actions
         if not isinstance(a, argparse._HelpAction)
     )
-    assert settable == 51
+    assert settable == 50
 
 
 def test_table_output_has_elapsed_line():

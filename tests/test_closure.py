@@ -36,14 +36,14 @@ def ideal(texts, ring):
 
 def test_trivially_in(r3x):
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x"], r3x), pr, range(1, 5))
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x"], r3x), pr, 4)
     assert v.outcome == "trivially-in"
 
 
 def test_member_of_target_short_circuits(r3x):
     # the containment at e=1 also holds here, but z in I wins
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x^3", r3x), ideal(["x^3"], r3x), pr, range(1, 5))
+    v = sharp_frobenius_membership(p("x^3", r3x), ideal(["x^3"], r3x), pr, 4)
     assert v.outcome == "trivially-in"
 
 
@@ -51,7 +51,7 @@ def test_certified_membership_outside_ideal(r3x):
     # z = x against (x^2) under ((x), 3/2): t(p-1) = 3 is integral and
     # x^ceil(3(q-1)/2) * x^q lies in (x^2q) for every q >= 3
     pr = pair(r3x, ["x"], Fraction(3, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, range(1, 5))
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, 4)
     assert v.outcome == "certified-in"
     assert v.certified_e == 1
     assert v.certificate == "principal-integral-exponent"
@@ -60,7 +60,7 @@ def test_certified_membership_outside_ideal(r3x):
 
 def test_failed_at_every_tested_exponent(r3x):
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, range(1, 5))
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, 4)
     assert v.outcome == "failed-at"
     assert v.failed_e == (1, 2, 3, 4)
     assert "diagnostic" in v.note
@@ -70,7 +70,7 @@ def test_bounded_in_without_certificate(r3x):
     # denominator divisible by p blocks the integrality certificate, but
     # the containment itself holds at every tested e
     pr = pair(r3x, ["x"], Fraction(4, 3))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, range(1, 5))
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, 4)
     assert v.outcome == "bounded-in"
 
 
@@ -79,7 +79,7 @@ def test_quotient_pair_membership(r3xyz):
     # ideal is adjoined
     pr = pair(r3xyz, ["1"], 1, defining_texts=["x^2 - y*z"])
     v = sharp_frobenius_membership(
-        p("x^2 - y*z", r3xyz), ideal(["y"], r3xyz), pr, range(1, 3)
+        p("x^2 - y*z", r3xyz), ideal(["y"], r3xyz), pr, 2
     )
     assert v.outcome == "trivially-in"
 
@@ -95,28 +95,25 @@ def test_pure_pair_closure_is_trivial_randomized(r3xy):
         z_exp = tuple(max(0, e - 1 - rng.randrange(2)) for e in i_exp)
         target = Ideal(r3xy, [r3xy.monomial(i_exp)])
         z = r3xy.monomial(z_exp)
-        v = sharp_frobenius_membership(z, target, pr, range(1, 5))
+        v = sharp_frobenius_membership(z, target, pr, 4)
         assert v.outcome in ("trivially-in", "failed-at")
 
 
 def test_failed_at_reports_the_tested_range(r3x):
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, range(1, 7))
+    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, 6)
     assert v.e_tested == (1, 2, 3, 4, 5, 6)
     assert v.outcome == "failed-at"
 
 
 def test_chosen_exponents_and_empty_ranges(r3x):
-    # any set of exponents e >= 1 may be probed; none at all is refused,
-    # even when z lies in I
+    # e_max chooses the exponents 1..e_max; none at all is refused, even
+    # when z lies in I
     pr = pair(r3x, ["x"], Fraction(1, 2))
-    v = sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, [4, 2, 2])
-    assert v.e_tested == (2, 4)
+    assert sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, 2).e_tested == (1, 2)
     for z in ("x", "x^2"):
-        with pytest.raises(ValueError, match="e_max must be at least 1"):
-            sharp_frobenius_membership(p(z, r3x), ideal(["x^2"], r3x), pr, range(1, 1))
-    with pytest.raises(ValueError, match="start at e=1"):
-        sharp_frobenius_membership(p("x", r3x), ideal(["x^2"], r3x), pr, [0, 1])
+        with pytest.raises(ValueError, match="e_max must be at least 1, got 0"):
+            sharp_frobenius_membership(p(z, r3x), ideal(["x^2"], r3x), pr, 0)
 
 
 def test_membership_monotone_in_t(r3x):
@@ -124,10 +121,10 @@ def test_membership_monotone_in_t(r3x):
     target = ideal(["x^2"], r3x)
     z = p("x", r3x)
     held_small = sharp_frobenius_membership(
-        z, target, pair(r3x, ["x"], Fraction(3, 2)), range(1, 5)
+        z, target, pair(r3x, ["x"], Fraction(3, 2)), 4
     ).held_e
     held_large = sharp_frobenius_membership(
-        z, target, pair(r3x, ["x"], Fraction(5, 2)), range(1, 5)
+        z, target, pair(r3x, ["x"], Fraction(5, 2)), 4
     ).held_e
     assert set(held_small) <= set(held_large)
 
@@ -214,12 +211,20 @@ def test_power_into_closure_whole_ring_pair(r3xy):
     assert all(ok for ok, _ in checks)
 
 
-# --- the containment primitive ------------------------------------------------------
+# --- the trace: a''^N * c * z^q inside I^[q] + I_def -------------------------------
 
 
-def _full_power_contained(g, pr, N, target):
-    """a'^N * g inside target with every generator of a' powered."""
-    return all(membership(u * g, target) for u in ideal_power(pr.a_preimage, N).generators)
+def _full_trace(z, I, pr, c, e_max):
+    """The witness trace with every generator of a' powered, each
+    containment decided against the target's full basis."""
+    trace = {}
+    for e in range(e_max + 1):
+        q = pr.ring.p**e
+        g = c * frobenius_image(z, q)
+        target = bracket_power(I, q).plus(pr.defining)
+        power = ideal_power(pr.a_preimage, ceil_mul(pr.t, q - 1))
+        trace[e] = all(membership(u * g, target) for u in power.generators)
+    return trace
 
 
 def _random_form(rng, ring, d):
@@ -234,11 +239,12 @@ def _random_form(rng, ring, d):
     return ring.poly(terms)
 
 
+T_VALUES = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+
 def test_power_times_contained_matches_full_power():
     # hypersurface probes over S/(f): a' = (x, f), (x, y, f), (f, x*f) (every
     # generator inside I_def) and the same a' over S itself (zero I_def)
-    from fpurity.closure import _power_times_contained, _quotient_target
-
     rng = random.Random(53)
     outcomes = set()
     for ring_text in ("p=2; vars=x,y", "p=3; vars=x,y", "p=2; vars=x,y,z"):
@@ -252,34 +258,29 @@ def test_power_times_contained_matches_full_power():
                 ([f, x * f], [f]),
                 ([x, y + x * x], []),
             ):
-                pr = PairSpec(ring, Ideal(ring, defining), Ideal(ring, a_gens),
-                              Fraction(rng.choice((1, 2)), rng.choice((1, 2, 3))))
                 I = Ideal(ring, [ring.monomial(tuple(rng.randrange(3) for _ in ring.variables))
                                  for _ in range(2)])
                 z = ring.monomial(tuple(rng.randrange(2) for _ in ring.variables))
-                for e in (0, 1, 2):
-                    q = ring.p**e
-                    target = _quotient_target(I, pr, q)
-                    g = x * frobenius_image(z, q)
-                    for N in (0, 1, ceil_mul(pr.t, q - 1), ceil_mul(pr.t, q)):
-                        got = _power_times_contained(g, pr, N, target)
-                        assert got == _full_power_contained(g, pr, N, target), (pr, I, z, e, N)
-                        outcomes.add(got)
+                for t in T_VALUES:
+                    pr = PairSpec(ring, Ideal(ring, defining), Ideal(ring, a_gens), t)
+                    _, got = tight_closure_witness_check(z, I, pr, x, 2)
+                    assert got == _full_trace(z, I, pr, x, 2), (pr, I, z)
+                    outcomes |= set(got.values())
     assert outcomes == {True, False}
 
 
 def test_power_times_contained_when_a_lies_in_the_defining_ideal(r3xy):
-    from fpurity.closure import _power_times_contained
-
     f = p("x^2 + y^3", r3xy)
     pr = PairSpec(r3xy, Ideal(r3xy, [f]), Ideal(r3xy, [f, p("x", r3xy) * f]), Fraction(1, 2))
     assert pr.outside_defining == ()
-    target = Ideal(r3xy, [p("y^9", r3xy), f])
-    z = p("x", r3xy)
-    # a'^N with N >= 1 lies in I_def, inside the target; a'^0 is the unit ideal
-    for N, expected in ((4, True), (0, False)):
-        assert _power_times_contained(z, pr, N, target) is expected
-        assert _full_power_contained(z, pr, N, target) is expected
+    z, I = p("x", r3xy), ideal(["y^3"], r3xy)
+    # a'^0 is the unit ideal, and x is not in (y^3, f); for e >= 1, a'^N with
+    # N >= 1 lies in I_def, inside every target
+    want = {0: False, 1: True, 2: True}
+    assert tight_closure_witness_check(z, I, pr, r3xy.one(), 2) == (False, want)
+    assert _full_trace(z, I, pr, r3xy.one(), 2) == want
+    v = sharp_frobenius_membership(z, I, pr, 2)
+    assert (v.outcome, v.held_e, v.certified_e) == ("certified-in", (1, 2), 1)
 
 
 def test_power_times_contained_on_weighted_and_non_graded_quotients():
@@ -287,7 +288,7 @@ def test_power_times_contained_on_weighted_and_non_graded_quotients():
     # z with components in several degrees, so the products are not
     # homogeneous: the graded kernel and its fallback match the full power
     # tested against the full basis
-    from fpurity.closure import _power_times_contained, _quotient_target
+    from fpurity.closure import _quotient_target
     from fpurity.ideals import positive_grading
 
     rng = random.Random(59)
@@ -301,20 +302,15 @@ def test_power_times_contained_on_weighted_and_non_graded_quotients():
         ):
             f = p(f_text, ring)
             for a_texts in (["x"], ["y", "z"]):
-                pr = PairSpec(ring, Ideal(ring, [f]), ideal(a_texts, ring).plus(Ideal(ring, [f])),
-                              Fraction(rng.choice((1, 2)), rng.choice((1, 2, 3))))
                 I = Ideal(ring, [ring.monomial(tuple(rng.randrange(1, 3) if i == j else 0
                                                      for j in range(3))) for i in range(3)])
-                assert (positive_grading(_quotient_target(I, pr, 1)) is not None) is graded
                 z = ring.monomial((rng.randrange(2), 0, 1)) + ring.monomial((1, rng.randrange(3), 0))
-                for e in (0, 1):
-                    q = prime**e
-                    target = _quotient_target(I, pr, q)
-                    g = frobenius_image(z, q)
-                    for N in (1, ceil_mul(pr.t, q - 1), 2 * q + 1):
-                        want = _full_power_contained(g, pr, N, target)
-                        assert _power_times_contained(g, pr, N, target) is want
-                        outcomes.setdefault(graded, set()).add(want)
+                for t in T_VALUES:
+                    pr = PairSpec(ring, Ideal(ring, [f]), ideal(a_texts, ring).plus(Ideal(ring, [f])), t)
+                    assert (positive_grading(_quotient_target(I, pr, 1)) is not None) is graded
+                    want = _full_trace(z, I, pr, ring.one(), 1)
+                    assert tight_closure_witness_check(z, I, pr, ring.one(), 1)[1] == want
+                    outcomes.setdefault(graded, set()).update(want.values())
     assert outcomes == {True: {True, False}, False: {True, False}}
 
 
@@ -333,7 +329,7 @@ def test_graded_probes_never_build_a_full_basis(f_text, r3xyz, monkeypatch):
         raise AssertionError(f"full basis of {self}")
 
     monkeypatch.setattr(Ideal, "groebner", forbidden)
-    assert sharp_frobenius_membership(z, target, graded, range(1, 4)).e_tested == (1, 2, 3)
+    assert sharp_frobenius_membership(z, target, graded, 3).e_tested == (1, 2, 3)
     assert len(tight_closure_witness_check(z, target, graded, p("y", r3xyz), 2)[1]) == 3
     with pytest.raises(AssertionError, match="full basis"):
-        sharp_frobenius_membership(z, target, ungraded, [1])
+        sharp_frobenius_membership(z, target, ungraded, 1)

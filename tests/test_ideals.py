@@ -59,7 +59,7 @@ def test_bracket_contains_powers_of_random_elements(r3xy):
         f = r3xy.zero()
         for g in I.generators:
             coeff = rng.randrange(3)
-            mult = r3xy.poly({(rng.randrange(3), rng.randrange(3)): 1}).scale(coeff)
+            mult = r3xy.poly({(rng.randrange(3), rng.randrange(3)): coeff})
             f = f + mult * g
         assert membership(poly_pow(f, 3), Iq)
 
@@ -80,6 +80,21 @@ def test_colon_binomial_cancellation(r3xyz):
     f = p("x^2 - y*z", r3xyz)
     got = colon(Ideal(r3xyz, [poly_pow(f, 3)]), Ideal(r3xyz, [f]))
     assert ideal_equals(got, Ideal(r3xyz, [poly_pow(f, 2)]))
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_hypersurface_colon_forms_no_elimination_ring(r3xyz, q, monkeypatch):
+    # (f^q) : (f) meets (f^q) and (f) in (f^q), since f divides f^q, and
+    # divides once; bounded below deg f^(q-1) = 3(q-1) it divides not at all
+    from fpurity import ideals
+
+    f = p("x^3 + y^2*z + x*y*z", r3xyz)
+    J, I = bracket_power(Ideal(r3xyz, [f]), q), Ideal(r3xyz, [f])
+    monkeypatch.setattr(ideals, "_extend_ring", lambda ring: pytest.fail("elimination ring"))
+    assert colon(J, I).generators == (poly_pow(f, q - 1),)
+    assert colon(J, I, ((1, 1, 1), 3 * (q - 1))).generators == (poly_pow(f, q - 1),)
+    monkeypatch.setattr(ideals, "_try_exact_div", lambda g, f: pytest.fail("division"))
+    assert colon(J, I, ((1, 1, 1), 3 * (q - 1) - 1)).is_zero()
 
 
 def test_colon_elimination_route_agrees(r3xyz):
@@ -649,7 +664,7 @@ def test_bounded_colon_leaves_out_the_complete_intersection_power(monkeypatch):
     powers = []
     monkeypatch.setattr(ideals, "poly_pow", lambda f, s: powers.append(s) or poly_pow(f, s))
     for bound, formed in ((7, []), (8, [2])):
-        want = tuple(g for g in full if g.total_degree() <= bound)
+        want = tuple(g for g in full if sum(g.lead_monomial()) <= bound)
         assert ideals.fedder_colon(I, 3, bound).generators == want
         assert powers == formed
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpurity import ParseError, parse_poly, parse_rational, parse_ring, poly_to_str, read_poly_file
+from fpurity import ParseError, parse_poly, parse_rational, parse_ring, poly_to_str
 from fpurity.parser import parse_poly_list, rational_to_str, ring_to_str
 
 from conftest import p
@@ -106,12 +106,6 @@ def test_parsing_is_total(text):
         parse_poly(text, R3)
     except ParseError:
         pass
-
-
-def test_fixture_file(tmp_path, r3xy):
-    path = tmp_path / "polys.txt"
-    path.write_text("# commented header\nx^2 + y  # trailing comment\n\nx*y\n")
-    assert read_poly_file(path, r3xy) == [p("x^2 + y", r3xy), p("x*y", r3xy)]
 
 
 def test_integer_literal_cap(r3xy):

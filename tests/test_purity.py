@@ -775,7 +775,7 @@ def test_recheck_computes_no_colon(monkeypatch):
     calls = []
     for module, name in (
         (ideals, "fedder_colon"), (purity, "fedder_colon"), (ideals, "colon"),
-        (ideals, "_colon_by_poly"), (ideals, "intersect"),
+        (ideals, "intersect"),
     ):
         monkeypatch.setattr(module, name, lambda *args, name=name, **kw: calls.append(name))
     for pr, verdict in verdicts:
