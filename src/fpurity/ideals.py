@@ -8,11 +8,21 @@ index and the reduced basis is canonical, which makes every operation
 deterministic.
 
 Groebner bases come from Buchberger's algorithm with the pairs in a heap
-ordered by lcm, pruned by the coprime-leads and chain criteria; every
-polynomial caches its leading monomial, so reduction never rescans a
-divisor's terms for it. A reduction takes its largest remaining term from
-a heap keyed by the negated order key, against a table of divisor rows
-that one Buchberger run builds once and extends as the basis grows.
+ordered by lcm, pruned by the coprime-leads and chain criteria. All of
+its arithmetic runs on packed monomials (``_Layout``): one int per
+monomial, a field per exponent plus one for a degree, laid out so that a
+product is one addition, a divisibility test one subtraction and mask,
+and the ring order the integer order after one XOR. One loop,
+``_normal_form``, reduces for Buchberger and its interreduction, for
+membership and ``all_members``, for the Fedder complete-intersection
+power and, recording a quotient, for exact division. It takes the largest
+remaining term from a heap of packed keys, against a table of divisor
+rows that one Buchberger run builds once and extends as the basis grows;
+an ideal keeps its basis's rows beside the basis. Polynomials are packed
+on entry and unpacked on exit; ``SparsePolynomial`` keeps exponent tuples
+everywhere else. Field widths come from the inputs' degrees, and a run
+in which a formed monomial reaches a field's guard bit starts again with
+wider fields.
 
 Colons run one intersection per generator of the divisor ideal, each by
 elimination of an extra variable t unless both sides are monomial or the
@@ -40,12 +50,13 @@ instead of spinning.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import threading
 from fractions import Fraction
-from operator import mul, sub
+from operator import mul, or_, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchError
@@ -58,10 +69,8 @@ from .poly import (
     frobenius_image,
     grevlex_key,
     minimal_packed,
-    mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     poly_pow,
 )
 
@@ -79,11 +88,6 @@ class _StepCounter:
     def __init__(self):
         self.steps = 0
         self.limit = MAX_REDUCTION_STEPS
-
-    def tick(self, n: int = 1):
-        self.steps += n
-        if self.steps > self.limit:
-            raise ResourceCapExceeded("max_reduction_steps", f"{self.limit} steps")
 
 
 def _minimal_monomials(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -108,11 +112,12 @@ class Ideal:
     """An ideal of a polynomial ring, given by a finite generator list.
 
     Immutable value. The reduced Groebner basis is computed on first use
-    and cached; a per-value lock makes the computation happen once even
-    under concurrent callers.
+    and cached, and so are its packed divisor rows once ``membership``
+    asks for them; a per-value lock makes the basis computation happen
+    once even under concurrent callers.
     """
 
-    __slots__ = ("ring", "generators", "is_monomial", "_basis", "_lock")
+    __slots__ = ("ring", "generators", "is_monomial", "_basis", "_packed", "_lock")
 
     def __init__(self, ring: PolyRing, generators: Iterable[SparsePolynomial]):
         gens = []
@@ -131,6 +136,7 @@ class Ideal:
         self.generators = tuple(gens)
         self.is_monomial = monomial
         self._basis = None
+        self._packed = None
         self._lock = threading.Lock()
 
     @classmethod
@@ -144,6 +150,7 @@ class Ideal:
         )
         self.is_monomial = bool(self.generators)
         self._basis = None
+        self._packed = None
         self._lock = threading.Lock()
         return self
 
@@ -206,80 +213,213 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+
+class _Overflow(Exception):
+    """A formed monomial reached a guard bit at the field width args[0]."""
+
+
+class _Layout:
+    """The monomials of one ring packed into ints, ``w`` bits per field.
+
+    From the top field down, grevlex monomials read [degree | e_(n-1) ...
+    e_0] and elim1 monomials [e_0 | degree of the rest | e_(n-1) ... e_1];
+    either way the degree field sits just above the k fields it sums. Each
+    field keeps its top (guard) bit clear, so adding two packed monomials
+    multiplies them with no carry between fields, and x^g divides x^m iff
+    ((m | guards) - g) & guards == guards: no field loses its guard bit.
+    The ring order is the integer order of m ^ asc (asc flips the k summed
+    fields, where a larger exponent makes a smaller monomial), and its
+    reverse that of m ^ desc (desc flips the other fields).
+
+    A formed monomial is checked against ``limit``, which holds every guard
+    bit and the bits from 2^63 up of each exponent field: ``overflow`` then
+    raises ExponentOverflowError for an exponent past 2^63-1, as tuples do,
+    and ``_Overflow`` otherwise.
+    """
+
+    __slots__ = (
+        "ring", "w", "shifts", "units", "counted", "dshift", "fmask", "guards", "limit",
+        "asc", "desc", "low", "spread", "dmask", "nodeg",
+    )
+
+    def __init__(self, ring: PolyRing, w: int):
+        n = ring.nvars
+        first = 0 if ring.order == "grevlex" else 1
+        k = n - first
+        self.ring, self.w = ring, w
+        self.shifts = (w * n,) * first + tuple(w * i for i in range(k))
+        self.dshift = w * k
+        # the weights the degree field sums, and each exponent's packed unit
+        self.counted = (0,) * first + (1,) * k
+        self.units = tuple((1 << s) + (c << self.dshift) for s, c in zip(self.shifts, self.counted))
+        self.fmask = (1 << w) - 1
+        fields = [w * i for i in range(n + 1)]
+        full = (1 << (w * (n + 1))) - 1
+        self.guards = sum(1 << (s + w - 1) for s in fields)
+        high = (1 << w) - (1 << min(w - 1, 63))
+        self.limit = self.guards | sum(high << s for s in fields if s != self.dshift)
+        self.low = (1 << self.dshift) - 1
+        self.asc, self.desc = self.low, full ^ self.low
+        # (m & low) * spread holds the sum of the k low fields in field k
+        self.spread = sum(1 << s for s in fields[1 : k + 1])
+        self.dmask = self.fmask << self.dshift
+        self.nodeg = full ^ self.dmask
+
+    def key(self, mono: Monomial) -> int:
+        return sum(map(mul, mono, self.units))
+
+    def exponents(self, m: int) -> Monomial:
+        fmask = self.fmask
+        return tuple([(m >> s) & fmask for s in self.shifts])
+
+    def pack(self, f: SparsePolynomial) -> dict[int, int]:
+        units = self.units
+        return {sum(map(mul, m, units)): c for m, c in f.terms.items()}
+
+    def unpack(self, terms: dict[int, int]) -> SparsePolynomial:
+        """The polynomial of packed terms listed largest first."""
+        shifts, fmask = self.shifts, self.fmask
+        out = {tuple([(m >> s) & fmask for s in shifts]): c for m, c in terms.items()}
+        return SparsePolynomial(self.ring, out, next(iter(out), None))
+
+    def row(self, f: SparsePolynomial) -> "_Row":
+        """f as a divisor row."""
+        return _row(self.pack(f), self.key(f.lead_monomial()), self.ring.p)
+
+    def lcm(self, a: int, b: int) -> int:
+        g = self.guards
+        # full fields of ones where a's exponent is the larger
+        take_a = ((((a | g) - b) & g) >> (self.w - 1)) * self.fmask
+        m = (b ^ ((a ^ b) & take_a)) & self.nodeg
+        return m | ((m & self.low) * self.spread & self.dmask)
+
+    def weighted(self, weights: Sequence[int]):
+        """The weighted degree as a function of packed monomials; a read
+        of the degree field for the weights it sums."""
+        if tuple(weights) == self.counted:
+            dshift, fmask = self.dshift, self.fmask
+            return lambda m: (m >> dshift) & fmask
+        return lambda m: _w_degree(self.exponents(m), weights)
+
+    def overflow(self, m: int):
+        """Raise for a formed monomial m that meets ``limit``."""
+        exps = self.exponents(m)
+        if max(exps) > EXP_LIMIT:
+            raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {exps}")
+        raise _Overflow(self.w)
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(ring: PolyRing, w: int) -> _Layout:
+    return _Layout(ring, w)
+
+
+def _top_degree(polys: Iterable[SparsePolynomial]) -> int:
+    return max((max(map(sum, f.terms), default=0) for f in polys), default=0)
+
+
+def _width(degree: int) -> int:
+    """The narrowest field width that holds four times the degree below its
+    guard bit: room for the lcms and remainders of most runs."""
+    return max(degree, 1).bit_length() + 3
+
+
+def _widening(run, degree: int):
+    """run(w) from the width for the degree, doubling the width that
+    overflowed until no formed monomial does."""
+    w = _width(degree)
+    while True:
+        try:
+            return run(w)
+        except _Overflow as exc:
+            w = 2 * exc.args[0]
+
+
+# ---------------------------------------------------------------------------
 # reduction and Buchberger
 
-
-def _descending_key(ring: PolyRing):
-    """The ring's order key negated, so a min-heap pops the largest term.
-
-    Grevlex: (-deg, reversed exponents). elim1: the first exponent
-    negated, then the grevlex key of the rest negated the same way; the
-    total degree stands in for the degree of the rest, which it orders
-    alike once the first exponents agree.
-    """
-    if ring.order == "grevlex":
-        return lambda m: (-sum(m), m[::-1])
-    return lambda m: (-m[0], -sum(m), m[:0:-1])
+# a divisor's (packed terms, packed lead, inverse lead coefficient)
+_Row = tuple[list[tuple[int, int]], int, int]
 
 
-_Reducer = tuple[dict, Monomial, int]
+def _row(h: dict[int, int], lead: int, p: int) -> _Row:
+    return list(h.items()), lead, pow(h[lead], -1, p)
 
 
-def _reducer(g: SparsePolynomial) -> _Reducer:
-    """A divisor's (terms, lead, inverse lead coefficient) row."""
-    return g.terms, g.lead_monomial(), g.ring.field.inv(g.lead_coeff())
+def _monic(h: dict[int, int], p: int) -> dict[int, int]:
+    """h scaled to lead coefficient 1; its terms listed largest first."""
+    inv = pow(next(iter(h.values())), -1, p)
+    return h if inv == 1 else {m: c * inv % p for m, c in h.items()}
 
 
 def _normal_form(
-    f: SparsePolynomial,
-    reducers: Sequence[_Reducer],
-    counter: Optional[_StepCounter] = None,
-) -> SparsePolynomial:
-    """Fully reduce f modulo the listed divisors (first divisor wins).
+    work: dict[int, int],
+    table: Sequence[_Row],
+    lay: _Layout,
+    counter: "_StepCounter",
+    quotient: Optional[dict[int, int]] = None,
+) -> dict[int, int]:
+    """Fully reduce ``work``, a packed polynomial that is used up, modulo the
+    table's divisor rows (first divisor wins); the remainder comes back
+    with its terms largest first.
 
-    Each divisor comes as its ``_reducer`` row, built once by the caller.
-    The largest remaining term is reduced at each step; a heap on the
-    negated order key yields it, with an entry pushed whenever a term
-    enters the work dict. An entry whose term is no longer there is
-    skipped and not counted, so the steps are those of picking the
-    maximum by a scan. A step only adds terms below the one it handles,
-    so a handled term never comes back.
+    The largest remaining term is reduced at each step; a heap of the terms
+    XOR ``lay.desc`` yields it, with an entry pushed whenever a term enters
+    the work dict. An entry whose term is no longer there is skipped and
+    not counted, so the steps are those of picking the maximum by a scan.
+    A step only adds terms below the one it handles, so a handled term
+    never comes back.
+
+    With ``quotient`` each step also records its shift and factor there, a
+    term of the quotient by the table's one divisor, and the first term
+    that divisor does not divide ends the run as the remainder.
     """
-    ring = f.ring
-    hkey = _descending_key(ring)
-    p = ring.p
-    work = dict(f.terms)
-    heap = [(hkey(m), m) for m in work]
+    p = lay.ring.p
+    guards, limit, desc = lay.guards, lay.limit, lay.desc
+    if functools.reduce(or_, work, 0) & limit:
+        lay.overflow(next(m for m in work if m & limit))
+    heap = [m ^ desc for m in work]
     heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    remainder: dict[Monomial, int] = {}
+    push, pop, get = heapq.heappush, heapq.heappop, work.get
+    steps, cap = counter.steps, counter.limit
+    remainder: dict[int, int] = {}
     while heap:
-        m = pop(heap)[1]
-        c = work.get(m)
+        m = pop(heap) ^ desc
+        c = get(m)
         if c is None:
             continue
-        if counter is not None:
-            counter.tick()
-        for gterms, glm, ginv in reducers:
-            if mono_divides(glm, m):
-                factor = (c * ginv) % p
-                shift = mono_div(m, glm)
-                for tm, tc in gterms.items():
-                    t = mono_mul(tm, shift)
-                    old = work.get(t, 0)
+        steps += 1
+        if steps > cap:
+            raise ResourceCapExceeded("max_reduction_steps", f"{cap} steps")
+        raised = m | guards
+        for gterms, glm, ginv in table:
+            if (raised - glm) & guards == guards:
+                factor = c * ginv % p
+                shift = m - glm
+                if quotient is not None:
+                    quotient[shift] = factor
+                for tm, tc in gterms:
+                    t = tm + shift
+                    old = get(t, 0)
                     s = (old - factor * tc) % p
                     if s:
                         work[t] = s
                         if not old:
-                            push(heap, (hkey(t), t))
+                            if t & limit:
+                                lay.overflow(t)
+                            push(heap, t ^ desc)
                     else:
                         del work[t]
                 break
         else:
             remainder[m] = c
             del work[m]
-    # terms leave work largest first, so the first remainder term leads
-    return SparsePolynomial(ring, remainder, next(iter(remainder), None))
+            if quotient is not None:
+                break
+    counter.steps = steps
+    return remainder
 
 
 # (weights, bound): truncate at that weighted degree
@@ -291,19 +431,10 @@ def _w_degree(m: Monomial, weights: Sequence[int]) -> int:
     return sum(map(mul, m, weights))
 
 
-def _s_poly(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
-    field = f.ring.field
-    lmf, lmg = f.lead_monomial(), g.lead_monomial()
-    lcm = mono_lcm(lmf, lmg)
-    a = f.mul_term(mono_div(lcm, lmf), field.inv(f.lead_coeff()))
-    b = g.mul_term(mono_div(lcm, lmg), field.inv(g.lead_coeff()))
-    return a - b
-
-
 def _buchberger(
     gens: list[SparsePolynomial], ring: PolyRing, graded: Optional[_Graded] = None
 ) -> list[SparsePolynomial]:
-    """Reduced Groebner basis by Buchberger's algorithm.
+    """Reduced Groebner basis by Buchberger's algorithm, on packed monomials.
 
     Pair selection follows the normal strategy (smallest lcm in the ring
     order), ties broken by generator index, so runs are reproducible; the
@@ -326,88 +457,166 @@ def _buchberger(
     d alone, and so the truncated run is a Groebner basis in every degree up
     to the bound (the DegreeLimit of Macaulay2).
     """
-    counter = _StepCounter()
-    if graded is not None:
-        weights, bound = graded
-        gens = [g for g in gens if _w_degree(g.lead_monomial(), weights) <= bound]
-    basis: list[SparsePolynomial] = []
-    table: list[_Reducer] = []
-    for g in gens:
-        h = _normal_form(g, table, counter)
-        if not h.is_zero():
-            if h.is_constant():
-                return [ring.one()]
-            basis.append(h.monic())
-            table.append(_reducer(basis[-1]))
 
-    key = ring.key
-    leads = [g.lead_monomial() for g in basis]
+    def run(w: int) -> list[SparsePolynomial]:
+        lay = _layout(ring, w)
+        basis = _packed_buchberger([lay.pack(g) for g in gens], lay, graded)
+        if basis == [{0: 1}]:
+            return [ring.one()]
+        return [lay.unpack(h) for h in basis]
+
+    return _widening(run, _top_degree(gens))
+
+
+def _packed_buchberger(
+    gens: list[dict[int, int]], lay: _Layout, graded: Optional[_Graded]
+) -> list[dict[int, int]]:
+    """``_buchberger``'s run on packed polynomials; [{0: 1}] for the unit ideal."""
+    p, guards, limit, asc = lay.ring.p, lay.guards, lay.limit, lay.asc
+    if graded is not None:
+        bound = graded[1]
+        degree = lay.weighted(graded[0])
+        # homogeneous inputs: any term has the degree of the lead
+        gens = [g for g in gens if degree(next(iter(g))) <= bound]
+    counter = _StepCounter()
+    basis: list[dict[int, int]] = []
+    table: list[_Row] = []
+
+    def admit(h: dict[int, int]) -> bool:
+        """Keep a nonzero remainder; False when it is a constant."""
+        if next(iter(h)) == 0:
+            return False
+        basis.append(_monic(h, p))
+        table.append(_row(basis[-1], next(iter(h)), p))
+        return True
+
+    for g in gens:
+        h = _normal_form(g, table, lay, counter)
+        if h and not admit(h):
+            return [{0: 1}]
+
+    leads = [row[1] for row in table]
     heap: list[tuple] = []
     queued: set[tuple[int, int]] = set()
 
     def add_pairs(k: int):
+        lk = leads[k]
         for i in range(k):
-            lcm = mono_lcm(leads[i], leads[k])
+            lcm = lay.lcm(leads[i], lk)
             if graded is None:
-                heapq.heappush(heap, (key(lcm), i, k))
+                key = lcm ^ asc
             else:
-                degree = _w_degree(lcm, weights)
-                if degree > bound:
+                d = degree(lcm)
+                if d > bound:
                     continue
-                heapq.heappush(heap, ((degree, key(lcm)), i, k))
+                key = (d, lcm ^ asc)
+            if lcm & limit:
+                lay.overflow(lcm)
+            heapq.heappush(heap, (key, i, k, lcm))
             queued.add((i, k))
 
     for k in range(1, len(basis)):
         add_pairs(k)
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         queued.discard((i, j))
         lmi, lmj = leads[i], leads[j]
-        lcm = mono_lcm(lmi, lmj)
-        if lcm == mono_mul(lmi, lmj):
+        if lcm == lmi + lmj:
             continue  # coprime leads: S-polynomial reduces to zero
+        raised = lcm | guards
         if any(
-            k != i and k != j
-            and mono_divides(lmk, lcm)
+            (raised - lmk) & guards == guards
+            and k != i and k != j
             and (min(i, k), max(i, k)) not in queued
             and (min(j, k), max(j, k)) not in queued
             for k, lmk in enumerate(leads)
         ):
             continue  # chain criterion
-        h = _normal_form(_s_poly(basis[i], basis[j]), table, counter)
-        if h.is_zero():
+        si, sj = lcm - lmi, lcm - lmj
+        work = {m + si: c for m, c in basis[i].items()}
+        for m, c in basis[j].items():
+            m += sj
+            s = (work.get(m, 0) - c) % p
+            if s:
+                work[m] = s
+            else:
+                del work[m]
+        h = _normal_form(work, table, lay, counter)
+        if not h:
             continue
-        if h.is_constant():
-            return [ring.one()]
-        basis.append(h.monic())
+        if not admit(h):
+            return [{0: 1}]
         if len(basis) > MAX_BASIS:
             raise ResourceCapExceeded("max_basis", f"{MAX_BASIS} elements")
-        table.append(_reducer(basis[-1]))
-        leads.append(basis[-1].lead_monomial())
+        leads.append(table[-1][1])
         add_pairs(len(basis) - 1)
-    return _interreduce(basis, counter)
+    return _interreduce(basis, leads, lay, counter)
 
 
 def _interreduce(
-    basis: list[SparsePolynomial], counter: _StepCounter
-) -> list[SparsePolynomial]:
-    if not basis:
-        return []
-    ring = basis[0].ring
+    basis: list[dict[int, int]], leads: list[int], lay: _Layout, counter: _StepCounter
+) -> list[dict[int, int]]:
+    """The monic reduced basis, sorted by lead, from a packed Groebner basis
+    and its leads."""
+    p, guards, asc = lay.ring.p, lay.guards, lay.asc
     # drop elements whose lead is divisible by another's lead
-    by_lm = sorted(basis, key=lambda g: ring.key(g.lead_monomial()))
-    minimal: list[SparsePolynomial] = []
-    for g in by_lm:
-        if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in minimal):
-            minimal.append(g)
+    minimal: list[tuple[int, dict[int, int]]] = []
+    for idx in sorted(range(len(basis)), key=lambda idx: leads[idx] ^ asc):
+        raised = leads[idx] | guards
+        if not any((raised - kept) & guards == guards for kept, _ in minimal):
+            minimal.append((leads[idx], basis[idx]))
     # fully reduce each tail against the others
-    table = [_reducer(g) for g in minimal]
-    reduced = []
-    for idx, g in enumerate(minimal):
-        h = _normal_form(g, table[:idx] + table[idx + 1 :], counter)
-        reduced.append(h.monic())
-    reduced.sort(key=lambda g: ring.key(g.lead_monomial()))
+    table = [_row(g, lead, p) for lead, g in minimal]
+    reduced = [
+        _monic(_normal_form(dict(g), table[:idx] + table[idx + 1 :], lay, counter), p)
+        for idx, (_, g) in enumerate(minimal)
+    ]
+    reduced.sort(key=lambda h: next(iter(h)) ^ asc)
     return reduced
+
+
+def _interreduced(gens: Sequence[SparsePolynomial], ring: PolyRing) -> list[SparsePolynomial]:
+    """The monic reduced basis, sorted by lead, from a Groebner basis."""
+
+    def run(w: int) -> list[SparsePolynomial]:
+        lay = _layout(ring, w)
+        leads = [lay.key(g.lead_monomial()) for g in gens]
+        reduced = _interreduce([lay.pack(g) for g in gens], leads, lay, _StepCounter())
+        return [lay.unpack(h) for h in reduced]
+
+    return _widening(run, _top_degree(gens))
+
+
+def _power_mod(
+    digit: SparsePolynomial, q: int, divisors: Sequence[SparsePolynomial]
+) -> SparsePolynomial:
+    """prod_(i<e) Frob^i(digit), q = p^e, reduced modulo the divisors after
+    each factor (first divisor wins)."""
+    ring = digit.ring
+    factors, qi = [], 1
+    while qi < q:
+        factors.append(frobenius_image(digit, qi))
+        qi *= ring.p
+
+    def run(w: int) -> SparsePolynomial:
+        lay, table = _basis_rows(divisors, ring, w)
+        counter = _StepCounter()
+        power = {0: 1}
+        for factor in factors:
+            power = _normal_form(_packed_mul(power, lay.pack(factor), ring.p), table, lay, counter)
+        return lay.unpack(power)
+
+    return _widening(run, sum(_top_degree([f]) for f in factors))
+
+
+def _packed_mul(f: dict[int, int], g: dict[int, int], p: int) -> dict[int, int]:
+    """The product of two packed polynomials."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for u, cu in f.items():
+        for v, cv in g.items():
+            acc[u + v] = get(u + v, 0) + cu * cv
+    return {m: c % p for m, c in acc.items() if c % p}
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +636,28 @@ def membership(g: SparsePolynomial, I: Ideal) -> bool:
     if I.is_monomial:
         gens = I.monomial_exponents()
         return all(any(mono_divides(u, m) for u in gens) for m in g.terms)
-    return _normal_form(g, [_reducer(b) for b in I.groebner()], _StepCounter()).is_zero()
+
+    def run(w: int) -> bool:
+        lay, table = _cached_rows(I, w)
+        return not _normal_form(lay.pack(g), table, lay, _StepCounter())
+
+    return _widening(run, _top_degree([g]))
+
+
+def _cached_rows(I: Ideal, w: int) -> tuple[_Layout, list[_Row]]:
+    """I's reduced basis as divisor rows at a width of at least w, kept on I
+    until a wider one is asked for."""
+    packed = I._packed
+    if packed is None or packed[0].w < w:
+        packed = I._packed = _basis_rows(I.groebner(), I.ring, w)
+    return packed
+
+
+def _basis_rows(
+    basis: Sequence[SparsePolynomial], ring: PolyRing, w: int
+) -> tuple[_Layout, list[_Row]]:
+    lay = _layout(ring, max(w, _width(_top_degree(basis))))
+    return lay, [lay.row(b) for b in basis]
 
 
 def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
@@ -453,8 +683,15 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
     if weights is None:
         return all(membership(h, J) for h in polys)
     bound = max(_w_degree(m, weights) for h in polys for m in h.terms)
-    table = [_reducer(b) for b in _buchberger(list(J.generators), J.ring, (weights, bound))]
-    return all(_normal_form(h, table, _StepCounter()).is_zero() for h in polys)
+    ring = J.ring
+
+    def run(w: int) -> bool:
+        lay = _layout(ring, w)
+        basis = _packed_buchberger([lay.pack(g) for g in J.generators], lay, (weights, bound))
+        table = [_row(h, next(iter(h)), ring.p) for h in basis]
+        return all(not _normal_form(lay.pack(h), table, lay, _StepCounter()) for h in polys)
+
+    return _widening(run, _top_degree(itertools.chain(J.generators, polys)))
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
@@ -661,10 +898,8 @@ def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
             return J
     # t*J + (1-t)*K in the extended ring, then eliminate t
     ext = _extend_ring(ring)
-    t = ext.var(_ELIM_VAR)
-    one = ext.one()
-    gens = [t * _embed(g, ext) for g in J.generators]
-    gens += [(one - t) * _embed(h, ext) for h in K.generators]
+    gens = [_embed(g, ext, 1) for g in J.generators]
+    gens += [_embed(h, ext) - _embed(h, ext, 1) for h in K.generators]
     if graded is not None:
         weights, bound = graded
         graded = ((0, *weights), bound)
@@ -674,38 +909,19 @@ def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
 
 
 def _try_exact_div(g: SparsePolynomial, f: SparsePolynomial) -> Optional[SparsePolynomial]:
-    """g / f when f divides g exactly, else None. As in ``_normal_form``,
-    the largest remaining term comes off a heap on the negated order key."""
+    """g / f when f divides g exactly, else None: ``_normal_form`` of g by
+    f alone, recording the quotient and stopping at the first term f does
+    not divide."""
     ring = g.ring
-    p = ring.p
-    hkey = _descending_key(ring)
-    flm = f.lead_monomial()
-    finv = ring.field.inv(f.lead_coeff())
-    work = dict(g.terms)
-    heap = [(hkey(m), m) for m in work]
-    heapq.heapify(heap)
-    quote: dict[Monomial, int] = {}
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.get(m)
-        if c is None:
-            continue
-        if not mono_divides(flm, m):
+
+    def run(w: int) -> Optional[SparsePolynomial]:
+        lay = _layout(ring, w)
+        quotient: dict[int, int] = {}
+        if _normal_form(lay.pack(g), [lay.row(f)], lay, _StepCounter(), quotient):
             return None
-        factor = (c * finv) % p
-        shift = mono_div(m, flm)
-        quote[shift] = factor
-        for tm, tc in f.terms.items():
-            t = mono_mul(tm, shift)
-            old = work.get(t, 0)
-            s = (old - factor * tc) % p
-            if s:
-                work[t] = s
-                if not old:
-                    heapq.heappush(heap, (hkey(t), t))
-            else:
-                del work[t]
-    return SparsePolynomial(ring, quote, next(iter(quote), None))
+        return lay.unpack(quotient)
+
+    return _widening(run, _top_degree([g, f]))
 
 
 def _degree(f: SparsePolynomial, weights: Sequence[int]) -> int:
@@ -772,7 +988,7 @@ def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
         raised = Ideal(ring, [f * g for g in result.generators])
         result = _divide(intersect(J, raised, _raised(graded, f)), f)
     if len(I.generators) > 1 and not result.is_monomial:
-        result = Ideal(ring, _interreduce(list(result.generators), _StepCounter()))
+        result = Ideal(ring, _interreduced(result.generators, ring))
     if graded is not None:
         weights, bound = graded
         result = Ideal(ring, [g for g in result.generators if _degree(g, weights) <= bound])
@@ -900,12 +1116,6 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
         product = gens[0]
         for g in gens[1:]:
             product = product * g
-        table = [_reducer(frobenius_image(g, q)) for g in I.groebner()]
-        counter = _StepCounter()
-        digit = poly_pow(product, ring.p - 1)
-        power, qi = ring.one(), 1
-        while qi < q:
-            power = _normal_form(power * frobenius_image(digit, qi), table, counter)
-            qi *= ring.p
-        inputs.append(power)
+        divisors = [frobenius_image(g, q) for g in I.groebner()]
+        inputs.append(_power_mod(poly_pow(product, ring.p - 1), q, divisors))
     return Ideal(ring, _buchberger(inputs, ring, graded))

@@ -18,7 +18,7 @@ monomials, for the questions that only ask whether something lies in m^[q].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, neg, sub
+from operator import add, le, neg
 from typing import Iterable, Mapping
 
 from .errors import ExponentOverflowError, RingMismatchError
@@ -46,11 +46,6 @@ def mono_scale(a: Monomial, k: int) -> Monomial:
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff x^a divides x^b."""
     return all(map(le, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of x^a / x^b; requires b | a."""
-    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -171,17 +166,6 @@ class SparsePolynomial:
     def lead_coeff(self) -> int:
         return self.terms[self.lead_monomial()]
 
-    def monic(self) -> "SparsePolynomial":
-        if not self.terms:
-            return self
-        inv = self.ring.field.inv(self.lead_coeff())
-        if inv == 1:
-            return self
-        p = self.ring.p
-        return SparsePolynomial(
-            self.ring, {m: (c * inv) % p for m, c in self.terms.items()}, self._lead
-        )
-
     def _check_ring(self, other: "SparsePolynomial"):
         if self.ring != other.ring:
             raise RingMismatchError(
@@ -224,23 +208,6 @@ class SparsePolynomial:
 
     def __pow__(self, s: int) -> "SparsePolynomial":
         return poly_pow(self, s)
-
-    def mul_term(self, mono: Monomial, coeff: int) -> "SparsePolynomial":
-        """Multiply by coeff * x^mono in one pass.
-
-        Both monomial orders are compatible with multiplication, so a cached
-        leading monomial carries over shifted by mono.
-        """
-        c = coeff % self.ring.p
-        if c == 0:
-            return self.ring.zero()
-        p = self.ring.p
-        lead = self._lead
-        return SparsePolynomial(
-            self.ring,
-            {mono_mul(m, mono): (k * c) % p for m, k in self.terms.items()},
-            None if lead is None else mono_mul(lead, mono),
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePolynomial):

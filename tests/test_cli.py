@@ -198,6 +198,16 @@ def test_exponent_overflow_exits_with_cap_code():
     assert text.startswith("error: exponent cap 2^63-1 exceeded")
 
 
+def test_exponent_overflow_in_a_reduction_exits_with_cap_code():
+    # z = x^(2^62) y^(2^62) reduced by x^(2^61) + 2 y^(2^61) reaches y^(2^63)
+    code, text = run([
+        "closure", "--ring", "p=3; vars=x,y", "--ideal", f"x^{2**61} + 2*y^{2**61}",
+        "--z", f"x^{2**62}*y^{2**62}", "--emax", "1",
+    ])
+    assert code == EXIT_CAP
+    assert text.startswith("error: exponent cap 2^63-1 exceeded")
+
+
 def test_parser_is_built_once():
     from fpurity.cli import build_parser
 

@@ -20,7 +20,7 @@ from fpurity import (
     parse_ring,
     root_power,
 )
-from fpurity.poly import PolyRing, grevlex_key, mono_div, mono_divides, mono_mul, poly_pow
+from fpurity.poly import PolyRing, grevlex_key, mono_divides, mono_mul, poly_pow
 
 from conftest import p
 
@@ -464,8 +464,9 @@ def test_minimal_monomials_match_pairwise_definition():
 def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
     # colon(I^[3], I) for the twisted cubic over F_3. With only the
     # coprime-leads criterion, Buchberger took 631 normal forms here; the
-    # chain criterion brings it to 218. The reduced basis is canonical, so it
-    # must not move.
+    # chain criterion brought it to 218, and the sequential colon to 116.
+    # Exact divisions run the same loop with a quotient and are not counted.
+    # The reduced basis is canonical, so it must not move.
     from fpurity import ideals
 
     ring = parse_ring("p=3; vars=x,y,z,w")
@@ -473,14 +474,14 @@ def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
     calls = 0
     reduce = ideals._normal_form
 
-    def counting(*args, **kwargs):
+    def counting(work, table, lay, counter, quotient=None):
         nonlocal calls
-        calls += 1
-        return reduce(*args, **kwargs)
+        calls += quotient is None
+        return reduce(work, table, lay, counter, quotient)
 
     monkeypatch.setattr(ideals, "_normal_form", counting)
     J = colon(bracket_power(I, 3), I)
-    assert calls < 631
+    assert calls == 116
     monkeypatch.setattr(ideals, "_normal_form", reduce)
     assert [str(g) for g in J.groebner()] == [
         "z^6 + 2*y^3*w^3",
@@ -496,23 +497,24 @@ def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
 # --- the reduction kernel ------------------------------------------------------
 
 
-def _max_scan_normal_form(f, basis, counter):
-    """The reduction that scans the work dict for its largest term at every
-    step and builds its divisor rows on every call: the oracle for the
-    heap kernel."""
+def _max_scan_normal_form(f, basis):
+    """The reduction on exponent tuples that scans the work dict for its
+    largest term at every step: the oracle for the packed heap kernel.
+    Returns the remainder's terms, its lead and the step count."""
     ring = f.ring
     p = ring.p
     data = [(g.terms, g.lead_monomial(), ring.field.inv(g.lead_coeff())) for g in basis]
     work = dict(f.terms)
     remainder = {}
+    steps = 0
     while work:
-        counter.tick()
+        steps += 1
         m = max(work, key=ring.key)
         c = work[m]
         for gterms, glm, ginv in data:
             if mono_divides(glm, m):
                 factor = (c * ginv) % p
-                shift = mono_div(m, glm)
+                shift = tuple(a - b for a, b in zip(m, glm))
                 for tm, tc in gterms.items():
                     t = mono_mul(tm, shift)
                     s = (work.get(t, 0) - factor * tc) % p
@@ -524,7 +526,7 @@ def _max_scan_normal_form(f, basis, counter):
         else:
             remainder[m] = c
             del work[m]
-    return remainder, next(iter(remainder), None)
+    return remainder, next(iter(remainder), None), steps
 
 
 @st.composite
@@ -544,18 +546,20 @@ def _reduction_case(draw):
 @settings(max_examples=200, deadline=None)
 @given(_reduction_case())
 def test_heap_normal_form_matches_the_max_scan(case):
-    # the same terms are reduced in the same order, so remainders, their
-    # cached leads and the step counts agree exactly, in both orders
-    from fpurity.ideals import _StepCounter, _normal_form, _reducer
+    # the packed heap reduces the same terms in the same order, so
+    # remainders, their cached leads and the step counts agree exactly, in
+    # both orders
+    from fpurity import ideals
 
     f, basis = case
-    heap_steps, scan_steps = _StepCounter(), _StepCounter()
-    got = _normal_form(f, [_reducer(g) for g in basis], heap_steps)
-    terms, lead = _max_scan_normal_form(f, basis, scan_steps)
-    assert got.terms == terms
+    lay = ideals._layout(f.ring, ideals._width(ideals._top_degree([f, *basis])))
+    heap_steps = ideals._StepCounter()
+    got = lay.unpack(ideals._normal_form(lay.pack(f), [lay.row(g) for g in basis], lay, heap_steps))
+    terms, lead, scan_steps = _max_scan_normal_form(f, basis)
+    assert list(got.terms.items()) == list(terms.items())
     assert got._lead == lead
     assert got.is_zero() or got.lead_monomial() == max(terms, key=f.ring.key)
-    assert heap_steps.steps == scan_steps.steps
+    assert heap_steps.steps == scan_steps
 
 
 # --- gradings and degree-bounded colons ------------------------------------------
@@ -772,22 +776,24 @@ def _kernel_polys(rng, J, weights):
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
 def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeypatch):
-    # one polynomial at a time and all at once, against membership's full
-    # basis; a graded target runs only truncated Buchberger and a target
-    # with no grading only the full one
+    # one polynomial at a time and all at once, against membership by the
+    # tuple kernel on the full basis; a graded target runs only truncated
+    # Buchberger and a target with no grading only the full one
     from fpurity import all_members, ideals
+    from test_kernels import tuple_membership
 
     runs = []
-    run = ideals._buchberger
+    run = ideals._packed_buchberger
     monkeypatch.setattr(
-        ideals, "_buchberger", lambda gens, ring, graded=None: runs.append(graded)
-        or run(gens, ring, graded),
+        ideals, "_packed_buchberger", lambda gens, lay, graded: runs.append(graded)
+        or run(gens, lay, graded),
     )
     rng = random.Random(f"kernel-polys:{prime}")
     outcomes = set()
     for J, weights in _kernel_targets(prime):
         polys = _kernel_polys(rng, J, weights)
-        want = [membership(h, J) for h in polys]
+        want = [tuple_membership(h, J) for h in polys]
+        assert [membership(h, J) for h in polys] == want
         runs.clear()
         for h, expected in zip(polys, want):
             assert all_members([h], J) is expected, (J, h)
@@ -829,7 +835,7 @@ def test_all_members_without_a_grading_keeps_the_full_basis(r3xyz):
 def test_all_members_on_zero_unit_and_monomial_targets(r3xyz, monkeypatch):
     from fpurity import all_members, ideals
 
-    monkeypatch.setattr(ideals, "_buchberger", None)  # none of these needs a basis
+    monkeypatch.setattr(ideals, "_packed_buchberger", None)  # none of these needs a basis
     zero, h = r3xyz.zero(), p("x^2*y + z^3", r3xyz)
     assert all_members([zero], Ideal.zero(r3xyz))
     assert not all_members([h], Ideal.zero(r3xyz))

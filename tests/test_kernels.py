@@ -1,12 +1,17 @@
-"""Each fast kernel of the test-ideal chain and the Fedder colon against
-the code it replaced, kept here as the oracle, plus guards on the work
-those kernels leave out."""
+"""Each fast kernel of the test-ideal chain, the Fedder colon and the
+Groebner engine against the code it replaced, kept here as the oracle,
+plus guards on the work those kernels leave out."""
 
+import heapq
+import importlib.util
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from fpurity import (
+    ExponentOverflowError,
     Ideal,
     bracket_power,
     colon,
@@ -18,7 +23,17 @@ from fpurity import (
 )
 from fpurity import ideals
 from fpurity.ideals import _height, _minimal_monomials, fedder_colon
-from fpurity.poly import SparsePolynomial, grevlex_key, minimal_packed, poly_pow
+from fpurity.poly import (
+    PolyRing,
+    SparsePolynomial,
+    frobenius_image,
+    grevlex_key,
+    minimal_packed,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    poly_pow,
+)
 
 
 def ideal(texts, ring):
@@ -53,6 +68,244 @@ def _quadratic_minimal_packed(keys, guards):
         if not any((raised - u) & guards == guards for u in kept):
             kept.append(v)
     return kept
+
+
+class TupleSteps:
+    """The tuple kernel's reduction-step counter, capped like the engine's."""
+
+    def __init__(self):
+        self.steps = 0
+        self.limit = ideals.MAX_REDUCTION_STEPS
+
+    def tick(self):
+        self.steps += 1
+        if self.steps > self.limit:
+            raise ideals.ResourceCapExceeded("max_reduction_steps", f"{self.limit} steps")
+
+
+def _descending_key(ring):
+    """The ring's order key negated, so a min-heap pops the largest term.
+
+    Grevlex: (-deg, reversed exponents). elim1: the first exponent
+    negated, then the grevlex key of the rest negated the same way; the
+    total degree stands in for the degree of the rest, which it orders
+    alike once the first exponents agree.
+    """
+    if ring.order == "grevlex":
+        return lambda m: (-sum(m), m[::-1])
+    return lambda m: (-m[0], -sum(m), m[:0:-1])
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def monic(f):
+    """f scaled to lead coefficient 1, keeping its cached lead."""
+    inv = f.ring.field.inv(f.lead_coeff())
+    if inv == 1:
+        return f
+    p = f.ring.p
+    return SparsePolynomial(f.ring, {m: c * inv % p for m, c in f.terms.items()}, f._lead)
+
+
+def tuple_reducer(g):
+    """A divisor's (terms, lead, inverse lead coefficient) row."""
+    return g.terms, g.lead_monomial(), g.ring.field.inv(g.lead_coeff())
+
+
+def tuple_normal_form(f, reducers, counter):
+    """The reduction on exponent tuples that the packed kernel replaced:
+    the largest remaining term comes off a heap on the negated order key,
+    and the first divisor that divides it wins."""
+    ring = f.ring
+    hkey = _descending_key(ring)
+    p = ring.p
+    work = dict(f.terms)
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
+        counter.tick()
+        for gterms, glm, ginv in reducers:
+            if mono_divides(glm, m):
+                factor = (c * ginv) % p
+                shift = mono_div(m, glm)
+                for tm, tc in gterms.items():
+                    t = mono_mul(tm, shift)
+                    old = work.get(t, 0)
+                    s = (old - factor * tc) % p
+                    if s:
+                        work[t] = s
+                        if not old:
+                            heapq.heappush(heap, (hkey(t), t))
+                    else:
+                        del work[t]
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    return SparsePolynomial(ring, remainder, next(iter(remainder), None))
+
+
+def _tuple_s_poly(f, g):
+    """S(f, g) of two monic polynomials."""
+    lcm = mono_lcm(f.lead_monomial(), g.lead_monomial())
+
+    def shifted(h):
+        shift = mono_div(lcm, h.lead_monomial())
+        return SparsePolynomial(h.ring, {mono_mul(m, shift): c for m, c in h.terms.items()})
+
+    return shifted(f) - shifted(g)
+
+
+def _w_degree(m, weights):
+    return sum(e * w for e, w in zip(m, weights))
+
+
+def tuple_buchberger(gens, ring, graded=None, counter=None):
+    """Buchberger's algorithm on exponent tuples, as the packed
+    ``ideals._buchberger`` runs it: the same pair heap, criteria, graded
+    truncation and interreduction, so bases and step counts must agree."""
+    counter = counter or TupleSteps()
+    if graded is not None:
+        weights, bound = graded
+        gens = [g for g in gens if _w_degree(g.lead_monomial(), weights) <= bound]
+    basis, table = [], []
+    for g in gens:
+        h = tuple_normal_form(g, table, counter)
+        if not h.is_zero():
+            if h.is_constant():
+                return [ring.one()]
+            basis.append(monic(h))
+            table.append(tuple_reducer(basis[-1]))
+    key = ring.key
+    leads = [g.lead_monomial() for g in basis]
+    heap, queued = [], set()
+
+    def add_pairs(k):
+        for i in range(k):
+            lcm = mono_lcm(leads[i], leads[k])
+            if graded is None:
+                heapq.heappush(heap, (key(lcm), i, k))
+            else:
+                degree = _w_degree(lcm, weights)
+                if degree > bound:
+                    continue
+                heapq.heappush(heap, ((degree, key(lcm)), i, k))
+            queued.add((i, k))
+
+    for k in range(1, len(basis)):
+        add_pairs(k)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        queued.discard((i, j))
+        lmi, lmj = leads[i], leads[j]
+        lcm = mono_lcm(lmi, lmj)
+        if lcm == mono_mul(lmi, lmj):
+            continue
+        if any(
+            k != i and k != j
+            and mono_divides(lmk, lcm)
+            and (min(i, k), max(i, k)) not in queued
+            and (min(j, k), max(j, k)) not in queued
+            for k, lmk in enumerate(leads)
+        ):
+            continue
+        h = tuple_normal_form(_tuple_s_poly(basis[i], basis[j]), table, counter)
+        if h.is_zero():
+            continue
+        if h.is_constant():
+            return [ring.one()]
+        basis.append(monic(h))
+        table.append(tuple_reducer(basis[-1]))
+        leads.append(basis[-1].lead_monomial())
+        add_pairs(len(basis) - 1)
+    return tuple_interreduced(basis, ring, counter)
+
+
+def tuple_interreduced(basis, ring, counter=None):
+    """Minimal leads, then each tail reduced against the others."""
+    counter = counter or TupleSteps()
+    key = ring.key
+    minimal = []
+    for g in sorted(basis, key=lambda g: key(g.lead_monomial())):
+        if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in minimal):
+            minimal.append(g)
+    rows = [tuple_reducer(g) for g in minimal]
+    reduced = [
+        monic(tuple_normal_form(g, rows[:idx] + rows[idx + 1 :], counter))
+        for idx, g in enumerate(minimal)
+    ]
+    return sorted(reduced, key=lambda g: key(g.lead_monomial()))
+
+
+def tuple_exact_div(g, f):
+    """g / f when f divides g exactly, else None, on exponent tuples."""
+    ring = g.ring
+    p = ring.p
+    hkey = _descending_key(ring)
+    flm, finv = f.lead_monomial(), ring.field.inv(f.lead_coeff())
+    work = dict(g.terms)
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
+        if not mono_divides(flm, m):
+            return None
+        factor = (c * finv) % p
+        shift = mono_div(m, flm)
+        quotient[shift] = factor
+        for tm, tc in f.terms.items():
+            t = mono_mul(tm, shift)
+            old = work.get(t, 0)
+            s = (old - factor * tc) % p
+            if s:
+                work[t] = s
+                if not old:
+                    heapq.heappush(heap, (hkey(t), t))
+            else:
+                del work[t]
+    return SparsePolynomial(ring, quotient, next(iter(quotient), None))
+
+
+def tuple_power_mod(digit, q, divisors):
+    """prod_(i<e) Frob^i(digit) reduced modulo the divisors after each factor."""
+    ring = digit.ring
+    rows = [tuple_reducer(g) for g in divisors]
+    counter = TupleSteps()
+    power, qi = ring.one(), 1
+    while qi < q:
+        power = tuple_normal_form(power * frobenius_image(digit, qi), rows, counter)
+        qi *= ring.p
+    return power
+
+
+# the engine's packed entry points and their tuple stand-ins
+TUPLE_KERNEL = {
+    "_buchberger": tuple_buchberger,
+    "_interreduced": tuple_interreduced,
+    "_try_exact_div": tuple_exact_div,
+    "_power_mod": tuple_power_mod,
+}
+
+
+def tuple_membership(g, I):
+    """g in I by the tuple kernel: g reduced against I's tuple basis."""
+    if g.is_zero():
+        return True
+    if I.is_zero():
+        return False
+    rows = [tuple_reducer(b) for b in tuple_buchberger(list(I.generators), I.ring)]
+    return tuple_normal_form(g, rows, TupleSteps()).is_zero()
 
 
 def _random_monomial_ideal(rng, ring, top):
@@ -243,3 +496,190 @@ def test_monomial_power_and_root_prune_once(monkeypatch):
     assert prunes == [1]
     monkeypatch.undo()
     assert root.generators == _bucketed_root(power, 9).generators
+
+
+# --- the packed Groebner kernel against the tuple kernel ------------------------------------
+
+
+def _packed_run(gens, ring, graded=None):
+    """ideals._buchberger's basis and the step count of its final run."""
+    counters = []
+    real = ideals._StepCounter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "_StepCounter", lambda: counters.append(real()) or counters[-1])
+        basis = ideals._buchberger(list(gens), ring, graded)
+    return basis, counters[-1].steps if counters else 0
+
+
+def _assert_same_run(gens, ring, graded=None):
+    got, steps = _packed_run(gens, ring, graded)
+    counter = TupleSteps()
+    want = tuple_buchberger(list(gens), ring, graded, counter)
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+    assert [g._lead for g in got] == [g._lead for g in want]
+    assert steps == counter.steps
+    return got
+
+
+def _ring(prime, names, order):
+    return PolyRing(parse_ring(f"p={prime}; vars={names}").field, tuple(names.split(",")), order)
+
+
+def test_packed_buchberger_matches_the_tuple_kernel_on_drawn_inputs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def case(draw):
+        prime = draw(st.sampled_from([2, 3, 5]))
+        order = draw(st.sampled_from(["grevlex", "elim1"]))
+        ring = _ring(prime, "t,x,y", order)
+        coeff = st.integers(1, prime - 1)
+        count = draw(st.integers(1, 4))
+        if not draw(st.booleans()):
+            term = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), coeff)
+            gens = [ring.poly(dict(draw(st.lists(term, min_size=1, max_size=4)))) for _ in range(count)]
+            return ring, gens, None
+        # graded: W-homogeneous inputs, weight 0 on t only under elim1
+        weights = draw(st.sampled_from([(1, 1, 1), (1, 2, 3), (2, 1, 1)]))
+        if order == "elim1":
+            weights = (0,) + weights[1:]
+        gens = []
+        for _ in range(count):
+            d = draw(st.integers(1, 6))
+            monos = [
+                m for m in itertools.product(range(4), repeat=3) if _w_degree(m, weights) == d
+            ]
+            if monos:
+                chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+                gens.append(ring.poly({m: draw(coeff) for m in chosen}))
+        return ring, gens, (weights, draw(st.integers(0, 10)))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(case())
+    def check(drawn):
+        ring, gens, graded = drawn
+        _assert_same_run(gens, ring, graded)
+
+    check()
+
+
+def test_packed_normal_form_matches_the_tuple_kernel_in_both_orders():
+    rng = random.Random("packed-normal-form")
+    for prime in (2, 3, 5):
+        for order in ("grevlex", "elim1"):
+            ring = _ring(prime, "t,x,y", order)
+
+            def poly(size):
+                return ring.poly({
+                    tuple(rng.randrange(4) for _ in range(3)): rng.randrange(1, prime)
+                    for _ in range(size)
+                })
+
+            for _ in range(30):
+                f = poly(rng.randrange(1, 9))
+                divisors = [g for g in (poly(rng.randrange(1, 4)) for _ in range(3)) if not g.is_zero()]
+                lay = ideals._layout(ring, ideals._width(ideals._top_degree([f, *divisors])))
+                steps = ideals._StepCounter()
+                got = lay.unpack(
+                    ideals._normal_form(lay.pack(f), [lay.row(g) for g in divisors], lay, steps)
+                )
+                counter = TupleSteps()
+                want = tuple_normal_form(f, [tuple_reducer(g) for g in divisors], counter)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert got._lead == want._lead and steps.steps == counter.steps
+
+
+# --- field widths and the exponent cap ------------------------------------------------------
+
+
+def _widths(monkeypatch):
+    """The field widths of every layout the engine builds from here on."""
+    widths = []
+    real = ideals._layout
+    monkeypatch.setattr(ideals, "_layout", lambda ring, w: widths.append(w) or real(ring, w))
+    return widths
+
+
+def test_a_run_past_the_first_width_reruns_wider(monkeypatch):
+    # reducing t^10 - y by t - x^100 under elim1 forms x^1000, past the
+    # fields sized for the inputs' top degree 100
+    ring = _ring(3, "t,x,y", "elim1")
+    gens = [parse_poly(text, ring) for text in ("t - x^100", "t^10 - y")]
+    widths = _widths(monkeypatch)
+    basis = _assert_same_run(gens, ring)
+    assert widths[0] < widths[-1] and 2 ** (widths[0] - 1) <= 1000 < 2 ** (widths[-1] - 1)
+    assert any(g.terms.get((0, 1000, 0)) for g in basis)
+
+
+def test_bracket_powers_at_a_large_q_match_the_tuple_kernel(monkeypatch):
+    # a basis cached at I's width is packed again wider for a member of
+    # degree 3 * 3^10, and I^[3^10] plus a cubic runs at its own width
+    ring = parse_ring("p=3; vars=x,y,z")
+    I = ideal(["x^2 - y*z", "x*y + z^2"], ring)
+    q = 3**10
+    widths = _widths(monkeypatch)
+    assert ideals.membership(parse_poly("x^3 - x*y*z", ring), I)
+    member = frobenius_image(parse_poly("(x^2 - y*z)*(x + y)", ring), q)
+    assert ideals.membership(member, I)
+    assert max(widths) > min(widths)
+    Iq = bracket_power(I, q)
+    _assert_same_run(list(Iq.generators) + [parse_poly("x*y*z", ring)], ring)
+    for g in (member, Iq.generators[0] * parse_poly("x + y", ring), ring.monomial((q, q, 1))):
+        assert ideals.membership(g, Iq) is tuple_membership(g, Iq)
+
+
+def test_an_exponent_past_the_cap_still_raises(monkeypatch):
+    # x^(2^62) y^(2^62) reduced by x^(2^61) - y^(2^61) reaches y^(2^63)
+    ring = parse_ring("p=3; vars=x,y")
+    big = 2**61
+    I = Ideal(ring, [ring.poly({(big, 0): 1, (0, big): 2})])
+    g = ring.monomial((2 * big, 2 * big))
+    with pytest.raises(ExponentOverflowError):
+        tuple_normal_form(g, [tuple_reducer(b) for b in I.groebner()], TupleSteps())
+    with pytest.raises(ExponentOverflowError):
+        ideals.membership(g, I)
+    # a member whose reduction stays at 2^62 is decided
+    assert ideals.membership(I.generators[0] * ring.monomial((0, big)), I)
+
+
+# --- the Fedder colons of the quotients benchmark ---------------------------------------------
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fedder_colons_of_the_quotients_pass_match_the_tuple_kernel(monkeypatch):
+    # every (I, q, bound) a seed-23 quotients pass asks fedder_colon for,
+    # recomputed with the tuple kernel behind the engine's packed entry
+    # points, gives the same generators term for term
+    from fpurity import purity
+    from fpurity.cli import EXIT_OK, run
+
+    workloads = _bench_workloads()
+    calls = {}
+    real = purity.fedder_colon
+
+    def recording(I, q, bound=None):
+        got = real(I, q, bound)
+        calls.setdefault((I.ring, tuple(I.generators), q, bound), got)
+        return got
+
+    monkeypatch.setattr(purity, "fedder_colon", recording)
+    for argv in itertools.islice(workloads.stream("quotients", 23), workloads.pass_length("quotients")):
+        assert run(argv + ["--json"])[0] == EXIT_OK, argv
+    monkeypatch.undo()
+    assert len({key[1] for key in calls}) >= 5 and any(key[3] is not None for key in calls)
+    for name, stand_in in TUPLE_KERNEL.items():
+        monkeypatch.setattr(ideals, name, stand_in)
+    monkeypatch.setattr(ideals, "_normal_form", lambda *args: pytest.fail("packed reduction"))
+    for (ring, gens, q, bound), got in calls.items():
+        want = fedder_colon(Ideal(ring, gens), q, bound)
+        assert [list(g.terms.items()) for g in got.generators] == [
+            list(g.terms.items()) for g in want.generators
+        ], (gens, q, bound)
