@@ -20,9 +20,9 @@ remaining term from a heap of packed keys, against a table of divisor
 rows that one Buchberger run builds once and extends as the basis grows;
 an ideal keeps its basis's rows beside the basis. Polynomials are packed
 on entry and unpacked on exit; ``SparsePolynomial`` keeps exponent tuples
-everywhere else. Field widths come from the inputs' degrees, and a run
-in which a formed monomial reaches a field's guard bit starts again with
-wider fields.
+outside the packed kernels. Field widths come from the inputs' degrees,
+and a run in which a formed monomial reaches a field's guard bit starts
+again with wider fields.
 
 Colons run one intersection per generator of the divisor ideal, each by
 elimination of an extra variable t unless both sides are monomial or the
@@ -40,10 +40,17 @@ to return only the low-degree generators the escape test can use, and
 ``all_members``, the containment kernel, to decide several memberships
 against one basis truncated at their top degree.
 
+Ideal powers and p^e-th roots run on packed monomials too, with one path
+each: ``_power`` forms the generator products of a^N, and ``_root`` splits
+every term of a product into its residue and quotient modulo q, field by
+field, and orders the residues by key. The test-ideal chain takes each
+entry (a^N)^[1/q] from the two in one pass (``power_root``), so a^N is
+never built as an ideal. Monomial powers and roots stay monomial: a^N by
+square-and-multiply, each step pruned once by ``minimal_packed``, and its
+root by dividing every field and pruning once more.
+
 Monomial ideals are recognized at construction and stored by their unique
 minimal monomial generators; most operations have a fast path for them.
-Monomial ideal powers run on packed exponents, one int per monomial, where
-a divisibility test is one subtraction and one mask.
 Runaway instances hit explicit resource caps and raise ResourceCapExceeded
 instead of spinning.
 """
@@ -57,7 +64,7 @@ import math
 import threading
 from fractions import Fraction
 from operator import mul, or_, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchError
 from .poly import (
@@ -731,24 +738,52 @@ def root_power(I: Ideal, q: int) -> Ideal:
     check_q(I.ring.p, q)
     if q == 1 or I.is_zero():
         return I
-    ring = I.ring
+    lay = _layout(I.ring, _width(_top_degree(I.generators)))
     if I.is_monomial:
-        roots = {tuple(e // q for e in m) for m in I.monomial_exponents()}
-        return Ideal._from_minimal(ring, _minimal_monomials(roots))
-    pieces: list[SparsePolynomial] = []
+        return _monomial_root(lay, [lay.key(m) & lay.low for m in I.monomial_exponents()], q)
+    return _root(lay, map(lay.pack, I.generators), q)
+
+
+def _root(lay: _Layout, products: Iterable[dict[int, int]], q: int) -> Ideal:
+    """The ideal of the pieces h_C of packed polynomials h, in ``root_power``'s
+    order: h by h, C ascending in grevlex, each piece once.
+
+    A term x^m splits field by field into its residue x^C, C = m mod q, and
+    its quotient x^((m - C) / q); with C's degree field filled in, m - C has
+    every field divisible by q, so one integer division by q gives the
+    quotient's key, degree field included. The residues sort by key ^ asc,
+    which is grevlex, and a piece is compared with the kept ones exactly.
+    """
+    shifts, fmask, spread, dmask, asc = lay.shifts, lay.fmask, lay.spread, lay.dmask, lay.asc
+    pieces: list[dict[int, int]] = []
     seen = set()
-    for g in I.generators:
-        buckets: dict[Monomial, dict[Monomial, int]] = {}
-        for mono, c in g.terms.items():
-            residue = tuple(e % q for e in mono)
-            quotient = tuple(e // q for e in mono)
-            buckets.setdefault(residue, {})[quotient] = c
-        for residue in sorted(buckets, key=grevlex_key):
-            piece = SparsePolynomial(ring, buckets[residue])
-            if piece not in seen:
-                seen.add(piece)
+    for h in products:
+        buckets: dict[int, dict[int, int]] = {}
+        for m, c in h.items():
+            residue = 0
+            for s in shifts:
+                residue |= ((m >> s) & fmask) % q << s
+            residue |= residue * spread & dmask
+            piece = buckets.get(residue)
+            if piece is None:
+                piece = buckets[residue] = {}
+            piece[(m - residue) // q] = c
+        for residue in sorted(buckets, key=asc.__xor__):
+            piece = buckets[residue]
+            key = frozenset(piece.items())
+            if key not in seen:
+                seen.add(key)
                 pieces.append(piece)
-    return Ideal(ring, pieces)
+    return Ideal(lay.ring, _unpacked(lay, pieces))
+
+
+def _monomial_root(lay: _Layout, keys: Iterable[int], q: int) -> Ideal:
+    """The root of the monomial ideal of exponent-field keys (no degree
+    field): every field divided by q, pruned once."""
+    shifts, fmask = lay.shifts, lay.fmask
+    roots = {sum((((v >> s) & fmask) // q) << s for s in shifts) for v in keys}
+    minimal = minimal_packed(roots, lay.guards & lay.low)
+    return Ideal._from_minimal(lay.ring, map(lay.exponents, minimal))
 
 
 # ---------------------------------------------------------------------------
@@ -756,24 +791,7 @@ def root_power(I: Ideal, q: int) -> Ideal:
 
 
 def ideal_power(a: Ideal, N: int) -> Ideal:
-    """a^N, with a^0 the unit ideal.
-
-    Principal ideals reduce to one polynomial power. Monomial ideals are
-    powered by square-and-multiply on packed monomials, left to right: one
-    square per bit of N below the top and one product by a per set bit,
-    each pruned to minimal generators by ``minimal_packed``, so about
-    2*log2(N) pruning passes where N - 1 rounds of products by a took
-    N - 1. When N times the largest exponent of a generator passes 2^63-1,
-    ExponentOverflowError is raised before any product is formed.
-
-    General ideals enumerate the degree-N generator products, in the order
-    of ``itertools.combinations_with_replacement``, from each generator's
-    powers g^0, ..., g^N, built once with one product each (g^k =
-    g^(k-1) * g, or Frob(g^(k/p)) when p divides k), deduplicated; the
-    product count is capped. Redundant generators are harmless (same
-    ideal), and basis-level pruning costs far more than the redundancy it
-    removes at the degrees these powers reach.
-    """
+    """a^N, with a^0 the unit ideal, unpacked from ``_power``."""
     if N < 0:
         raise ValueError(f"negative ideal power {N}")
     ring = a.ring
@@ -785,65 +803,121 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
         return Ideal.unit(ring)
     if N == 1:
         return a
-    if len(a.generators) == 1:
-        return Ideal(ring, [poly_pow(a.generators[0], N)])
+    lay, power = _power(a, N)
     if a.is_monomial:
-        base = a.monomial_exponents()
-        top = N * max(map(max, base))
-        if top > EXP_LIMIT:
-            raise ExponentOverflowError(f"exponent {top} of a^{N} exceeds 2^63-1")
-        # packed keys: field i holds exponent i below the field's top (guard)
-        # bit, so adding keys multiplies monomials
-        n = ring.nvars
-        w = top.bit_length() + 1
-        guards = sum(1 << (w * i + w - 1) for i in range(n))
-        gens = [sum(e << (w * i) for i, e in enumerate(m)) for m in base]
-        power = gens
+        return Ideal._from_minimal(ring, map(lay.exponents, power))
+    kept = {frozenset(h.items()): h for h in power}
+    return Ideal(ring, _unpacked(lay, kept.values()))
+
+
+def power_root(a: Ideal, N: int, q: int) -> Ideal:
+    """(a^N)^[1/q] for N >= 1, with a^N never built as an ideal: the packed
+    products of ``_power`` go straight to the root."""
+    check_q(a.ring.p, q)
+    lay, power = _power(a, N)
+    if a.is_monomial:
+        return _monomial_root(lay, power, q)
+    return _root(lay, power, q)
+
+
+def _power(a: Ideal, N: int) -> tuple[_Layout, Iterable]:
+    """a^N, N >= 1 and a nonzero, on packed monomials of a layout whose
+    fields hold a^N's degree.
+
+    Monomial a: the minimal generators as exponent-field keys (no degree
+    field), ascending. They come by square-and-multiply from the top bit of
+    N down: one square per bit below the top and one product by a per set
+    bit, each pruned once by ``minimal_packed``.
+
+    Otherwise an iterator of packed products in the order of
+    ``itertools.combinations_with_replacement`` over the generators, not
+    deduplicated. Principal a is one product, f^N by square-and-multiply on
+    N without its factor p^k, which is then a multiplication of every key
+    by p^k (Frobenius). For more generators each g^k, k <= N, is built once,
+    as Frob(g^(k/p)) when p divides k and g^(k-1) * g otherwise, and more
+    than ``MAX_POWER_PRODUCTS`` products raise ResourceCapExceeded before
+    any is formed. Redundant generators are harmless (same ideal), and
+    basis-level pruning costs far more than the redundancy it removes at
+    the degrees these powers reach.
+
+    When N times the largest exponent of a generator passes 2^63-1,
+    ExponentOverflowError is raised before any product is formed.
+    """
+    ring, gens = a.ring, a.generators
+    r = len(gens)
+    if r > 1 and not a.is_monomial:
+        count = math.comb(r + N - 1, N)
+        if count > MAX_POWER_PRODUCTS:
+            raise ResourceCapExceeded(
+                "max_power_products",
+                f"{count} degree-{N} products of {r} generators exceed "
+                f"{MAX_POWER_PRODUCTS}; use a principal or monomial fast path "
+                "or a smaller exponent",
+            )
+    top = N * max(max(map(max, g.terms)) for g in gens)
+    if top > EXP_LIMIT:
+        raise ExponentOverflowError(f"exponent {top} of a^{N} exceeds 2^63-1")
+    lay = _layout(ring, _width(N * _top_degree(gens)))
+    if a.is_monomial:
+        base = [lay.key(m) & lay.low for m in a.monomial_exponents()]
+        guards = lay.guards & lay.low
+        power = base
         for bit in bin(N)[3:]:
             power = minimal_packed({u + v for i, u in enumerate(power) for v in power[i:]}, guards)
             if bit == "1":
-                power = minimal_packed({u + v for u in power for v in gens}, guards)
-        mask = (1 << w) - 1
-        return Ideal._from_minimal(
-            ring, [tuple((k >> (w * i)) & mask for i in range(n)) for k in power]
-        )
-    r = len(a.generators)
-    count = math.comb(r + N - 1, N)
-    if count > MAX_POWER_PRODUCTS:
-        raise ResourceCapExceeded(
-            "max_power_products",
-            f"{count} degree-{N} products of {r} generators exceed "
-            f"{MAX_POWER_PRODUCTS}; use a principal or monomial fast path "
-            "or a smaller exponent",
-        )
+                power = minimal_packed({u + v for u in power for v in base}, guards)
+        return lay, power
     p = ring.p
-    powers: list[list[SparsePolynomial]] = []
-    for g in a.generators:
-        row = [ring.one(), g]
+    packed = [lay.pack(g) for g in gens]
+    if r == 1:
+        s, q = N, 1
+        while s % p == 0:
+            s, q = s // p, q * p
+        acc, base = None, packed[0]
+        while s:
+            if s & 1:
+                acc = base if acc is None else _packed_mul(acc, base, p)
+            s >>= 1
+            if s:
+                base = _packed_mul(base, base, p)
+        return lay, [{m * q: c for m, c in acc.items()}]
+    powers = []
+    for g in packed:
+        row = [{0: 1}, g]
         for k in range(2, N + 1):
-            row.append(frobenius_image(row[k // p], p) if k % p == 0 else row[-1] * g)
+            if k % p:
+                row.append(_packed_mul(row[-1], g, p))
+            else:
+                row.append({m * p: c for m, c in row[k // p].items()})
         powers.append(row)
-    kept: list[SparsePolynomial] = []
-    seen = set()
-    for combo in itertools.combinations_with_replacement(range(r), N):
-        h = None
-        for idx, reps in _run_lengths(combo):
-            piece = powers[idx][reps]
-            h = piece if h is None else h * piece
-        if h not in seen:
-            seen.add(h)
-            kept.append(h)
-    return Ideal(ring, kept)
+    return lay, _products(powers, N, p)
 
 
-def _run_lengths(combo: tuple[int, ...]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for idx in combo:
-        if out and out[-1][0] == idx:
-            out[-1] = (idx, out[-1][1] + 1)
-        else:
-            out.append((idx, 1))
-    return out
+def _products(powers: list[list[dict[int, int]]], N: int, p: int) -> Iterator[dict[int, int]]:
+    """g_1^k_1 * ... * g_r^k_r over k_1 + ... + k_r = N from the rows of
+    powers g_j^k, k_1 descending first, then k_2, and so on: the order of
+    combinations_with_replacement. A partial product is formed once for all
+    of its extensions."""
+    last = len(powers) - 1
+
+    def extend(j: int, left: int, partial: Optional[dict[int, int]]):
+        for k in range(left, -1, -1) if j < last else (left,):
+            product = partial
+            if k:
+                factor = powers[j][k]
+                product = factor if partial is None else _packed_mul(partial, factor, p)
+            if j < last:
+                yield from extend(j + 1, left - k, product)
+            else:
+                yield product
+
+    return extend(0, N, None)
+
+
+def _unpacked(lay: _Layout, polys: Iterable[dict[int, int]]) -> list[SparsePolynomial]:
+    """Packed polynomials, their terms in any order, as polynomials."""
+    ring, exponents = lay.ring, lay.exponents
+    return [SparsePolynomial(ring, {exponents(m): c for m, c in h.items()}) for h in polys]
 
 
 # ---------------------------------------------------------------------------

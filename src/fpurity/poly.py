@@ -17,6 +17,7 @@ monomials, for the questions that only ask whether something lies in m^[q].
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import add, le, neg
 from typing import Iterable, Mapping
@@ -430,18 +431,40 @@ def minimal_packed(keys: set[int], guards: int) -> list[int]:
     next. A divisor's key is never larger, so ascending order keeps it
     before anything it divides.
 
-    Two-field keys ascend by (high field, low field), so every kept key has
-    a high field no larger than v's, and v is minimal iff its low field is
-    below every kept one: one pass, a staircase.
+    Ascending keys never decrease in the top field, so every kept key has a
+    top field no larger than v's, and only the lower fields decide. With two
+    fields, v is minimal iff its low field is below every kept one: one
+    pass. With three, v is minimal iff no kept (u1, u0) has u1 <= v1 and
+    u0 <= v0; the kept points that no other kept point dominates form a
+    staircase, u1 ascending and u0 descending, searched by bisection. Four
+    or more fields test v against every kept key.
     """
     kept: list[int] = []
-    if guards.bit_count() == 2:
-        mask = ((guards & -guards) << 1) - 1
+    fields = guards.bit_count()
+    mask = ((guards & -guards) << 1) - 1
+    if fields == 2:
         floor = mask + 1
         for v in sorted(keys):
             if v & mask < floor:
                 floor = v & mask
                 kept.append(v)
+        return kept
+    if fields == 3:
+        w = mask.bit_length()
+        ones: list[int] = []
+        zeros: list[int] = []
+        for v in sorted(keys):
+            v1, v0 = (v >> w) & mask, v & mask
+            i = bisect_right(ones, v1)
+            if i and zeros[i - 1] <= v0:
+                continue
+            kept.append(v)
+            # drop the steps v dominates: u1 >= v1 and u0 >= v0
+            j = k = bisect_left(ones, v1)
+            while k < len(zeros) and zeros[k] >= v0:
+                k += 1
+            ones[j:k] = [v1]
+            zeros[j:k] = [v0]
         return kept
     for v in sorted(keys):
         raised = v | guards

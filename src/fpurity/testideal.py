@@ -6,11 +6,13 @@ ascending chain
     K_e = (a^ceil(t * p^e)) ^ [1/p^e],       e = 1, 2, ..., e_cap
 
 Each K_e is a bracket-root of an ideal power, so the whole computation
-stays inside exact monomial-level arithmetic. Stabilization is detected
-heuristically: three consecutive equal entries starting no earlier than
-the least e with t(p^e - 1) integral (when one exists). The heuristic is
-flagged in the result rather than hidden, and a chain that fails to
-stabilize by the cap raises loudly, naming the last two ideals.
+stays inside exact monomial-level arithmetic. ``ideals.power_root`` builds
+an entry in one pass over the packed generator products of a^N, which is
+never built as an ideal. Stabilization is detected heuristically: three
+consecutive equal entries starting no earlier than the least e with
+t(p^e - 1) integral (when one exists). The heuristic is flagged in the
+result rather than hidden, and a chain that fails to stabilize by the cap
+raises loudly, naming the last two ideals.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 from .ceilarith import ceil_mul, denominator_order, exponent_range
 from .errors import ResourceCapExceeded
-from .ideals import Ideal, ideal_contains, ideal_equals, ideal_power, root_power
+from .ideals import Ideal, ideal_contains, ideal_equals, power_root
 
 
 @dataclass
@@ -53,7 +55,7 @@ def test_ideal(a: Ideal, t: Fraction, e_cap: int = 12) -> TestIdealResult:
     previous: Optional[Ideal] = None
     for e in exponent_range(e_cap):
         q = ring.p**e
-        entry = root_power(ideal_power(a, ceil_mul(t, q)), q)
+        entry = power_root(a, ceil_mul(t, q), q)
         if previous is not None and not ideal_contains(entry, previous):
             raise AssertionError(f"chain ascent violated between e={e - 1} and e={e}")
         chain.append((e, entry))

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -20,7 +19,7 @@ from fpurity import (
     parse_ring,
     root_power,
 )
-from fpurity.poly import PolyRing, grevlex_key, mono_divides, mono_mul, poly_pow
+from fpurity.poly import PolyRing, SparsePolynomial, grevlex_key, mono_divides, mono_mul, poly_pow
 
 from conftest import p
 
@@ -266,35 +265,41 @@ def test_monomial_power_exponent_cap(r3xy):
 def test_power_work_is_logarithmic(monkeypatch):
     from fpurity import ideals
 
+    from fpurity import poly
+
     ring = parse_ring("p=5; vars=x,y")
     a = ideal(["y", "x^2"], ring)
-    passes = 0
+    passes = {"minimal_packed": 0, "_minimal_monomials": 0}
 
-    def counting(prune):
+    def counting(name, prune):
         def wrapper(*args):
-            nonlocal passes
-            passes += 1
+            passes[name] += 1
             return prune(*args)
 
         return wrapper
 
-    # the packed passes of the power; its minimal result is not pruned again
-    monkeypatch.setattr(ideals, "minimal_packed", counting(ideals.minimal_packed))
-    monkeypatch.setattr(ideals, "_minimal_monomials", counting(ideals._minimal_monomials))
+    # one packed pass per step of the power: 94 = 0b1011110 takes six squares
+    # and four products by a; its minimal result is not pruned again
+    for name in passes:
+        monkeypatch.setattr(ideals, name, counting(name, getattr(ideals, name)))
     got = ideal_power(a, 94)
-    assert passes <= 2 * math.ceil(math.log2(94))
+    assert passes == {"minimal_packed": 10, "_minimal_monomials": 0}
     assert got.generators == tuple(ring.monomial((2 * i, 94 - i)) for i in range(95))
 
-    powers = 0
+    tuple_products = 0
 
-    def no_poly_pow(*args):
-        nonlocal powers
-        powers += 1
-        return poly_pow(*args)
+    def counted(*args):
+        nonlocal tuple_products
+        tuple_products += 1
+        return poly.poly_mul(*args)
 
-    monkeypatch.setattr(ideals, "poly_pow", no_poly_pow)
-    ideal_power(ideal(["x + y", "x*y + 1"], ring), 12)
-    assert powers == 0
+    # general and principal powers multiply packed, never on exponent tuples
+    general, principal = ideal(["x + y", "x*y + 1"], ring), ideal(["x + y^2 + 1"], ring)
+    monkeypatch.setattr(ideals, "poly_pow", counted)
+    monkeypatch.setattr(SparsePolynomial, "__mul__", counted)
+    ideal_power(general, 12)
+    ideal_power(principal, 12)
+    assert tuple_products == 0
 
 
 # --- root powers --------------------------------------------------------------

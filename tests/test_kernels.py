@@ -6,6 +6,7 @@ import heapq
 import importlib.util
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from fpurity import (
     ExponentOverflowError,
     Ideal,
+    ResourceCapExceeded,
     bracket_power,
     colon,
     ideal_power,
@@ -21,7 +23,7 @@ from fpurity import (
     parse_ring,
     root_power,
 )
-from fpurity import ideals
+from fpurity import ideals, testideal
 from fpurity.ideals import _height, _minimal_monomials, fedder_colon
 from fpurity.poly import (
     PolyRing,
@@ -58,6 +60,30 @@ def _bucketed_root(I, q):
                 seen.add(piece)
                 pieces.append(piece)
     return Ideal(ring, pieces)
+
+
+def _tuple_power(a, N):
+    """ideal_power's general path on exponent tuples: every degree-N product
+    of generator powers, in combinations_with_replacement order, each once.
+    Monomial and principal a give the same generators as their own paths."""
+    ring = a.ring
+    powers = []
+    for g in a.generators:
+        row = [ring.one(), g]
+        for k in range(2, N + 1):
+            p = ring.p
+            row.append(frobenius_image(row[k // p], p) if k % p == 0 else row[-1] * g)
+        powers.append(row)
+    kept, seen = [], set()
+    for combo in itertools.combinations_with_replacement(range(len(powers)), N):
+        h = None
+        for idx, run in itertools.groupby(combo):
+            piece = powers[idx][len(list(run))]
+            h = piece if h is None else h * piece
+        if h not in seen:
+            seen.add(h)
+            kept.append(h)
+    return Ideal(ring, kept)
 
 
 def _quadratic_minimal_packed(keys, guards):
@@ -379,7 +405,7 @@ def _packed_keys(rng, nfields, width, count):
     return keys, guards
 
 
-@pytest.mark.parametrize("nfields", [1, 2, 3])
+@pytest.mark.parametrize("nfields", [1, 2, 3, 4])
 def test_staircase_matches_the_quadratic_loop(nfields):
     rng = random.Random(f"staircase:{nfields}")
     for _ in range(300):
@@ -394,9 +420,9 @@ def test_staircase_matches_the_quadratic_loop_on_drawn_keys():
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(
-        st.integers(1, 3),
+        st.integers(1, 4),
         st.integers(2, 6),
-        st.lists(st.lists(st.integers(0, 31), min_size=3, max_size=3), min_size=1, max_size=30),
+        st.lists(st.lists(st.integers(0, 31), min_size=4, max_size=4), min_size=1, max_size=30),
     )
     def check(nfields, width, rows):
         top = 2 ** (width - 1)
@@ -479,23 +505,107 @@ def test_fedder_power_reduction_keeps_the_generators():
 # --- work guards ---------------------------------------------------------------------------------
 
 
+def _counted_prunes(monkeypatch):
+    prunes = []
+    run = ideals.minimal_packed
+    monkeypatch.setattr(
+        ideals, "minimal_packed", lambda keys, guards: prunes.append(1) or run(keys, guards)
+    )
+
+    def unexpected(*args):
+        raise AssertionError("a monomial result went through a checked pruning pass")
+
+    monkeypatch.setattr(ideals, "_minimal_monomials", unexpected)
+    monkeypatch.setattr(Ideal, "__init__", unexpected)
+    return prunes
+
+
 def test_monomial_power_and_root_prune_once(monkeypatch):
+    # 14 = 0b1110: three squares and two products by a, one prune each,
+    # then one prune for the root
     ring = parse_ring("p=3; vars=x,y,z")
     a = ideal(["x^2*y", "y^3", "x*z^2", "z^3"], ring)
-    prunes = []
-    run = ideals._minimal_monomials
-    monkeypatch.setattr(ideals, "_minimal_monomials", lambda monos: prunes.append(1) or run(monos))
-
-    def checked(*args):
-        raise AssertionError("a monomial result went through the checked constructor")
-
-    monkeypatch.setattr(Ideal, "__init__", checked)
+    prunes = _counted_prunes(monkeypatch)
     power = ideal_power(a, 14)
-    assert prunes == []  # minimal_packed's passes leave it minimal
+    assert len(prunes) == 5
     root = root_power(power, 9)
-    assert prunes == [1]
+    assert len(prunes) == 6
+    entry = ideals.power_root(a, 14, 9)
+    assert len(prunes) == 12
     monkeypatch.undo()
-    assert root.generators == _bucketed_root(power, 9).generators
+    assert root.generators == entry.generators == _bucketed_root(power, 9).generators
+
+
+# --- chain entries against the tuple oracles ------------------------------------------------
+
+
+def _monomial_base(rng, ring):
+    while True:
+        a = _random_monomial_ideal(rng, ring, 4)
+        if 2 <= len(a.generators) <= 4 and not a.has_constant_generator():
+            return a
+
+
+def _chain_bases(prime):
+    """(a, label) for every shape of a the chain powers."""
+    rng = random.Random(f"chain:{prime}")
+    for names in ("x,y", "x,y,z", "x,y,z,w"):
+        ring = parse_ring(f"p={prime}; vars={names}")
+        for _ in range(3):
+            yield _monomial_base(rng, ring), "monomial"
+    ring = parse_ring(f"p={prime}; vars=x,y,z")
+    yield ideal(["x^2*y^3"], ring), "principal monomial"
+    yield ideal(["x^3 - 2*y^2 + x*z"], ring), "principal"
+    yield ideal(["x^2 - y^3", "z^2"], ring), "binomial and monomial"
+    yield ideal(["x^2 + y*z", "y^2", "x*z - y"], ring), "three generators"
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_chain_entries_match_the_tuple_oracles(prime):
+    # N below q, at q and above it, with and without p dividing N
+    for a, label in _chain_bases(prime):
+        for q in (prime, prime**2):
+            for N in sorted({1, 2, q - 1, q, q + 1, q + prime} - {0}):
+                got = ideals.power_root(a, N, q)
+                want = _bucketed_root(_tuple_power(a, N), q)
+                assert got.generators == want.generators, (label, a, N, q)
+                assert got.is_monomial == want.is_monomial
+
+
+def test_capped_and_overflowing_powers_raise_before_any_product():
+    ring = parse_ring("p=3; vars=x,y,z")
+    # C(318, 2) = 50403 products of degree 316
+    a = ideal(["x + y", "y*z", "z^2 - x"], ring)
+    message = (
+        "resource cap exceeded: max_power_products (50403 degree-316 products of 3 "
+        "generators exceed 50000; use a principal or monomial fast path or a smaller exponent)"
+    )
+    for run in (lambda: ideal_power(a, 316), lambda: ideals.power_root(a, 316, 3)):
+        with pytest.raises(ResourceCapExceeded) as caught:
+            run()
+        assert str(caught.value) == message
+    big = ideal([f"x^{2**62}", "x*y"], ring)
+    for run in (lambda: ideal_power(big, 2), lambda: ideals.power_root(big, 2, 3)):
+        message = rf"^exponent {2**63} of a\^2 exceeds 2\^63-1$"
+        with pytest.raises(ExponentOverflowError, match=message):
+            run()
+    general = ideal([f"x^{2**62} + y", "x*y"], ring)
+    with pytest.raises(ExponentOverflowError):
+        ideal_power(general, 2)
+
+
+def test_the_chain_builds_no_ideal_power_or_root(monkeypatch):
+    # every entry comes from the packed kernel, not from a^N as an ideal
+    def unexpected(*args):
+        raise AssertionError("test_ideal formed a^N as an ideal")
+
+    for module in (ideals, testideal):
+        for name in ("ideal_power", "root_power"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unexpected)
+    ring = parse_ring("p=3; vars=x,y,z")
+    for texts, t in ((["x^2", "y*z"], Fraction(2, 3)), (["z^3 - 2*y^4", "x^2"], Fraction(1))):
+        assert testideal.test_ideal(ideal(texts, ring), t).chain
 
 
 # --- the packed Groebner kernel against the tuple kernel ------------------------------------
