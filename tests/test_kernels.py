@@ -66,12 +66,11 @@ def _tuple_power(a, N):
     """ideal_power's general path on exponent tuples: every degree-N product
     of generator powers, in combinations_with_replacement order, each once.
     Monomial and principal a give the same generators as their own paths."""
-    ring = a.ring
+    ring, p = a.ring, a.ring.p
     powers = []
     for g in a.generators:
         row = [ring.one(), g]
         for k in range(2, N + 1):
-            p = ring.p
             row.append(frobenius_image(row[k // p], p) if k % p == 0 else row[-1] * g)
         powers.append(row)
     kept, seen = [], set()
@@ -565,7 +564,7 @@ def test_chain_entries_match_the_tuple_oracles(prime):
     # N below q, at q and above it, with and without p dividing N
     for a, label in _chain_bases(prime):
         for q in (prime, prime**2):
-            for N in sorted({1, 2, q - 1, q, q + 1, q + prime} - {0}):
+            for N in sorted({1, 2, q - 1, q, q + 1, q + prime}):
                 got = ideals.power_root(a, N, q)
                 want = _bucketed_root(_tuple_power(a, N), q)
                 assert got.generators == want.generators, (label, a, N, q)
