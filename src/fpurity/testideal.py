@@ -8,7 +8,9 @@ ascending chain
 Each K_e is a bracket-root of an ideal power, so the whole computation
 stays inside exact monomial-level arithmetic. ``ideals.power_root`` builds
 an entry in one pass over the packed generator products of a^N, which is
-never built as an ideal. Stabilization is detected heuristically: three
+never built as an ideal. The chain ascends, so once an entry is the unit
+ideal every later one is too: an entry that is (1) is stored as (1), and
+no power is formed after it. Stabilization is detected heuristically: three
 consecutive equal entries starting no earlier than the least e with
 t(p^e - 1) integral (when one exists). The heuristic is flagged in the
 result rather than hidden, and a chain that fails to stabilize by the cap
@@ -42,8 +44,10 @@ def test_ideal(a: Ideal, t: Fraction, e_cap: int = 12) -> TestIdealResult:
     at least the floor, the least e with t(p^e - 1) integral, or 1 when
     there is none. The chain's ascent is verified entry by entry, so
     K_e = K_(e+2) already gives all three equal; an ascent violation
-    raises AssertionError because it can only mean a bug here. An e_cap
-    below 1 is refused with ValueError.
+    raises AssertionError because it can only mean a bug here. A computed
+    entry equal to (1) is stored as ``Ideal.unit``, and every later entry
+    is that unit ideal without a power or a check. An e_cap below 1 is
+    refused with ValueError.
     """
     if a.is_zero():
         raise ValueError("test ideal of the zero ideal is not defined")
@@ -51,13 +55,20 @@ def test_ideal(a: Ideal, t: Fraction, e_cap: int = 12) -> TestIdealResult:
         raise ValueError(f"exponent must be positive, got {t}")
     ring = a.ring
     e_floor = denominator_order(t, ring.p) or 1
+    unit = Ideal.unit(ring)
     chain: list[tuple[int, Ideal]] = []
     previous: Optional[Ideal] = None
     for e in exponent_range(e_cap):
-        q = ring.p**e
-        entry = power_root(a, ceil_mul(t, q), q)
-        if previous is not None and not ideal_contains(entry, previous):
-            raise AssertionError(f"chain ascent violated between e={e - 1} and e={e}")
+        if previous is unit:
+            # the chain ascends, so every entry after a unit one is (1)
+            entry = unit
+        else:
+            q = ring.p**e
+            entry = power_root(a, ceil_mul(t, q), q)
+            if previous is not None and not ideal_contains(entry, previous):
+                raise AssertionError(f"chain ascent violated between e={e - 1} and e={e}")
+            if entry.is_unit():
+                entry = unit
         chain.append((e, entry))
         previous = entry
         if len(chain) >= 3:

@@ -17,6 +17,8 @@ from fpurity import (
     ResourceCapExceeded,
     bracket_power,
     colon,
+    ideal_contains,
+    ideal_equals,
     ideal_power,
     intersect,
     parse_poly,
@@ -24,6 +26,7 @@ from fpurity import (
     root_power,
 )
 from fpurity import ideals, testideal
+from fpurity.ceilarith import ceil_mul, denominator_order, exponent_range
 from fpurity.ideals import _height, _minimal_monomials, fedder_colon
 from fpurity.poly import (
     PolyRing,
@@ -93,6 +96,25 @@ def _quadratic_minimal_packed(keys, guards):
         if not any((raised - u) & guards == guards for u in kept):
             kept.append(v)
     return kept
+
+
+def _full_chain(a, t, e_cap=12):
+    """test_ideal before the unit tail: power_root at every e, even after an
+    entry is the unit ideal."""
+    ring = a.ring
+    e_floor = denominator_order(t, ring.p) or 1
+    chain, previous = [], None
+    for e in exponent_range(e_cap):
+        q = ring.p**e
+        entry = ideals.power_root(a, ceil_mul(t, q), q)
+        assert previous is None or ideal_contains(entry, previous)
+        chain.append((e, entry))
+        previous = entry
+        if len(chain) >= 3:
+            e_star, base = chain[-3]
+            if e_star >= e_floor and ideal_equals(base, chain[-1][1]):
+                return testideal.TestIdealResult(base, e_star, e_floor, chain)
+    raise ResourceCapExceeded("test_ideal_e_cap", f"no stabilization by e={e_cap}")
 
 
 class TupleSteps:
@@ -605,6 +627,87 @@ def test_the_chain_builds_no_ideal_power_or_root(monkeypatch):
     ring = parse_ring("p=3; vars=x,y,z")
     for texts, t in ((["x^2", "y*z"], Fraction(2, 3)), (["z^3 - 2*y^4", "x^2"], Fraction(1))):
         assert testideal.test_ideal(ideal(texts, ring), t).chain
+
+
+# --- the chain's unit tail against the full chain -------------------------------------------
+
+
+def _unit_tail_cases(prime):
+    """(a, t) over monomial, binomial and three-generator a, graded or not,
+    inside m or not, with t with and without p in its denominator, plus (x, y)
+    at a t whose chain reaches (1) before its floor."""
+    rng = random.Random(f"unit-tail:{prime}")
+    r2 = parse_ring(f"p={prime}; vars=x,y")
+    r3 = parse_ring(f"p={prime}; vars=x,y,z")
+    c = lambda: rng.randrange(1, prime)
+    i, j, k = (rng.randrange(2, 5) for _ in range(3))
+    bases = [
+        _monomial_base(rng, r2),
+        _monomial_base(rng, r3),
+        ideal([f"x^{i} - {c()}*y^{j}"], r2),
+        ideal([f"x^{i} - {c()}*y^{j}", f"z^{k}"], r3),
+        ideal(["x^2 + y*z", "y^2", "x*z - y"], r3),
+        ideal([f"x^2 + y^3 + {c()}*x*y"], r2),
+        ideal(["x*y + x^3*y^3", f"y^{j}"], r2),
+        ideal(["y + 1", "y"], r2),
+        ideal([f"x^2*y + {c()}", "x^3"], r2),
+        ideal(["x^3*y^3 + 1", "x*y^2"], r2),
+    ]
+    plain = [t for t in map(Fraction, ("1/2", "2/3", "1", "3/2", "4/3")) if t.denominator % prime]
+    divided = [Fraction(1, prime), Fraction(prime + 1, prime), Fraction(prime + 1, prime**2)]
+    for a in bases:
+        choices = (plain, divided)
+        if len(a.generators) == 3:
+            # keep the full chain of three generators short: at p = 5 it trips
+            # the product cap past a floor of 1 and takes seconds above t = 1
+            choices = [[t for t in ts if t <= 1 and denominator_order(t, prime) in (1, None)]
+                       for ts in choices]
+        for ts in choices:
+            yield a, rng.choice(ts)
+    early = {2: Fraction(1, 3), 3: Fraction(1, 4), 5: Fraction(1, 3)}[prime]
+    yield ideal(["x", "y"], r2), early
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_chains_with_a_unit_tail_match_the_full_chain(prime):
+    kinds = set()
+    for a, t in _unit_tail_cases(prime):
+        got, want = testideal.test_ideal(a, t), _full_chain(a, t)
+        assert (got.stabilized_at, got.e_floor) == (want.stabilized_at, want.e_floor), (a, t)
+        assert len(got.chain) == len(want.chain), (a, t)
+        pairs = [(got.tau, want.tau)] + [(g, w) for (_, g), (_, w) in zip(got.chain, want.chain)]
+        for have, oracle in pairs:
+            if oracle.is_unit():
+                assert have.generators == (a.ring.one(),), (a, t)
+            else:
+                assert have.generators == oracle.generators, (a, t)
+        units = [e for e, entry in want.chain if entry.is_unit()]
+        if units:
+            kinds.add("unit")
+            kinds.add("unit before the floor" if units[0] < want.e_floor else "unit at the floor")
+            if any(not want.chain[e - 1][1].has_constant_generator() for e in units):
+                kinds.add("unit without a constant generator")
+        else:
+            kinds.add("no unit")
+    assert kinds >= {
+        "no unit",
+        "unit before the floor",
+        "unit at the floor",
+        "unit without a constant generator",
+    }
+
+
+def test_the_chain_stops_powering_after_its_first_unit_entry(monkeypatch):
+    calls = []
+    run = testideal.power_root
+    monkeypatch.setattr(testideal, "power_root", lambda a, N, q: calls.append(q) or run(a, N, q))
+    for prime in (2, 3, 5):
+        for a, t in _unit_tail_cases(prime):
+            calls.clear()
+            result = testideal.test_ideal(a, t)
+            units = [e for e, entry in result.chain if entry.is_unit()]
+            computed = units[0] if units else len(result.chain)
+            assert calls == [prime**e for e in range(1, computed + 1)], (a, t)
 
 
 # --- the packed Groebner kernel against the tuple kernel ------------------------------------

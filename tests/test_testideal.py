@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from fpurity import (
     sharp_fedder,
 )
 from fpurity.ceilarith import ceil_mul
+from fpurity.cli import EXIT_OK, run
 
 from fpurity import test_ideal as compute_test_ideal
 
@@ -78,6 +80,28 @@ def test_no_stabilization_within_cap_is_loud(r3xy):
 def test_rejects_zero_ideal(r3xy):
     with pytest.raises(ValueError):
         compute_test_ideal(Ideal.zero(r3xy), Fraction(1))
+
+
+def _testideal_json(ring, a, t):
+    code, text = run(["testideal", "--ring", ring, "--a", a, "--t", t, "--json"])
+    assert code == EXIT_OK, text
+    return json.loads(text)
+
+
+def test_a_unit_entry_without_a_constant_generator_prints_as_one():
+    # (y + 1, y) = (1) is not graded; its chain entries once printed as lists
+    # of non-constant generators such as y^3 + 1 and y^3
+    report = _testideal_json("p=3; vars=x,y", "y + 1, y", "7/2")
+    assert report["tau"] == ["1"]
+    assert [entry["ideal"] for entry in report["chain"]] == [["1"]] * 3
+
+
+def test_the_chain_does_not_power_past_its_first_unit_entry():
+    # K_1 = (1); the a^88 and a^438 of K_2 and K_3 once tripped the product
+    # cap with exit 2
+    report = _testideal_json("p=5; vars=x,y", "x^3, x^2*y + 1, x^3*y + 1", "7/2")
+    assert (report["tau"], report["stabilized_at"]) == (["1"], 1)
+    assert [entry["ideal"] for entry in report["chain"]] == [["1"]] * 3
 
 
 # --- radicality ---------------------------------------------------------------
