@@ -660,8 +660,10 @@ def _unit_tail_cases(prime):
         if len(a.generators) == 3:
             # keep the full chain of three generators short: at p = 5 it trips
             # the product cap past a floor of 1 and takes seconds above t = 1
-            choices = [[t for t in ts if t <= 1 and denominator_order(t, prime) in (1, None)]
-                       for ts in choices]
+            choices = [
+                [t for t in ts if t <= 1 and denominator_order(t, prime) in (1, None)]
+                for ts in choices
+            ]
         for ts in choices:
             yield a, rng.choice(ts)
     early = {2: Fraction(1, 3), 3: Fraction(1, 4), 5: Fraction(1, 3)}[prime]
@@ -683,8 +685,8 @@ def test_chains_with_a_unit_tail_match_the_full_chain(prime):
                 assert have.generators == oracle.generators, (a, t)
         units = [e for e, entry in want.chain if entry.is_unit()]
         if units:
-            kinds.add("unit")
-            kinds.add("unit before the floor" if units[0] < want.e_floor else "unit at the floor")
+            early = units[0] < want.e_floor
+            kinds.add("unit before the floor" if early else "unit from the floor on")
             if any(not want.chain[e - 1][1].has_constant_generator() for e in units):
                 kinds.add("unit without a constant generator")
         else:
@@ -692,7 +694,7 @@ def test_chains_with_a_unit_tail_match_the_full_chain(prime):
     assert kinds >= {
         "no unit",
         "unit before the floor",
-        "unit at the floor",
+        "unit from the floor on",
         "unit without a constant generator",
     }
 

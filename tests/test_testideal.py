@@ -89,16 +89,16 @@ def _testideal_json(ring, a, t):
 
 
 def test_a_unit_entry_without_a_constant_generator_prints_as_one():
-    # (y + 1, y) = (1) is not graded; its chain entries once printed as lists
-    # of non-constant generators such as y^3 + 1 and y^3
+    # (y + 1, y) = (1) is not graded, so the root pieces of its powers need
+    # not include a constant (K_1 has y^3 + 1 and y^3 among eight)
     report = _testideal_json("p=3; vars=x,y", "y + 1, y", "7/2")
     assert report["tau"] == ["1"]
     assert [entry["ideal"] for entry in report["chain"]] == [["1"]] * 3
 
 
-def test_the_chain_does_not_power_past_its_first_unit_entry():
-    # K_1 = (1); the a^88 and a^438 of K_2 and K_3 once tripped the product
-    # cap with exit 2
+def test_a_chain_that_reaches_one_forms_no_capped_power():
+    # K_1 = (1), so K_2 and K_3 need no power; K_3's a^438 has 96,580
+    # products of three generators, past the product cap (exit 2)
     report = _testideal_json("p=5; vars=x,y", "x^3, x^2*y + 1, x^3*y + 1", "7/2")
     assert (report["tau"], report["stabilized_at"]) == (["1"], 1)
     assert [entry["ideal"] for entry in report["chain"]] == [["1"]] * 3
