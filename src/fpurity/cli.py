@@ -76,9 +76,14 @@ def _add_json_flag(sub: argparse.ArgumentParser):
     sub.add_argument("--json", action="store_true", help="emit structured output")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+    """The top-level argument parser, built on first use and shared by later calls."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name."""
     top = argparse.ArgumentParser(prog="fpurity")
     subs = top.add_subparsers(dest="command", required=True)
 
@@ -121,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--c", required=True, help="witness multiplier")
     _add_json_flag(sub)
 
-    return top
+    return top, subs.choices
 
 
 def _parse_ideal(text: str, ring: PolyRing) -> Ideal:
@@ -145,14 +150,13 @@ def _ideal_json(I: Ideal) -> list[str]:
 
 
 def _verdict_json(v: PurityVerdict) -> dict:
-    out = {
+    return {
         "criterion": v.criterion,
         "outcome": v.outcome,
         "e_tested": list(v.e_tested),
         "per_e": {str(e): held for e, held in sorted(v.per_e.items())},
         "note": v.note,
     }
-    return out
 
 
 def _witness_json(v: PurityVerdict) -> dict | None:
@@ -178,16 +182,11 @@ def _closure_json(v: ClosureVerdict) -> dict:
     }
 
 
-def _run_fedder(args, flavor: str) -> dict:
+def _run_fedder(args, criterion) -> dict:
     ring = parse_ring(args.ring)
     defining = _parse_ideal(args.ideal, ring)
     pair = _make_pair(args, ring, defining)
-    if flavor == "sharp":
-        verdict = sharp_fedder(pair, args.emax)
-    elif flavor == "strong":
-        verdict = strong_fedder(pair, args.emax)
-    else:
-        verdict = classic_fpure(pair, args.emax)
+    verdict = criterion(pair, args.emax)
     report = {
         "command": args.command,
         "inputs": _pair_inputs(args, ring, pair),
@@ -216,17 +215,17 @@ def _pair_inputs(args, ring: PolyRing, pair: PairSpec) -> dict:
     }
 
 
+def _threshold_inputs(args, ring: PolyRing, a: Ideal) -> dict:
+    return {"ring": ring_to_str(ring), "a": _ideal_json(a), "emax": args.emax}
+
+
 def _run_nu(args) -> dict:
     ring = parse_ring(args.ring)
     a = _parse_ideal(args.a, ring)
     records = nu_table(a, args.emax)
     return {
         "command": "nu",
-        "inputs": {
-            "ring": ring_to_str(ring),
-            "a": _ideal_json(a),
-            "emax": args.emax,
-        },
+        "inputs": _threshold_inputs(args, ring, a),
         "nu_table": [
             {
                 "e": r.e,
@@ -246,11 +245,7 @@ def _run_fpt(args) -> dict:
     est = fpt_estimate(a, args.emax)
     report = {
         "command": "fpt",
-        "inputs": {
-            "ring": ring_to_str(ring),
-            "a": _ideal_json(a),
-            "emax": args.emax,
-        },
+        "inputs": _threshold_inputs(args, ring, a),
         "interval": {"lo": rational_to_str(est.lo), "hi": rational_to_str(est.hi)},
         "label": est.label,
         "certificate": None,
@@ -328,10 +323,8 @@ def _run_witness_check(args) -> dict:
     }
 
 
-def emit(report: dict, fmt: str) -> str:
-    """Render a report as an aligned table or a canonical JSON document."""
-    if fmt == "structured":
-        return json.dumps(report, indent=2, sort_keys=False)
+def _table(report: dict) -> str:
+    """Render a report as an aligned table."""
     lines = [f"command: {report['command']}"]
     for key, value in report.items():
         if key == "command":
@@ -375,9 +368,9 @@ def _table_block(key: str, value, indent: int = 0) -> list[str]:
 
 
 _RUNNERS = {
-    "fedder": lambda args: _run_fedder(args, "classic"),
-    "sharp-fedder": lambda args: _run_fedder(args, "sharp"),
-    "strong-fedder": lambda args: _run_fedder(args, "strong"),
+    "fedder": lambda args: _run_fedder(args, classic_fpure),
+    "sharp-fedder": lambda args: _run_fedder(args, sharp_fedder),
+    "strong-fedder": lambda args: _run_fedder(args, strong_fedder),
     "nu": _run_nu,
     "fpt": _run_fpt,
     "testideal": _run_testideal,
@@ -388,9 +381,17 @@ _RUNNERS = {
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute a command line; returns (exit code, rendered report)."""
-    parser = build_parser()
+    top, commands = _parsers()
     try:
-        args = parser.parse_args(argv)
+        # a known subcommand skips the top parser, whose only work would be
+        # handing the rest of argv to the same subparser
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = top.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                top.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return (EXIT_USAGE if exc.code else EXIT_OK), ""
     started = time.perf_counter()
@@ -405,9 +406,9 @@ def run(argv: list[str]) -> tuple[int, str]:
     except AssertionError as exc:
         return EXIT_BUG, f"error: internal invariant violated ({exc}); this is an engine bug"
     if args.json:
-        return EXIT_OK, emit(report, "structured")
+        return EXIT_OK, json.dumps(report, indent=2)
     elapsed = time.perf_counter() - started
-    return EXIT_OK, emit(report, "table") + f"\nelapsed: {elapsed:.3f}s"
+    return EXIT_OK, _table(report) + f"\nelapsed: {elapsed:.3f}s"
 
 
 def main() -> None:

@@ -631,7 +631,7 @@ def _packed_mul(f: dict[int, int], g: dict[int, int], p: int) -> dict[int, int]:
 
 
 def membership(g: SparsePolynomial, I: Ideal) -> bool:
-    """Decide g in I."""
+    """Decide g in I; a generator of I is in I without a Groebner basis."""
     if g.ring != I.ring:
         raise RingMismatchError("polynomial and ideal over different rings")
     if g.is_zero():
@@ -643,6 +643,8 @@ def membership(g: SparsePolynomial, I: Ideal) -> bool:
     if I.is_monomial:
         gens = I.monomial_exponents()
         return all(any(mono_divides(u, m) for u in gens) for m in g.terms)
+    if g in I.generators:
+        return True
 
     def run(w: int) -> bool:
         lay, table = _cached_rows(I, w)

@@ -14,200 +14,220 @@ Exponentiation binds tightest, then "*", then "+"/"-". Implicit
 multiplication is not part of the grammar: "xy" is a single identifier.
 Integer literals must fit in 64 bits. Every failure raises ParseError
 carrying the offending position.
+
+One regular expression splits the text into tokens, read in one pass.
+Integer and variable factors go straight into one term dict per
+polynomial; only a parenthesised factor is built as a polynomial. A power
+or product of factors of two or more terms that could pass
+MAX_PARSED_TERMS terms raises ResourceCapExceeded before it is formed: a
+t-term f has at most prod C(d + t - 1, t - 1) terms in f^N, over the
+base-p digits d of N, and f*g at most |f|*|g|.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
-from .errors import ParseError
+from .errors import ExponentOverflowError, ParseError, ResourceCapExceeded
 from .field import PrimeField, is_prime
-from .poly import PolyRing, SparsePolynomial
+from .poly import EXP_LIMIT, PolyRing, SparsePolynomial, grevlex_key, poly_mul, poly_pow
 
-_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+_TOKEN_RE = re.compile(r"[0-9]+|[a-z][a-zA-Z0-9_]*|\S")
 _INT_LIMIT = 2**63
+MAX_PARSED_TERMS = 200_000
 
 
-class _Scanner:
+class _Tokens:
+    """The tokens of one text and the index of the next; "" ends the list."""
+
+    __slots__ = ("text", "toks", "i")
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN_RE.findall(text) + [""]
+        self.i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def pos(self, k: int, end: bool = False) -> int:
+        """Where token k starts (or ends) in the text."""
+        spans = [m.span() for m in _TOKEN_RE.finditer(self.text)]
+        return (spans + [(len(self.text),) * 2])[k][end]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def try_consume(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def accept(self, tok: str) -> bool:
+        if self.toks[self.i] == tok:
+            self.i += 1
             return True
         return False
 
+    def expect(self, tok: str):
+        if not self.accept(tok):
+            raise ParseError(f"expected {tok!r}", self.pos(self.i))
+
     def integer(self) -> int:
-        self.skip_ws()
-        m = _INT_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected an integer", self.pos)
-        value = int(m.group())
+        tok = self.toks[self.i]
+        if not "0" <= tok[:1] <= "9":
+            raise ParseError("expected an integer", self.pos(self.i))
+        value = int(tok)
         if value >= _INT_LIMIT:
-            raise ParseError("integer literal exceeds 64 bits", self.pos)
-        self.pos = m.end()
+            raise ParseError("integer literal exceeds 64 bits", self.pos(self.i))
+        self.i += 1
         return value
 
     def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected an identifier", self.pos)
-        self.pos = m.end()
-        return m.group()
+        tok = self.toks[self.i]
+        if not "a" <= tok[:1] <= "z":
+            raise ParseError("expected an identifier", self.pos(self.i))
+        self.i += 1
+        return tok
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def exponent(self) -> int:
+        """The integer after a "^", or 1 when there is no "^"."""
+        if not self.accept("^"):
+            return 1
+        if self.toks[self.i] == "-":
+            raise ParseError("negative exponent", self.pos(self.i - 1, end=True))
+        return self.integer()
 
     def require_end(self):
-        if not self.at_end():
-            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
+        if self.toks[self.i]:
+            raise ParseError(f"unexpected {self.toks[self.i][0]!r}", self.pos(self.i))
 
 
 def parse_ring(text: str) -> PolyRing:
     """Parse 'p=<prime>; vars=<id>,<id>,...' into a ring."""
-    sc = _Scanner(text)
-    sc.skip_ws()
-    key_pos = sc.pos
-    if sc.ident() != "p":
-        raise ParseError("expected 'p='", key_pos)
-    sc.expect("=")
-    p_pos = sc.pos
-    p = sc.integer()
+    tk = _Tokens(text)
+    if tk.ident() != "p":
+        raise ParseError("expected 'p='", tk.pos(0))
+    tk.expect("=")
+    p = tk.integer()
     if not is_prime(p):
-        raise ParseError(f"{p} is not prime", p_pos)
-    sc.expect(";")
-    key_pos = sc.pos
-    if sc.ident() != "vars":
-        raise ParseError("expected 'vars='", key_pos)
-    sc.expect("=")
-    names = []
-    while True:
-        name_pos = sc.pos
-        name = sc.ident()
-        if name in names:
-            raise ParseError(f"duplicate variable {name!r}", name_pos)
-        names.append(name)
-        if not sc.try_consume(","):
-            break
-    sc.require_end()
+        raise ParseError(f"{p} is not prime", tk.pos(tk.i - 2, end=True))
+    tk.expect(";")
+    if tk.ident() != "vars":
+        raise ParseError("expected 'vars='", tk.pos(tk.i - 2, end=True))
+    tk.expect("=")
+    names = [tk.ident()]
+    while tk.accept(","):
+        names.append(tk.ident())
+        if names[-1] in names[:-1]:
+            raise ParseError(f"duplicate variable {names[-1]!r}", tk.pos(tk.i - 2, end=True))
+    tk.require_end()
     return PolyRing(PrimeField(p), tuple(names))
 
 
 def parse_poly(text: str, ring: PolyRing) -> SparsePolynomial:
     """Parse a polynomial in the ring's variables, coefficients mod p."""
-    sc = _Scanner(text)
-    poly = _parse_sum(sc, ring)
-    sc.require_end()
+    tk = _Tokens(text)
+    poly = SparsePolynomial(ring, _sum(tk, ring))
+    tk.require_end()
     return poly
-
-
-def _parse_sum(sc: _Scanner, ring: PolyRing) -> SparsePolynomial:
-    negate = sc.try_consume("-")
-    acc = _parse_term(sc, ring)
-    if negate:
-        acc = -acc
-    while True:
-        if sc.try_consume("+"):
-            acc = acc + _parse_term(sc, ring)
-        elif sc.try_consume("-"):
-            acc = acc - _parse_term(sc, ring)
-        else:
-            return acc
-
-
-def _parse_term(sc: _Scanner, ring: PolyRing) -> SparsePolynomial:
-    acc = _parse_factor(sc, ring)
-    while sc.try_consume("*"):
-        acc = acc * _parse_factor(sc, ring)
-    return acc
-
-
-def _parse_factor(sc: _Scanner, ring: PolyRing) -> SparsePolynomial:
-    base = _parse_base(sc, ring)
-    if sc.try_consume("^"):
-        exp_pos = sc.pos
-        if sc.peek() == "-":
-            raise ParseError("negative exponent", exp_pos)
-        return base ** sc.integer()
-    return base
-
-
-def _parse_base(sc: _Scanner, ring: PolyRing) -> SparsePolynomial:
-    ch = sc.peek()
-    if ch == "(":
-        sc.expect("(")
-        inner = _parse_sum(sc, ring)
-        sc.expect(")")
-        return inner
-    if ch.isdigit():
-        return ring.const(sc.integer())
-    name_pos = sc.pos
-    name = sc.ident()
-    if name not in ring.variables:
-        raise ParseError(f"unknown variable {name!r}", name_pos)
-    return ring.var(name)
 
 
 def parse_poly_list(text: str, ring: PolyRing) -> list[SparsePolynomial]:
     """Parse a comma-separated list of polynomials (for ideal generators)."""
-    sc = _Scanner(text)
-    polys = [_parse_sum(sc, ring)]
-    while sc.try_consume(","):
-        polys.append(_parse_sum(sc, ring))
-    sc.require_end()
+    tk = _Tokens(text)
+    polys = [SparsePolynomial(ring, _sum(tk, ring))]
+    while tk.accept(","):
+        polys.append(SparsePolynomial(ring, _sum(tk, ring)))
+    tk.require_end()
     return polys
+
+
+def _sum(tk: _Tokens, ring: PolyRing) -> dict:
+    """poly: every term added into one term dict."""
+    p, toks, out = ring.p, tk.toks, {}
+    sign = -1 if tk.accept("-") else 1
+    while True:
+        for mono, c in _term(tk, ring).items():
+            c = (out.get(mono, 0) + sign * c) % p
+            if c:
+                out[mono] = c
+            else:
+                out.pop(mono, None)
+        if toks[tk.i] not in ("+", "-"):
+            return out
+        sign = 1 if toks[tk.i] == "+" else -1
+        tk.i += 1
+
+
+def _term(tk: _Tokens, ring: PolyRing) -> dict:
+    """term, as a term dict. Integer and variable factors multiply into one
+    coefficient and exponent list until a parenthesised factor makes the
+    product a polynomial. Zero products, overflow and its message are
+    poly_mul's on the same factors."""
+    p, toks, variables = ring.p, tk.toks, ring.variables
+    coef, exps, poly = 1, [0] * ring.nvars, None
+    while True:
+        if toks[tk.i] == "(":
+            tk.i += 1
+            factor = SparsePolynomial(ring, _sum(tk, ring))
+            tk.expect(")")
+            factor = _power(factor, tk.exponent())
+            if poly is None:
+                poly = SparsePolynomial(ring, {tuple(exps): coef} if coef else {})
+        else:
+            if toks[tk.i][:1].isdigit():  # integer() rejects a non-ASCII digit
+                c, idx, k = pow(tk.integer(), tk.exponent(), p), 0, 0
+            else:
+                name = tk.ident()
+                if name not in variables:
+                    raise ParseError(f"unknown variable {name!r}", tk.pos(tk.i - 1))
+                c, idx, k = 1, variables.index(name), tk.exponent()
+            if poly is None:
+                factor = None
+                if coef:
+                    coef = coef * c % p
+                    if k:  # an integer factor has no variable to raise
+                        exps[idx] += k
+                        if exps[idx] > EXP_LIMIT:
+                            raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {tuple(exps)}")
+            else:
+                factor = ring.monomial([k if j == idx else 0 for j in range(ring.nvars)], c)
+        if factor is not None:
+            poly = _product(poly, factor)
+        if not tk.accept("*"):
+            return poly.terms if poly is not None else ({tuple(exps): coef} if coef else {})
+
+
+def _power(base: SparsePolynomial, n: int) -> SparsePolynomial:
+    t, bound, rest = len(base.terms), 1, n
+    while t > 1 and rest and bound <= MAX_PARSED_TERMS:
+        rest, d = divmod(rest, base.ring.p)
+        bound *= comb(d + t - 1, t - 1)
+    if bound > MAX_PARSED_TERMS:
+        raise _too_many(f"a {t}-term factor to the power {n}")
+    return poly_pow(base, n)
+
+
+def _product(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
+    m, n = len(f.terms), len(g.terms)
+    if min(m, n) > 1 and m * n > MAX_PARSED_TERMS:
+        raise _too_many(f"a product of {m}- and {n}-term factors")
+    return poly_mul(f, g)
+
+
+def _too_many(what: str) -> ResourceCapExceeded:
+    detail = f"{what} may have more than {MAX_PARSED_TERMS} terms"
+    return ResourceCapExceeded("max_parsed_terms", detail)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse '<int>' or '<int>/<int>' into a reduced, strictly positive
     Fraction, as a pair exponent must be."""
-    sc = _Scanner(text)
-    sc.skip_ws()
-    start = sc.pos
-    negate = sc.try_consume("-")
-    num = sc.integer()
+    tk = _Tokens(text)
+    negate = tk.accept("-")
+    num = tk.integer()
     den = 1
-    if sc.try_consume("/"):
-        den_pos = sc.pos
-        den = sc.integer()
+    if tk.accept("/"):
+        den = tk.integer()
         if den == 0:
-            raise ParseError("zero denominator", den_pos)
-    sc.require_end()
+            raise ParseError("zero denominator", tk.pos(tk.i - 2, end=True))
+    tk.require_end()
     value = Fraction(-num if negate else num, den)
     if value <= 0:
-        raise ParseError("exponent must be positive", start)
+        raise ParseError("exponent must be positive", tk.pos(0))
     return value
-
-
-def mono_to_str(ring: PolyRing, mono, coeff: int) -> str:
-    parts = []
-    if coeff != 1 or all(e == 0 for e in mono):
-        parts.append(str(coeff))
-    for name, e in zip(ring.variables, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
 
 
 def poly_to_str(f: SparsePolynomial) -> str:
@@ -218,8 +238,14 @@ def poly_to_str(f: SparsePolynomial) -> str:
     """
     if not f.terms:
         return "0"
-    monos = sorted(f.terms, key=f.ring.key, reverse=True)
-    return " + ".join(mono_to_str(f.ring, m, f.terms[m]) for m in monos)
+    names, parts = f.ring.variables, []
+    for mono in sorted(f.terms, key=grevlex_key, reverse=True):
+        factors = [f"{name}^{e}" if e > 1 else name for name, e in zip(names, mono) if e]
+        c = f.terms[mono]
+        if c != 1 or not factors:
+            factors.insert(0, str(c))
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
 def ring_to_str(ring: PolyRing) -> str:

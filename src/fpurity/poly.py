@@ -187,16 +187,7 @@ class SparsePolynomial:
         return SparsePolynomial(self.ring, out)
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        self._check_ring(other)
-        p = self.ring.p
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = (out.get(m, 0) - c) % p
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return SparsePolynomial(self.ring, out)
+        return self + -other
 
     def __neg__(self) -> "SparsePolynomial":
         p = self.ring.p

@@ -223,6 +223,45 @@ def test_unknown_subcommand_usage():
     assert code == EXIT_USAGE
 
 
+USAGE_ARGV = [
+    [],
+    ["frobenate"],
+    ["--json", "nu", "--ring", "p=3; vars=x", "--a", "x"],
+    ["-h"],
+    ["--help"],
+    ["nu", "-h"],
+    ["sharp-fedder", "--help"],
+    ["nu", "--ring", "p=3; vars=x", "--a", "x^2", "--em", "2", "--json"],
+    ["fpt", "--ring=p=3; vars=x", "--a=x^2", "--json"],
+    ["nu", "--ring", "p=3; vars=x", "--a", "x", "--bogus"],
+    ["testideal", "--ring", "p=3; vars=x"],
+    ["nu", "--ring", "p=3; vars=x", "--a", "x", "--t", "1/2"],
+    ["nu", "--ring", "p=3; vars=x", "--a", "x", "--emax", "two"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_direct_dispatch_matches_the_top_parser(argv, capsys, monkeypatch):
+    # run hands a known subcommand's argv to that subcommand's parser; with
+    # no subparser to hand it to, every argv goes through the top parser
+    got = run(argv), capsys.readouterr()
+    top = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (top, {}))
+    want = run(argv), capsys.readouterr()
+    assert got == want
+
+
+def test_the_pair_check_finds_a_generator_without_a_basis():
+    from fpurity import Ideal, PairSpec, membership, parse_poly_list, parse_ring
+
+    ring = parse_ring("p=3; vars=x,y,z")
+    defining = Ideal(ring, parse_poly_list("x^2 - y*z, y^3 + z^2", ring))
+    a = Ideal(ring, parse_poly_list("x + y", ring)).plus(defining)
+    assert membership(a.generators[1], a)
+    PairSpec(ring, defining, a, 1)
+    assert a._basis is None and defining._basis is None
+
+
 def test_structured_output_is_deterministic():
     argv = ["fpt", "--ring", "p=3; vars=x,y", "--a", "x*y", "--emax", "3", "--json"]
     first = run(argv)

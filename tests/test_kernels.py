@@ -6,6 +6,7 @@ import heapq
 import importlib.util
 import itertools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from fpurity import (
     ExponentOverflowError,
     Ideal,
+    ParseError,
     ResourceCapExceeded,
     bracket_power,
     colon,
@@ -22,11 +24,14 @@ from fpurity import (
     ideal_power,
     intersect,
     parse_poly,
+    parse_poly_list,
+    parse_rational,
     parse_ring,
     root_power,
 )
-from fpurity import ideals, testideal
+from fpurity import ideals, parser, testideal
 from fpurity.ceilarith import ceil_mul, denominator_order, exponent_range
+from fpurity.field import PrimeField, is_prime
 from fpurity.ideals import _height, _minimal_monomials, fedder_colon
 from fpurity.poly import (
     PolyRing,
@@ -880,3 +885,303 @@ def test_fedder_colons_of_the_quotients_pass_match_the_tuple_kernel(monkeypatch)
         assert [list(g.terms.items()) for g in got.generators] == [
             list(g.terms.items()) for g in want.generators
         ], (gens, q, bound)
+
+
+# --- the text parser ----------------------------------------------------------------------
+
+
+class _Scanner:
+    """The parser before the one-pass token list: a character scanner and
+    recursive descent, every sum and product formed as a polynomial."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def try_consume(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def integer(self):
+        self.skip_ws()
+        m = re.compile(r"[0-9]+").match(self.text, self.pos)
+        if not m:
+            raise ParseError("expected an integer", self.pos)
+        value = int(m.group())
+        if value >= 2**63:
+            raise ParseError("integer literal exceeds 64 bits", self.pos)
+        self.pos = m.end()
+        return value
+
+    def ident(self):
+        self.skip_ws()
+        m = re.compile(r"[a-z][a-zA-Z0-9_]*").match(self.text, self.pos)
+        if not m:
+            raise ParseError("expected an identifier", self.pos)
+        self.pos = m.end()
+        return m.group()
+
+    def require_end(self):
+        self.skip_ws()
+        if self.pos < len(self.text):
+            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
+
+
+def _scanner_ring(text):
+    sc = _Scanner(text)
+    sc.skip_ws()
+    key_pos = sc.pos
+    if sc.ident() != "p":
+        raise ParseError("expected 'p='", key_pos)
+    sc.expect("=")
+    p_pos = sc.pos
+    p = sc.integer()
+    if not is_prime(p):
+        raise ParseError(f"{p} is not prime", p_pos)
+    sc.expect(";")
+    key_pos = sc.pos
+    if sc.ident() != "vars":
+        raise ParseError("expected 'vars='", key_pos)
+    sc.expect("=")
+    names = []
+    while True:
+        name_pos = sc.pos
+        name = sc.ident()
+        if name in names:
+            raise ParseError(f"duplicate variable {name!r}", name_pos)
+        names.append(name)
+        if not sc.try_consume(","):
+            break
+    sc.require_end()
+    return PolyRing(PrimeField(p), tuple(names))
+
+
+def _scan_sum(sc, ring):
+    negate = sc.try_consume("-")
+    acc = _scan_term(sc, ring)
+    if negate:
+        acc = -acc
+    while True:
+        if sc.try_consume("+"):
+            acc = acc + _scan_term(sc, ring)
+        elif sc.try_consume("-"):
+            acc = acc - _scan_term(sc, ring)
+        else:
+            return acc
+
+
+def _scan_term(sc, ring):
+    acc = _scan_factor(sc, ring)
+    while sc.try_consume("*"):
+        acc = acc * _scan_factor(sc, ring)
+    return acc
+
+
+def _scan_factor(sc, ring):
+    ch = sc.peek()
+    if ch == "(":
+        sc.expect("(")
+        base = _scan_sum(sc, ring)
+        sc.expect(")")
+    elif ch.isdigit():
+        base = ring.const(sc.integer())
+    else:
+        name_pos = sc.pos
+        name = sc.ident()
+        if name not in ring.variables:
+            raise ParseError(f"unknown variable {name!r}", name_pos)
+        base = ring.var(name)
+    if sc.try_consume("^"):
+        exp_pos = sc.pos
+        if sc.peek() == "-":
+            raise ParseError("negative exponent", exp_pos)
+        return base ** sc.integer()
+    return base
+
+
+def _scanner_poly_list(text, ring):
+    sc = _Scanner(text)
+    polys = [_scan_sum(sc, ring)]
+    while sc.try_consume(","):
+        polys.append(_scan_sum(sc, ring))
+    sc.require_end()
+    return polys
+
+
+def _scanner_poly(text, ring):
+    sc = _Scanner(text)
+    poly = _scan_sum(sc, ring)
+    sc.require_end()
+    return poly
+
+
+def _scanner_rational(text):
+    sc = _Scanner(text)
+    sc.skip_ws()
+    start = sc.pos
+    negate = sc.try_consume("-")
+    num = sc.integer()
+    den = 1
+    if sc.try_consume("/"):
+        den_pos = sc.pos
+        den = sc.integer()
+        if den == 0:
+            raise ParseError("zero denominator", den_pos)
+    sc.require_end()
+    value = Fraction(-num if negate else num, den)
+    if value <= 0:
+        raise ParseError("exponent must be positive", start)
+    return value
+
+
+def _outcome(parse, *args):
+    """What parse returns, or the type, message and position it raises."""
+    try:
+        value = parse(*args)
+    except (ParseError, ExponentOverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    if isinstance(value, list):
+        return [list(f.terms.items()) for f in value]
+    if isinstance(value, SparsePolynomial):
+        return list(value.terms.items())
+    return value
+
+
+_SPACES = ["", "", "", " ", "  ", "\t", "\n", " "]
+
+
+def _valid_poly_text(rng, names, depth=0):
+    """A sum of terms: leading minus, integer powers, coefficients at and
+    past p, terms that cancel, nested and powered parentheses, whitespace."""
+    ws = lambda: rng.choice(_SPACES)
+
+    def factor():
+        roll = rng.random()
+        if roll < 0.2:
+            base = str(rng.choice([0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 49, 2**63 - 1]))
+        elif roll < 0.3 and depth < 2:
+            base = "(" + ws() + _valid_poly_text(rng, names, depth + 1) + ws() + ")"
+        else:
+            base = rng.choice(names)
+        if rng.random() < 0.4:
+            top = 3 if base.startswith("(") else rng.choice([5, 12, 2**62])
+            base += ws() + "^" + ws() + str(rng.randrange(top + 1))
+        return base
+
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        term = (ws() + "*" + ws()).join(factor() for _ in range(rng.randint(1, 3)))
+        terms.append(term)
+        if rng.random() < 0.2:
+            terms.append(term)  # the same term again, so that it cancels or doubles
+    text = terms[0]
+    for term in terms[1:]:
+        text += ws() + rng.choice("+-") + ws() + term
+    return ("-" + ws() if rng.random() < 0.3 else "") + ws() + text + ws()
+
+
+_BREAKERS = list("()^*+-,/;=xyzXA_0129² \t\u00a0\u2003") + ["w", "xy", "^-", "**", "()", "9" * 20]
+
+
+def _malformed(rng, text):
+    """text with one to three characters or fragments inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 0.4 or not text:
+            text = text[:i] + rng.choice(_BREAKERS) + text[i:]
+        elif roll < 0.7:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(_BREAKERS) + text[i + 1:]
+    return text
+
+
+_PARSER_CASES = [
+    "", " ", "-", "+x", "x +", "x*", "*x", "x^", "x^-1", "x^ -1", "x ^ - 1", "x^y", "x^2^3",
+    "(x", "x)", "()", "(x+y", "((x)", "x y", "xy", "w", "X", "_x", "2x", "x²", "x^²", "²",
+    "x,", ",x", "x,,y", "x/y", "1/0", str(2**63), f"x^{2**63}", f"x^{2**63 - 1}*x",
+    f"x^{2**62}*x^{2**62}", f"0*x^{2**62}*x^{2**62}", f"x^{2**62}*0*x^{2**62}",
+    f"(x + y)*x^{2**63 - 1}*y", f"y*x^{2**63 - 1}*(x + 1)", f"3*x^{2**62}*x^{2**62}",
+    "0^0", "0^0*x", "(0)^0", "3^0 + 3", "-(x - y)^3*(x + y)", " \t\n", "x + y",
+]
+_RING_CASES = [
+    "p=3; vars=x,y", " p = 5 ; vars = a , b ", "p=4; vars=x", "p= 4; vars=x", "q=3; vars=x",
+    "p3; vars=x", "p=3 vars=x", "p=3; var=x", "p=3;  vars=x", "p=3; vars=x,x", "p=3; vars=x, x",
+    "p=3; vars=", "p=3; vars=x,", "p=3; vars=x y", "p=; vars=x", f"p={2**63}; vars=x", "p=1; vars=x",
+    "p=2; vars=X", "p=2; vars=1x", "p=2; vars=x;", "", "p", "p=", "p=3", "p=3;",
+]
+_RATIONAL_CASES = [
+    "", "1", "5/6", "4/6", " 7 ", "0", "-0", "-1/2", "- 1/2", "1/0", "1 / 0", "0/0", "1/", "/2",
+    "1/2/3", "x", "1.5", "+1", "--1", str(2**63), f"1/{2**63}", f"{2**63 - 1}/{2**63 - 1}", "²",
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_one_pass_parser_matches_the_scanner(seed):
+    # equal polynomials with their terms in the same order, or the same
+    # error type, message and position, on valid and malformed text
+    rng = random.Random(seed)
+    for prime, names in [(2, ["x", "y"]), (3, ["x", "y", "z"]), (7, ["x", "y1", "z_2"])]:
+        ring = parse_ring(f"p={prime}; vars={','.join(names)}")
+        texts = [_valid_poly_text(rng, names) for _ in range(150)]
+        texts += [_malformed(rng, t) for t in texts[:150]]
+        lists = [", ".join(rng.sample(texts, 3)) for _ in range(50)]
+        if seed == 1:
+            texts += _PARSER_CASES
+        for text in texts:
+            assert _outcome(parse_poly, text, ring) == _outcome(_scanner_poly, text, ring), text
+        for text in texts + lists + [_malformed(rng, t) for t in lists]:
+            assert _outcome(parse_poly_list, text, ring) == _outcome(
+                _scanner_poly_list, text, ring
+            ), text
+    rings = _RING_CASES + [_malformed(rng, t) for t in _RING_CASES for _ in range(4)]
+    for text in rings:
+        assert _outcome(parse_ring, text) == _outcome(_scanner_ring, text), text
+    rationals = _RATIONAL_CASES + [_malformed(rng, t) for t in _RATIONAL_CASES for _ in range(4)]
+    for text in rationals:
+        assert _outcome(parse_rational, text) == _outcome(_scanner_rational, text), text
+
+
+def test_a_sum_of_plain_terms_is_parsed_without_polynomial_arithmetic(monkeypatch):
+    ring = parse_ring("p=5; vars=x,y,z")
+    rng = random.Random(4)
+    text = " + ".join(
+        f"{rng.randrange(1, 5)}*x^{rng.randrange(60)}*y^{rng.randrange(60)}*z^{rng.randrange(60)}"
+        for _ in range(2000)
+    )
+    want = _scanner_poly(text, ring)
+
+    def unexpected(*args):
+        pytest.fail("polynomial arithmetic in the parser")
+
+    monkeypatch.setattr(SparsePolynomial, "__add__", unexpected)
+    monkeypatch.setattr(SparsePolynomial, "__sub__", unexpected)
+    monkeypatch.setattr(SparsePolynomial, "__mul__", unexpected)
+    monkeypatch.setattr(parser, "poly_mul", unexpected)
+    assert parse_poly(text, ring) == want
+    assert parse_poly_list(f"{text}, {text}", ring) == [want, want]
+
+
+def test_large_powers_of_sums_are_refused_before_they_are_formed():
+    ring = parse_ring("p=2; vars=x,y,z")
+    # over F_2, (x + y + z)^(2^k - 1) has 3^k terms
+    assert len(parse_poly(f"(x + y + z)^{2**8 - 1}", ring).terms) == 3**8
+    for text in [f"(x + y + z)^{2**20 - 1}", f"(x + y)*(x + y + z)^{2**8 - 1}*(x + z)^{2**8 - 1}"]:
+        with pytest.raises(ResourceCapExceeded, match="max_parsed_terms"):
+            parse_poly(text, ring)
