@@ -197,7 +197,7 @@ def _power(base: SparsePolynomial, n: int) -> SparsePolynomial:
         bound *= comb(d + t - 1, t - 1)
     if bound > MAX_PARSED_TERMS:
         raise _too_many(f"a {t}-term factor to the power {n}")
-    return poly_pow(base, n)
+    return base if n == 1 else poly_pow(base, n)
 
 
 def _product(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:

@@ -1068,7 +1068,9 @@ _SPACES = ["", "", "", " ", "  ", "\t", "\n", " "]
 def _valid_poly_text(rng, names, depth=0):
     """A sum of terms: leading minus, integer powers, coefficients at and
     past p, terms that cancel, nested and powered parentheses, whitespace."""
-    ws = lambda: rng.choice(_SPACES)
+
+    def ws():
+        return rng.choice(_SPACES)
 
     def factor():
         roll = rng.random()
