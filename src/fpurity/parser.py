@@ -135,20 +135,23 @@ def parse_poly_list(text: str, ring: PolyRing) -> list[SparsePolynomial]:
 
 
 def _sum(tk: _Tokens, ring: PolyRing) -> dict:
-    """poly: every term added into one term dict."""
-    p, toks, out = ring.p, tk.toks, {}
-    sign = -1 if tk.accept("-") else 1
-    while True:
+    """poly: every term added into the first term's dict, which _term
+    builds afresh for each term."""
+    p, toks = ring.p, tk.toks
+    negate = tk.accept("-")
+    out = _term(tk, ring)
+    if negate:
+        out = {mono: -c % p for mono, c in out.items()}
+    while toks[tk.i] in ("+", "-"):
+        sign = 1 if toks[tk.i] == "+" else -1
+        tk.i += 1
         for mono, c in _term(tk, ring).items():
             c = (out.get(mono, 0) + sign * c) % p
             if c:
                 out[mono] = c
             else:
                 out.pop(mono, None)
-        if toks[tk.i] not in ("+", "-"):
-            return out
-        sign = 1 if toks[tk.i] == "+" else -1
-        tk.i += 1
+    return out
 
 
 def _term(tk: _Tokens, ring: PolyRing) -> dict:
@@ -164,7 +167,9 @@ def _term(tk: _Tokens, ring: PolyRing) -> dict:
             factor = SparsePolynomial(ring, _sum(tk, ring))
             tk.expect(")")
             factor = _power(factor, tk.exponent())
-            if poly is None:
+            if poly is None and coef == 1 and not any(exps):
+                poly, factor = factor, None
+            elif poly is None:
                 poly = SparsePolynomial(ring, {tuple(exps): coef} if coef else {})
         else:
             if toks[tk.i][:1].isdigit():  # integer() rejects a non-ASCII digit
