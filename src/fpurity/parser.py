@@ -155,10 +155,10 @@ def _sum(tk: _Tokens, ring: PolyRing) -> dict:
 
 
 def _term(tk: _Tokens, ring: PolyRing) -> dict:
-    """term, as a term dict. Integer and variable factors multiply into one
-    coefficient and exponent list until a parenthesised factor makes the
-    product a polynomial. Zero products, overflow and its message are
-    poly_mul's on the same factors."""
+    """term, as a new term dict that nothing else holds. Integer and
+    variable factors multiply into one coefficient and exponent list until
+    a parenthesised factor makes the product a polynomial. Zero products,
+    overflow and its message are poly_mul's on the same factors."""
     p, toks, variables = ring.p, tk.toks, ring.variables
     coef, exps, poly = 1, [0] * ring.nvars, None
     while True:
