@@ -10,21 +10,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _P_LIMIT = 2**31
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for p < 2^31."""
+    """Deterministic Miller-Rabin with the twelve prime bases 2, ..., 37:
+    exact for every n below 3.18 * 10^23, so for every n < 2^64 (Sorenson
+    and Webster 2017)."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _BASES:
+        powers = [pow(b, (n - 1) >> i, n) for i in range(s, 0, -1)]
+        if powers[0] != 1 and n - 1 not in powers:
             return False
-        d += 2
     return True
 
 

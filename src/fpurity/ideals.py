@@ -24,8 +24,9 @@ outside the packed kernels. Field widths come from the inputs' degrees,
 and a run in which a formed monomial reaches a field's guard bit starts
 again with wider fields.
 
-Colons run one intersection per generator of the divisor ideal, each by
-elimination of an extra variable t unless both sides are monomial or the
+Colons run one intersection per generator of the divisor ideal on packed
+keys from start to end, each by elimination of an extra variable t, whose
+field sits above a grevlex key's, unless both sides are monomial or the
 target is principal and divisible by the other side; the Fedder colon
 I^[q] : I of a complete intersection ``fedder_colon`` takes from Fedder's
 lemma with one Buchberger run in the ring itself.
@@ -77,7 +78,6 @@ from .poly import (
     grevlex_key,
     minimal_packed,
     mono_divides,
-    mono_lcm,
     poly_pow,
 )
 
@@ -241,7 +241,7 @@ class _Layout:
     reverse that of m ^ desc (desc flips the other fields).
 
     A formed monomial is checked against ``limit``, which holds every guard
-    bit and the bits from 2^63 up of each exponent field: ``overflow`` then
+    bit and the bits from 2^63 up of each exponent field: ``check`` then
     raises ExponentOverflowError for an exponent past 2^63-1, as tuples do,
     and ``_Overflow`` otherwise.
     """
@@ -310,12 +310,14 @@ class _Layout:
             return lambda m: (m >> dshift) & fmask
         return lambda m: _w_degree(self.exponents(m), weights)
 
-    def overflow(self, m: int):
-        """Raise for a formed monomial m that meets ``limit``."""
-        exps = self.exponents(m)
-        if max(exps) > EXP_LIMIT:
-            raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {exps}")
-        raise _Overflow(self.w)
+    def check(self, keys):
+        """The formed packed keys, after raising for one that meets ``limit``."""
+        if functools.reduce(or_, keys, 0) & self.limit:
+            exps = self.exponents(next(m for m in keys if m & self.limit))
+            if max(exps) > EXP_LIMIT:
+                raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {exps}")
+            raise _Overflow(self.w)
+        return keys
 
 
 @functools.lru_cache(maxsize=64)
@@ -385,9 +387,7 @@ def _normal_form(
     """
     p = lay.ring.p
     guards, limit, desc = lay.guards, lay.limit, lay.desc
-    if functools.reduce(or_, work, 0) & limit:
-        lay.overflow(next(m for m in work if m & limit))
-    heap = [m ^ desc for m in work]
+    heap = [m ^ desc for m in lay.check(work)]
     heapq.heapify(heap)
     push, pop, get = heapq.heappush, heapq.heappop, work.get
     steps, cap = counter.steps, counter.limit
@@ -415,7 +415,7 @@ def _normal_form(
                         work[t] = s
                         if not old:
                             if t & limit:
-                                lay.overflow(t)
+                                lay.check((t,))
                             push(heap, t ^ desc)
                     else:
                         del work[t]
@@ -518,7 +518,7 @@ def _packed_buchberger(
                     continue
                 key = (d, lcm ^ asc)
             if lcm & limit:
-                lay.overflow(lcm)
+                lay.check((lcm,))
             heapq.heappush(heap, (key, i, k, lcm))
             queued.add((i, k))
 
@@ -580,18 +580,6 @@ def _interreduce(
     ]
     reduced.sort(key=lambda h: next(iter(h)) ^ asc)
     return reduced
-
-
-def _interreduced(gens: Sequence[SparsePolynomial], ring: PolyRing) -> list[SparsePolynomial]:
-    """The monic reduced basis, sorted by lead, from a Groebner basis."""
-
-    def run(w: int) -> list[SparsePolynomial]:
-        lay = _layout(ring, w)
-        leads = [lay.key(g.lead_monomial()) for g in gens]
-        reduced = _interreduce([lay.pack(g) for g in gens], leads, lay, _StepCounter())
-        return [lay.unpack(h) for h in reduced]
-
-    return _widening(run, _top_degree(gens))
 
 
 def _power_mod(
@@ -932,27 +920,11 @@ def _extend_ring(ring: PolyRing) -> PolyRing:
     return PolyRing(ring.field, (_ELIM_VAR,) + ring.variables, order="elim1")
 
 
-def _embed(f: SparsePolynomial, ext: PolyRing, tdeg: int = 0) -> SparsePolynomial:
-    return SparsePolynomial(ext, {(tdeg,) + m: c for m, c in f.terms.items()})
-
-
-def _project(f: SparsePolynomial, ring: PolyRing) -> SparsePolynomial:
-    return SparsePolynomial(ring, {m[1:]: c for m, c in f.terms.items()})
-
-
 def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
-    """J intersect K, by eliminating t from t*J + (1-t)*K.
-
-    With ``graded = (weights, bound)`` and J, K homogeneous for the
-    weights, t gets weight 0, which makes t*J + (1-t)*K homogeneous too;
-    the elimination is then truncated at the bound, and the result holds
-    exactly the reduced-basis elements of J intersect K up to it.
-
-    Monomial against monomial takes the lcms, and two principal ideals
-    (g) and (f) with f dividing g meet in (g), with no elimination; that
-    is how a hypersurface's colon (f^q) : (f) runs. A graded (g) above the
-    bound holds nothing up to it, which is settled before any division.
-    """
+    """J intersect K: ``colon``'s step with f = 1, so lcms for monomial J
+    and K, (g) for (g) and a divisor (k) of g, else t eliminated from
+    t*J + (1-t)*K. With ``graded = (weights, bound)`` and J, K homogeneous
+    for the weights, exactly the reduced-basis elements up to the bound."""
     J._check_ring(K)
     ring = J.ring
     if J.is_zero() or K.is_zero():
@@ -961,114 +933,130 @@ def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
         return K
     if K.has_constant_generator():
         return J
-    if J.is_monomial and K.is_monomial:
-        lcms = [
-            mono_lcm(u, v) for u in J.monomial_exponents() for v in K.monomial_exponents()
-        ]
-        return Ideal._from_minimal(ring, _minimal_monomials(lcms))
-    if len(J.generators) == 1 and len(K.generators) == 1:
-        (g,), (f,) = J.generators, K.generators
-        if graded is not None and _degree(g, graded[0]) > graded[1]:
-            return Ideal.zero(ring)
-        if _try_exact_div(g, f) is not None:
-            return J
-    # t*J + (1-t)*K in the extended ring, then eliminate t
-    ext = _extend_ring(ring)
-    gens = [_embed(g, ext, 1) for g in J.generators]
-    gens += [_embed(h, ext) - _embed(h, ext, 1) for h in K.generators]
-    if graded is not None:
-        weights, bound = graded
-        graded = ((0, *weights), bound)
-    basis = _buchberger(gens, ext, graded)
-    kept = [_project(b, ring) for b in basis if all(m[0] == 0 for m in b.terms)]
-    return Ideal(ring, kept)
 
-
-def _try_exact_div(g: SparsePolynomial, f: SparsePolynomial) -> Optional[SparsePolynomial]:
-    """g / f when f divides g exactly, else None: ``_normal_form`` of g by
-    f alone, recording the quotient and stopping at the first term f does
-    not divide."""
-    ring = g.ring
-
-    def run(w: int) -> Optional[SparsePolynomial]:
+    def run(w: int) -> Ideal:
         lay = _layout(ring, w)
-        quotient: dict[int, int] = {}
-        if _normal_form(lay.pack(g), [lay.row(f)], lay, _StepCounter(), quotient):
-            return None
-        return lay.unpack(quotient)
+        packed = [[lay.pack(g) for g in A.generators] for A in (J, K)]
+        meet = _colon_step(*packed, ring.one(), lay, graded)
+        return Ideal(ring, [lay.unpack(h) for h in meet])
 
-    return _widening(run, _top_degree([g, f]))
-
-
-def _degree(f: SparsePolynomial, weights: Sequence[int]) -> int:
-    """The weighted degree of a homogeneous f, read off its lead."""
-    return _w_degree(f.lead_monomial(), weights)
-
-
-def _raised(graded: Optional[_Graded], f: SparsePolynomial) -> Optional[_Graded]:
-    """The bound for f * (something of degree at most the bound)."""
-    if graded is None:
-        return None
-    weights, bound = graded
-    return weights, bound + _degree(f, weights)
-
-
-def _divide(meet: Ideal, f: SparsePolynomial) -> Ideal:
-    """The ideal of meet's generators divided by f, each exactly."""
-    out = []
-    for g in meet.generators:
-        quotient = _try_exact_div(g, f)
-        if quotient is None:
-            raise AssertionError("element of J meet (f) not divisible by f")
-        out.append(quotient)
-    return Ideal(meet.ring, out)
+    return _widening(run, _top_degree(itertools.chain(J.generators, K.generators)) + 1)
 
 
 def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
     """The colon ideal J : I = {g : g*I inside J}.
 
-    Generator by generator, from R_0 = S: for k = 1, ..., r
-
-        R_k  =  R_(k-1) intersect (J : f_k)  =  (J intersect f_k*R_(k-1)) / f_k,
-
-    since g*f_k lies in both J and f_k*R_(k-1) exactly when g is in R_k
-    (S is a domain). That is one intersection per generator of I, where
-    intersecting the r single colons took 2r - 1, and ``intersect`` needs
-    no elimination for monomial against monomial (lcms) or for (g) against
-    a divisor (f) of g. The quotients of a Groebner basis of
+    Generator by generator, from R_0 = S: R_k = (J intersect f_k*R_(k-1)) / f_k
+    (``_colon_step``), since g*f_k lies in both J and f_k*R_(k-1) exactly
+    when g lies in R_(k-1) intersect (J : f_k) (S is a domain); one
+    intersection per generator of I. The quotients of a Groebner basis of
     J intersect f_k*R_(k-1) by f_k form a Groebner basis of R_k, so for
     r >= 2 one interreduction turns them into the monic reduced basis,
-    sorted by lead; a principal I keeps the quotients as they come. For
-    J = I^[q] with I a complete intersection, ``fedder_colon`` gives the
-    same ideal without elimination.
+    sorted by lead; a principal I keeps them as they come. The loop runs
+    on packed keys of one width, from packing J to unpacking the result,
+    and starts again wider when a formed monomial overflows. For J = I^[q]
+    with I a complete intersection, ``fedder_colon`` gives the same ideal
+    without elimination.
 
     ``graded = (weights, bound)``, for J and I homogeneous in positive
-    integer weights, returns only the generators of weighted degree at most
+    integer weights, keeps only the generators of weighted degree at most
     the bound: each intersection is truncated at the bound plus the degree
-    of f_k (the elimination variable gets weight 0), so a principal J whose
-    quotient would lie above the bound costs no division. The bounded
-    result is the subsequence of the unbounded one of degree at most the
-    bound, and generates an ideal that agrees with J : I in every degree up
-    to it.
+    of f_k. That is the subsequence of the unbounded result of degree at
+    most the bound, and agrees with J : I in every degree up to it.
     """
     J._check_ring(I)
     ring = J.ring
-    if I.is_zero():
+    if I.is_zero() or J.has_constant_generator():
         return Ideal.unit(ring)
-    if J.has_constant_generator():
-        return Ideal.unit(ring)
-    if I.has_constant_generator():
+    if I.has_constant_generator() or J.is_zero():
         return J
-    result = Ideal.unit(ring)
-    for f in I.generators:
-        raised = Ideal(ring, [f * g for g in result.generators])
-        result = _divide(intersect(J, raised, _raised(graded, f)), f)
-    if len(I.generators) > 1 and not result.is_monomial:
-        result = Ideal(ring, _interreduced(result.generators, ring))
+
+    def run(w: int) -> Ideal:
+        lay = _layout(ring, w)
+        packed = [lay.pack(g) for g in J.generators]
+        result = [{0: 1}]
+        for f in I.generators:
+            result = result and _colon_step(packed, result, f, lay, graded)  # [] stays zero
+        if len(I.generators) > 1 and any(len(h) > 1 for h in result):
+            result = _interreduce(result, [next(iter(h)) for h in result], lay, _StepCounter())
+        if graded is not None:
+            degree, bound = lay.weighted(graded[0]), graded[1]
+            result = [h for h in result if degree(next(iter(h))) <= bound]
+        return Ideal(ring, [lay.unpack(h) for h in result])
+
+    return _widening(run, _top_degree(itertools.chain(J.generators, I.generators)) + 1)
+
+
+def _colon_step(
+    J: list[dict], R: list[dict], f: SparsePolynomial, lay: _Layout, graded: Optional[_Graded]
+) -> list[dict[int, int]]:
+    """(J intersect f*R) / f for nonzero J and R packed on lay, as
+    ``Ideal(...)`` keeps it (``_as_ideal``), terms largest first; [] is the
+    zero ideal. Monomial J, f and R take the lcms; (g) against (f*r) with
+    f*r dividing g gives (g / (f*r) * r) from that one division; else each
+    element of the meet, truncated at the bound plus deg f, is divided by f.
+    """
+    p = lay.ring.p
+    packed, flead = lay.pack(f), lay.key(f.lead_monomial())
     if graded is not None:
-        weights, bound = graded
-        result = Ideal(ring, [g for g in result.generators if _degree(g, weights) <= bound])
-    return result
+        graded = graded[0], graded[1] + _w_degree(f.lead_monomial(), graded[0])
+    if len(packed) == 1 and all(len(h) == 1 for h in itertools.chain(J, R)):
+        raised = lay.check([flead + r for h in R for r in h])
+        lcms = lay.check({lay.lcm(u, v) for h in J for u in h for v in raised})
+        return _as_ideal([{m - flead: 1} for m in lcms], lay)
+    raised = [lay.check(_packed_mul(packed, r, p)) for r in R]
+    if len(J) == 1 and len(R) == 1:
+        (g,), (r,) = J, R
+        if graded is not None and lay.weighted(graded[0])(max(g, key=lay.asc.__xor__)) > graded[1]:
+            return []
+        lead = flead + max(r, key=lay.asc.__xor__)
+        quotient = _try_exact_div(g, _row(raised[0], lead, p), lay)
+        if quotient is not None:
+            product = _packed_mul(quotient, r, p)
+            return _as_ideal([dict(sorted(product.items(), key=lambda t: t[0] ^ lay.desc))], lay)
+    frow = _row(packed, flead, p)
+    quotients = [_try_exact_div(h, frow, lay) for h in _eliminated(J, raised, lay, graded)]
+    if None in quotients:
+        raise AssertionError("element of J meet (f) not divisible by f")
+    return _as_ideal(quotients, lay)
+
+
+def _eliminated(
+    J: list[dict], K: list[dict], lay: _Layout, graded: Optional[_Graded]
+) -> list[dict[int, int]]:
+    """The reduced basis of J intersect K from packed generators, t
+    eliminated from t*J + (1-t)*K (weight 0 when graded). A key of lay is
+    the elim1 key of the same monomial times t^0 at lay's width, t's field
+    above the others: t*m is m plus t's unit, and a basis element with a
+    t-free lead is t-free (elim1 order) and already a key of lay."""
+    elay = _layout(_extend_ring(lay.ring), lay.w)
+    t, p = 1 << elay.shifts[0], lay.ring.p
+    gens = [{m + t: c for m, c in g.items()} for g in J]
+    gens += [{**h, **{m + t: p - c for m, c in h.items()}} for h in K]
+    graded = graded and ((0, *graded[0]), graded[1])
+    return [h for h in _packed_buchberger(gens, elay, graded) if next(iter(h)) < t]
+
+
+def _try_exact_div(g: dict[int, int], f: _Row, lay: _Layout) -> Optional[dict[int, int]]:
+    """g / f, largest term first, when the divisor row f divides g, else
+    None: ``_normal_form`` of a copy of g by f alone, recording a quotient."""
+    quotient: dict[int, int] = {}
+    if _normal_form(dict(g), [f], lay, _StepCounter(), quotient):
+        return None
+    return quotient
+
+
+def _as_ideal(polys: list[dict[int, int]], lay: _Layout) -> list[dict[int, int]]:
+    """The generators ``Ideal(...)`` keeps of nonzero packed polynomials:
+    the minimal monomials, with coefficient 1 and in grevlex order, if all
+    are monomials; (1) if one is a constant; else the polynomials."""
+    if all(len(h) == 1 for h in polys):
+        full = {m & lay.low: m for h in polys for m in h}
+        kept = map(full.__getitem__, minimal_packed(set(full), lay.guards & lay.low))
+        return [{m: 1} for m in sorted(kept, key=lay.asc.__xor__)]
+    if any(next(iter(h)) == 0 for h in polys):
+        return [{0: 1}]
+    return polys
 
 
 def _height(I: Ideal) -> int:
@@ -1188,10 +1176,8 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
         return colon(Iq, I, graded)
     ring = I.ring
     inputs = list(Iq.generators)
-    if graded is None or (q - 1) * sum(_degree(g, weights) for g in gens) <= bound:
-        product = gens[0]
-        for g in gens[1:]:
-            product = product * g
+    product = functools.reduce(mul, gens)
+    if graded is None or (q - 1) * _w_degree(product.lead_monomial(), weights) <= bound:
         divisors = [frobenius_image(g, q) for g in I.groebner()]
         inputs.append(_power_mod(poly_pow(product, ring.p - 1), q, divisors))
     return Ideal(ring, _buchberger(inputs, ring, graded))

@@ -21,7 +21,8 @@ polynomial; only a parenthesised factor is built as a polynomial. A power
 or product of factors of two or more terms that could pass
 MAX_PARSED_TERMS terms raises ResourceCapExceeded before it is formed: a
 t-term f has at most prod C(d + t - 1, t - 1) terms in f^N, over the
-base-p digits d of N, and f*g at most |f|*|g|.
+base-p digits d of N, and f*g at most |f|*|g|. The parser recurses per
+parenthesis, so nesting deeper than MAX_PARSED_DEPTH raises ParseError.
 """
 
 from __future__ import annotations
@@ -37,17 +38,19 @@ from .poly import EXP_LIMIT, PolyRing, SparsePolynomial, grevlex_key, poly_mul, 
 _TOKEN_RE = re.compile(r"[0-9]+|[a-z][a-zA-Z0-9_]*|\S")
 _INT_LIMIT = 2**63
 MAX_PARSED_TERMS = 200_000
+MAX_PARSED_DEPTH = 400
 
 
 class _Tokens:
     """The tokens of one text and the index of the next; "" ends the list."""
 
-    __slots__ = ("text", "toks", "i")
+    __slots__ = ("text", "toks", "i", "depth")
 
     def __init__(self, text: str):
         self.text = text
         self.toks = _TOKEN_RE.findall(text) + [""]
         self.i = 0
+        self.depth = 0  # parentheses open at token i
 
     def pos(self, k: int, end: bool = False) -> int:
         """Where token k starts (or ends) in the text."""
@@ -163,9 +166,13 @@ def _term(tk: _Tokens, ring: PolyRing) -> dict:
     coef, exps, poly = 1, [0] * ring.nvars, None
     while True:
         if toks[tk.i] == "(":
+            tk.depth += 1
+            if tk.depth > MAX_PARSED_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PARSED_DEPTH}", tk.pos(tk.i))
             tk.i += 1
             factor = SparsePolynomial(ring, _sum(tk, ring))
             tk.expect(")")
+            tk.depth -= 1
             factor = _power(factor, tk.exponent())
             if poly is None and coef == 1 and not any(exps):
                 poly, factor = factor, None

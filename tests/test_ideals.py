@@ -92,8 +92,46 @@ def test_hypersurface_colon_forms_no_elimination_ring(r3xyz, q, monkeypatch):
     monkeypatch.setattr(ideals, "_extend_ring", lambda ring: pytest.fail("elimination ring"))
     assert colon(J, I).generators == (poly_pow(f, q - 1),)
     assert colon(J, I, ((1, 1, 1), 3 * (q - 1))).generators == (poly_pow(f, q - 1),)
-    monkeypatch.setattr(ideals, "_try_exact_div", lambda g, f: pytest.fail("division"))
+    monkeypatch.setattr(ideals, "_try_exact_div", lambda *args: pytest.fail("division"))
     assert colon(J, I, ((1, 1, 1), 3 * (q - 1) - 1)).is_zero()
+
+
+def _count_divisions(monkeypatch):
+    """Quotient-recording reductions, and the size of every meet formed by
+    elimination."""
+    from fpurity import ideals
+
+    divisions, meets = [], []
+    reduce, eliminate = ideals._normal_form, ideals._eliminated
+
+    def reducing(work, table, lay, counter, quotient=None):
+        if quotient is not None:
+            divisions.append(len(table))
+        return reduce(work, table, lay, counter, quotient)
+
+    monkeypatch.setattr(ideals, "_normal_form", reducing)
+    monkeypatch.setattr(ideals, "_eliminated", lambda *args: meets.append(eliminate(*args)) or meets[-1])
+    return divisions, meets
+
+
+def test_principal_colon_divides_once(monkeypatch):
+    # (f^25) : (f) meets in (f^25) because f divides it, and the quotient of
+    # that one division is the result
+    ring = parse_ring("p=5; vars=x,y,z")
+    f = p("x^3 + y^3 + z^3 + x*y*z + x^2*y", ring)
+    divisions, meets = _count_divisions(monkeypatch)
+    got = colon(Ideal(ring, [poly_pow(f, 25)]), Ideal(ring, [f]))
+    assert got.generators == (poly_pow(f, 24),)
+    assert divisions == [1] and meets == []
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_colon_divides_each_generator_of_a_meet_once(monkeypatch, prime):
+    ring = parse_ring(f"p={prime}; vars=x,y,z,w")
+    I = ideal(["x*z - y^2", "x*w - y*z", "y*w - z^2"], ring)
+    divisions, meets = _count_divisions(monkeypatch)
+    colon(bracket_power(I, prime), I)
+    assert len(meets) == 3 and divisions == [1] * sum(map(len, meets))
 
 
 def test_colon_elimination_route_agrees(r3xyz):
@@ -689,16 +727,17 @@ def test_bounded_colon_needs_a_grading(r3xy):
 
 
 def _count_buchberger(monkeypatch):
+    """Buchberger runs by ring order, counted at the packed kernel."""
     from fpurity import ideals
 
     runs = {"grevlex": 0, "elim1": 0}
-    run = ideals._buchberger
+    run = ideals._packed_buchberger
 
-    def counting(gens, ring, *args):
-        runs[ring.order] += 1
-        return run(gens, ring, *args)
+    def counting(gens, lay, graded):
+        runs[lay.ring.order] += 1
+        return run(gens, lay, graded)
 
-    monkeypatch.setattr(ideals, "_buchberger", counting)
+    monkeypatch.setattr(ideals, "_packed_buchberger", counting)
     return runs
 
 

@@ -341,12 +341,76 @@ def tuple_power_mod(digit, q, divisors):
     return power
 
 
+def tuple_intersect(J, K, graded=None):
+    """J meet K on exponent tuples: the lcms of two monomial ideals, (g)
+    for (g) meet (f) with f dividing g (nothing for a graded g above the
+    bound), else t eliminated from t*J + (1-t)*K by the tuple kernel."""
+    ring = J.ring
+    if J.is_zero() or K.is_zero():
+        return Ideal.zero(ring)
+    if J.has_constant_generator():
+        return K
+    if K.has_constant_generator():
+        return J
+    if J.is_monomial and K.is_monomial:
+        lcms = [mono_lcm(u, v) for u in J.monomial_exponents() for v in K.monomial_exponents()]
+        return Ideal(ring, [ring.monomial(m) for m in lcms])
+    if len(J.generators) == 1 and len(K.generators) == 1:
+        (g,), (f,) = J.generators, K.generators
+        if graded is not None and _w_degree(g.lead_monomial(), graded[0]) > graded[1]:
+            return Ideal.zero(ring)
+        if tuple_exact_div(g, f) is not None:
+            return J
+    ext = PolyRing(ring.field, ("t",) + ring.variables, order="elim1")
+
+    def embed(f, tdeg):
+        return SparsePolynomial(ext, {(tdeg,) + m: c for m, c in f.terms.items()})
+
+    gens = [embed(g, 1) for g in J.generators]
+    gens += [embed(h, 0) - embed(h, 1) for h in K.generators]
+    if graded is not None:
+        weights, bound = graded
+        graded = ((0, *weights), bound)
+    basis = tuple_buchberger(gens, ext, graded)
+    kept = [
+        SparsePolynomial(ring, {m[1:]: c for m, c in b.terms.items()})
+        for b in basis if all(m[0] == 0 for m in b.terms)
+    ]
+    return Ideal(ring, kept)
+
+
+def tuple_colon(J, I, graded=None):
+    """J : I as R_k = (J meet f_k*R_(k-1)) / f_k on exponent tuples, each
+    step an Ideal of polynomials: the loop the packed colon replaced."""
+    ring = J.ring
+    if I.is_zero() or J.has_constant_generator():
+        return Ideal.unit(ring)
+    if I.has_constant_generator():
+        return J
+    result = Ideal.unit(ring)
+    for f in I.generators:
+        raised = Ideal(ring, [f * g for g in result.generators])
+        step = graded
+        if graded is not None:
+            step = (graded[0], graded[1] + _w_degree(f.lead_monomial(), graded[0]))
+        quotients = [tuple_exact_div(g, f) for g in tuple_intersect(J, raised, step).generators]
+        assert all(quotient is not None for quotient in quotients)
+        result = Ideal(ring, quotients)
+    if len(I.generators) > 1 and not result.is_monomial:
+        result = Ideal(ring, tuple_interreduced(list(result.generators), ring))
+    if graded is not None:
+        weights, bound = graded
+        result = Ideal(
+            ring, [g for g in result.generators if _w_degree(g.lead_monomial(), weights) <= bound]
+        )
+    return result
+
+
 # the engine's packed entry points and their tuple stand-ins
 TUPLE_KERNEL = {
     "_buchberger": tuple_buchberger,
-    "_interreduced": tuple_interreduced,
-    "_try_exact_div": tuple_exact_div,
     "_power_mod": tuple_power_mod,
+    "colon": tuple_colon,
 }
 
 
@@ -843,6 +907,121 @@ def test_an_exponent_past_the_cap_still_raises():
         ideals.membership(g, I)
     # a member whose reduction stays at 2^62 is decided
     assert ideals.membership(I.generators[0] * ring.monomial((0, big)), I)
+
+
+# --- the packed colon against the tuple colon -----------------------------------------------
+
+
+def _form(rng, ring, weights, d, terms=3):
+    """A seeded W-homogeneous polynomial of W-degree d (zero if none)."""
+    monos = [
+        m for m in itertools.product(range(d + 1), repeat=ring.nvars) if _w_degree(m, weights) == d
+    ]
+    chosen = rng.sample(monos, min(len(monos), terms))
+    return ring.poly({m: rng.randrange(1, ring.p) for m in chosen})
+
+
+def _colon_cases(prime):
+    """Seeded (J, I, graded) for the colon: I with 1, 2 or 3 generators,
+    some monomial; J monomial, principal (a multiple of some f_k, or not)
+    or general; in the standard grading, a weighted one, or none."""
+    ring = parse_ring(f"p={prime}; vars=x,y,z")
+    rng = random.Random(f"colon:{prime}")
+    for r, kind, weights, _ in itertools.product(
+        (1, 2, 3), ("monomial", "principal", "general"), ((1, 1, 1), (1, 2, 3)), range(2)
+    ):
+        def form(d, terms=3):
+            while True:
+                f = _form(rng, ring, weights, d, terms)
+                if not f.is_zero():
+                    return f
+
+        monomial_I = kind == "monomial" and rng.random() < 0.5
+        I = Ideal(ring, [form(rng.randint(1, 3), 1 if monomial_I else 3) for _ in range(r)])
+        if kind == "monomial":
+            J = Ideal(ring, [form(rng.randint(2, 5), 1) for _ in range(rng.randint(1, 3))])
+        elif kind == "principal":
+            factor = I.generators[0] if rng.random() < 0.7 else ring.one()
+            J = Ideal(ring, [factor * form(rng.randint(1, 3))])
+        else:
+            J = Ideal(ring, [form(rng.randint(2, 4)) for _ in range(rng.randint(2, 3))])
+        degrees = [_w_degree(g.lead_monomial(), weights) for g in J.generators]
+        yield J, I, None
+        yield J, I, (weights, rng.randint(min(degrees) - 2, max(degrees) + 1))
+
+
+def _assert_same_colon(J, I, graded=None):
+    got, want = colon(J, I, graded), tuple_colon(J, I, graded)
+    assert [list(g.terms.items()) for g in got.generators] == [
+        list(g.terms.items()) for g in want.generators
+    ], (J, I, graded)
+    assert got.is_monomial == want.is_monomial
+    return got
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_colon_matches_the_tuple_colon_on_seeded_inputs(prime, monkeypatch):
+    # term for term, over every route: lcms, (g) against a divisor, and
+    # elimination, with and without a degree bound
+    routes = set()
+    calls = []
+    for name in ("_eliminated", "_try_exact_div"):
+        real = getattr(ideals, name)
+        monkeypatch.setattr(
+            ideals, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    for J, I, graded in _colon_cases(prime):
+        calls.clear()
+        _assert_same_colon(J, I, graded)
+        routes.add(
+            "elimination" if "_eliminated" in calls
+            else "division" if "_try_exact_div" in calls else "lcms or bound"
+        )
+    assert routes == {"elimination", "division", "lcms or bound"}
+
+
+def test_colon_matches_the_tuple_colon_on_zero_and_unit_ideals():
+    for prime in (2, 3, 5):
+        ring = parse_ring(f"p={prime}; vars=x,y,z")
+        I = ideal(["x*y - z^2", "x + y"], ring)
+        J = ideal(["x^3", "y^2*z - x*z^2"], ring)
+        zero, unit = Ideal.zero(ring), Ideal.unit(ring)
+        for J_, I_, want in [
+            (zero, I, "zero"), (J, zero, "unit"), (unit, I, "unit"), (J, unit, J),
+            (J, ideal(["x", "1"], ring), J), (zero, ideal(["x"], ring), "zero"),
+            # the unit ideal without a constant generator, and f_1 inside J,
+            # which makes R_1 the unit ideal mid-loop
+            (ideal(["x", "x + 1"], ring), I, "unit"), (J, ideal(["x^3", "y - z"], ring), None),
+            (ideal(["x^2 - y", "x*y"], ring), ideal(["x^2 - y", "z"], ring), None),
+        ]:
+            got = _assert_same_colon(J_, I_)
+            if want == "zero":
+                assert got.is_zero()
+            elif want == "unit":
+                assert got.has_constant_generator()
+            elif want is not None:
+                assert got.generators == want.generators
+        for J_, I_ in [(zero, I), (J, zero), (unit, I), (J, unit), (J, ideal(["x^3", "y - z"], ring))]:
+            for bound in range(5):
+                _assert_same_colon(J_, I_, ((1, 1, 1), bound))
+
+
+def test_a_colon_past_the_first_width_reruns_the_whole_loop_wider(monkeypatch):
+    # J = (x^14, ..., v^14) : (x, y, z, w, f) has the socle monomial
+    # (xyzwv)^13 of degree 65; the fields sized for degree 15 hold 63, so
+    # the fifth step overflows after four steps at the first width
+    ring = parse_ring("p=3; vars=x,y,z,w,v")
+    J = ideal(["x^14", "y^14", "z^14", "w^14", "v^14"], ring)
+    widths = []
+    real = ideals._colon_step
+    monkeypatch.setattr(
+        ideals, "_colon_step", lambda J, R, f, lay, graded: widths.append(lay.w) or real(J, R, f, lay, graded)
+    )
+    for last in ("v", "v + x"):
+        widths.clear()
+        got = _assert_same_colon(J, ideal(["x", "y", "z", "w", last], ring))
+        assert widths == [7] * 5 + [14] * 5
+        assert ring.monomial((13,) * 5) in got.generators
 
 
 # --- the Fedder colons of the quotients benchmark ---------------------------------------------

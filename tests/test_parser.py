@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpurity import ParseError, parse_poly, parse_rational, parse_ring, poly_to_str
-from fpurity.parser import parse_poly_list, rational_to_str, ring_to_str
+from fpurity.parser import MAX_PARSED_DEPTH, parse_poly_list, rational_to_str, ring_to_str
 
 from conftest import p
 
@@ -111,3 +111,29 @@ def test_parsing_is_total(text):
 def test_integer_literal_cap(r3xy):
     with pytest.raises(ParseError, match="64 bits"):
         p(str(2**63) + " + x", r3xy)
+
+
+def test_nesting_up_to_the_depth_cap_parses(r3xy):
+    depth = MAX_PARSED_DEPTH
+    assert depth == 400
+    assert p("(" * depth + "x + y" + ")" * depth + "^3", r3xy) == p("x^3 + y^3", r3xy)
+    text = "x*(" * depth + "y" + ")" * depth
+    assert p(text, r3xy) == r3xy.poly({(depth, 1): 1})
+
+
+def test_nesting_past_the_depth_cap_is_a_parse_error(r3xy):
+    for depth in (MAX_PARSED_DEPTH + 1, 1000, 100_000):
+        with pytest.raises(ParseError, match="nested deeper than 400") as err:
+            p("(" * depth + "x" + ")" * depth, r3xy)
+        assert err.value.position == MAX_PARSED_DEPTH
+
+
+def test_nesting_past_the_depth_cap_exits_one():
+    from fpurity.cli import EXIT_OK, EXIT_USAGE, run
+
+    def nested(depth):
+        return ["nu", "--ring", "p=3; vars=x", "--a", "(" * depth + "x" + ")" * depth, "--emax", "1", "--json"]
+
+    code, text = run(nested(1000))
+    assert code == EXIT_USAGE and "nested deeper than 400" in text
+    assert run(nested(400)) == run(nested(1))
