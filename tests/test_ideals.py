@@ -110,7 +110,9 @@ def _count_divisions(monkeypatch):
         return reduce(work, table, lay, counter, quotient)
 
     monkeypatch.setattr(ideals, "_normal_form", reducing)
-    monkeypatch.setattr(ideals, "_eliminated", lambda *args: meets.append(eliminate(*args)) or meets[-1])
+    monkeypatch.setattr(
+        ideals, "_eliminated", lambda *args: meets.append(eliminate(*args)) or meets[-1]
+    )
     return divisions, meets
 
 

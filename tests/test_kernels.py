@@ -1001,7 +1001,8 @@ def test_colon_matches_the_tuple_colon_on_zero_and_unit_ideals():
                 assert got.has_constant_generator()
             elif want is not None:
                 assert got.generators == want.generators
-        for J_, I_ in [(zero, I), (J, zero), (unit, I), (J, unit), (J, ideal(["x^3", "y - z"], ring))]:
+        cases = [(zero, I), (J, zero), (unit, I), (J, unit), (J, ideal(["x^3", "y - z"], ring))]
+        for J_, I_ in cases:
             for bound in range(5):
                 _assert_same_colon(J_, I_, ((1, 1, 1), bound))
 
@@ -1014,9 +1015,12 @@ def test_a_colon_past_the_first_width_reruns_the_whole_loop_wider(monkeypatch):
     J = ideal(["x^14", "y^14", "z^14", "w^14", "v^14"], ring)
     widths = []
     real = ideals._colon_step
-    monkeypatch.setattr(
-        ideals, "_colon_step", lambda J, R, f, lay, graded: widths.append(lay.w) or real(J, R, f, lay, graded)
-    )
+
+    def step(J, R, f, lay, graded):
+        widths.append(lay.w)
+        return real(J, R, f, lay, graded)
+
+    monkeypatch.setattr(ideals, "_colon_step", step)
     for last in ("v", "v + x"):
         widths.clear()
         got = _assert_same_colon(J, ideal(["x", "y", "z", "w", last], ring))

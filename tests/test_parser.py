@@ -132,7 +132,8 @@ def test_nesting_past_the_depth_cap_exits_one():
     from fpurity.cli import EXIT_OK, EXIT_USAGE, run
 
     def nested(depth):
-        return ["nu", "--ring", "p=3; vars=x", "--a", "(" * depth + "x" + ")" * depth, "--emax", "1", "--json"]
+        text = "(" * depth + "x" + ")" * depth
+        return ["nu", "--ring", "p=3; vars=x", "--a", text, "--emax", "1", "--json"]
 
     code, text = run(nested(1000))
     assert code == EXIT_USAGE and "nested deeper than 400" in text
