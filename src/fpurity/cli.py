@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _escape
 
 from .closure import ClosureVerdict, sharp_frobenius_membership, tight_closure_witness_check
 from .errors import ExponentOverflowError, ParseError, ResourceCapExceeded
@@ -127,6 +127,47 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     _add_json_flag(sub)
 
     return top, subs.choices
+
+
+def _namespace(sub: argparse.ArgumentParser, command: str, args: list[str]) -> argparse.Namespace | None:
+    """The namespace ``sub.parse_known_args`` builds for a canonical argv,
+    read off sub's declared actions; None for any other argv.
+
+    Canonical: each token is an exact option string of a store or
+    store_true action, a store option is followed by one value that does
+    not start with "-" and that its type converts, no option repeats, and
+    every required option is given. Everything else (help, abbreviations,
+    --opt=value, "--", repeats, usage errors) is left to argparse, so its
+    exit code and messages stay argparse's own.
+    """
+    options, given, i = sub._option_string_actions, {}, 0
+    while i < len(args):
+        action = options.get(args[i])
+        if action is None or action.dest in given:
+            return None
+        if type(action) is argparse._StoreTrueAction:
+            given[action.dest] = action.const
+            i += 1
+            continue
+        if type(action) is not argparse._StoreAction or i + 1 == len(args) or args[i + 1][:1] == "-":
+            return None
+        value = args[i + 1]
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        given[action.dest] = value
+        i += 2
+    namespace = argparse.Namespace(command=command)
+    for action in sub._actions:
+        if action.dest in given:
+            setattr(namespace, action.dest, given[action.dest])
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            setattr(namespace, action.dest, action.default)
+    return namespace
 
 
 def _parse_ideal(text: str, ring: PolyRing) -> Ideal:
@@ -323,6 +364,39 @@ def _run_witness_check(args) -> dict:
     }
 
 
+def _dumps(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for str, int, bool,
+    None, list, tuple and dict with str keys; anything else raises
+    TypeError. ``indent`` puts json.dumps on its pure-Python encoder; this
+    writer escapes each string with the C encoder and joins a list of
+    strings in one call."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(item) is str for item in value):
+            items = map(_escape, value)
+        else:
+            items = (_dumps(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_escape(key) + ": " + _dumps(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _table(report: dict) -> str:
     """Render a report as an aligned table."""
     lines = [f"command: {report['command']}"]
@@ -389,9 +463,11 @@ def run(argv: list[str]) -> tuple[int, str]:
         if command is None:
             args = top.parse_args(argv)
         else:
-            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extra:
-                top.error(f"unrecognized arguments: {' '.join(extra)}")
+            args = _namespace(command, argv[0], argv[1:])
+            if args is None:
+                args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                if extra:
+                    top.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return (EXIT_USAGE if exc.code else EXIT_OK), ""
     started = time.perf_counter()
@@ -406,7 +482,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     except AssertionError as exc:
         return EXIT_BUG, f"error: internal invariant violated ({exc}); this is an engine bug"
     if args.json:
-        return EXIT_OK, json.dumps(report, indent=2)
+        return EXIT_OK, _dumps(report)
     elapsed = time.perf_counter() - started
     return EXIT_OK, _table(report) + f"\nelapsed: {elapsed:.3f}s"
 

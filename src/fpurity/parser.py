@@ -22,7 +22,10 @@ or product of factors of two or more terms that could pass
 MAX_PARSED_TERMS terms raises ResourceCapExceeded before it is formed: a
 t-term f has at most prod C(d + t - 1, t - 1) terms in f^N, over the
 base-p digits d of N, and f*g at most |f|*|g|. The parser recurses per
-parenthesis, so nesting deeper than MAX_PARSED_DEPTH raises ParseError.
+parenthesis (two frames a level), so nesting deeper than MAX_PARSED_DEPTH
+raises ParseError, and so does nesting deeper than the caller's remaining
+stack allows: parse_poly and parse_poly_list turn a RecursionError into
+ParseError.
 """
 
 from __future__ import annotations
@@ -122,7 +125,10 @@ def parse_ring(text: str) -> PolyRing:
 def parse_poly(text: str, ring: PolyRing) -> SparsePolynomial:
     """Parse a polynomial in the ring's variables, coefficients mod p."""
     tk = _Tokens(text)
-    poly = SparsePolynomial(ring, _sum(tk, ring))
+    try:
+        poly = SparsePolynomial(ring, _sum(tk, ring))
+    except RecursionError:
+        raise _too_deep(tk) from None
     tk.require_end()
     return poly
 
@@ -130,11 +136,18 @@ def parse_poly(text: str, ring: PolyRing) -> SparsePolynomial:
 def parse_poly_list(text: str, ring: PolyRing) -> list[SparsePolynomial]:
     """Parse a comma-separated list of polynomials (for ideal generators)."""
     tk = _Tokens(text)
-    polys = [SparsePolynomial(ring, _sum(tk, ring))]
-    while tk.accept(","):
-        polys.append(SparsePolynomial(ring, _sum(tk, ring)))
+    try:
+        polys = [SparsePolynomial(ring, _sum(tk, ring))]
+        while tk.accept(","):
+            polys.append(SparsePolynomial(ring, _sum(tk, ring)))
+    except RecursionError:
+        raise _too_deep(tk) from None
     tk.require_end()
     return polys
+
+
+def _too_deep(tk: _Tokens) -> ParseError:
+    return ParseError("parentheses nested deeper than the stack allows", tk.pos(tk.i))
 
 
 def _sum(tk: _Tokens, ring: PolyRing) -> dict:

@@ -22,12 +22,15 @@ from dataclasses import dataclass
 from operator import add, le, neg
 from typing import Iterable, Mapping
 
-from .errors import ExponentOverflowError, RingMismatchError
+from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchError
 from .field import PrimeField
 
 Monomial = tuple[int, ...]
 
 EXP_LIMIT = 2**63 - 1
+# terms a FrobeniusBox product may collect before it stops with
+# ResourceCapExceeded("max_box_terms")
+MAX_BOX_TERMS = 250_000
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -294,7 +297,9 @@ class FrobeniusBox:
     of a sub-box of side b/p is a multiplication of every key by p.
 
     Every exponent in the box is below q, so the 2^63-1 exponent limit is
-    checked once, on q.
+    checked once, on q. A product that collects more than MAX_BOX_TERMS
+    terms raises ResourceCapExceeded, checked once per term of the
+    shorter factor, so its memory and time stay bounded.
     """
 
     __slots__ = ("ring", "q", "_width", "_ones", "_top", "_high")
@@ -354,6 +359,10 @@ class FrobeniusBox:
                 key = u + v
                 if not key & high:
                     acc[key] = get(key, 0) + cu * cv
+            if len(acc) > MAX_BOX_TERMS:
+                raise ResourceCapExceeded(
+                    "max_box_terms", f"a product in S/m^[{self.q}] passed {MAX_BOX_TERMS} terms"
+                )
         p = self.ring.p
         out = {}
         for key, c in acc.items():

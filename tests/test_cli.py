@@ -1,8 +1,12 @@
+import argparse
+import itertools
 import json
+import random
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpurity import cli
 from fpurity.cli import EXIT_BUG, EXIT_CAP, EXIT_OK, EXIT_USAGE, run
@@ -237,6 +241,11 @@ USAGE_ARGV = [
     ["testideal", "--ring", "p=3; vars=x"],
     ["nu", "--ring", "p=3; vars=x", "--a", "x", "--t", "1/2"],
     ["nu", "--ring", "p=3; vars=x", "--a", "x", "--emax", "two"],
+    ["nu", "--ring", "p=3; vars=x", "--a", "x", "--a", "x^2", "--json"],
+    ["nu", "--ring", "p=3; vars=x", "--a", "-x", "--json"],
+    ["nu", "--ring", "p=3; vars=x", "--a", "-x + x^2", "--json"],
+    ["nu", "--ring", "p=3; vars=x", "--", "--a", "x"],
+    ["nu", "--ring", "p=3; vars=x", "--a", "x", "--json", "extra"],
 ]
 
 
@@ -428,3 +437,124 @@ def test_readme_example_json_is_byte_identical(entry):
 )
 def test_chain_and_probe_json_is_byte_identical(entry):
     assert run(entry["argv"]) == (entry["exit"], entry["output"])
+
+
+# --- the namespace read off the declared actions ---------------------------------
+
+
+def _subparsers():
+    return cli._parsers()[1]
+
+
+def _canonical_argv(sub, rng):
+    """Every option of sub once, in a random order, each store option with
+    a value its type converts."""
+    pieces = []
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            pieces.append([flag])
+        else:
+            pieces.append([flag, "3" if action.type is int else rng.choice(["x", "x^2 + y", "1/2", ""])])
+    rng.shuffle(pieces)
+    return [token for piece in pieces for token in piece]
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_canonical_argv_gives_the_namespace_argparse_gives(name):
+    sub = _subparsers()[name]
+    rng = random.Random(name)
+    required = [
+        token for a in sub._actions if a.required for token in (a.option_strings[0], "x")
+    ]
+    for args in [required, required + ["--json"]] + [_canonical_argv(sub, rng) for _ in range(20)]:
+        want, extra = sub.parse_known_args(args, argparse.Namespace(command=name))
+        assert extra == []
+        got = cli._namespace(sub, name, args)
+        assert got is not None and vars(got) == vars(want), args
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--ring=p=3; vars=x", "--a", "x"],
+        ["--ring", "p=3; vars=x", "--a", "x", "--em", "2"],
+        ["--ring", "p=3; vars=x", "--a", "x", "--a", "x^2"],
+        ["--ring", "p=3; vars=x", "--a", "x", "--json", "--json"],
+        ["--ring", "p=3; vars=x", "--a", "-x"],
+        ["--ring", "p=3; vars=x", "--a", "x", "--emax", "-1"],
+        ["--ring", "p=3; vars=x", "--", "--a", "x"],
+        ["--ring", "p=3; vars=x"],
+        ["--ring", "p=3; vars=x", "--a"],
+        ["--ring", "p=3; vars=x", "--a", "x", "--emax", "two"],
+        ["--ring", "p=3; vars=x", "--a", "x", "--json", "extra"],
+        ["-h"],
+        ["--ring", "p=3; vars=x", "--a", "x", "--help"],
+    ],
+    ids=[
+        "equals", "abbreviation", "repeat", "repeated-flag", "dash-value", "negative-int",
+        "double-dash", "missing-required", "missing-value", "bad-int", "stray-token", "h", "help",
+    ],
+)
+def test_other_argv_is_left_to_argparse(args):
+    assert cli._namespace(_subparsers()["nu"], "nu", args) is None
+
+
+def test_catalog_passes_never_reach_argparse(monkeypatch):
+    from test_bench_catalogs import workloads
+
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for workload in ("thresholds", "quotients", "chains"):
+        queries = itertools.islice(workloads.stream(workload, 23), workloads.pass_length(workload))
+        for argv in queries:
+            assert run(argv + ["--json"])[0] == EXIT_OK, argv
+    assert calls == []
+    # the counter counts: a declined argv goes through argparse
+    run(["nu", "--ring=p=3; vars=x", "--a", "x", "--json"])
+    assert len(calls) == 1
+
+
+# --- the --json writer ---------------------------------------------------------
+
+_TRICKY = st.text(st.sampled_from('"\\/\n\t\r\x00\x1f\x7f\u2028 aZ09é€😀\ud800'))
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _TRICKY | st.text()
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(_TRICKY, max_size=4)
+    | st.dictionaries(_TRICKY | st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(value=_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("golden", [GOLDEN, GOLDEN_CHAINS], ids=["cli", "chains"])
+def test_json_writer_matches_json_dumps_on_the_goldens(golden):
+    for entry in json.loads(golden.read_text()):
+        report = json.loads(entry["output"])
+        assert cli._dumps(report) == json.dumps(report, indent=2) == entry["output"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, {"t": 0.5}, [1, 2.0], {1, 2}, {"a": frozenset()}, {1: "x"}, {"a": {None: 1}}, b"x", object()],
+    ids=["float", "nested-float", "float-in-list", "set", "nested-set", "int-key", "none-key", "bytes", "object"],
+)
+def test_json_writer_refuses_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)

@@ -330,6 +330,22 @@ def test_nu_product_cap(r3xy, monkeypatch):
         nu_value(a, 9)
 
 
+def test_nu_box_term_cap(r2xy, monkeypatch):
+    from fpurity.cli import EXIT_CAP, run
+
+    # the cusp's box powers grow about fourfold a level; without the cap
+    # --emax 30 would run for hours and out of memory
+    a = ideal(["x^3 + y^2"], r2xy)
+    assert nu_value(a, 2**10) == 511
+    monkeypatch.setattr("fpurity.poly.MAX_BOX_TERMS", 300)
+    with pytest.raises(ResourceCapExceeded, match="max_box_terms"):
+        nu_value(a, 2**10)
+    for command in ("nu", "fpt"):
+        code, text = run([command, "--ring", "p=2; vars=x,y", "--a", "x^3 + y^2", "--emax", "30"])
+        assert code == EXIT_CAP
+        assert text.startswith("error: resource cap exceeded: max_box_terms (a product in S/m^[")
+
+
 # --- the sharp certificate read off the nu table ---------------------------------
 
 

@@ -138,3 +138,23 @@ def test_nesting_past_the_depth_cap_exits_one():
     code, text = run(nested(1000))
     assert code == EXIT_USAGE and "nested deeper than 400" in text
     assert run(nested(400)) == run(nested(1))
+
+
+def test_nesting_the_stack_cannot_hold_is_a_parse_error(r3xy):
+    from fpurity.cli import EXIT_USAGE, run
+
+    def at_depth(frames, call):
+        return call() if frames == 0 else at_depth(frames - 1, call)
+
+    # two frames a level: 400 levels fit from the top, not from 300 frames down
+    text = "(" * MAX_PARSED_DEPTH + "x" + ")" * MAX_PARSED_DEPTH
+    assert p(text, r3xy) == p("x", r3xy)
+    for parse in (p, parse_poly_list):
+        with pytest.raises(ParseError, match="nested deeper than the stack allows"):
+            at_depth(300, lambda: parse(text, r3xy))
+    argv = ["nu", "--ring", "p=3; vars=x", "--a", text, "--emax", "1", "--json"]
+    code, out = at_depth(300, lambda: run(argv))
+    assert code == EXIT_USAGE and "nested deeper than the stack allows" in out
+    deeper = "(" * (MAX_PARSED_DEPTH + 1) + "x" + ")" * (MAX_PARSED_DEPTH + 1)
+    with pytest.raises(ParseError, match="nested deeper than 400"):
+        p(deeper, r3xy)
