@@ -47,7 +47,8 @@ every term of a product into its residue and quotient modulo q, field by
 field, and orders the residues by key. The test-ideal chain takes each
 entry (a^N)^[1/q] from the two in one pass (``power_root``), so a^N is
 never built as an ideal. Monomial powers and roots stay monomial: a^N by
-square-and-multiply, each step pruned once by ``minimal_packed``, and its
+square-and-multiply (``_minimal_power``, shared with the box S/m^[q] of
+the escape test), each step pruned once by ``minimal_packed``, and its
 root by dividing every field and pruning once more.
 
 Monomial ideals are recognized at construction and stored by their unique
@@ -62,9 +63,8 @@ import functools
 import heapq
 import itertools
 import math
-import threading
 from fractions import Fraction
-from operator import mul, or_, sub
+from operator import mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchError
@@ -73,11 +73,13 @@ from .poly import (
     Monomial,
     PolyRing,
     SparsePolynomial,
+    _Layout,
+    _layout,
+    _minimal_power,
+    _Overflow,
     check_q,
     frobenius_image,
-    grevlex_key,
     minimal_packed,
-    mono_divides,
     poly_pow,
 )
 
@@ -97,34 +99,16 @@ class _StepCounter:
         self.limit = MAX_REDUCTION_STEPS
 
 
-def _minimal_monomials(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Unique minimal generators of the monomial ideal spanned by monos.
-
-    Candidates come in grevlex order, so by degree first. A proper divisor
-    has strictly lower degree, so each candidate is tested only against the
-    kept monomials of lower degree, kept[:lower].
-    """
-    kept: list[Monomial] = []
-    degree = lower = 0
-    for m in sorted(set(monos), key=grevlex_key):
-        d = sum(m)
-        if d != degree:
-            degree, lower = d, len(kept)
-        if not any(mono_divides(k, m) for k in itertools.islice(kept, lower)):
-            kept.append(m)
-    return tuple(kept)
-
-
 class Ideal:
     """An ideal of a polynomial ring, given by a finite generator list.
 
     Immutable value. The reduced Groebner basis is computed on first use
     and cached, and so are its packed divisor rows once ``membership``
-    asks for them; a per-value lock makes the basis computation happen
-    once even under concurrent callers.
+    asks for them. Monomial generators are kept minimal, with coefficient
+    1 and in the ring order; a lone monomial with coefficient 1 is kept as is.
     """
 
-    __slots__ = ("ring", "generators", "is_monomial", "_basis", "_packed", "_lock")
+    __slots__ = ("ring", "generators", "is_monomial", "_basis", "_packed")
 
     def __init__(self, ring: PolyRing, generators: Iterable[SparsePolynomial]):
         gens = []
@@ -137,28 +121,25 @@ class Ideal:
             gens = [ring.one()]
         self.ring = ring
         monomial = bool(gens) and all(g.is_monomial() for g in gens)
-        if monomial:
-            minimal = _minimal_monomials(g.lead_monomial() for g in gens)
-            gens = [ring.monomial(m) for m in minimal]
+        if monomial and (len(gens) > 1 or 1 not in gens[0].terms.values()):
+            monos = [next(iter(g.terms)) for g in gens]
+            lay = _layout(ring, _width(max(map(sum, monos))))
+            gens = _monomials(lay, minimal_packed(set(map(lay.field_key, monos)), lay.eguards))
         self.generators = tuple(gens)
         self.is_monomial = monomial
         self._basis = None
         self._packed = None
-        self._lock = threading.Lock()
 
     @classmethod
-    def _from_minimal(cls, ring: PolyRing, monos: Iterable[Monomial]) -> "Ideal":
-        """The monomial ideal of monos, trusted to be distinct and minimal
-        (none divides another): they are sorted, not pruned again."""
+    def _from_minimal(cls, lay: _Layout, keys: Iterable[int]) -> "Ideal":
+        """The monomial ideal of exponent-field keys of lay, trusted to be
+        distinct and minimal: they are sorted, not pruned again."""
         self = object.__new__(cls)
-        self.ring = ring
-        self.generators = tuple(
-            SparsePolynomial(ring, {m: 1}, m) for m in sorted(monos, key=grevlex_key)
-        )
+        self.ring = lay.ring
+        self.generators = _monomials(lay, keys)
         self.is_monomial = bool(self.generators)
         self._basis = None
         self._packed = None
-        self._lock = threading.Lock()
         return self
 
     @classmethod
@@ -186,12 +167,10 @@ class Ideal:
     def groebner(self) -> tuple[SparsePolynomial, ...]:
         """The reduced Groebner basis, cached after the first computation."""
         if self._basis is None:
-            with self._lock:
-                if self._basis is None:
-                    if self.is_monomial or self.is_zero() or self.has_constant_generator():
-                        self._basis = self.generators
-                    else:
-                        self._basis = tuple(_buchberger(list(self.generators), self.ring))
+            if self.is_monomial or self.is_zero() or self.has_constant_generator():
+                self._basis = self.generators
+            else:
+                self._basis = tuple(_buchberger(list(self.generators), self.ring))
         return self._basis
 
     def monomial_exponents(self) -> tuple[Monomial, ...]:
@@ -220,109 +199,7 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# packed monomials
-
-
-class _Overflow(Exception):
-    """A formed monomial reached a guard bit at the field width args[0]."""
-
-
-class _Layout:
-    """The monomials of one ring packed into ints, ``w`` bits per field.
-
-    From the top field down, grevlex monomials read [degree | e_(n-1) ...
-    e_0] and elim1 monomials [e_0 | degree of the rest | e_(n-1) ... e_1];
-    either way the degree field sits just above the k fields it sums. Each
-    field keeps its top (guard) bit clear, so adding two packed monomials
-    multiplies them with no carry between fields, and x^g divides x^m iff
-    ((m | guards) - g) & guards == guards: no field loses its guard bit.
-    The ring order is the integer order of m ^ asc (asc flips the k summed
-    fields, where a larger exponent makes a smaller monomial), and its
-    reverse that of m ^ desc (desc flips the other fields).
-
-    A formed monomial is checked against ``limit``, which holds every guard
-    bit and the bits from 2^63 up of each exponent field: ``check`` then
-    raises ExponentOverflowError for an exponent past 2^63-1, as tuples do,
-    and ``_Overflow`` otherwise.
-    """
-
-    __slots__ = (
-        "ring", "w", "shifts", "units", "counted", "dshift", "fmask", "guards", "limit",
-        "asc", "desc", "low", "spread", "dmask", "nodeg",
-    )
-
-    def __init__(self, ring: PolyRing, w: int):
-        n = ring.nvars
-        first = 0 if ring.order == "grevlex" else 1
-        k = n - first
-        self.ring, self.w = ring, w
-        self.shifts = (w * n,) * first + tuple(w * i for i in range(k))
-        self.dshift = w * k
-        # the weights the degree field sums, and each exponent's packed unit
-        self.counted = (0,) * first + (1,) * k
-        self.units = tuple((1 << s) + (c << self.dshift) for s, c in zip(self.shifts, self.counted))
-        self.fmask = (1 << w) - 1
-        fields = [w * i for i in range(n + 1)]
-        full = (1 << (w * (n + 1))) - 1
-        self.guards = sum(1 << (s + w - 1) for s in fields)
-        high = (1 << w) - (1 << min(w - 1, 63))
-        self.limit = self.guards | sum(high << s for s in fields if s != self.dshift)
-        self.low = (1 << self.dshift) - 1
-        self.asc, self.desc = self.low, full ^ self.low
-        # (m & low) * spread holds the sum of the k low fields in field k
-        self.spread = sum(1 << s for s in fields[1 : k + 1])
-        self.dmask = self.fmask << self.dshift
-        self.nodeg = full ^ self.dmask
-
-    def key(self, mono: Monomial) -> int:
-        return sum(map(mul, mono, self.units))
-
-    def exponents(self, m: int) -> Monomial:
-        fmask = self.fmask
-        return tuple([(m >> s) & fmask for s in self.shifts])
-
-    def pack(self, f: SparsePolynomial) -> dict[int, int]:
-        units = self.units
-        return {sum(map(mul, m, units)): c for m, c in f.terms.items()}
-
-    def unpack(self, terms: dict[int, int]) -> SparsePolynomial:
-        """The polynomial of packed terms listed largest first."""
-        shifts, fmask = self.shifts, self.fmask
-        out = {tuple([(m >> s) & fmask for s in shifts]): c for m, c in terms.items()}
-        return SparsePolynomial(self.ring, out, next(iter(out), None))
-
-    def row(self, f: SparsePolynomial) -> "_Row":
-        """f as a divisor row."""
-        return _row(self.pack(f), self.key(f.lead_monomial()), self.ring.p)
-
-    def lcm(self, a: int, b: int) -> int:
-        g = self.guards
-        # full fields of ones where a's exponent is the larger
-        take_a = ((((a | g) - b) & g) >> (self.w - 1)) * self.fmask
-        m = (b ^ ((a ^ b) & take_a)) & self.nodeg
-        return m | ((m & self.low) * self.spread & self.dmask)
-
-    def weighted(self, weights: Sequence[int]):
-        """The weighted degree as a function of packed monomials; a read
-        of the degree field for the weights it sums."""
-        if tuple(weights) == self.counted:
-            dshift, fmask = self.dshift, self.fmask
-            return lambda m: (m >> dshift) & fmask
-        return lambda m: _w_degree(self.exponents(m), weights)
-
-    def check(self, keys):
-        """The formed packed keys, after raising for one that meets ``limit``."""
-        if functools.reduce(or_, keys, 0) & self.limit:
-            exps = self.exponents(next(m for m in keys if m & self.limit))
-            if max(exps) > EXP_LIMIT:
-                raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {exps}")
-            raise _Overflow(self.w)
-        return keys
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(ring: PolyRing, w: int) -> _Layout:
-    return _Layout(ring, w)
+# field widths of packed monomials
 
 
 def _top_degree(polys: Iterable[SparsePolynomial]) -> int:
@@ -431,11 +308,6 @@ def _normal_form(
 
 # (weights, bound): truncate at that weighted degree
 _Graded = tuple[Sequence[int], int]
-
-
-def _w_degree(m: Monomial, weights: Sequence[int]) -> int:
-    """The weighted degree of a monomial."""
-    return sum(map(mul, m, weights))
 
 
 def _buchberger(
@@ -628,9 +500,11 @@ def membership(g: SparsePolynomial, I: Ideal) -> bool:
         return False
     if I.has_constant_generator():
         return True
-    if I.is_monomial:
-        gens = I.monomial_exponents()
-        return all(any(mono_divides(u, m) for u in gens) for m in g.terms)
+    if I.is_monomial:  # the guard-bit test: every term divisible by a generator
+        lay, table = _cached_rows(I, _width(max(map(sum, g.terms))))
+        guards = lay.guards
+        raised = [m | guards for m in lay.pack(g)]
+        return all(any((m - row[1]) & guards == guards for row in table) for m in raised)
     if g in I.generators:
         return True
 
@@ -654,7 +528,7 @@ def _basis_rows(
     basis: Sequence[SparsePolynomial], ring: PolyRing, w: int
 ) -> tuple[_Layout, list[_Row]]:
     lay = _layout(ring, max(w, _width(_top_degree(basis))))
-    return lay, [lay.row(b) for b in basis]
+    return lay, [_row(lay.pack(b), lay.key(b.lead_monomial()), ring.p) for b in basis]
 
 
 def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
@@ -679,7 +553,7 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
         weights = positive_grading(J)
     if weights is None:
         return all(membership(h, J) for h in polys)
-    bound = max(_w_degree(m, weights) for h in polys for m in h.terms)
+    bound = max(sum(map(mul, m, weights)) for h in polys for m in h.terms)
     ring = J.ring
 
     def run(w: int) -> bool:
@@ -730,7 +604,7 @@ def root_power(I: Ideal, q: int) -> Ideal:
         return I
     lay = _layout(I.ring, _width(_top_degree(I.generators)))
     if I.is_monomial:
-        return _monomial_root(lay, [lay.key(m) & lay.low for m in I.monomial_exponents()], q)
+        return _monomial_root(lay, map(lay.field_key, I.monomial_exponents()), q)
     return _root(lay, map(lay.pack, I.generators), q)
 
 
@@ -764,7 +638,7 @@ def _root(lay: _Layout, products: Iterable[dict[int, int]], q: int) -> Ideal:
             if key not in seen:
                 seen.add(key)
                 pieces.append(piece)
-    return Ideal(lay.ring, _unpacked(lay, pieces))
+    return Ideal(lay.ring, [lay.unpack(h, ordered=False) for h in pieces])
 
 
 def _monomial_root(lay: _Layout, keys: Iterable[int], q: int) -> Ideal:
@@ -772,8 +646,7 @@ def _monomial_root(lay: _Layout, keys: Iterable[int], q: int) -> Ideal:
     field): every field divided by q, pruned once."""
     shifts, fmask = lay.shifts, lay.fmask
     roots = {sum((((v >> s) & fmask) // q) << s for s in shifts) for v in keys}
-    minimal = minimal_packed(roots, lay.guards & lay.low)
-    return Ideal._from_minimal(lay.ring, map(lay.exponents, minimal))
+    return Ideal._from_minimal(lay, minimal_packed(roots, lay.eguards))
 
 
 # ---------------------------------------------------------------------------
@@ -795,9 +668,9 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
         return a
     lay, power = _power(a, N)
     if a.is_monomial:
-        return Ideal._from_minimal(ring, map(lay.exponents, power))
+        return Ideal._from_minimal(lay, power)
     kept = {frozenset(h.items()): h for h in power}
-    return Ideal(ring, _unpacked(lay, kept.values()))
+    return Ideal(ring, [lay.unpack(h, ordered=False) for h in kept.values()])
 
 
 def power_root(a: Ideal, N: int, q: int) -> Ideal:
@@ -815,9 +688,7 @@ def _power(a: Ideal, N: int) -> tuple[_Layout, Iterable]:
     fields hold a^N's degree.
 
     Monomial a: the minimal generators as exponent-field keys (no degree
-    field), ascending. They come by square-and-multiply from the top bit of
-    N down: one square per bit below the top and one product by a per set
-    bit, each pruned once by ``minimal_packed``.
+    field), ascending for N >= 2, from ``_minimal_power``.
 
     Otherwise an iterator of packed products in the order of
     ``itertools.combinations_with_replacement`` over the generators, not
@@ -849,14 +720,7 @@ def _power(a: Ideal, N: int) -> tuple[_Layout, Iterable]:
         raise ExponentOverflowError(f"exponent {top} of a^{N} exceeds 2^63-1")
     lay = _layout(ring, _width(N * _top_degree(gens)))
     if a.is_monomial:
-        base = [lay.key(m) & lay.low for m in a.monomial_exponents()]
-        guards = lay.guards & lay.low
-        power = base
-        for bit in bin(N)[3:]:
-            power = minimal_packed({u + v for i, u in enumerate(power) for v in power[i:]}, guards)
-            if bit == "1":
-                power = minimal_packed({u + v for u in power for v in base}, guards)
-        return lay, power
+        return lay, _minimal_power(list(map(lay.field_key, a.monomial_exponents())), N, lay)
     p = ring.p
     packed = [lay.pack(g) for g in gens]
     if r == 1:
@@ -904,12 +768,6 @@ def _products(powers: list[list[dict[int, int]]], N: int, p: int) -> Iterator[di
     return extend(0, N, None)
 
 
-def _unpacked(lay: _Layout, polys: Iterable[dict[int, int]]) -> list[SparsePolynomial]:
-    """Packed polynomials, their terms in any order, as polynomials."""
-    ring, exponents = lay.ring, lay.exponents
-    return [SparsePolynomial(ring, {exponents(m): c for m, c in h.items()}) for h in polys]
-
-
 # ---------------------------------------------------------------------------
 # intersection and colon via elimination
 
@@ -920,11 +778,10 @@ def _extend_ring(ring: PolyRing) -> PolyRing:
     return PolyRing(ring.field, (_ELIM_VAR,) + ring.variables, order="elim1")
 
 
-def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
+def intersect(J: Ideal, K: Ideal) -> Ideal:
     """J intersect K: ``colon``'s step with f = 1, so lcms for monomial J
     and K, (g) for (g) and a divisor (k) of g, else t eliminated from
-    t*J + (1-t)*K. With ``graded = (weights, bound)`` and J, K homogeneous
-    for the weights, exactly the reduced-basis elements up to the bound."""
+    t*J + (1-t)*K."""
     J._check_ring(K)
     ring = J.ring
     if J.is_zero() or K.is_zero():
@@ -937,7 +794,7 @@ def intersect(J: Ideal, K: Ideal, graded: Optional[_Graded] = None) -> Ideal:
     def run(w: int) -> Ideal:
         lay = _layout(ring, w)
         packed = [[lay.pack(g) for g in A.generators] for A in (J, K)]
-        meet = _colon_step(*packed, ring.one(), lay, graded)
+        meet = _colon_step(*packed, ring.one(), lay, None)
         return Ideal(ring, [lay.unpack(h) for h in meet])
 
     return _widening(run, _top_degree(itertools.chain(J.generators, K.generators)) + 1)
@@ -999,7 +856,7 @@ def _colon_step(
     p = lay.ring.p
     packed, flead = lay.pack(f), lay.key(f.lead_monomial())
     if graded is not None:
-        graded = graded[0], graded[1] + _w_degree(f.lead_monomial(), graded[0])
+        graded = graded[0], graded[1] + sum(map(mul, f.lead_monomial(), graded[0]))
     if len(packed) == 1 and all(len(h) == 1 for h in itertools.chain(J, R)):
         raised = lay.check([flead + r for h in R for r in h])
         lcms = lay.check({lay.lcm(u, v) for h in J for u in h for v in raised})
@@ -1051,12 +908,20 @@ def _as_ideal(polys: list[dict[int, int]], lay: _Layout) -> list[dict[int, int]]
     the minimal monomials, with coefficient 1 and in grevlex order, if all
     are monomials; (1) if one is a constant; else the polynomials."""
     if all(len(h) == 1 for h in polys):
-        full = {m & lay.low: m for h in polys for m in h}
-        kept = map(full.__getitem__, minimal_packed(set(full), lay.guards & lay.low))
+        full = {m & lay.nodeg: m for h in polys for m in h}
+        kept = map(full.__getitem__, minimal_packed(set(full), lay.eguards))
         return [{m: 1} for m in sorted(kept, key=lay.asc.__xor__)]
     if any(next(iter(h)) == 0 for h in polys):
         return [{0: 1}]
     return polys
+
+
+def _monomials(lay: _Layout, keys: Iterable[int]) -> tuple[SparsePolynomial, ...]:
+    """The generators ``Ideal(...)`` keeps for minimal exponent-field keys of
+    lay: their monomials in the ring order (key ^ asc, degree field filled)."""
+    ring, spread, dmask = lay.ring, lay.spread, lay.dmask
+    full = sorted((m | m * spread & dmask for m in keys), key=lay.asc.__xor__)
+    return tuple(SparsePolynomial(ring, {e: 1}, e) for e in map(lay.exponents, full))
 
 
 def _height(I: Ideal) -> int:
@@ -1177,7 +1042,7 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
     ring = I.ring
     inputs = list(Iq.generators)
     product = functools.reduce(mul, gens)
-    if graded is None or (q - 1) * _w_degree(product.lead_monomial(), weights) <= bound:
+    if graded is None or (q - 1) * sum(map(mul, product.lead_monomial(), weights)) <= bound:
         divisors = [frobenius_image(g, q) for g in I.groebner()]
         inputs.append(_power_mod(poly_pow(product, ring.p - 1), q, divisors))
     return Ideal(ring, _buchberger(inputs, ring, graded))

@@ -11,16 +11,17 @@ is safe, and the leading monomial is cached on first use (two threads that
 race on it compute the same value). Exponent arithmetic is checked against
 a 64-bit limit and raises instead of wrapping.
 
-``FrobeniusBox`` computes in the finite quotient S/m^[q] instead, on packed
-monomials, for the questions that only ask whether something lies in m^[q].
+``FrobeniusBox`` computes on ``_Layout`` keys in the finite quotient S/m^[q],
+for the questions that only ask whether something lies in m^[q].
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, le, neg
-from typing import Iterable, Mapping
+from operator import add, lshift, mul, neg, or_
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchError
 from .field import PrimeField
@@ -45,15 +46,6 @@ def mono_scale(a: Monomial, k: int) -> Monomial:
     if any(e > EXP_LIMIT for e in out):
         raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {out}")
     return out
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True iff x^a divides x^b."""
-    return all(map(le, a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
 
 
 def grevlex_key(mono: Monomial):
@@ -277,148 +269,118 @@ def poly_pow(f: SparsePolynomial, s: int) -> SparsePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# the Frobenius box S/m^[q]
+# packed monomials
 
 
-class FrobeniusBox:
-    """Arithmetic in the finite quotient S/m^[q], m = (x_1, ..., x_n), q = p^e.
+class _Overflow(Exception):
+    """A formed monomial reached a guard bit at the field width args[0]."""
 
-    A polynomial lies in m^[q] exactly when every one of its terms has some
-    exponent >= q, so its image in the box is the polynomial with those
-    terms dropped, and "g in m^[q]" becomes "g is zero in the box".
-    Truncating after every product is exact because m^[q] is an ideal.
 
-    Inside the box a polynomial is a dict from packed monomial to
-    coefficient. Exponent i sits in bits [w*i, w*(i+1)) of one int, with
-    2^(w-1) >= q, so multiplying monomials is adding ints and no field
-    carries into the next. For a sub-box of side b <= q, adding
-    (2^(w-1) - b) to every field sets a field's top bit exactly when its
-    exponent is >= b, so one mask test drops a term. The Frobenius image
-    of a sub-box of side b/p is a multiplication of every key by p.
+class _Layout:
+    """The monomials of one ring packed into ints, ``w`` bits per field.
 
-    Every exponent in the box is below q, so the 2^63-1 exponent limit is
-    checked once, on q. A product that collects more than MAX_BOX_TERMS
-    terms raises ResourceCapExceeded, checked once per term of the
-    shorter factor, so its memory and time stay bounded.
+    From the top field down, grevlex monomials read [degree | e_(n-1) ...
+    e_0] and elim1 monomials [e_0 | degree of the rest | e_(n-1) ... e_1];
+    either way the degree field sits just above the k fields it sums. Each
+    field keeps its top (guard) bit clear, so adding two packed monomials
+    multiplies them with no carry between fields, and x^g divides x^m iff
+    ((m | guards) - g) & guards == guards: no field loses its guard bit.
+    The ring order is the integer order of m ^ asc (asc flips the k summed
+    fields, where a larger exponent makes a smaller monomial), and its
+    reverse that of m ^ desc (desc flips the other fields). An exponent-field
+    key (``field_key``) leaves the degree field at 0: monomial ideals are
+    pruned on such keys and ``FrobeniusBox`` computes on them, with guard
+    bits ``eguards``; ``offset(b)`` marks exponents >= b.
+
+    A formed monomial is checked against ``limit``, which holds every guard
+    bit and the bits from 2^63 up of each exponent field: ``check`` then
+    raises ExponentOverflowError for an exponent past 2^63-1, as tuples do,
+    and ``_Overflow`` otherwise.
     """
 
-    __slots__ = ("ring", "q", "_width", "_ones", "_top", "_high")
+    __slots__ = (
+        "ring", "w", "shifts", "units", "counted", "dshift", "fmask", "guards", "limit",
+        "asc", "desc", "low", "spread", "dmask", "nodeg", "eguards", "ones",
+    )
 
-    def __init__(self, ring: PolyRing, q: int):
-        check_q(ring.p, q)
-        if q - 1 > EXP_LIMIT:
-            raise ExponentOverflowError(
-                f"exponents of S/m^[{q}] reach {q - 1}, past 2^63-1"
-            )
-        top_bit = (q - 1).bit_length()
-        self.ring = ring
-        self.q = q
-        self._width = top_bit + 1
-        self._ones = sum(1 << (self._width * i) for i in range(ring.nvars))
-        self._top = 1 << top_bit
-        self._high = self._top * self._ones
+    def __init__(self, ring: PolyRing, w: int):
+        n = ring.nvars
+        first = 0 if ring.order == "grevlex" else 1
+        k = n - first
+        self.ring, self.w = ring, w
+        self.shifts = (w * n,) * first + tuple(w * i for i in range(k))
+        self.dshift = w * k
+        # the weights the degree field sums, and each exponent's packed unit
+        self.counted = (0,) * first + (1,) * k
+        self.units = tuple((1 << s) + (c << self.dshift) for s, c in zip(self.shifts, self.counted))
+        self.fmask = (1 << w) - 1
+        fields = [w * i for i in range(n + 1)]
+        full = (1 << (w * (n + 1))) - 1
+        self.guards = sum(1 << (s + w - 1) for s in fields)
+        high = (1 << w) - (1 << min(w - 1, 63))
+        self.limit = self.guards | sum(high << s for s in fields if s != self.dshift)
+        self.low = (1 << self.dshift) - 1
+        self.asc, self.desc = self.low, full ^ self.low
+        # (m & low) * spread holds the sum of the k low fields in field k
+        self.spread = sum(1 << s for s in fields[1 : k + 1])
+        self.dmask = self.fmask << self.dshift
+        self.nodeg = full ^ self.dmask
+        self.eguards = self.guards & self.nodeg
+        self.ones = self.eguards >> (w - 1)
 
-    def _offset(self, b: int) -> int:
-        return (self._top - b) * self._ones
+    def key(self, mono: Monomial) -> int:
+        return sum(map(mul, mono, self.units))
+
+    def field_key(self, mono: Monomial) -> int:
+        """The key of mono with the degree field left at 0."""
+        return sum(map(lshift, mono, self.shifts))
+
+    def offset(self, b: int) -> int:
+        """Added to an exponent-field key, sets the guard bit of each exponent >= b."""
+        return self.eguards - b * self.ones
+
+    def exponents(self, m: int) -> Monomial:
+        fmask = self.fmask
+        return tuple([(m >> s) & fmask for s in self.shifts])
 
     def pack(self, f: SparsePolynomial) -> dict[int, int]:
-        """The image of f in the box."""
-        q, w = self.q, self._width
-        return {
-            sum(e << (w * i) for i, e in enumerate(mono)): c
-            for mono, c in f.terms.items()
-            if all(e < q for e in mono)
-        }
+        units = self.units
+        return {sum(map(mul, m, units)): c for m, c in f.terms.items()}
 
-    def exponents(self, key: int) -> Monomial:
-        """The exponent vector of a packed monomial."""
-        w = self._width
-        mask = (1 << w) - 1
-        return tuple((key >> (w * i)) & mask for i in range(self.ring.nvars))
+    def unpack(self, terms: dict[int, int], ordered: bool = True) -> SparsePolynomial:
+        """The polynomial of packed terms, listed largest first if ``ordered``."""
+        shifts, fmask = self.shifts, self.fmask
+        out = {tuple([(m >> s) & fmask for s in shifts]): c for m, c in terms.items()}
+        return SparsePolynomial(self.ring, out, next(iter(out), None) if ordered else None)
 
-    def unpack(self, terms: dict[int, int]) -> SparsePolynomial:
-        return SparsePolynomial(self.ring, {self.exponents(key): c for key, c in terms.items()})
+    def lcm(self, a: int, b: int) -> int:
+        g = self.guards
+        # full fields of ones where a's exponent is the larger
+        take_a = ((((a | g) - b) & g) >> (self.w - 1)) * self.fmask
+        m = (b ^ ((a ^ b) & take_a)) & self.nodeg
+        return m | ((m & self.low) * self.spread & self.dmask)
 
-    def _truncate(self, f: dict[int, int], b: int) -> dict[int, int]:
-        off, high = self._offset(b), self._high
-        return {key: c for key, c in f.items() if not (key + off) & high}
+    def weighted(self, weights: Sequence[int]):
+        """The weighted degree as a function of packed monomials; a read
+        of the degree field for the weights it sums."""
+        if tuple(weights) == self.counted:
+            dshift, fmask = self.dshift, self.fmask
+            return lambda m: (m >> dshift) & fmask
+        return lambda m: sum(map(mul, self.exponents(m), weights))
 
-    def mul(self, f: dict[int, int], g: dict[int, int], b: int | None = None) -> dict[int, int]:
-        """f * g in the sub-box of side b (default q)."""
-        if not f or not g:
-            return {}
-        if len(f) > len(g):
-            f, g = g, f
-        off = self._offset(self.q if b is None else b)
-        high = self._high
-        shifted = [(key + off, c) for key, c in g.items()]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for u, cu in f.items():
-            for v, cv in shifted:
-                key = u + v
-                if not key & high:
-                    acc[key] = get(key, 0) + cu * cv
-            if len(acc) > MAX_BOX_TERMS:
-                raise ResourceCapExceeded(
-                    "max_box_terms", f"a product in S/m^[{self.q}] passed {MAX_BOX_TERMS} terms"
-                )
-        p = self.ring.p
-        out = {}
-        for key, c in acc.items():
-            c %= p
-            if c:
-                out[key - off] = c
-        return out
+    def check(self, keys):
+        """The formed packed keys, after raising for one that meets ``limit``."""
+        if functools.reduce(or_, keys, 0) & self.limit:
+            exps = self.exponents(next(m for m in keys if m & self.limit))
+            if max(exps) > EXP_LIMIT:
+                raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {exps}")
+            raise _Overflow(self.w)
+        return keys
 
-    def frobenius(self, f: dict[int, int]) -> dict[int, int]:
-        """f^p, for f in a sub-box of side at most q/p."""
-        p = self.ring.p
-        return {key * p: c for key, c in f.items()}
 
-    def monomial_ideal_mul(self, A: list[int], B: list[int]) -> list[int]:
-        """Minimal generators, inside the box, of the product of two
-        monomial ideals given by packed minimal generators."""
-        off, high = self._offset(self.q), self._high
-        return minimal_packed({u + v for u in A for v in B if not (u + v + off) & high}, high)
-
-    def _digit_pow(self, f: dict[int, int], d: int, b: int) -> dict[int, int]:
-        """f^d in the sub-box of side b, by truncated square-and-multiply."""
-        result: dict[int, int] | None = None
-        base = self._truncate(f, b)
-        while True:
-            if d & 1:
-                result = base if result is None else self.mul(result, base, b)
-            d >>= 1
-            if not d:
-                return result if result is not None else {0: 1}
-            base = self.mul(base, base, b)
-
-    def pow(self, f: dict[int, int], s: int) -> dict[int, int]:
-        """f^s in the box, from the base-p digits of s.
-
-        With s = sum_i s_i p^i, f^s = prod_i Frob^i(f^(s_i)). Horner's rule
-        from the top digit down keeps the partial power f^(s // p^i) in the
-        sub-box of side max(q / p^i, 1), where it is exact: x^u escapes
-        m^[q] after i Frobenius steps iff u < q / p^i. Each digit power is
-        built on demand, so no table of p - 1 powers is ever stored.
-        """
-        if s < 0:
-            raise ValueError(f"negative exponent {s}")
-        p, q = self.ring.p, self.q
-        digits = []
-        while s:
-            s, d = divmod(s, p)
-            digits.append(d)
-        acc = {0: 1}
-        for i in range(len(digits) - 1, -1, -1):
-            b = max(q // p**i, 1)
-            acc = self.frobenius(acc)
-            if digits[i]:
-                acc = self.mul(acc, self._digit_pow(f, digits[i], b), b)
-            if not acc:
-                break
-        return acc
+@functools.lru_cache(maxsize=64)
+def _layout(ring: PolyRing, w: int) -> _Layout:
+    return _Layout(ring, w)
 
 
 def minimal_packed(keys: set[int], guards: int) -> list[int]:
@@ -471,6 +433,147 @@ def minimal_packed(keys: set[int], guards: int) -> list[int]:
         if not any((raised - u) & guards == guards for u in kept):
             kept.append(v)
     return kept
+
+
+def _minimal_power(base: list[int], N: int, lay: _Layout, q: Optional[int] = None) -> list[int]:
+    """The minimal generators of (base)^N, base minimal exponent-field keys
+    of lay: [0] for N = 0, base for N = 1, else ascending, square-and-multiply
+    from the top bit of N with each step pruned once. With q, base lies outside
+    m^[q] and only products outside it are kept (``FrobeniusBox``'s truncation)."""
+    if not N:
+        return [0]
+    guards, off = lay.eguards, None if q is None else lay.offset(q)
+
+    def prune(keys: set[int]) -> list[int]:
+        if off is not None:
+            keys = {m for m in keys if not (m + off) & guards}
+        return minimal_packed(keys, guards)
+
+    power = base
+    for bit in bin(N)[3:]:
+        power = prune({u + v for i, u in enumerate(power) for v in power[i:]})
+        if bit == "1":
+            power = prune({u + v for u in power for v in base})
+    return power
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius box S/m^[q]
+
+
+class FrobeniusBox:
+    """Arithmetic in the finite quotient S/m^[q], m = (x_1, ..., x_n), q = p^e.
+
+    A polynomial lies in m^[q] exactly when every one of its terms has some
+    exponent >= q, so its image in the box is the polynomial with those
+    terms dropped, and "g in m^[q]" becomes "g is zero in the box".
+    Truncating after every product is exact because m^[q] is an ideal.
+
+    Inside the box a polynomial is a dict from packed monomial to
+    coefficient: an exponent-field key of the ring's ``_Layout`` of width
+    w = bits(q-1) + 1, so 2^(w-1) >= q, multiplying monomials is adding
+    ints and no field carries into the next. For a sub-box of side b <= q,
+    adding the layout's ``offset(b)`` sets a field's guard bit exactly when
+    its exponent is >= b, so one mask test drops a term. The Frobenius
+    image of a sub-box of side b/p is a multiplication of every key by p.
+
+    Every exponent in the box is below q, so the 2^63-1 exponent limit is
+    checked once, on q. A product that collects more than MAX_BOX_TERMS
+    terms raises ResourceCapExceeded, checked once per term of the
+    shorter factor, so its memory and time stay bounded.
+    """
+
+    __slots__ = ("ring", "q", "_lay")
+
+    def __init__(self, ring: PolyRing, q: int):
+        check_q(ring.p, q)
+        if q - 1 > EXP_LIMIT:
+            raise ExponentOverflowError(
+                f"exponents of S/m^[{q}] reach {q - 1}, past 2^63-1"
+            )
+        self.ring = ring
+        self.q = q
+        self._lay = _layout(ring, (q - 1).bit_length() + 1)
+
+    def pack(self, f: SparsePolynomial) -> dict[int, int]:
+        """The image of f in the box."""
+        q, key = self.q, self._lay.field_key
+        return {key(mono): c for mono, c in f.terms.items() if all(e < q for e in mono)}
+
+    def unpack(self, terms: dict[int, int]) -> SparsePolynomial:
+        return self._lay.unpack(terms, ordered=False)
+
+    def mul(self, f: dict[int, int], g: dict[int, int], b: int | None = None) -> dict[int, int]:
+        """f * g in the sub-box of side b (default q)."""
+        if not f or not g:
+            return {}
+        if len(f) > len(g):
+            f, g = g, f
+        lay = self._lay
+        off, high = lay.offset(self.q if b is None else b), lay.eguards
+        shifted = [(key + off, c) for key, c in g.items()]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for u, cu in f.items():
+            for v, cv in shifted:
+                key = u + v
+                if not key & high:
+                    acc[key] = get(key, 0) + cu * cv
+            if len(acc) > MAX_BOX_TERMS:
+                raise ResourceCapExceeded(
+                    "max_box_terms", f"a product in S/m^[{self.q}] passed {MAX_BOX_TERMS} terms"
+                )
+        p = self.ring.p
+        out = {}
+        for key, c in acc.items():
+            c %= p
+            if c:
+                out[key - off] = c
+        return out
+
+    def frobenius(self, f: dict[int, int]) -> dict[int, int]:
+        """f^p, for f in a sub-box of side at most q/p."""
+        p = self.ring.p
+        return {key * p: c for key, c in f.items()}
+
+    def _digit_pow(self, f: dict[int, int], d: int, b: int) -> dict[int, int]:
+        """f^d in the sub-box of side b, by truncated square-and-multiply."""
+        result: dict[int, int] | None = None
+        off, high = self._lay.offset(b), self._lay.eguards
+        base = {key: c for key, c in f.items() if not (key + off) & high}
+        while True:
+            if d & 1:
+                result = base if result is None else self.mul(result, base, b)
+            d >>= 1
+            if not d:
+                return result if result is not None else {0: 1}
+            base = self.mul(base, base, b)
+
+    def pow(self, f: dict[int, int], s: int) -> dict[int, int]:
+        """f^s in the box, from the base-p digits of s.
+
+        With s = sum_i s_i p^i, f^s = prod_i Frob^i(f^(s_i)). Horner's rule
+        from the top digit down keeps the partial power f^(s // p^i) in the
+        sub-box of side max(q / p^i, 1), where it is exact: x^u escapes
+        m^[q] after i Frobenius steps iff u < q / p^i. Each digit power is
+        built on demand, so no table of p - 1 powers is ever stored.
+        """
+        if s < 0:
+            raise ValueError(f"negative exponent {s}")
+        p, q = self.ring.p, self.q
+        digits = []
+        while s:
+            s, d = divmod(s, p)
+            digits.append(d)
+        acc = {0: 1}
+        for i in range(len(digits) - 1, -1, -1):
+            b = max(q // p**i, 1)
+            acc = self.frobenius(acc)
+            if digits[i]:
+                acc = self.mul(acc, self._digit_pow(f, digits[i], b), b)
+            if not acc:
+                break
+        return acc
 
 
 def check_q(p: int, q: int):

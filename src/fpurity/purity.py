@@ -18,16 +18,16 @@ weights W, a monomial outside m^[q] has W-degree at most sum(W) * (q-1), so
 only colon generators up to a degree bound D can enter an escaping product;
 the colon is computed only up to D, and a negative D settles containment
 with no Groebner work. Because m^[q] is monomial, each generator product is
-tested in the finite quotient S/m^[q] (``FrobeniusBox``): it escapes iff
-its truncated product is nonzero. ``EscapeTest`` enumerates the products u
-of a'^N lazily, with the colon generators v inside, and forms in full only
-the u of the escaping pair; ``nu_value`` asks the same enumeration with no
-colon. A proven verdict keeps the escaping pair (u, v) beside the product,
-and ``verify_witness`` rechecks the pair by its factors: u in a'^N, v*f in
-I^[q] for every generator f of I (the definition of v in I^[q] : I), u*v
-the stored witness, and the witness outside m^[q]. The recheck computes no
-colon, so it is independent of ``fedder_colon``, the degree bound and the
-box.
+tested in the finite quotient S/m^[q] (``FrobeniusBox``, on the Groebner
+engine's packed keys): it escapes iff its truncated product is nonzero.
+``EscapeTest`` enumerates the products u of a'^N lazily, with the colon
+generators v inside, and forms in full only the u of the escaping pair;
+``nu_value`` asks the same enumeration with no colon. A proven verdict
+keeps the escaping pair (u, v) beside the product, and ``verify_witness``
+rechecks the pair by its factors: u in a'^N, v*f in I^[q] for every
+generator f of I (the definition of v in I^[q] : I), u*v the stored
+witness, and the witness outside m^[q]. The recheck computes no colon, so
+it is independent of ``fedder_colon``, the degree bound and the box.
 
 All checks happen at the homogeneous maximal ideal, the standard
 computable model for the local criterion, so an I outside m, where S/I has
@@ -55,7 +55,7 @@ from .ideals import (
     membership,
     positive_grading,
 )
-from .poly import FrobeniusBox, PolyRing, SparsePolynomial, grevlex_key, poly_pow
+from .poly import FrobeniusBox, PolyRing, SparsePolynomial, _minimal_power, poly_pow
 
 SHARP = "sharp"
 STRONG = "strong"
@@ -173,14 +173,15 @@ class EscapeTest:
     by every N asked.
 
     ``witness`` takes the products in ``ideal_power``'s order. Monomial a
-    (two or more generators): the minimal generators of a^N inside the box
-    in grevlex order. Otherwise: g_1^k_1 * ... * g_r^k_r with sum k_j = N,
-    k_1 = N first (``combinations_with_replacement`` order), built one
-    generator at a time; a vanishing partial product drops its extensions,
-    and more than ``MAX_POWER_PRODUCTS`` products raise ResourceCapExceeded.
-    ``escapes`` needs no particular product: one generator takes one box
-    power, and more run each k_j up from 0, since on capped inputs the other
-    order formed larger products and ran up to 10x longer.
+    (two or more generators): the minimal generators of a^N outside m^[q] in
+    grevlex order, by ``_minimal_power`` truncated to the box. Otherwise:
+    g_1^k_1 * ... * g_r^k_r with sum k_j = N, k_1 = N first
+    (``combinations_with_replacement`` order), built one generator at a
+    time; a vanishing partial product drops its extensions, and more than
+    ``MAX_POWER_PRODUCTS`` products raise ResourceCapExceeded. ``escapes``
+    needs no particular product: one generator takes one box power, and more
+    run each k_j up from 0, since on capped inputs the other order formed
+    larger products and ran up to 10x longer.
     """
 
     def __init__(self, a: Ideal, box: FrobeniusBox):
@@ -193,7 +194,7 @@ class EscapeTest:
     def escapes(self, N: int) -> bool:
         """Whether a^N escapes m^[q]."""
         if self._base is not None:
-            return bool(self._monomial_power(N))
+            return bool(_minimal_power(self._base, N, self.box._lay, self.box.q))
         if len(self._gens) == 1:
             return bool(self.box.pow(self._gens[0], N))
         return self._first(N, bool, rising=True) is not None  # reached products are nonzero
@@ -208,24 +209,15 @@ class EscapeTest:
             return next((v for v, pv in packed if pv is None or box.mul(product, pv)), None)
 
         if self._base is not None:
-            for key in sorted(self._monomial_power(N), key=lambda k: grevlex_key(box.exponents(k))):
-                v = accept({key: 1})
+            power = box.unpack(dict.fromkeys(_minimal_power(self._base, N, box._lay, box.q), 1))
+            for mono in sorted(power.terms, key=power.ring.key):
+                u = SparsePolynomial(power.ring, {mono: 1}, mono)
+                v = accept(box.pack(u))
                 if v is not None:
-                    return box.unpack({key: 1}), v
+                    return u, v
             return None
         found = self._first(N, accept, rising=False)
         return None if found is None else (_power_product(self.a.generators, found[0]), found[1])
-
-    def _monomial_power(self, N: int) -> list[int]:
-        box = self.box
-        power, square = [0], self._base
-        while N:
-            if N & 1:
-                power = box.monomial_ideal_mul(power, square)
-            N >>= 1
-            if N:
-                square = box.monomial_ideal_mul(square, square)
-        return power
 
     def _first(self, N: int, accept, rising: bool):
         """(k_1, ..., k_r) and accept(product) for the first product of a^N

@@ -19,13 +19,18 @@ from fpurity import (
     parse_ring,
     root_power,
 )
-from fpurity.poly import PolyRing, SparsePolynomial, grevlex_key, mono_divides, mono_mul, poly_pow
+from fpurity.poly import PolyRing, SparsePolynomial, grevlex_key, mono_mul, poly_pow
 
 from conftest import p
 
 
 def ideal(texts, ring):
     return Ideal(ring, [parse_poly(t, ring) for t in texts])
+
+
+def mono_divides(a, b):
+    """True iff x^a divides x^b, on exponent tuples."""
+    return all(u <= v for u, v in zip(a, b))
 
 
 # --- bracket powers ---------------------------------------------------------
@@ -309,21 +314,22 @@ def test_power_work_is_logarithmic(monkeypatch):
 
     ring = parse_ring("p=5; vars=x,y")
     a = ideal(["y", "x^2"], ring)
-    passes = {"minimal_packed": 0, "_minimal_monomials": 0}
+    # the power prunes in poly (_minimal_power), the checked constructor in ideals
+    passes = {poly: 0, ideals: 0}
 
-    def counting(name, prune):
+    def counting(module, prune):
         def wrapper(*args):
-            passes[name] += 1
+            passes[module] += 1
             return prune(*args)
 
         return wrapper
 
     # one packed pass per step of the power: 94 = 0b1011110 takes six squares
     # and four products by a; its minimal result is not pruned again
-    for name in passes:
-        monkeypatch.setattr(ideals, name, counting(name, getattr(ideals, name)))
+    for module in passes:
+        monkeypatch.setattr(module, "minimal_packed", counting(module, module.minimal_packed))
     got = ideal_power(a, 94)
-    assert passes == {"minimal_packed": 10, "_minimal_monomials": 0}
+    assert passes == {poly: 10, ideals: 0}
     assert got.generators == tuple(ring.monomial((2 * i, 94 - i)) for i in range(95))
 
     tuple_products = 0
@@ -414,21 +420,6 @@ def test_groebner_reduction_cap(r3xy, monkeypatch):
         I.groebner()
 
 
-def test_groebner_computed_once_under_concurrency(r3xy):
-    import threading
-
-    I = ideal(["x^2 + y", "x*y + 1", "y^3 + x"], r3xy)
-    results = []
-    threads = [
-        threading.Thread(target=lambda: results.append(I.groebner())) for _ in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)
-
-
 # --- bracket membership against divisibility oracle ---------------------------
 
 
@@ -491,16 +482,25 @@ def test_minimal_monomial_normalization(r3xy):
 
 
 def test_minimal_monomials_match_pairwise_definition():
-    from fpurity.ideals import _minimal_monomials
-
+    # Ideal(...) prunes monomial generators on exponent-field keys: 2 and 3
+    # variables take minimal_packed's two- and three-field branches, 1, 4
+    # and 5 its general loop; exponents run up to 2^62 + 3
     rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randrange(1, 4)
-        monos = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randrange(1, 12))]
+    for trial in range(500):
+        n = trial % 5 + 1
+        ring = parse_ring("p=3; vars=" + ",".join("xyzwv"[:n]))
+        base = 2**62 if trial % 3 == 0 else 0
+        monos = [
+            tuple(base + rng.randrange(4) if rng.randrange(2) else rng.randrange(4) for _ in range(n))
+            for _ in range(rng.randrange(1, 12))
+        ]
         expected = {m for m in monos if not any(u != m and mono_divides(u, m) for u in monos)}
-        got = _minimal_monomials(monos)
+        I = Ideal(ring, [ring.monomial(m, rng.randrange(1, 3)) for m in monos])
+        got = I.monomial_exponents()
+        assert I.is_monomial
         assert set(got) == expected and len(got) == len(expected)
         assert list(got) == sorted(got, key=grevlex_key)
+        assert all(g.terms == {m: 1} and g.lead_monomial() == m for g, m in zip(I.generators, got))
 
 
 # --- Buchberger work ------------------------------------------------------------
@@ -599,7 +599,8 @@ def test_heap_normal_form_matches_the_max_scan(case):
     f, basis = case
     lay = ideals._layout(f.ring, ideals._width(ideals._top_degree([f, *basis])))
     heap_steps = ideals._StepCounter()
-    got = lay.unpack(ideals._normal_form(lay.pack(f), [lay.row(g) for g in basis], lay, heap_steps))
+    rows = [ideals._row(lay.pack(g), lay.key(g.lead_monomial()), f.ring.p) for g in basis]
+    got = lay.unpack(ideals._normal_form(lay.pack(f), rows, lay, heap_steps))
     terms, lead, scan_steps = _max_scan_normal_form(f, basis)
     assert list(got.terms.items()) == list(terms.items())
     assert got._lead == lead

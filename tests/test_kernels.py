@@ -29,18 +29,16 @@ from fpurity import (
     parse_ring,
     root_power,
 )
-from fpurity import ideals, parser, testideal
+from fpurity import ideals, parser, poly, testideal
 from fpurity.ceilarith import ceil_mul, denominator_order, exponent_range
 from fpurity.field import PrimeField, is_prime
-from fpurity.ideals import _height, _minimal_monomials, fedder_colon
+from fpurity.ideals import _height, fedder_colon
 from fpurity.poly import (
     PolyRing,
     SparsePolynomial,
     frobenius_image,
     grevlex_key,
     minimal_packed,
-    mono_divides,
-    mono_lcm,
     mono_mul,
     poly_pow,
 )
@@ -51,6 +49,23 @@ def ideal(texts, ring):
 
 
 # --- the replaced code -------------------------------------------------------------
+
+
+def mono_divides(a, b):
+    """True iff x^a divides x^b."""
+    return all(u <= v for u, v in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _minimal_monomials(monos):
+    """The minimal monomials of monos in grevlex order, pruned pairwise on
+    exponent tuples."""
+    monos = set(monos)
+    kept = [m for m in monos if not any(u != m and mono_divides(u, m) for u in monos)]
+    return sorted(kept, key=grevlex_key)
 
 
 def _bucketed_root(I, q):
@@ -460,9 +475,10 @@ def test_trusted_constructor_matches_the_checked_one():
                 for _ in range(rng.randrange(1, 9))
             ]
             checked = Ideal(ring, [ring.monomial(m) for m in monos])
-            minimal = list(_minimal_monomials(monos))
+            minimal = _minimal_monomials(monos)
             rng.shuffle(minimal)
-            trusted = Ideal._from_minimal(ring, minimal)
+            lay = ideals._layout(ring, ideals._width(max(map(sum, minimal))))
+            trusted = Ideal._from_minimal(lay, map(lay.field_key, minimal))
             assert trusted.generators == checked.generators
             assert trusted.is_monomial and checked.is_monomial
             assert trusted.has_constant_generator() == checked.has_constant_generator()
@@ -596,16 +612,17 @@ def test_fedder_power_reduction_keeps_the_generators():
 
 
 def _counted_prunes(monkeypatch):
+    # powers prune in poly (_minimal_power), roots in ideals
     prunes = []
-    run = ideals.minimal_packed
-    monkeypatch.setattr(
-        ideals, "minimal_packed", lambda keys, guards: prunes.append(1) or run(keys, guards)
-    )
+    run = poly.minimal_packed
+    for module in (poly, ideals):
+        monkeypatch.setattr(
+            module, "minimal_packed", lambda keys, guards: prunes.append(1) or run(keys, guards)
+        )
 
     def unexpected(*args):
         raise AssertionError("a monomial result went through a checked pruning pass")
 
-    monkeypatch.setattr(ideals, "_minimal_monomials", unexpected)
     monkeypatch.setattr(Ideal, "__init__", unexpected)
     return prunes
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +14,8 @@ from fpurity import (
     poly_mul,
     poly_pow,
 )
-from fpurity.poly import EXP_LIMIT, PolyRing
+from fpurity import Ideal, ideals
+from fpurity.poly import EXP_LIMIT, PolyRing, _minimal_power
 
 from conftest import p
 
@@ -151,13 +155,66 @@ def test_box_mul_is_truncated_mul(f, g, e):
     assert box.unpack(box.mul(box.pack(f), box.pack(g))) == truncated(poly_mul(f, g), 3**e)
 
 
-def test_box_monomial_ideal_mul(r3xy):
-    box = FrobeniusBox(r3xy, 9)
-    a = [box.pack(p(t, r3xy)).popitem()[0] for t in ("x^2", "x*y^3", "y^5")]
-    got = sorted(box.unpack({k: 1 for k in box.monomial_ideal_mul(a, a)}).terms)
-    # a^2 = (x^4, x^3 y^3, x^2 y^5, x^2 y^6, x y^8, y^10); y^10 leaves the
-    # box, x^2 y^6 is divisible by x^2 y^5
-    assert got == [(1, 8), (2, 5), (3, 3), (4, 0)]
+def _tuple_monomial_power(gens, N, q=None):
+    """The minimal generators of (gens)^N outside m^[q] (all of them without
+    q), on exponent tuples: every product g_1^k_1 * ... * g_r^k_r with
+    sum k_j = N, pruned pairwise."""
+    n = len(gens[0])
+    products = set()
+    for combo in itertools.combinations_with_replacement(range(len(gens)), N):
+        mono = tuple(sum(gens[j][i] for j in combo) for i in range(n))
+        if q is None or all(e < q for e in mono):
+            products.add(mono)
+    return {
+        m for m in products
+        if not any(u != m and all(a <= b for a, b in zip(u, m)) for u in products)
+    }
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_minimal_power_matches_the_tuple_oracle(prime):
+    # the square-and-multiply that ideal_power and the escape test share,
+    # plain on a layout that holds a^N and truncated in the box S/m^[q]
+    rng = random.Random(f"minimal-power:{prime}")
+    for trial in range(24):
+        n = 2 if trial % 2 else 3
+        ring = parse_ring(f"p={prime}; vars=" + ",".join("xyz"[:n]))
+        a = Ideal(ring, [
+            ring.monomial(tuple(rng.randrange(4) for _ in range(n)))
+            for _ in range(rng.randrange(2, 4))
+        ])
+        gens = list(a.monomial_exponents())
+        for N in sorted(rng.sample(range(41 if n == 2 else 13), 4)):
+            lay = ideals._layout(ring, ideals._width(N * max(map(sum, gens)) + 1))
+            got = _minimal_power(list(map(lay.field_key, gens)), N, lay)
+            assert {lay.exponents(m) for m in got} == _tuple_monomial_power(gens, N), (a, N)
+            if N >= 2:
+                assert got == sorted(got)
+            for q in (1, prime, prime**2, prime**3):
+                box = FrobeniusBox(ring, q)
+                base = [key for g in a.generators for key in box.pack(g)]
+                got = _minimal_power(base, N, box._lay, q)
+                want = _tuple_monomial_power(gens, N, q)
+                assert set(box.unpack(dict.fromkeys(got, 1)).terms) == want, (a, N, q)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7])
+def test_box_keys_are_layout_field_keys(prime):
+    # a box key is the key of the ring's layout at the box's width, degree
+    # field masked off, and the field-by-field packing the box once did
+    rng = random.Random(f"box-keys:{prime}")
+    for n in range(1, 6):
+        ring = parse_ring(f"p={prime}; vars=" + ",".join("xyzwv"[:n]))
+        for e in range(6):
+            q = prime**e
+            box = FrobeniusBox(ring, q)
+            w = (q - 1).bit_length() + 1
+            lay = ideals._layout(ring, w)
+            for _ in range(15):
+                mono = tuple(rng.randrange(q) for _ in range(n))
+                (key,) = box.pack(ring.monomial(mono))
+                assert key == lay.key(mono) & lay.nodeg == sum(x << (w * i) for i, x in enumerate(mono))
+                assert box.unpack({key: 1}) == ring.monomial(mono)
 
 
 def test_box_rejects_exponents_past_the_limit(r3x):
