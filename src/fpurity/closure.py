@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .ceilarith import ceil_mul, denominator_order, exponent_range
+from .errors import ResourceCapExceeded
 from .ideals import Ideal, all_members, ideal_power
 from .poly import SparsePolynomial, frobenius_image
 from .purity import PairSpec
@@ -117,7 +118,12 @@ def sharp_frobenius_membership(
     rows = _trace(z, I, pair, pair.ring.one())
     if next(rows):
         return ClosureVerdict(TRIVIALLY_IN, note="z already lies in I")
-    order = denominator_order(pair.t, pair.ring.p) if pair.principal_modulo_defining() else None
+    order = None
+    if pair.principal_modulo_defining():
+        try:
+            order = denominator_order(pair.t, pair.ring.p, e_cap=e_max)
+        except ResourceCapExceeded:  # an order past e_max divides no tested e
+            pass
     held: list[int] = []
     failed: list[int] = []
     certified: Optional[int] = None

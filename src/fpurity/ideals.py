@@ -42,14 +42,15 @@ to return only the low-degree generators the escape test can use, and
 against one basis truncated at their top degree.
 
 Ideal powers and p^e-th roots run on packed monomials too, with one path
-each: ``_power`` forms the generator products of a^N, and ``_root`` splits
-every term of a product into its residue and quotient modulo q, field by
-field, and orders the residues by key. The test-ideal chain takes each
-entry (a^N)^[1/q] from the two in one pass (``power_root``), so a^N is
-never built as an ideal. Monomial powers and roots stay monomial: a^N by
-square-and-multiply (``_minimal_power``, shared with the box S/m^[q] of
-the escape test), each step pruned once by ``minimal_packed``, and its
-root by dividing every field and pruning once more.
+each: ``_power`` forms the generator products of a^N with the box's packed
+product and power, and ``_root`` splits every term of a product into its
+residue and quotient modulo q, field by field, and orders the residues by
+key. The test-ideal chain takes each entry (a^N)^[1/q] from the two in one
+pass (``power_root``), so a^N is never built as an ideal. Monomial powers
+and roots stay monomial: a^N by square-and-multiply (``_minimal_power``,
+shared with the box S/m^[q] of the escape test), each step pruned once by
+``minimal_packed``, and its root by dividing every field and pruning once
+more.
 
 Monomial ideals are recognized at construction and stored by their unique
 minimal monomial generators; most operations have a fast path for them.
@@ -77,6 +78,10 @@ from .poly import (
     _layout,
     _minimal_power,
     _Overflow,
+    _packed_mul,
+    _packed_pow,
+    _top_degree,
+    _width,
     check_q,
     frobenius_image,
     minimal_packed,
@@ -200,16 +205,6 @@ class Ideal:
 
 # ---------------------------------------------------------------------------
 # field widths of packed monomials
-
-
-def _top_degree(polys: Iterable[SparsePolynomial]) -> int:
-    return max((max(map(sum, f.terms), default=0) for f in polys), default=0)
-
-
-def _width(degree: int) -> int:
-    """The narrowest field width that holds four times the degree below its
-    guard bit: room for the lcms and remainders of most runs."""
-    return max(degree, 1).bit_length() + 3
 
 
 def _widening(run, degree: int):
@@ -459,31 +454,24 @@ def _power_mod(
 ) -> SparsePolynomial:
     """prod_(i<e) Frob^i(digit), q = p^e, reduced modulo the divisors after
     each factor (first divisor wins)."""
-    ring = digit.ring
-    factors, qi = [], 1
-    while qi < q:
-        factors.append(frobenius_image(digit, qi))
-        qi *= ring.p
+    ring, p = digit.ring, digit.ring.p
+    top, qi = max(map(max, digit.terms)), 1
+    while qi < q and top * qi <= EXP_LIMIT:
+        qi *= p
+    if qi < q:
+        frobenius_image(digit, qi)  # raises for the first exponent past 2^63-1
 
     def run(w: int) -> SparsePolynomial:
         lay, table = _basis_rows(divisors, ring, w)
         counter = _StepCounter()
-        power = {0: 1}
-        for factor in factors:
-            power = _normal_form(_packed_mul(power, lay.pack(factor), ring.p), table, lay, counter)
+        packed, power, qi = lay.pack(digit), {0: 1}, 1
+        while qi < q:
+            factor = {m * qi: c for m, c in packed.items()}
+            power = _normal_form(_packed_mul(power, factor, p), table, lay, counter)
+            qi *= p
         return lay.unpack(power)
 
-    return _widening(run, sum(_top_degree([f]) for f in factors))
-
-
-def _packed_mul(f: dict[int, int], g: dict[int, int], p: int) -> dict[int, int]:
-    """The product of two packed polynomials."""
-    acc: dict[int, int] = {}
-    get = acc.get
-    for u, cu in f.items():
-        for v, cv in g.items():
-            acc[u + v] = get(u + v, 0) + cu * cv
-    return {m: c % p for m, c in acc.items() if c % p}
+    return _widening(run, _top_degree([digit]) * ((q - 1) // (p - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +680,8 @@ def _power(a: Ideal, N: int) -> tuple[_Layout, Iterable]:
 
     Otherwise an iterator of packed products in the order of
     ``itertools.combinations_with_replacement`` over the generators, not
-    deduplicated. Principal a is one product, f^N by square-and-multiply on
-    N without its factor p^k, which is then a multiplication of every key
-    by p^k (Frobenius). For more generators each g^k, k <= N, is built once,
+    deduplicated. Principal a is one product, f^N from the base-p digits of
+    N (``_packed_pow``). For more generators each g^k, k <= N, is built once,
     as Frob(g^(k/p)) when p divides k and g^(k-1) * g otherwise, and more
     than ``MAX_POWER_PRODUCTS`` products raise ResourceCapExceeded before
     any is formed. Redundant generators are harmless (same ideal), and
@@ -724,17 +711,7 @@ def _power(a: Ideal, N: int) -> tuple[_Layout, Iterable]:
     p = ring.p
     packed = [lay.pack(g) for g in gens]
     if r == 1:
-        s, q = N, 1
-        while s % p == 0:
-            s, q = s // p, q * p
-        acc, base = None, packed[0]
-        while s:
-            if s & 1:
-                acc = base if acc is None else _packed_mul(acc, base, p)
-            s >>= 1
-            if s:
-                base = _packed_mul(base, base, p)
-        return lay, [{m * q: c for m, c in acc.items()}]
+        return lay, [_packed_pow(packed[0], N, p)]
     powers = []
     for g in packed:
         row = [{0: 1}, g]

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over F_p with fast Frobenius powering.
+"""Sparse multivariate polynomials over F_p, and the packed kernels.
 
 Representation:
 
@@ -11,8 +11,11 @@ is safe, and the leading monomial is cached on first use (two threads that
 race on it compute the same value). Exponent arithmetic is checked against
 a 64-bit limit and raises instead of wrapping.
 
-``FrobeniusBox`` computes on ``_Layout`` keys in the finite quotient S/m^[q],
-for the questions that only ask whether something lies in m^[q].
+Packed polynomials map ``_Layout`` keys to coefficients. One product,
+``_packed_mul``, and one power from the base-p digits of the exponent,
+``_packed_pow``, serve ``poly_pow``, the ideal powers and ``FrobeniusBox``,
+which truncates both to S/m^[q] for the questions that only ask whether
+something lies in m^[q]. ``poly_mul`` and ``frobenius_image`` stay on tuples.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ class SparsePolynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
+        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
 
     def is_monomial(self) -> bool:
         """Single-term polynomial (the zero polynomial does not count)."""
@@ -243,29 +246,18 @@ def frobenius_image(f: SparsePolynomial, q: int) -> SparsePolynomial:
 
 
 def poly_pow(f: SparsePolynomial, s: int) -> SparsePolynomial:
-    """f^s by binary exponentiation with a Frobenius shortcut.
+    """f^s by ``_packed_pow`` on a layout whose fields hold its degree.
 
-    Writing s = s0 * p^k with p not dividing s0, computes f^s0 by squaring
-    and then applies the k-fold Frobenius, which only rescales exponents.
+    When s times the largest exponent of f passes 2^63-1,
+    ExponentOverflowError is raised before any product is formed, naming
+    the first term of f that overflows, scaled by s.
     """
     if s < 0:
         raise ValueError(f"negative exponent {s}")
-    if s == 0:
-        return f.ring.one()
-    p = f.ring.p
-    q = 1
-    while s % p == 0:
-        s //= p
-        q *= p
-    base = f
-    acc = None
-    while s:
-        if s & 1:
-            acc = base if acc is None else poly_mul(acc, base)
-        s >>= 1
-        if s:
-            base = poly_mul(base, base)
-    return frobenius_image(acc, q)
+    if s * max(map(max, f.terms), default=0) > EXP_LIMIT:
+        mono_scale(next(m for m in f.terms if s * max(m) > EXP_LIMIT), s)
+    lay = _layout(f.ring, _width(s * _top_degree([f])))
+    return lay.unpack(_packed_pow(lay.pack(f), s, f.ring.p), ordered=False)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +375,81 @@ def _layout(ring: PolyRing, w: int) -> _Layout:
     return _Layout(ring, w)
 
 
+def _top_degree(polys: Iterable[SparsePolynomial]) -> int:
+    return max((max(map(sum, f.terms), default=0) for f in polys), default=0)
+
+
+def _width(degree: int) -> int:
+    """The narrowest field width that holds four times the degree below its
+    guard bit: room for the lcms and remainders of most runs."""
+    return max(degree, 1).bit_length() + 3
+
+
+def _packed_mul(
+    f: dict[int, int], g: dict[int, int], p: int, lay: Optional[_Layout] = None, b: Optional[int] = None
+) -> dict[int, int]:
+    """The product of two packed polynomials over F_p.
+
+    With a layout, f, g and the product are exponent-field keys of it in the
+    sub-box S/m^[b] of ``FrobeniusBox``: adding ``lay.offset(b)`` to a key
+    sets a guard bit exactly when some exponent is >= b, so one mask test
+    drops a term. More than MAX_BOX_TERMS collected terms then raise
+    ResourceCapExceeded, checked once per term of the shorter factor.
+    """
+    if not f or not g:
+        return {}
+    if len(f) > len(g):
+        f, g = g, f
+    off, high = (0, 0) if lay is None else (lay.offset(b), lay.eguards)
+    shifted = [(key + off, c) for key, c in g.items()]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for u, cu in f.items():
+        for v, cv in shifted:
+            key = u + v
+            if not key & high:
+                acc[key] = get(key, 0) + cu * cv
+        if len(acc) > MAX_BOX_TERMS and lay is not None:
+            raise ResourceCapExceeded(
+                "max_box_terms", f"a product in S/m^[{b}] passed {MAX_BOX_TERMS} terms"
+            )
+    out = {}
+    for key, c in acc.items():
+        c %= p
+        if c:
+            out[key - off] = c
+    return out
+
+
+def _packed_pow(
+    f: dict[int, int], s: int, p: int, lay: Optional[_Layout] = None, q: Optional[int] = None
+) -> dict[int, int]:
+    """f^s for a packed polynomial f over F_p; with a layout, f and f^s are
+    exponent-field keys of it in the box S/m^[q] (``FrobeniusBox``).
+
+    f^s = Frob(f^(s // p)) * f^(s % p), where the Frobenius multiplies every
+    key by p, degree field included (c^p = c), and the digit power comes from
+    square-and-multiply on s % p < p: no dense f^(2^k) is ever formed. In
+    the box, f^(s // p) is taken in the sub-box of side max(q / p, 1), where
+    it is exact: x^u escapes m^[q] after one Frobenius iff u < q / p.
+    """
+    if s < 0:
+        raise ValueError(f"negative exponent {s}")
+    acc = {0: 1}
+    if s >= p:
+        inner = _packed_pow(f, s // p, p, lay, None if lay is None else max(q // p, 1))
+        acc = {key * p: c for key, c in inner.items()}
+    if s % p and acc:
+        off, high = (0, 0) if lay is None else (lay.offset(q), lay.eguards)
+        power = base = {key: c for key, c in f.items() if not (key + off) & high}
+        for bit in bin(s % p)[3:]:
+            power = _packed_mul(power, power, p, lay, q)
+            if bit == "1":
+                power = _packed_mul(power, base, p, lay, q)
+        acc = _packed_mul(acc, power, p, lay, q)
+    return acc
+
+
 def minimal_packed(keys: set[int], guards: int) -> list[int]:
     """The minimal elements, under divisibility, of a set of packed
     monomials, in ascending order.
@@ -472,15 +539,14 @@ class FrobeniusBox:
     Inside the box a polynomial is a dict from packed monomial to
     coefficient: an exponent-field key of the ring's ``_Layout`` of width
     w = bits(q-1) + 1, so 2^(w-1) >= q, multiplying monomials is adding
-    ints and no field carries into the next. For a sub-box of side b <= q,
-    adding the layout's ``offset(b)`` sets a field's guard bit exactly when
-    its exponent is >= b, so one mask test drops a term. The Frobenius
-    image of a sub-box of side b/p is a multiplication of every key by p.
+    ints and no field carries into the next. ``mul`` and ``pow`` are the
+    packed kernels ``_packed_mul`` and ``_packed_pow`` truncated to the box:
+    a power is built from the base-p digits of its exponent, each partial
+    power in the sub-box where it is exact.
 
     Every exponent in the box is below q, so the 2^63-1 exponent limit is
     checked once, on q. A product that collects more than MAX_BOX_TERMS
-    terms raises ResourceCapExceeded, checked once per term of the
-    shorter factor, so its memory and time stay bounded.
+    terms raises ResourceCapExceeded, so its memory and time stay bounded.
     """
 
     __slots__ = ("ring", "q", "_lay")
@@ -503,77 +569,11 @@ class FrobeniusBox:
     def unpack(self, terms: dict[int, int]) -> SparsePolynomial:
         return self._lay.unpack(terms, ordered=False)
 
-    def mul(self, f: dict[int, int], g: dict[int, int], b: int | None = None) -> dict[int, int]:
-        """f * g in the sub-box of side b (default q)."""
-        if not f or not g:
-            return {}
-        if len(f) > len(g):
-            f, g = g, f
-        lay = self._lay
-        off, high = lay.offset(self.q if b is None else b), lay.eguards
-        shifted = [(key + off, c) for key, c in g.items()]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for u, cu in f.items():
-            for v, cv in shifted:
-                key = u + v
-                if not key & high:
-                    acc[key] = get(key, 0) + cu * cv
-            if len(acc) > MAX_BOX_TERMS:
-                raise ResourceCapExceeded(
-                    "max_box_terms", f"a product in S/m^[{self.q}] passed {MAX_BOX_TERMS} terms"
-                )
-        p = self.ring.p
-        out = {}
-        for key, c in acc.items():
-            c %= p
-            if c:
-                out[key - off] = c
-        return out
-
-    def frobenius(self, f: dict[int, int]) -> dict[int, int]:
-        """f^p, for f in a sub-box of side at most q/p."""
-        p = self.ring.p
-        return {key * p: c for key, c in f.items()}
-
-    def _digit_pow(self, f: dict[int, int], d: int, b: int) -> dict[int, int]:
-        """f^d in the sub-box of side b, by truncated square-and-multiply."""
-        result: dict[int, int] | None = None
-        off, high = self._lay.offset(b), self._lay.eguards
-        base = {key: c for key, c in f.items() if not (key + off) & high}
-        while True:
-            if d & 1:
-                result = base if result is None else self.mul(result, base, b)
-            d >>= 1
-            if not d:
-                return result if result is not None else {0: 1}
-            base = self.mul(base, base, b)
+    def mul(self, f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+        return _packed_mul(f, g, self.ring.p, self._lay, self.q)
 
     def pow(self, f: dict[int, int], s: int) -> dict[int, int]:
-        """f^s in the box, from the base-p digits of s.
-
-        With s = sum_i s_i p^i, f^s = prod_i Frob^i(f^(s_i)). Horner's rule
-        from the top digit down keeps the partial power f^(s // p^i) in the
-        sub-box of side max(q / p^i, 1), where it is exact: x^u escapes
-        m^[q] after i Frobenius steps iff u < q / p^i. Each digit power is
-        built on demand, so no table of p - 1 powers is ever stored.
-        """
-        if s < 0:
-            raise ValueError(f"negative exponent {s}")
-        p, q = self.ring.p, self.q
-        digits = []
-        while s:
-            s, d = divmod(s, p)
-            digits.append(d)
-        acc = {0: 1}
-        for i in range(len(digits) - 1, -1, -1):
-            b = max(q // p**i, 1)
-            acc = self.frobenius(acc)
-            if digits[i]:
-                acc = self.mul(acc, self._digit_pow(f, digits[i], b), b)
-            if not acc:
-                break
-        return acc
+        return _packed_pow(f, s, self.ring.p, self._lay, self.q)
 
 
 def check_q(p: int, q: int):

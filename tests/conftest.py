@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fpurity import parse_poly, parse_ring
+from fpurity import frobenius_image, parse_poly, parse_ring, poly_mul
 
 
 @pytest.fixture
@@ -27,3 +27,22 @@ def r2xy():
 
 def p(text, ring):
     return parse_poly(text, ring)
+
+
+def tuple_pow(f, s):
+    """f^s on exponent tuples, independent of the packed kernels: s = s0 * p^k
+    with p not dividing s0, f^s0 by square-and-multiply with ``poly_mul``,
+    then the k-fold Frobenius (``frobenius_image``)."""
+    if s == 0:
+        return f.ring.one()
+    q = 1
+    while s % f.ring.p == 0:
+        s, q = s // f.ring.p, q * f.ring.p
+    base, acc = f, None
+    while s:
+        if s & 1:
+            acc = base if acc is None else poly_mul(acc, base)
+        s >>= 1
+        if s:
+            base = poly_mul(base, base)
+    return frobenius_image(acc, q)

@@ -1,8 +1,10 @@
 import argparse
+import hashlib
 import itertools
 import json
 import random
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -99,6 +101,33 @@ def test_closure_failed_at():
     )
     assert report["verdict"]["outcome"] == "failed-at"
     assert report["verdict"]["failed_e"] == [1, 2, 3, 4]
+
+
+def test_closure_order_past_emax_is_no_certificate():
+    # the order of 2 mod 131 is 130: no tested e is a multiple, so no
+    # certificate, and the order past --emax is not an error
+    code, text = run([
+        "closure", "--ring", "p=2; vars=x,y", "--ideal", "x", "--a", "y", "--t", "1/131",
+        "--z", "y", "--emax", "2", "--json",
+    ])
+    assert code == EXIT_OK
+    verdict = json.loads(text)["verdict"]
+    assert verdict["outcome"] == "failed-at"
+    assert verdict["certified_e"] is None
+
+
+def test_principal_power_guard_row():
+    # tau(f^(3/2)) of a 4-term f over F_5 takes f^(ceil(3q/2)) up to q = 5^6
+    argv = [
+        "testideal", "--ring", "p=5; vars=x,y", "--a", "3*y^3 + 4*x^3 + 2*y + x^2",
+        "--t", "3/2", "--emax", "6", "--json",
+    ]
+    start = time.perf_counter()
+    out = run(argv)
+    elapsed = time.perf_counter() - start
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "b20f912a9e0f0b43b523a1c5c2a7a404d1024aed102dba30688b588c06b921ca"
+    assert elapsed < 1, elapsed
 
 
 def test_witness_check_trace():

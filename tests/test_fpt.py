@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,18 +11,17 @@ from fpurity import (
     bracket_power,
     fpt_bounds,
     fpt_estimate,
-    ideal_contains,
-    ideal_power,
     maximal_ideal,
     membership,
     nu_table,
     nu_value,
     parse_poly,
     parse_ring,
-    poly_pow,
     sharp_fedder,
     strong_fedder,
 )
+
+from conftest import tuple_pow
 
 
 def ideal(texts, ring):
@@ -219,14 +219,25 @@ def test_consistency_variable(r3x):
 
 
 def nu_oracle(a, q):
-    """nu by the route the box kernel replaced: full powers (poly_pow or
-    ideal_power), membership in m^[q], binary search over [0, n(q-1)]."""
+    """nu by the route the box kernel replaced: every generator product of
+    a^s in full from tuple powers (``tuple_pow``), membership in m^[q],
+    binary search over [0, n(q-1)]."""
     mq = bracket_power(maximal_ideal(a.ring), q)
+    gens, powers = a.generators, {}
+
+    def power(idx, k):
+        if (idx, k) not in powers:
+            powers[idx, k] = tuple_pow(gens[idx], k)
+        return powers[idx, k]
 
     def contained(s):
-        if len(a.generators) == 1:
-            return membership(poly_pow(a.generators[0], s), mq)
-        return ideal_contains(mq, ideal_power(a, s))
+        for combo in itertools.combinations_with_replacement(range(len(gens)), s):
+            h = a.ring.one()
+            for idx in sorted(set(combo)):
+                h = h * power(idx, combo.count(idx))
+            if not membership(h, mq):
+                return False
+        return True
 
     lo, hi = 0, a.ring.nvars * (q - 1) + 1
     while hi - lo > 1:

@@ -21,7 +21,7 @@ from fpurity import (
 )
 from fpurity.poly import PolyRing, SparsePolynomial, grevlex_key, mono_mul, poly_pow
 
-from conftest import p
+from conftest import p, tuple_pow
 
 
 def ideal(texts, ring):
@@ -223,7 +223,7 @@ def test_power_cap(r3xy, monkeypatch):
 def _power_oracle(a, N):
     """a^N the slow way: N - 1 rounds of products by a, each pruned
     pairwise on exponent tuples for monomial a; for general a, every
-    degree-N generator product from poly_pow, deduplicated in order."""
+    degree-N generator product from tuple_pow, deduplicated in order."""
     ring = a.ring
     if a.is_monomial:
         base = a.monomial_exponents()
@@ -242,7 +242,7 @@ def _power_oracle(a, N):
     for combo in itertools.combinations_with_replacement(range(len(a.generators)), N):
         h = ring.one()
         for idx in sorted(set(combo)):
-            h = h * poly_pow(a.generators[idx], combo.count(idx))
+            h = h * tuple_pow(a.generators[idx], combo.count(idx))
         if h not in kept:
             kept.append(h)
     return kept

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,9 @@ from fpurity import (
     poly_pow,
 )
 from fpurity import Ideal, ideals
-from fpurity.poly import EXP_LIMIT, PolyRing, _minimal_power
+from fpurity.poly import EXP_LIMIT, PolyRing, _layout, _minimal_power, _packed_mul, _packed_pow, _width
 
-from conftest import p
+from conftest import p, tuple_pow
 
 
 def polys(ring, max_terms=4, max_exp=5):
@@ -145,7 +146,7 @@ def truncated(f, q):
 def test_box_pow_is_truncated_pow(f, s, e):
     # includes constant terms and s spanning several base-3 digits
     box = FrobeniusBox(R3, 3**e)
-    assert box.unpack(box.pow(box.pack(f), s)) == truncated(poly_pow(f, s), 3**e)
+    assert box.unpack(box.pow(box.pack(f), s)) == truncated(tuple_pow(f, s), 3**e)
 
 
 @given(f=polys(R3, max_exp=9), g=polys(R3, max_exp=9), e=st.integers(0, 2))
@@ -153,6 +154,58 @@ def test_box_pow_is_truncated_pow(f, s, e):
 def test_box_mul_is_truncated_mul(f, g, e):
     box = FrobeniusBox(R3, 3**e)
     assert box.unpack(box.mul(box.pack(f), box.pack(g))) == truncated(poly_mul(f, g), 3**e)
+
+
+def _random_poly(rng, ring, terms):
+    return ring.poly({
+        tuple(rng.randrange(4) for _ in range(ring.nvars)): rng.randrange(1, ring.p)
+        for _ in range(terms)
+    })
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7])
+def test_packed_kernels_match_the_tuple_oracle(prime):
+    # _packed_pow and _packed_mul, plain on a layout that holds the result
+    # and truncated to the box S/m^[q], against tuple_pow and poly_mul
+    rng = random.Random(f"packed-kernels:{prime}")
+    exponents = sorted(
+        {0, 1, 2, prime - 1, prime, prime**2, 2 * prime**2, prime**2 + 1, 200}
+        | {k * prime**2 for k in range(1, 200 // prime**2 + 1)}
+        | set(rng.sample(range(201), 6))
+    )
+    for n in (1, 2, 3):
+        ring = parse_ring(f"p={prime}; vars=" + ",".join("xyz"[:n]))
+        polys = [ring.zero(), ring.const(rng.randrange(1, prime))]
+        polys += [_random_poly(rng, ring, terms) for terms in (1, 2, 3)]
+        for f in polys:
+            for s in exponents:
+                want = tuple_pow(f, s)
+                lay = _layout(ring, _width(s * max(map(sum, f.terms), default=0)))
+                assert lay.unpack(_packed_pow(lay.pack(f), s, prime), ordered=False) == want, (f, s)
+                for q in (1, prime, prime**2, prime**3):
+                    box = FrobeniusBox(ring, q)
+                    got = box.unpack(_packed_pow(box.pack(f), s, prime, box._lay, q))
+                    assert got == truncated(want, q), (f, s, q)
+            for g in polys:
+                want = poly_mul(f, g)
+                lay = _layout(ring, _width(6 * n))
+                assert lay.unpack(_packed_mul(lay.pack(f), lay.pack(g), prime)) == want, (f, g)
+                for q in (1, prime, prime**2):
+                    box = FrobeniusBox(ring, q)
+                    got = box.unpack(_packed_mul(box.pack(f), box.pack(g), prime, box._lay, q))
+                    assert got == truncated(want, q), (f, g, q)
+
+
+def test_poly_pow_refuses_an_overflowing_power_before_forming_it(r3xyz):
+    start = time.perf_counter()
+    with pytest.raises(ExponentOverflowError, match=rf"in \({2**63 + 2}, 0, 0\)$"):
+        poly_pow(p("x^2 + y + z", r3xyz), 2**62 + 1)
+    with pytest.raises(ExponentOverflowError, match=rf"in \({2**63}, 0, 0\)$"):
+        poly_pow(p("x + y + z", r3xyz), 2**63)
+    assert time.perf_counter() - start < 1
+    # the largest power that fits is formed
+    top = EXP_LIMIT // 2
+    assert poly_pow(p("2*x^2", r3xyz), top) == r3xyz.monomial((2 * top, 0, 0), pow(2, top, 3))
 
 
 def _tuple_monomial_power(gens, N, q=None):
