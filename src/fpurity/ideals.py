@@ -26,10 +26,10 @@ again with wider fields.
 
 Colons run one intersection per generator of the divisor ideal on packed
 keys from start to end, each by elimination of an extra variable t, whose
-field sits above a grevlex key's, unless both sides are monomial or the
-target is principal and divisible by the other side; the Fedder colon
-I^[q] : I of a complete intersection ``fedder_colon`` takes from Fedder's
-lemma with one Buchberger run in the ring itself.
+field the elimination layout puts above a grevlex key's, unless both sides
+are monomial or the target is principal and divisible by the other side;
+the Fedder colon I^[q] : I of a complete intersection ``fedder_colon``
+takes from Fedder's lemma as one packed run in the ring itself.
 
 For an ideal that is homogeneous in positive integer weights W
 (``positive_grading``), Buchberger can stop at a W-degree: with pairs taken
@@ -71,6 +71,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchError
 from .poly import (
     EXP_LIMIT,
+    MAX_BOX_TERMS,
     Monomial,
     PolyRing,
     SparsePolynomial,
@@ -85,7 +86,7 @@ from .poly import (
     check_q,
     frobenius_image,
     minimal_packed,
-    poly_pow,
+    power_term_bound,
 )
 
 
@@ -97,11 +98,10 @@ MAX_POWER_PRODUCTS = 50_000
 
 
 class _StepCounter:
-    __slots__ = ("steps", "limit")
+    __slots__ = ("steps",)
 
     def __init__(self):
         self.steps = 0
-        self.limit = MAX_REDUCTION_STEPS
 
 
 class Ideal:
@@ -162,11 +162,7 @@ class Ideal:
         return bool(self.generators) and self.generators[0].is_constant()
 
     def is_unit(self) -> bool:
-        if self.has_constant_generator():
-            return True
-        if self.is_monomial or self.is_zero():
-            return False
-        basis = self.groebner()
+        basis = self.generators if self.is_monomial else self.groebner()
         return len(basis) == 1 and basis[0].is_constant()
 
     def groebner(self) -> tuple[SparsePolynomial, ...]:
@@ -189,8 +185,6 @@ class Ideal:
 
     def times(self, other: "Ideal") -> "Ideal":
         self._check_ring(other)
-        if self.is_zero() or other.is_zero():
-            return Ideal.zero(self.ring)
         return Ideal(self.ring, [u * v for u in self.generators for v in other.generators])
 
     def _check_ring(self, other: "Ideal"):
@@ -262,7 +256,7 @@ def _normal_form(
     heap = [m ^ desc for m in lay.check(work)]
     heapq.heapify(heap)
     push, pop, get = heapq.heappush, heapq.heappop, work.get
-    steps, cap = counter.steps, counter.limit
+    steps, cap = counter.steps, MAX_REDUCTION_STEPS
     remainder: dict[int, int] = {}
     while heap:
         m = pop(heap) ^ desc
@@ -449,31 +443,6 @@ def _interreduce(
     return reduced
 
 
-def _power_mod(
-    digit: SparsePolynomial, q: int, divisors: Sequence[SparsePolynomial]
-) -> SparsePolynomial:
-    """prod_(i<e) Frob^i(digit), q = p^e, reduced modulo the divisors after
-    each factor (first divisor wins)."""
-    ring, p = digit.ring, digit.ring.p
-    top, qi = max(map(max, digit.terms)), 1
-    while qi < q and top * qi <= EXP_LIMIT:
-        qi *= p
-    if qi < q:
-        frobenius_image(digit, qi)  # raises for the first exponent past 2^63-1
-
-    def run(w: int) -> SparsePolynomial:
-        lay, table = _basis_rows(divisors, ring, w)
-        counter = _StepCounter()
-        packed, power, qi = lay.pack(digit), {0: 1}, 1
-        while qi < q:
-            factor = {m * qi: c for m, c in packed.items()}
-            power = _normal_form(_packed_mul(power, factor, p), table, lay, counter)
-            qi *= p
-        return lay.unpack(power)
-
-    return _widening(run, _top_degree([digit]) * ((q - 1) // (p - 1)))
-
-
 # ---------------------------------------------------------------------------
 # membership and containment
 
@@ -506,17 +475,11 @@ def membership(g: SparsePolynomial, I: Ideal) -> bool:
 def _cached_rows(I: Ideal, w: int) -> tuple[_Layout, list[_Row]]:
     """I's reduced basis as divisor rows at a width of at least w, kept on I
     until a wider one is asked for."""
-    packed = I._packed
-    if packed is None or packed[0].w < w:
-        packed = I._packed = _basis_rows(I.groebner(), I.ring, w)
-    return packed
-
-
-def _basis_rows(
-    basis: Sequence[SparsePolynomial], ring: PolyRing, w: int
-) -> tuple[_Layout, list[_Row]]:
-    lay = _layout(ring, max(w, _width(_top_degree(basis))))
-    return lay, [_row(lay.pack(b), lay.key(b.lead_monomial()), ring.p) for b in basis]
+    if I._packed is None or I._packed[0].w < w:
+        basis = I.groebner()
+        lay = _layout(I.ring, max(w, _width(_top_degree(basis))))
+        I._packed = lay, [_row(lay.pack(b), lay.key(b.lead_monomial()), I.ring.p) for b in basis]
+    return I._packed
 
 
 def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
@@ -748,12 +711,6 @@ def _products(powers: list[list[dict[int, int]]], N: int, p: int) -> Iterator[di
 # ---------------------------------------------------------------------------
 # intersection and colon via elimination
 
-_ELIM_VAR = "__e"
-
-
-def _extend_ring(ring: PolyRing) -> PolyRing:
-    return PolyRing(ring.field, (_ELIM_VAR,) + ring.variables, order="elim1")
-
 
 def intersect(J: Ideal, K: Ideal) -> Ideal:
     """J intersect K: ``colon``'s step with f = 1, so lcms for monomial J
@@ -771,7 +728,7 @@ def intersect(J: Ideal, K: Ideal) -> Ideal:
     def run(w: int) -> Ideal:
         lay = _layout(ring, w)
         packed = [[lay.pack(g) for g in A.generators] for A in (J, K)]
-        meet = _colon_step(*packed, ring.one(), lay, None)
+        meet = _colon_step(*packed, {0: 1}, lay, None)
         return Ideal(ring, [lay.unpack(h) for h in meet])
 
     return _widening(run, _top_degree(itertools.chain(J.generators, K.generators)) + 1)
@@ -809,7 +766,7 @@ def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
         lay = _layout(ring, w)
         packed = [lay.pack(g) for g in J.generators]
         result = [{0: 1}]
-        for f in I.generators:
+        for f in map(lay.pack, I.generators):
             result = result and _colon_step(packed, result, f, lay, graded)  # [] stays zero
         if len(I.generators) > 1 and any(len(h) > 1 for h in result):
             result = _interreduce(result, [next(iter(h)) for h in result], lay, _StepCounter())
@@ -822,23 +779,23 @@ def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
 
 
 def _colon_step(
-    J: list[dict], R: list[dict], f: SparsePolynomial, lay: _Layout, graded: Optional[_Graded]
+    J: list[dict], R: list[dict], f: dict[int, int], lay: _Layout, graded: Optional[_Graded]
 ) -> list[dict[int, int]]:
-    """(J intersect f*R) / f for nonzero J and R packed on lay, as
+    """(J intersect f*R) / f for nonzero J, R and f packed on lay, as
     ``Ideal(...)`` keeps it (``_as_ideal``), terms largest first; [] is the
     zero ideal. Monomial J, f and R take the lcms; (g) against (f*r) with
     f*r dividing g gives (g / (f*r) * r) from that one division; else each
     element of the meet, truncated at the bound plus deg f, is divided by f.
     """
     p = lay.ring.p
-    packed, flead = lay.pack(f), lay.key(f.lead_monomial())
+    flead = max(f, key=lay.asc.__xor__)
     if graded is not None:
-        graded = graded[0], graded[1] + sum(map(mul, f.lead_monomial(), graded[0]))
-    if len(packed) == 1 and all(len(h) == 1 for h in itertools.chain(J, R)):
+        graded = graded[0], graded[1] + lay.weighted(graded[0])(flead)
+    if len(f) == 1 and all(len(h) == 1 for h in itertools.chain(J, R)):
         raised = lay.check([flead + r for h in R for r in h])
         lcms = lay.check({lay.lcm(u, v) for h in J for u in h for v in raised})
         return _as_ideal([{m - flead: 1} for m in lcms], lay)
-    raised = [lay.check(_packed_mul(packed, r, p)) for r in R]
+    raised = [lay.check(_packed_mul(f, r, p)) for r in R]
     if len(J) == 1 and len(R) == 1:
         (g,), (r,) = J, R
         if graded is not None and lay.weighted(graded[0])(max(g, key=lay.asc.__xor__)) > graded[1]:
@@ -848,7 +805,7 @@ def _colon_step(
         if quotient is not None:
             product = _packed_mul(quotient, r, p)
             return _as_ideal([dict(sorted(product.items(), key=lambda t: t[0] ^ lay.desc))], lay)
-    frow = _row(packed, flead, p)
+    frow = _row(f, flead, p)
     quotients = [_try_exact_div(h, frow, lay) for h in _eliminated(J, raised, lay, graded)]
     if None in quotients:
         raise AssertionError("element of J meet (f) not divisible by f")
@@ -860,10 +817,10 @@ def _eliminated(
 ) -> list[dict[int, int]]:
     """The reduced basis of J intersect K from packed generators, t
     eliminated from t*J + (1-t)*K (weight 0 when graded). A key of lay is
-    the elim1 key of the same monomial times t^0 at lay's width, t's field
-    above the others: t*m is m plus t's unit, and a basis element with a
-    t-free lead is t-free (elim1 order) and already a key of lay."""
-    elay = _layout(_extend_ring(lay.ring), lay.w)
+    the key of the same monomial times t^0 in lay's elimination layout: t*m
+    is m plus t's unit, and a basis element with a t-free lead is t-free (t
+    comes first in the order) and already a key of lay."""
+    elay = _layout(lay.ring, lay.w, elim=True)
     t, p = 1 << elay.shifts[0], lay.ring.p
     gens = [{m + t: c for m, c in g.items()} for g in J]
     gens += [{**h, **{m + t: p - c for m, c in h.items()}} for h in K]
@@ -988,14 +945,17 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
     (Fedder, F-purity and rational singularity, Trans. AMS 1983, Prop.
     2.6). The identity holds exactly: colons commute with localization, and
     at every maximal ideal containing I the f_i form a regular sequence,
-    since S is Cohen-Macaulay. The power enters as prod_(i<e)
+    since S is Cohen-Macaulay. One packed run, from packing I's generators
+    and reduced basis to unpacking the result, forms I^[q] and the q-th
+    powers of the basis (keys times q), the power as prod_(i<e)
     Frob^i(P^(p-1)), P = f_1 * ... * f_c, each partial product reduced by
-    the q-th powers of I's reduced basis, a Groebner basis of I^[q]. The
-    result is its monic reduced basis, sorted by lead, from one Buchberger
-    run in S with no elimination variable. ``colon`` gives the same
-    generators here, because it interreduces its sequential result for two
-    or more generators. Every other ideal (monomial, principal, unit, zero,
-    or not a complete intersection) goes through ``colon``.
+    those q-th powers, a Groebner basis of I^[q], and the monic reduced
+    basis, sorted by lead, by one Buchberger run in S. A P^(p-1) whose
+    ``power_term_bound`` passes MAX_BOX_TERMS raises ResourceCapExceeded
+    before it is formed. ``colon`` gives the same generators here, as it
+    interreduces its sequential result for two or more generators. Every
+    other ideal (monomial, principal, unit, zero, or not a complete
+    intersection) goes through ``colon``.
 
     ``bound`` asks only for the generators of degree at most the bound in
     the grading W of ``positive_grading(I)``, which must exist. Both
@@ -1012,14 +972,35 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
         if weights is None:
             raise ValueError("a degree bound needs a positive grading of I")
         graded = (weights, bound)
-    Iq = bracket_power(I, q)
-    gens = I.generators
+    ring, p, gens = I.ring, I.ring.p, I.generators
+    check_q(p, q)
     if I.is_monomial or len(gens) < 2 or I.is_unit() or _height(I) != len(gens):
-        return colon(Iq, I, graded)
-    ring = I.ring
-    inputs = list(Iq.generators)
-    product = functools.reduce(mul, gens)
-    if graded is None or (q - 1) * sum(map(mul, product.lead_monomial(), weights)) <= bound:
-        divisors = [frobenius_image(g, q) for g in I.groebner()]
-        inputs.append(_power_mod(poly_pow(product, ring.p - 1), q, divisors))
-    return Ideal(ring, _buchberger(inputs, ring, graded))
+        return colon(bracket_power(I, q), I, graded)
+    deg = sum(_top_degree([g]) for g in gens)  # P's degree
+    k = sum(map(any, zip(*(m for g in gens for m in g.terms))))  # the variables in P
+
+    def run(w: int) -> Ideal:
+        lay = _layout(ring, w)
+
+        def frob(h: dict[int, int], qi: int) -> dict[int, int]:
+            return lay.check({m * qi: c for m, c in h.items()})
+
+        packed = [lay.pack(g) for g in gens]
+        inputs = [frob(g, q) for g in packed]
+        product = lay.check(functools.reduce(lambda f, g: _packed_mul(f, g, p), packed))
+        if graded is None or (q - 1) * lay.weighted(weights)(next(iter(product))) <= bound:
+            if power_term_bound(len(product), deg, k, p - 1, p) > MAX_BOX_TERMS:
+                detail = f"a {len(product)}-term P^{p - 1} may have more than {MAX_BOX_TERMS} terms"
+                raise ResourceCapExceeded("max_box_terms", detail)
+            basis = I.groebner()
+            table = [_row(frob(lay.pack(b), q), q * lay.key(b.lead_monomial()), p) for b in basis]
+            digit, counter, power, qi = _packed_pow(product, p - 1, p), _StepCounter(), {0: 1}, 1
+            while qi < q:
+                power = _normal_form(_packed_mul(power, frob(digit, qi), p), table, lay, counter)
+                qi *= p
+            inputs.append(power)
+        return Ideal(ring, [lay.unpack(h) for h in _packed_buchberger(inputs, lay, graded)])
+
+    # a key times q must fit its fields, since a carry past one hides from the guard
+    # check: start at the top degree of every key formed before Buchberger
+    return _widening(run, q * max(_top_degree(I.groebner()), deg))

@@ -19,24 +19,23 @@ One regular expression splits the text into tokens, read in one pass.
 Integer and variable factors go straight into one term dict per
 polynomial; only a parenthesised factor is built as a polynomial. A power
 or product of factors of two or more terms that could pass
-MAX_PARSED_TERMS terms raises ResourceCapExceeded before it is formed: a
-t-term f has at most prod C(d + t - 1, t - 1) terms in f^N, over the
-base-p digits d of N, and f*g at most |f|*|g|. The parser recurses per
-parenthesis (two frames a level), so nesting deeper than MAX_PARSED_DEPTH
-raises ParseError, and so does nesting deeper than the caller's remaining
-stack allows: parse_poly and parse_poly_list turn a RecursionError into
-ParseError.
+MAX_PARSED_TERMS terms raises ResourceCapExceeded before it is formed:
+f^N has at most ``power_term_bound`` terms, and f*g at most |f|*|g|.
+The parser recurses per parenthesis (two frames a level), so nesting
+deeper than MAX_PARSED_DEPTH raises ParseError, and so does nesting deeper
+than the caller's remaining stack allows: parse_poly and parse_poly_list
+turn a RecursionError into ParseError.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
 
 from .errors import ExponentOverflowError, ParseError, ResourceCapExceeded
 from .field import PrimeField, is_prime
 from .poly import EXP_LIMIT, PolyRing, SparsePolynomial, grevlex_key, poly_mul, poly_pow
+from .poly import _top_degree, power_term_bound
 
 _TOKEN_RE = re.compile(r"[0-9]+|[a-z][a-zA-Z0-9_]*|\S")
 _INT_LIMIT = 2**63
@@ -216,12 +215,10 @@ def _term(tk: _Tokens, ring: PolyRing) -> dict:
 
 
 def _power(base: SparsePolynomial, n: int) -> SparsePolynomial:
-    t, bound, rest = len(base.terms), 1, n
-    while t > 1 and rest and bound <= MAX_PARSED_TERMS:
-        rest, d = divmod(rest, base.ring.p)
-        bound *= comb(d + t - 1, t - 1)
-    if bound > MAX_PARSED_TERMS:
-        raise _too_many(f"a {t}-term factor to the power {n}")
+    if n > 1:
+        t, k = len(base.terms), sum(map(any, zip(*base.terms)))
+        if power_term_bound(t, _top_degree([base]), k, n, base.ring.p) > MAX_PARSED_TERMS:
+            raise _too_many(f"a {t}-term factor to the power {n}")
     return base if n == 1 else poly_pow(base, n)
 
 

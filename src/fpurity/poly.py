@@ -13,9 +13,9 @@ a 64-bit limit and raises instead of wrapping.
 
 Packed polynomials map ``_Layout`` keys to coefficients. One product,
 ``_packed_mul``, and one power from the base-p digits of the exponent,
-``_packed_pow``, serve ``poly_pow``, the ideal powers and ``FrobeniusBox``,
-which truncates both to S/m^[q] for the questions that only ask whether
-something lies in m^[q]. ``poly_mul`` and ``frobenius_image`` stay on tuples.
+``_packed_pow``, serve ``poly_pow``, the ideal powers, the Fedder colon and
+``FrobeniusBox``, which truncates both to S/m^[q]. Elimination is a flag of
+the layout. ``poly_mul`` and ``frobenius_image`` stay on tuples.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import comb
 from operator import add, lshift, mul, neg, or_
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -32,21 +33,14 @@ from .field import PrimeField
 Monomial = tuple[int, ...]
 
 EXP_LIMIT = 2**63 - 1
-# terms a FrobeniusBox product may collect before it stops with
-# ResourceCapExceeded("max_box_terms")
+# terms a FrobeniusBox product may collect, and an untruncated power's
+# ``power_term_bound`` may reach, before ResourceCapExceeded("max_box_terms")
 MAX_BOX_TERMS = 250_000
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out = tuple(map(add, a, b))
     if max(out, default=0) > EXP_LIMIT:
-        raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {out}")
-    return out
-
-
-def mono_scale(a: Monomial, k: int) -> Monomial:
-    out = tuple(e * k for e in a)
-    if any(e > EXP_LIMIT for e in out):
         raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {out}")
     return out
 
@@ -58,22 +52,15 @@ def grevlex_key(mono: Monomial):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """F_p[x_1, ..., x_n] with a fixed variable order and monomial order.
-
-    ``order`` is "grevlex" for user-facing rings. The internal value
-    "elim1" makes the first variable dominate (grevlex on the rest), which
-    is the elimination order used by colon and intersection computations.
-    """
+    """F_p[x_1, ..., x_n] with a fixed variable order and grevlex order;
+    elimination orders live only in packed keys (``_Layout``'s ``elim``)."""
 
     field: PrimeField
     variables: tuple[str, ...]
-    order: str = "grevlex"
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variable in {self.variables}")
-        if self.order not in ("grevlex", "elim1"):
-            raise ValueError(f"unknown monomial order {self.order!r}")
 
     @property
     def p(self) -> int:
@@ -82,11 +69,6 @@ class PolyRing:
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    def key(self, mono: Monomial):
-        if self.order == "grevlex":
-            return grevlex_key(mono)
-        return (mono[0], grevlex_key(mono[1:]))
 
     def zero(self) -> "SparsePolynomial":
         return SparsePolynomial(self, {})
@@ -159,7 +141,7 @@ class SparsePolynomial:
         if lead is None:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading monomial")
-            lead = self._lead = max(self.terms, key=self.ring.key)
+            lead = self._lead = max(self.terms, key=grevlex_key)
         return lead
 
     def lead_coeff(self) -> int:
@@ -242,22 +224,46 @@ def frobenius_image(f: SparsePolynomial, q: int) -> SparsePolynomial:
     check_q(f.ring.p, q)
     if q == 1:
         return f
-    return SparsePolynomial(f.ring, {mono_scale(m, q): c for m, c in f.terms.items()})
+    _check_scaled(f, q)
+    return SparsePolynomial(f.ring, {tuple(e * q for e in m): c for m, c in f.terms.items()})
 
 
 def poly_pow(f: SparsePolynomial, s: int) -> SparsePolynomial:
     """f^s by ``_packed_pow`` on a layout whose fields hold its degree.
 
-    When s times the largest exponent of f passes 2^63-1,
-    ExponentOverflowError is raised before any product is formed, naming
-    the first term of f that overflows, scaled by s.
+    Before any product, raises ExponentOverflowError, naming f's first term
+    scaled by s past 2^63-1, or ResourceCapExceeded("max_box_terms") when
+    ``power_term_bound`` passes MAX_BOX_TERMS.
     """
     if s < 0:
         raise ValueError(f"negative exponent {s}")
-    if s * max(map(max, f.terms), default=0) > EXP_LIMIT:
-        mono_scale(next(m for m in f.terms if s * max(m) > EXP_LIMIT), s)
-    lay = _layout(f.ring, _width(s * _top_degree([f])))
+    _check_scaled(f, s)
+    t, deg = len(f.terms), _top_degree([f])
+    if power_term_bound(t, deg, sum(map(any, zip(*f.terms))), s, f.ring.p) > MAX_BOX_TERMS:
+        detail = f"a {t}-term f^{s} may have more than {MAX_BOX_TERMS} terms"
+        raise ResourceCapExceeded("max_box_terms", detail)
+    lay = _layout(f.ring, _width(s * deg))
     return lay.unpack(_packed_pow(lay.pack(f), s, f.ring.p), ordered=False)
+
+
+def _check_scaled(f: SparsePolynomial, s: int):
+    """Raise ExponentOverflowError naming f's first term scaled by s past 2^63-1."""
+    m = next((m for m in f.terms if s * max(m) > EXP_LIMIT), None)
+    if m is not None:
+        raise ExponentOverflowError(f"exponent exceeds 2^63-1 in {tuple(e * s for e in m)}")
+
+
+def power_term_bound(t: int, deg: int, k: int, s: int, p: int) -> int:
+    """An upper bound on the terms of f^s for a t-term f over F_p of degree
+    deg in k variables: the smaller of prod C(d + t - 1, t - 1) over the
+    base-p digits d of s (f^s is the product of the Frob^i(f^d), and f^d
+    has at most C(d + t - 1, t - 1) terms) and C(s * deg + k, k), the
+    monomials of degree at most s * deg in k variables."""
+    dense, digits = comb(s * deg + k, k), 1
+    while t > 1 and s and digits <= dense:
+        s, d = divmod(s, p)
+        digits *= comb(d + t - 1, t - 1)
+    return min(dense, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +277,20 @@ class _Overflow(Exception):
 class _Layout:
     """The monomials of one ring packed into ints, ``w`` bits per field.
 
-    From the top field down, grevlex monomials read [degree | e_(n-1) ...
-    e_0] and elim1 monomials [e_0 | degree of the rest | e_(n-1) ... e_1];
-    either way the degree field sits just above the k fields it sums. Each
-    field keeps its top (guard) bit clear, so adding two packed monomials
-    multiplies them with no carry between fields, and x^g divides x^m iff
-    ((m | guards) - g) & guards == guards: no field loses its guard bit.
-    The ring order is the integer order of m ^ asc (asc flips the k summed
-    fields, where a larger exponent makes a smaller monomial), and its
-    reverse that of m ^ desc (desc flips the other fields). An exponent-field
-    key (``field_key``) leaves the degree field at 0: monomial ideals are
-    pruned on such keys and ``FrobeniusBox`` computes on them, with guard
-    bits ``eguards``; ``offset(b)`` marks exponents >= b.
+    From the top field down, monomials read [degree | e_(n-1) ... e_0], and
+    with ``elim`` [t | degree | e_(n-1) ... e_0]: one more field on top, for
+    an elimination variable t, with exponent tuples (t, e_0, ..., e_(n-1));
+    a key with t = 0 is the same with or without ``elim``. Each field keeps
+    its top (guard) bit clear, so adding two packed monomials multiplies
+    them with no carry between fields, and x^g divides x^m iff
+    ((m | guards) - g) & guards == guards: no field loses its guard bit. The
+    order is the integer order of m ^ asc (asc flips the n fields the degree
+    sums, where a larger exponent makes a smaller monomial): grevlex, and
+    with ``elim`` t first, then grevlex. Its reverse is that of m ^ desc
+    (desc flips the other fields). An exponent-field key (``field_key``)
+    leaves the degree field at 0: monomial ideals are pruned on such keys
+    and ``FrobeniusBox`` computes on them, with guard bits ``eguards``;
+    ``offset(b)`` marks exponents >= b.
 
     A formed monomial is checked against ``limit``, which holds every guard
     bit and the bits from 2^63 up of each exponent field: ``check`` then
@@ -291,30 +299,28 @@ class _Layout:
     """
 
     __slots__ = (
-        "ring", "w", "shifts", "units", "counted", "dshift", "fmask", "guards", "limit",
+        "ring", "w", "elim", "shifts", "units", "counted", "dshift", "fmask", "guards", "limit",
         "asc", "desc", "low", "spread", "dmask", "nodeg", "eguards", "ones",
     )
 
-    def __init__(self, ring: PolyRing, w: int):
-        n = ring.nvars
-        first = 0 if ring.order == "grevlex" else 1
-        k = n - first
-        self.ring, self.w = ring, w
-        self.shifts = (w * n,) * first + tuple(w * i for i in range(k))
-        self.dshift = w * k
+    def __init__(self, ring: PolyRing, w: int, elim: bool = False):
+        n, first = ring.nvars, int(elim)
+        self.ring, self.w, self.elim = ring, w, elim
+        self.shifts = (w * (n + 1),) * first + tuple(w * i for i in range(n))
+        self.dshift = w * n
         # the weights the degree field sums, and each exponent's packed unit
-        self.counted = (0,) * first + (1,) * k
+        self.counted = (0,) * first + (1,) * n
         self.units = tuple((1 << s) + (c << self.dshift) for s, c in zip(self.shifts, self.counted))
         self.fmask = (1 << w) - 1
-        fields = [w * i for i in range(n + 1)]
-        full = (1 << (w * (n + 1))) - 1
+        fields = [w * i for i in range(n + first + 1)]
+        full = (1 << (w * (n + first + 1))) - 1
         self.guards = sum(1 << (s + w - 1) for s in fields)
         high = (1 << w) - (1 << min(w - 1, 63))
         self.limit = self.guards | sum(high << s for s in fields if s != self.dshift)
         self.low = (1 << self.dshift) - 1
         self.asc, self.desc = self.low, full ^ self.low
-        # (m & low) * spread holds the sum of the k low fields in field k
-        self.spread = sum(1 << s for s in fields[1 : k + 1])
+        # (m & low) * spread holds the sum of the n low fields in field n
+        self.spread = sum(1 << s for s in fields[1 : n + 1])
         self.dmask = self.fmask << self.dshift
         self.nodeg = full ^ self.dmask
         self.eguards = self.guards & self.nodeg
@@ -371,8 +377,8 @@ class _Layout:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(ring: PolyRing, w: int) -> _Layout:
-    return _Layout(ring, w)
+def _layout(ring: PolyRing, w: int, elim: bool = False) -> _Layout:
+    return _Layout(ring, w, elim)
 
 
 def _top_degree(polys: Iterable[SparsePolynomial]) -> int:

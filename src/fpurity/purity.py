@@ -55,7 +55,7 @@ from .ideals import (
     membership,
     positive_grading,
 )
-from .poly import FrobeniusBox, PolyRing, SparsePolynomial, _minimal_power, poly_pow
+from .poly import FrobeniusBox, PolyRing, SparsePolynomial, _minimal_power, grevlex_key, poly_pow
 
 SHARP = "sharp"
 STRONG = "strong"
@@ -210,7 +210,7 @@ class EscapeTest:
 
         if self._base is not None:
             power = box.unpack(dict.fromkeys(_minimal_power(self._base, N, box._lay, box.q), 1))
-            for mono in sorted(power.terms, key=power.ring.key):
+            for mono in sorted(power.terms, key=grevlex_key):
                 u = SparsePolynomial(power.ring, {mono: 1}, mono)
                 v = accept(box.pack(u))
                 if v is not None:

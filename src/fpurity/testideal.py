@@ -47,18 +47,19 @@ def test_ideal(a: Ideal, t: Fraction, e_cap: int = 12) -> TestIdealResult:
     raises AssertionError because it can only mean a bug here. A computed
     entry equal to (1) is stored as ``Ideal.unit``, and every later entry
     is that unit ideal without a power or a check. An e_cap below 1 is
-    refused with ValueError.
+    refused with ValueError, a floor past it with ResourceCapExceeded.
     """
     if a.is_zero():
         raise ValueError("test ideal of the zero ideal is not defined")
     if t <= 0:
         raise ValueError(f"exponent must be positive, got {t}")
     ring = a.ring
-    e_floor = denominator_order(t, ring.p) or 1
+    exponents = exponent_range(e_cap)
+    e_floor = denominator_order(t, ring.p, e_cap) or 1
     unit = Ideal.unit(ring)
     chain: list[tuple[int, Ideal]] = []
     previous: Optional[Ideal] = None
-    for e in exponent_range(e_cap):
+    for e in exponents:
         if previous is unit:
             # the chain ascends, so every entry after a unit one is (1)
             entry = unit

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from fpurity import frobenius_image, parse_poly, parse_ring, poly_mul
+from fpurity.poly import grevlex_key
 
 
 @pytest.fixture
@@ -27,6 +28,13 @@ def r2xy():
 
 def p(text, ring):
     return parse_poly(text, ring)
+
+
+def elim_key(m):
+    """The elimination order on exponent tuples (t, x_1, ..., x_n) as an
+    ascending sort key: t's exponent first, then grevlex on the rest. The
+    packed kernels order the keys of ``_layout(..., elim=True)`` so."""
+    return m[0], grevlex_key(m[1:])
 
 
 def tuple_pow(f, s):

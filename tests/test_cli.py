@@ -418,10 +418,12 @@ SUBCOMMANDS = [
 
 def test_public_names_and_subcommands_are_pinned():
     import argparse
+    import dataclasses
 
     import fpurity
 
     assert sorted(fpurity.__all__) == sorted(PUBLIC_NAMES)
+    assert [f.name for f in dataclasses.fields(fpurity.PolyRing)] == ["field", "variables"]
     (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(subparsers.choices) == SUBCOMMANDS
     settable = sum(
@@ -429,6 +431,28 @@ def test_public_names_and_subcommands_are_pinned():
         if not isinstance(a, argparse._HelpAction)
     )
     assert settable == 50
+
+
+def test_a_floor_past_emax_exits_before_any_chain_entry(monkeypatch):
+    # the order of 5 mod 29 is 14: no e <= 5 lies past the floor, so no
+    # chain entry can end the run, and none is formed
+    from fpurity import testideal
+
+    monkeypatch.setattr(testideal, "power_root", lambda *args: pytest.fail("chain entry"))
+    argv = [
+        "testideal", "--ring", "p=5; vars=x,y", "--a", "3*y^3 + 4*x^3, 2*y + x^2",
+        "--t", "43/29", "--emax", "5", "--json",
+    ]
+    start = time.perf_counter()
+    code, text = run(argv)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_CAP
+    assert text == (
+        "error: resource cap exceeded: denominator_order_e_cap "
+        "(order of 5 mod 29 exceeds e_cap=5 but exists)"
+    )
+    # --emax 0 stays a usage error
+    assert run(argv[:-2] + ["0", "--json"])[0] == EXIT_USAGE
 
 
 def test_table_output_has_elapsed_line():

@@ -21,7 +21,7 @@ from fpurity import (
 )
 from fpurity.poly import PolyRing, SparsePolynomial, grevlex_key, mono_mul, poly_pow
 
-from conftest import p, tuple_pow
+from conftest import elim_key, p, tuple_pow
 
 
 def ideal(texts, ring):
@@ -94,7 +94,7 @@ def test_hypersurface_colon_forms_no_elimination_ring(r3xyz, q, monkeypatch):
 
     f = p("x^3 + y^2*z + x*y*z", r3xyz)
     J, I = bracket_power(Ideal(r3xyz, [f]), q), Ideal(r3xyz, [f])
-    monkeypatch.setattr(ideals, "_extend_ring", lambda ring: pytest.fail("elimination ring"))
+    monkeypatch.setattr(ideals, "_eliminated", lambda *args: pytest.fail("elimination"))
     assert colon(J, I).generators == (poly_pow(f, q - 1),)
     assert colon(J, I, ((1, 1, 1), 3 * (q - 1))).generators == (poly_pow(f, q - 1),)
     monkeypatch.setattr(ideals, "_try_exact_div", lambda *args: pytest.fail("division"))
@@ -339,9 +339,11 @@ def test_power_work_is_logarithmic(monkeypatch):
         tuple_products += 1
         return poly.poly_mul(*args)
 
-    # general and principal powers multiply packed, never on exponent tuples
+    # general and principal powers multiply packed, never on exponent tuples:
+    # ideals has no poly_pow to call, and f ** k goes through poly's
     general, principal = ideal(["x + y", "x*y + 1"], ring), ideal(["x + y^2 + 1"], ring)
-    monkeypatch.setattr(ideals, "poly_pow", counted)
+    assert not hasattr(ideals, "poly_pow")
+    monkeypatch.setattr(poly, "poly_pow", counted)
     monkeypatch.setattr(SparsePolynomial, "__mul__", counted)
     ideal_power(general, 12)
     ideal_power(principal, 12)
@@ -542,19 +544,21 @@ def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
 # --- the reduction kernel ------------------------------------------------------
 
 
-def _max_scan_normal_form(f, basis):
+def _max_scan_normal_form(f, basis, key=grevlex_key):
     """The reduction on exponent tuples that scans the work dict for its
-    largest term at every step: the oracle for the packed heap kernel.
-    Returns the remainder's terms, its lead and the step count."""
+    largest term in the order of ``key`` at every step: the oracle for the
+    packed heap kernel. Returns the remainder's terms, its lead and the
+    step count."""
     ring = f.ring
     p = ring.p
-    data = [(g.terms, g.lead_monomial(), ring.field.inv(g.lead_coeff())) for g in basis]
+    leads = [max(g.terms, key=key) for g in basis]
+    data = [(g.terms, lm, ring.field.inv(g.terms[lm])) for g, lm in zip(basis, leads)]
     work = dict(f.terms)
     remainder = {}
     steps = 0
     while work:
         steps += 1
-        m = max(work, key=ring.key)
+        m = max(work, key=key)
         c = work[m]
         for gterms, glm, ginv in data:
             if mono_divides(glm, m):
@@ -577,7 +581,7 @@ def _max_scan_normal_form(f, basis):
 @st.composite
 def _reduction_case(draw):
     ring = parse_ring(f"p={draw(st.sampled_from([2, 3, 5]))}; vars=x,y,z")
-    ring = PolyRing(ring.field, ring.variables, draw(st.sampled_from(["grevlex", "elim1"])))
+    elim = draw(st.sampled_from([False, True]))
     term = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, ring.p - 1))
 
     def poly(min_size, max_size):
@@ -585,7 +589,7 @@ def _reduction_case(draw):
 
     f = poly(0, 10)
     basis = [poly(1, 4) for _ in range(draw(st.integers(0, 4)))]
-    return f, [g for g in basis if not g.is_zero()]
+    return f, [g for g in basis if not g.is_zero()], elim
 
 
 @settings(max_examples=200, deadline=None)
@@ -593,18 +597,30 @@ def _reduction_case(draw):
 def test_heap_normal_form_matches_the_max_scan(case):
     # the packed heap reduces the same terms in the same order, so
     # remainders, their cached leads and the step counts agree exactly, in
-    # both orders
+    # grevlex and in the elimination order of x: the elimination layout of
+    # F_p[y, z], whose exponent tuples read (x, y, z)
     from fpurity import ideals
 
-    f, basis = case
-    lay = ideals._layout(f.ring, ideals._width(ideals._top_degree([f, *basis])))
+    f, basis, elim = case
+    ring, key = f.ring, elim_key if elim else grevlex_key
+    w = ideals._width(ideals._top_degree([f, *basis]))
+    if elim:
+        lay = ideals._layout(PolyRing(ring.field, ring.variables[1:]), w, elim=True)
+    else:
+        lay = ideals._layout(ring, w)
+
+    def pack(g):
+        return {lay.key(m): c for m, c in g.terms.items()}
+
     heap_steps = ideals._StepCounter()
-    rows = [ideals._row(lay.pack(g), lay.key(g.lead_monomial()), f.ring.p) for g in basis]
-    got = lay.unpack(ideals._normal_form(lay.pack(f), rows, lay, heap_steps))
-    terms, lead, scan_steps = _max_scan_normal_form(f, basis)
-    assert list(got.terms.items()) == list(terms.items())
+    rows = [ideals._row(pack(g), lay.key(max(g.terms, key=key)), ring.p) for g in basis]
+    remainder = ideals._normal_form(pack(f), rows, lay, heap_steps)
+    terms = {lay.exponents(m): c for m, c in remainder.items()}
+    got = SparsePolynomial(ring, terms, next(iter(terms), None))
+    want, lead, scan_steps = _max_scan_normal_form(f, basis, key)
+    assert list(got.terms.items()) == list(want.items())
     assert got._lead == lead
-    assert got.is_zero() or got.lead_monomial() == max(terms, key=f.ring.key)
+    assert got.is_zero() or got.lead_monomial() == max(want, key=key)
     assert heap_steps.steps == scan_steps
 
 
@@ -712,7 +728,10 @@ def test_bounded_colon_leaves_out_the_complete_intersection_power(monkeypatch):
     I = ideal(["x*y - z*w", "x*z - y*w"], ring)
     full = ideals.fedder_colon(I, 3).generators
     powers = []
-    monkeypatch.setattr(ideals, "poly_pow", lambda f, s: powers.append(s) or poly_pow(f, s))
+    run = ideals._packed_pow
+    monkeypatch.setattr(
+        ideals, "_packed_pow", lambda f, s, *args: powers.append(s) or run(f, s, *args)
+    )
     for bound, formed in ((7, []), (8, [2])):
         want = tuple(g for g in full if sum(g.lead_monomial()) <= bound)
         assert ideals.fedder_colon(I, 3, bound).generators == want
@@ -730,14 +749,14 @@ def test_bounded_colon_needs_a_grading(r3xy):
 
 
 def _count_buchberger(monkeypatch):
-    """Buchberger runs by ring order, counted at the packed kernel."""
+    """Buchberger runs by monomial order, counted at the packed kernel."""
     from fpurity import ideals
 
-    runs = {"grevlex": 0, "elim1": 0}
+    runs = {"grevlex": 0, "elimination": 0}
     run = ideals._packed_buchberger
 
     def counting(gens, lay, graded):
-        runs[lay.ring.order] += 1
+        runs["elimination" if lay.elim else "grevlex"] += 1
         return run(gens, lay, graded)
 
     monkeypatch.setattr(ideals, "_packed_buchberger", counting)
@@ -761,7 +780,7 @@ def test_colon_runs_one_elimination_per_generator(monkeypatch, names, texts):
     J = bracket_power(I, 3)
     runs = _count_buchberger(monkeypatch)
     got = colon(J, I)
-    assert runs == {"grevlex": 0, "elim1": len(texts)}
+    assert runs == {"grevlex": 0, "elimination": len(texts)}
     monkeypatch.undo()
     assert got.generators == Ideal(ring, got.generators).groebner()
     assert ideal_contains(J, got.times(I))

@@ -2,11 +2,16 @@
 Groebner engine against the code it replaced, kept here as the oracle,
 plus guards on the work those kernels leave out."""
 
+import functools
+import hashlib
 import heapq
 import importlib.util
 import itertools
+import operator
 import random
 import re
+import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +47,8 @@ from fpurity.poly import (
     mono_mul,
     poly_pow,
 )
+
+from conftest import elim_key, tuple_pow
 
 
 def ideal(texts, ring):
@@ -150,15 +157,16 @@ class TupleSteps:
             raise ideals.ResourceCapExceeded("max_reduction_steps", f"{self.limit} steps")
 
 
-def _descending_key(ring):
-    """The ring's order key negated, so a min-heap pops the largest term.
+def _descending_key(key):
+    """The order key ``grevlex_key`` or ``elim_key`` negated, so a min-heap
+    pops the largest term.
 
-    Grevlex: (-deg, reversed exponents). elim1: the first exponent
+    Grevlex: (-deg, reversed exponents). Elimination: the first exponent
     negated, then the grevlex key of the rest negated the same way; the
     total degree stands in for the degree of the rest, which it orders
     alike once the first exponents agree.
     """
-    if ring.order == "grevlex":
+    if key is grevlex_key:
         return lambda m: (-sum(m), m[::-1])
     return lambda m: (-m[0], -sum(m), m[:0:-1])
 
@@ -181,12 +189,12 @@ def tuple_reducer(g):
     return g.terms, g.lead_monomial(), g.ring.field.inv(g.lead_coeff())
 
 
-def tuple_normal_form(f, reducers, counter):
+def tuple_normal_form(f, reducers, counter, key=grevlex_key):
     """The reduction on exponent tuples that the packed kernel replaced:
-    the largest remaining term comes off a heap on the negated order key,
-    and the first divisor that divides it wins."""
+    the largest remaining term in the order of ``key`` comes off a heap on
+    the negated key, and the first divisor that divides it wins."""
     ring = f.ring
-    hkey = _descending_key(ring)
+    hkey = _descending_key(key)
     p = ring.p
     work = dict(f.terms)
     heap = [(hkey(m), m) for m in work]
@@ -234,23 +242,24 @@ def _w_degree(m, weights):
     return sum(e * w for e, w in zip(m, weights))
 
 
-def tuple_buchberger(gens, ring, graded=None, counter=None):
+def tuple_buchberger(gens, ring, graded=None, counter=None, key=grevlex_key):
     """Buchberger's algorithm on exponent tuples, as the packed
     ``ideals._buchberger`` runs it: the same pair heap, criteria, graded
-    truncation and interreduction, so bases and step counts must agree."""
+    truncation and interreduction, so bases and step counts must agree.
+    ``key`` is the monomial order (``grevlex_key`` or ``elim_key``); every
+    basis element caches its lead in that order."""
     counter = counter or TupleSteps()
     if graded is not None:
         weights, bound = graded
         gens = [g for g in gens if _w_degree(g.lead_monomial(), weights) <= bound]
     basis, table = [], []
     for g in gens:
-        h = tuple_normal_form(g, table, counter)
+        h = tuple_normal_form(g, table, counter, key)
         if not h.is_zero():
             if h.is_constant():
                 return [ring.one()]
             basis.append(monic(h))
             table.append(tuple_reducer(basis[-1]))
-    key = ring.key
     leads = [g.lead_monomial() for g in basis]
     heap, queued = [], set()
 
@@ -283,7 +292,7 @@ def tuple_buchberger(gens, ring, graded=None, counter=None):
             for k, lmk in enumerate(leads)
         ):
             continue
-        h = tuple_normal_form(_tuple_s_poly(basis[i], basis[j]), table, counter)
+        h = tuple_normal_form(_tuple_s_poly(basis[i], basis[j]), table, counter, key)
         if h.is_zero():
             continue
         if h.is_constant():
@@ -292,20 +301,20 @@ def tuple_buchberger(gens, ring, graded=None, counter=None):
         table.append(tuple_reducer(basis[-1]))
         leads.append(basis[-1].lead_monomial())
         add_pairs(len(basis) - 1)
-    return tuple_interreduced(basis, ring, counter)
+    return tuple_interreduced(basis, ring, counter, key)
 
 
-def tuple_interreduced(basis, ring, counter=None):
-    """Minimal leads, then each tail reduced against the others."""
+def tuple_interreduced(basis, ring, counter=None, key=grevlex_key):
+    """Minimal leads, then each tail reduced against the others; the leads
+    are the cached ones of the basis, in the order of ``key``."""
     counter = counter or TupleSteps()
-    key = ring.key
     minimal = []
     for g in sorted(basis, key=lambda g: key(g.lead_monomial())):
         if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in minimal):
             minimal.append(g)
     rows = [tuple_reducer(g) for g in minimal]
     reduced = [
-        monic(tuple_normal_form(g, rows[:idx] + rows[idx + 1 :], counter))
+        monic(tuple_normal_form(g, rows[:idx] + rows[idx + 1 :], counter, key))
         for idx, g in enumerate(minimal)
     ]
     return sorted(reduced, key=lambda g: key(g.lead_monomial()))
@@ -315,7 +324,7 @@ def tuple_exact_div(g, f):
     """g / f when f divides g exactly, else None, on exponent tuples."""
     ring = g.ring
     p = ring.p
-    hkey = _descending_key(ring)
+    hkey = _descending_key(grevlex_key)
     flm, finv = f.lead_monomial(), ring.field.inv(f.lead_coeff())
     work = dict(g.terms)
     heap = [(hkey(m), m) for m in work]
@@ -376,7 +385,7 @@ def tuple_intersect(J, K, graded=None):
             return Ideal.zero(ring)
         if tuple_exact_div(g, f) is not None:
             return J
-    ext = PolyRing(ring.field, ("t",) + ring.variables, order="elim1")
+    ext = PolyRing(ring.field, ("t",) + ring.variables)
 
     def embed(f, tdeg):
         return SparsePolynomial(ext, {(tdeg,) + m: c for m, c in f.terms.items()})
@@ -386,7 +395,7 @@ def tuple_intersect(J, K, graded=None):
     if graded is not None:
         weights, bound = graded
         graded = ((0, *weights), bound)
-    basis = tuple_buchberger(gens, ext, graded)
+    basis = tuple_buchberger(gens, ext, graded, key=elim_key)
     kept = [
         SparsePolynomial(ring, {m[1:]: c for m, c in b.terms.items()})
         for b in basis if all(m[0] == 0 for m in b.terms)
@@ -421,11 +430,27 @@ def tuple_colon(J, I, graded=None):
     return result
 
 
+def tuple_fedder_colon(I, q, bound=None):
+    """fedder_colon on exponent tuples: for a complete intersection, one
+    tuple Buchberger run on I^[q] and prod_(i<e) Frob^i(P^(p-1)) reduced by
+    ``tuple_power_mod``, P = f_1 * ... * f_c; else the tuple colon."""
+    graded = None if bound is None else (ideals.positive_grading(I), bound)
+    ring, gens, Iq = I.ring, I.generators, bracket_power(I, q)
+    if I.is_monomial or len(gens) < 2 or I.is_unit() or _height(I) != len(gens):
+        return tuple_colon(Iq, I, graded)
+    inputs = list(Iq.generators)
+    product = functools.reduce(operator.mul, gens)
+    if graded is None or (q - 1) * _w_degree(product.lead_monomial(), graded[0]) <= bound:
+        divisors = [frobenius_image(g, q) for g in tuple_buchberger(list(gens), ring)]
+        inputs.append(tuple_power_mod(tuple_pow(product, ring.p - 1), q, divisors))
+    return Ideal(ring, tuple_buchberger(inputs, ring, graded))
+
+
 # the engine's packed entry points and their tuple stand-ins
 TUPLE_KERNEL = {
     "_buchberger": tuple_buchberger,
-    "_power_mod": tuple_power_mod,
     "colon": tuple_colon,
+    "fedder_colon": tuple_fedder_colon,
 }
 
 
@@ -588,14 +613,97 @@ def _inhomogeneous_complete_intersections(prime):
 def test_fedder_power_matches_the_elimination_colon(prime, qs, monkeypatch):
     # the power is built from P^(p-1) and Frobenius images, never as P^(q-1)
     exponents = []
-    run = ideals.poly_pow
-    monkeypatch.setattr(ideals, "poly_pow", lambda f, s: exponents.append(s) or run(f, s))
+    run = ideals._packed_pow
+    monkeypatch.setattr(
+        ideals, "_packed_pow", lambda f, s, *args: exponents.append(s) or run(f, s, *args)
+    )
     for I in _inhomogeneous_complete_intersections(prime):
         for q in qs:
             exponents.clear()
             got = fedder_colon(I, q)
             assert exponents == [prime - 1]
             assert got.generators == colon(bracket_power(I, q), I).generators, (I, q)
+
+
+# fedder runs past the quotients catalog's e <= 2, and the sha256 of
+# repr(run(argv)): a complete intersection graded and not, and a strong
+# criterion that re-verifies its witness
+_FEDDER_GUARD_ROWS = [
+    (
+        'fedder --ring "p=3; vars=x,y,z,w" --ideal "x*y - z*w, x*z - y^2 + w^2" --emax 3 --json',
+        "a959489d3c83a0bd86fc2ab69ee3180058b58d20eeabd0e5aac92e780ef120b2",
+    ),
+    (
+        'fedder --ring "p=3; vars=x,y,z" --ideal "x^2 + y^3 + x*y*z, y*z + x^3" --emax 3 --json',
+        "90eca77b9fc806a3db827d0b127fbcfcc4ddff4c0a9cadece88d2e34ad5669e1",
+    ),
+    (
+        'strong-fedder --ring "p=5; vars=x,y,z" --ideal "x^2 + y^3 + x*y*z, y*z + x^3" '
+        '--a "x, y" --t 1/3 --emax 2 --verify-witness --json',
+        "1a3c8306ff0d1f70092939ca11812158f708eb8e2c78f3eeca48870ddd773043",
+    ),
+]
+
+
+def test_fedder_runs_past_the_catalog_keep_their_bytes():
+    from fpurity.cli import run
+
+    for argv, digest in _FEDDER_GUARD_ROWS:
+        start = time.perf_counter()
+        out = run(shlex.split(argv))
+        assert time.perf_counter() - start < 2, argv
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == digest, argv
+
+
+def test_the_complete_intersection_colon_is_one_packed_run(monkeypatch):
+    # between packing I and unpacking the result no polynomial is built:
+    # one SparsePolynomial per generator of the result, no tuple product
+    ring = parse_ring("p=3; vars=x,y,z,w")
+    I = ideal(["x*y - z*w", "x*z - y^2 + w^2"], ring)
+    assert _height(I) == 2
+    built = []
+    init = SparsePolynomial.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(SparsePolynomial, "__init__", counting)
+    monkeypatch.setattr(ideals, "frobenius_image", lambda *args: pytest.fail("tuple Frobenius"))
+    monkeypatch.setattr(poly, "poly_mul", lambda *args: pytest.fail("tuple product"))
+    for q in (3, 9, 27):
+        built.clear()
+        got = fedder_colon(I, q)
+        assert len(built) == len(got.generators) > 2
+
+
+def test_complete_intersection_exponents_past_the_cap_still_raise():
+    # I^[3] of (x^(2^62) + y, y*z + x) reaches x^(3 * 2^62); the generators
+    # of (x^a + y, x^a*z + y^2) fit at q = 9, the power's Frobenius factor
+    # x^(4a * 3) does not
+    ring = parse_ring("p=3; vars=x,y,z")
+    I = Ideal(ring, [parse_poly(f"x^{2**62} + y", ring), parse_poly("y*z + x", ring)])
+    assert _height(I) == 2
+    with pytest.raises(ExponentOverflowError, match=rf"in \({3 * 2**62}, 0, 0\)$"):
+        fedder_colon(I, 3)
+    a = 10**18
+    I = Ideal(ring, [parse_poly(f"x^{a} + y", ring), parse_poly(f"x^{a}*z + y^2", ring)])
+    assert _height(I) == 2 and 9 * a <= poly.EXP_LIMIT < 12 * a
+    with pytest.raises(ExponentOverflowError, match=rf"in \({12 * a}, 0, 6\)$"):
+        fedder_colon(I, 9)
+
+
+def test_a_complete_intersection_power_past_the_term_cap_exits_early():
+    # P = (x^2 + y^3 + x*y*z)(y*z + x^3) has 6 terms, and no positive grading
+    # leaves P^1008 out: over F_1009 its term bound passes MAX_BOX_TERMS
+    from fpurity.cli import EXIT_CAP, run
+
+    argv = 'fedder --ring "p=1009; vars=x,y,z" --ideal "x^2 + y^3 + x*y*z, y*z + x^3" --emax 1 --json'
+    start = time.perf_counter()
+    code, text = run(shlex.split(argv))
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_CAP
+    assert text.startswith("error: resource cap exceeded: max_box_terms (a 6-term P^1008 ")
 
 
 def test_fedder_power_reduction_keeps_the_generators():
@@ -801,28 +909,50 @@ def test_the_chain_stops_powering_after_its_first_unit_entry(monkeypatch):
 # --- the packed Groebner kernel against the tuple kernel ------------------------------------
 
 
-def _packed_run(gens, ring, graded=None):
-    """ideals._buchberger's basis and the step count of its final run."""
+def _elim_buchberger(gens, ring, graded=None):
+    """``ideals._buchberger``'s run for polynomials in (t, x_1, ..., x_n),
+    on the elimination layout of F_p[x_1, ..., x_n]: packed by that
+    layout's key, unpacked into the ring by its exponent tuples."""
+    base = PolyRing(ring.field, ring.variables[1:])
+
+    def run(w):
+        lay = ideals._layout(base, w, elim=True)
+        packed = [{lay.key(m): c for m, c in g.terms.items()} for g in gens]
+        basis = ideals._packed_buchberger(packed, lay, graded)
+        if basis == [{0: 1}]:
+            return [ring.one()]
+        return [
+            SparsePolynomial(
+                ring, {lay.exponents(m): c for m, c in h.items()}, lay.exponents(next(iter(h)))
+            )
+            for h in basis
+        ]
+
+    return ideals._widening(run, ideals._top_degree(gens))
+
+
+def _packed_run(gens, ring, graded=None, elim=False):
+    """ideals._buchberger's basis and the step count of its final run; with
+    elim, the run under the elimination order of the first variable."""
     counters = []
     real = ideals._StepCounter
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ideals, "_StepCounter", lambda: counters.append(real()) or counters[-1])
-        basis = ideals._buchberger(list(gens), ring, graded)
+        if elim:
+            basis = _elim_buchberger(list(gens), ring, graded)
+        else:
+            basis = ideals._buchberger(list(gens), ring, graded)
     return basis, counters[-1].steps
 
 
-def _assert_same_run(gens, ring, graded=None):
-    got, steps = _packed_run(gens, ring, graded)
+def _assert_same_run(gens, ring, graded=None, elim=False):
+    got, steps = _packed_run(gens, ring, graded, elim)
     counter = TupleSteps()
-    want = tuple_buchberger(list(gens), ring, graded, counter)
+    want = tuple_buchberger(list(gens), ring, graded, counter, elim_key if elim else grevlex_key)
     assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
     assert [g._lead for g in got] == [g._lead for g in want]
     assert steps == counter.steps
     return got
-
-
-def _ring(prime, names, order):
-    return PolyRing(parse_ring(f"p={prime}; vars={names}").field, tuple(names.split(",")), order)
 
 
 def test_packed_buchberger_matches_the_tuple_kernel_on_drawn_inputs():
@@ -832,17 +962,17 @@ def test_packed_buchberger_matches_the_tuple_kernel_on_drawn_inputs():
     @st.composite
     def case(draw):
         prime = draw(st.sampled_from([2, 3, 5]))
-        order = draw(st.sampled_from(["grevlex", "elim1"]))
-        ring = _ring(prime, "t,x,y", order)
+        elim = draw(st.sampled_from([False, True]))
+        ring = parse_ring(f"p={prime}; vars=t,x,y")
         coeff = st.integers(1, prime - 1)
         count = draw(st.integers(1, 4))
         if not draw(st.booleans()):
             term = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), coeff)
             gens = [ring.poly(dict(draw(st.lists(term, min_size=1, max_size=4)))) for _ in range(count)]
-            return ring, gens, None
-        # graded: W-homogeneous inputs, weight 0 on t only under elim1
+            return ring, gens, None, elim
+        # graded: W-homogeneous inputs, weight 0 on t only under elimination
         weights = draw(st.sampled_from([(1, 1, 1), (1, 2, 3), (2, 1, 1)]))
-        if order == "elim1":
+        if elim:
             weights = (0,) + weights[1:]
         gens = []
         for _ in range(count):
@@ -853,20 +983,20 @@ def test_packed_buchberger_matches_the_tuple_kernel_on_drawn_inputs():
             if monos:
                 chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
                 gens.append(ring.poly({m: draw(coeff) for m in chosen}))
-        return ring, gens, (weights, draw(st.integers(0, 10)))
+        return ring, gens, (weights, draw(st.integers(0, 10))), elim
 
     @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
     @hypothesis.given(case())
     def check(drawn):
-        ring, gens, graded = drawn
+        ring, gens, graded, elim = drawn
         try:
-            tuple_buchberger(list(gens), ring, graded)
+            tuple_buchberger(list(gens), ring, graded, key=elim_key if elim else grevlex_key)
         except ideals.ResourceCapExceeded:
             # an elimination run that blows up trips the cap in both kernels
             with pytest.raises(ideals.ResourceCapExceeded, match="max_reduction_steps"):
-                ideals._buchberger(list(gens), ring, graded)
+                _packed_run(gens, ring, graded, elim)
             return
-        _assert_same_run(gens, ring, graded)
+        _assert_same_run(gens, ring, graded, elim)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ideals, "MAX_REDUCTION_STEPS", 1000)
@@ -880,17 +1010,19 @@ def _widths(monkeypatch):
     """The field widths of every layout the engine builds from here on."""
     widths = []
     real = ideals._layout
-    monkeypatch.setattr(ideals, "_layout", lambda ring, w: widths.append(w) or real(ring, w))
+    monkeypatch.setattr(
+        ideals, "_layout", lambda ring, w, elim=False: widths.append(w) or real(ring, w, elim)
+    )
     return widths
 
 
 def test_a_run_past_the_first_width_reruns_wider(monkeypatch):
-    # reducing t^10 - y by t - x^100 under elim1 forms x^1000, past the
-    # fields sized for the inputs' top degree 100
-    ring = _ring(3, "t,x,y", "elim1")
+    # reducing t^10 - y by t - x^100 under elimination forms x^1000, past
+    # the fields sized for the inputs' top degree 100
+    ring = parse_ring("p=3; vars=t,x,y")
     gens = [parse_poly(text, ring) for text in ("t - x^100", "t^10 - y")]
     widths = _widths(monkeypatch)
-    basis = _assert_same_run(gens, ring)
+    basis = _assert_same_run(gens, ring, elim=True)
     assert widths[0] < widths[-1] and 2 ** (widths[0] - 1) <= 1000 < 2 ** (widths[-1] - 1)
     assert any(g.terms.get((0, 1000, 0)) for g in basis)
 
@@ -1081,7 +1213,7 @@ def test_fedder_colons_of_the_quotients_pass_match_the_tuple_kernel(monkeypatch)
         monkeypatch.setattr(ideals, name, stand_in)
     monkeypatch.setattr(ideals, "_normal_form", lambda *args: pytest.fail("packed reduction"))
     for (ring, gens, q, bound), got in calls.items():
-        want = fedder_colon(Ideal(ring, gens), q, bound)
+        want = ideals.fedder_colon(Ideal(ring, gens), q, bound)
         assert [list(g.terms.items()) for g in got.generators] == [
             list(g.terms.items()) for g in want.generators
         ], (gens, q, bound)
@@ -1387,3 +1519,25 @@ def test_large_powers_of_sums_are_refused_before_they_are_formed():
     for text in [f"(x + y + z)^{2**20 - 1}", f"(x + y)*(x + y + z)^{2**8 - 1}*(x + z)^{2**8 - 1}"]:
         with pytest.raises(ResourceCapExceeded, match="max_parsed_terms"):
             parse_poly(text, ring)
+
+
+def test_a_dense_power_past_the_digit_bound_is_parsed():
+    # over F_1009 the one digit 30 bounds (1 + ... + x^9)^30 by C(39, 9) > 2 * 10^8
+    # terms, the dense bound by its 271 monomials
+    ring = parse_ring("p=1009; vars=x,y")
+    base = " + ".join(f"x^{i}" for i in range(10))
+    got = parse_poly(f"({base})^30", ring)
+    assert got == tuple_pow(parse_poly(base, ring), 30) and len(got.terms) == 271
+
+
+def test_first_powers_ask_no_term_bound(monkeypatch):
+    # a factor to the first power is the factor itself: nothing to bound
+    ring = parse_ring("p=3; vars=x,y,z")
+    calls = []
+    bound = parser.power_term_bound
+    monkeypatch.setattr(parser, "power_term_bound", lambda *args: calls.append(args) or bound(*args))
+    got = parse_poly("(x + y)*(x + z)^1 + ((2*y*z))^1 - (x^2)", ring)
+    assert got == parse_poly("x*y + x*z", ring)  # 3*y*z = 0 over F_3
+    assert calls == []
+    parse_poly("(x + y)^2", ring)
+    assert calls == [(2, 1, 2, 2, 3)]

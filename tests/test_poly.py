@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fpurity import (
     ExponentOverflowError,
     FrobeniusBox,
-    PrimeField,
+    ResourceCapExceeded,
     RingMismatchError,
     frobenius_image,
     parse_ring,
@@ -16,7 +16,16 @@ from fpurity import (
     poly_pow,
 )
 from fpurity import Ideal, ideals
-from fpurity.poly import EXP_LIMIT, PolyRing, _layout, _minimal_power, _packed_mul, _packed_pow, _width
+from fpurity.poly import (
+    EXP_LIMIT,
+    _layout,
+    _minimal_power,
+    _packed_mul,
+    _packed_pow,
+    _width,
+    grevlex_key,
+    power_term_bound,
+)
 
 from conftest import p, tuple_pow
 
@@ -88,14 +97,11 @@ def test_pow_additivity(f, a, b):
     assert poly_pow(f, a + b) == poly_mul(poly_pow(f, a), poly_pow(f, b))
 
 
-R5_ELIM = PolyRing(PrimeField(5), ("t", "x", "y"), order="elim1")
-
-
 def brute_lead(f):
-    return max(f.terms, key=f.ring.key)
+    return max(f.terms, key=grevlex_key)
 
 
-@pytest.mark.parametrize("ring", [R3, R5_ELIM], ids=["grevlex", "elim1"])
+@pytest.mark.parametrize("ring", [R3], ids=["grevlex"])
 @given(data=st.data())
 @settings(max_examples=40)
 def test_cached_lead_is_the_largest_term(ring, data):
@@ -206,6 +212,30 @@ def test_poly_pow_refuses_an_overflowing_power_before_forming_it(r3xyz):
     # the largest power that fits is formed
     top = EXP_LIMIT // 2
     assert poly_pow(p("2*x^2", r3xyz), top) == r3xyz.monomial((2 * top, 0, 0), pow(2, top, 3))
+
+
+def test_poly_pow_refuses_a_power_past_the_term_cap(r3xyz):
+    # (x + y + z)^(2^62 + 1) over F_3 may have far more than MAX_BOX_TERMS
+    # terms: refused before any product
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapExceeded, match="^resource cap exceeded: max_box_terms"):
+        poly_pow(p("x + y + z", r3xyz), 2**62 + 1)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_power_term_bound_takes_the_smaller_bound():
+    # power_term_bound(t, deg f, k, s, p): the base-p digits of s bound
+    # (x + y + z)^(3^k - 1) over F_3 exactly; the dense bound caps
+    # (1 + x + ... + x^9)^1000 at its 9,001 monomials
+    ring = parse_ring("p=3; vars=x,y,z")
+    f = p("x + y + z", ring)
+    for k in range(1, 5):
+        assert power_term_bound(3, 1, 3, 3**k - 1, 3) == 6**k == len(tuple_pow(f, 3**k - 1).terms)
+    assert power_term_bound(10, 9, 1, 1000, 3) == 9001
+    assert power_term_bound(1, 4, 2, 2**62, 3) == 1  # a monomial
+    assert power_term_bound(0, 0, 0, 5, 3) == 1  # zero
+    dense = p(" + ".join(f"x^{i}" for i in range(10)), ring)
+    assert poly_pow(dense, 30) == tuple_pow(dense, 30)
 
 
 def _tuple_monomial_power(gens, N, q=None):
