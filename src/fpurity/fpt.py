@@ -5,9 +5,10 @@ nu_a(q) is the largest s with a^s escaping m^[q], for m the homogeneous
 maximal ideal of a's ring; every function here takes m from a, never as an
 argument. It is computed inside the Frobenius box S/m^[q], where a term
 drops out as soon as one of its exponents reaches q, so "a^s inside m^[q]"
-is "a^s vanishes in the box"; ``EscapeTest``, the enumeration of the
-purity criteria, asks it. The walk q' = p, p^2, ..., q binary-searches each
-nu(q') in the window that nu(q'/p) allows; see ``nu_value``.
+is "a^s vanishes in the box"; ``ProductWalk``, the enumeration of the
+purity criteria and the ideal powers, asks it. The walk q' = p, p^2, ...,
+q binary-searches each nu(q') in the window that nu(q'/p) allows; see
+``nu_value``.
 
 Dividing nu by q gives a lower bound for the threshold of a; the matching
 upper bound is (nu + mu)/q where mu is the number of generators of a
@@ -32,9 +33,8 @@ from typing import Optional
 
 from .ceilarith import ceil_mul, denominator_order, exponent_range
 from .errors import ResourceCapExceeded
-from .ideals import Ideal
-from .poly import FrobeniusBox, check_q
-from .purity import EscapeTest
+from .ideals import Ideal, ProductWalk
+from .poly import check_q
 
 CANDIDATE_CAP = 10_000
 
@@ -94,8 +94,8 @@ def nu_value(a: Ideal, q: int) -> int:
     contained); a failed check is an engine bug and raises AssertionError.
     a^0 is the whole ring and never contained.
 
-    Each level asks one ``EscapeTest``, the enumeration the Fedder criteria
-    use, so a cap on the products it forms applies here too.
+    Each level asks one ``ProductWalk`` in the box, the enumeration the
+    Fedder criteria use, so its cap on the products formed applies here too.
     """
     if a.is_zero():
         raise ValueError("nu is undefined for the zero ideal")
@@ -109,7 +109,7 @@ def nu_value(a: Ideal, q: int) -> int:
     nu, level = 0, 1
     while level < q:
         level *= p
-        escapes = EscapeTest(a, FrobeniusBox(ring, level)).escapes
+        escapes = ProductWalk(a, level).escapes
         # a^lo escapes and a^hi is contained, so lo <= nu(level) < hi
         lo = p * nu
         hi = lo + p if mu == 1 else min(p * (nu + 1) + mu * (p - 1), n * (level - 1) + 1)

@@ -42,13 +42,16 @@ to return only the low-degree generators the escape test can use, and
 against one basis truncated at their top degree.
 
 Ideal powers and p^e-th roots run on packed monomials too, with one path
-each: ``_power`` forms the generator products of a^N with the box's packed
-product and power, and ``_root`` splits every term of a product into its
-residue and quotient modulo q, field by field, and orders the residues by
-key. The test-ideal chain takes each entry (a^N)^[1/q] from the two in one
-pass (``power_root``), so a^N is never built as an ideal. Monomial powers
-and roots stay monomial: a^N by square-and-multiply (``_minimal_power``,
-shared with the box S/m^[q] of the escape test), each step pruned once by
+each. One walk, ``ProductWalk``, forms the generator products of a^N with
+the packed product and power, in S or in the box S/m^[q]: ``ideal_power``,
+``power_root``, ``nu_value`` and the Fedder witness search all ask it, and
+its one cap, ``MAX_POWER_PRODUCTS``, counts the products up front in S and
+as they are formed in the box. ``_root`` splits every term of a product
+into its residue and quotient modulo q, field by field, and orders the
+residues by key. The test-ideal chain takes each entry (a^N)^[1/q] from the
+two in one pass (``power_root``), so a^N is never built as an ideal.
+Monomial powers and roots stay monomial: a^N by square-and-multiply
+(``_minimal_power``, truncated in the box), each step pruned once by
 ``minimal_packed``, and its root by dividing every field and pruning once
 more.
 
@@ -72,6 +75,7 @@ from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchErro
 from .poly import (
     EXP_LIMIT,
     MAX_BOX_TERMS,
+    FrobeniusBox,
     Monomial,
     PolyRing,
     SparsePolynomial,
@@ -79,6 +83,7 @@ from .poly import (
     _layout,
     _minimal_power,
     _Overflow,
+    _check_power,
     _packed_mul,
     _packed_pow,
     _top_degree,
@@ -605,7 +610,7 @@ def _monomial_root(lay: _Layout, keys: Iterable[int], q: int) -> Ideal:
 
 
 def ideal_power(a: Ideal, N: int) -> Ideal:
-    """a^N, with a^0 the unit ideal, unpacked from ``_power``."""
+    """a^N, with a^0 the unit ideal, unpacked from ``ProductWalk``'s products."""
     if N < 0:
         raise ValueError(f"negative ideal power {N}")
     ring = a.ring
@@ -617,95 +622,172 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
         return Ideal.unit(ring)
     if N == 1:
         return a
-    lay, power = _power(a, N)
+    walk = ProductWalk(a)
+    power = walk.products(N)
     if a.is_monomial:
-        return Ideal._from_minimal(lay, power)
+        return Ideal._from_minimal(walk.lay, power)
     kept = {frozenset(h.items()): h for h in power}
-    return Ideal(ring, [lay.unpack(h, ordered=False) for h in kept.values()])
+    return Ideal(ring, [walk.lay.unpack(h, ordered=False) for h in kept.values()])
 
 
 def power_root(a: Ideal, N: int, q: int) -> Ideal:
     """(a^N)^[1/q] for N >= 1, with a^N never built as an ideal: the packed
-    products of ``_power`` go straight to the root."""
+    products of ``ProductWalk`` go straight to the root."""
     check_q(a.ring.p, q)
-    lay, power = _power(a, N)
+    walk = ProductWalk(a)
+    power = walk.products(N)
     if a.is_monomial:
-        return _monomial_root(lay, power, q)
-    return _root(lay, power, q)
+        return _monomial_root(walk.lay, power, q)
+    return _root(walk.lay, power, q)
 
 
-def _power(a: Ideal, N: int) -> tuple[_Layout, Iterable]:
-    """a^N, N >= 1 and a nonzero, on packed monomials of a layout whose
-    fields hold a^N's degree.
+class ProductWalk:
+    """The generator products of a^N, for a nonzero ideal a, in S or, given
+    q, in the box S/m^[q] (``FrobeniusBox``), where a term drops out once an
+    exponent reaches q: one walk for ``ideal_power``, ``power_root``,
+    ``nu_value`` and the Fedder witness search.
 
-    Monomial a: the minimal generators as exponent-field keys (no degree
-    field), ascending for N >= 2, from ``_minimal_power``.
-
-    Otherwise an iterator of packed products in the order of
-    ``itertools.combinations_with_replacement`` over the generators, not
-    deduplicated. Principal a is one product, f^N from the base-p digits of
-    N (``_packed_pow``). For more generators each g^k, k <= N, is built once,
-    as Frob(g^(k/p)) when p divides k and g^(k-1) * g otherwise, and more
-    than ``MAX_POWER_PRODUCTS`` products raise ResourceCapExceeded before
-    any is formed. Redundant generators are harmless (same ideal), and
-    basis-level pruning costs far more than the redundancy it removes at
-    the degrees these powers reach.
-
-    When N times the largest exponent of a generator passes 2^63-1,
-    ExponentOverflowError is raised before any product is formed.
+    Monomial a: the minimal generators of a^N as ascending exponent-field
+    keys, from ``_minimal_power``. Every other a, principal included:
+    g_1^k_1 * ... * g_r^k_r over k_1 + ... + k_r = N, each g^k one
+    ``_packed_pow`` kept for every N asked, each partial product formed once
+    for all of its extensions, and in the box one that vanishes drops them.
+    ``products`` and ``witness`` run in combinations_with_replacement order,
+    k_1 descending first; ``escapes`` runs each k_j up from 0, since on
+    capped inputs the other order formed larger products and ran up to 10x
+    longer. More than ``MAX_POWER_PRODUCTS`` products raise
+    ResourceCapExceeded: in S their count C(r + N - 1, N) is refused before
+    any is formed; in the box, where pruning makes it unknowable, products
+    are counted as they are formed, partial ones included.
     """
-    ring, gens = a.ring, a.generators
-    r = len(gens)
-    if r > 1 and not a.is_monomial:
-        count = math.comb(r + N - 1, N)
-        if count > MAX_POWER_PRODUCTS:
-            raise ResourceCapExceeded(
-                "max_power_products",
-                f"{count} degree-{N} products of {r} generators exceed "
-                f"{MAX_POWER_PRODUCTS}; use a principal or monomial fast path "
-                "or a smaller exponent",
-            )
-    top = N * max(max(map(max, g.terms)) for g in gens)
-    if top > EXP_LIMIT:
-        raise ExponentOverflowError(f"exponent {top} of a^{N} exceeds 2^63-1")
-    lay = _layout(ring, _width(N * _top_degree(gens)))
-    if a.is_monomial:
-        return lay, _minimal_power(list(map(lay.field_key, a.monomial_exponents())), N, lay)
-    p = ring.p
-    packed = [lay.pack(g) for g in gens]
-    if r == 1:
-        return lay, [_packed_pow(packed[0], N, p)]
-    powers = []
-    for g in packed:
-        row = [{0: 1}, g]
-        for k in range(2, N + 1):
-            if k % p:
-                row.append(_packed_mul(row[-1], g, p))
-            else:
-                row.append({m * p: c for m, c in row[k // p].items()})
-        powers.append(row)
-    return lay, _products(powers, N, p)
 
+    def __init__(self, a: Ideal, q: Optional[int] = None):
+        self.a, self.q, self.lay = a, q, None
+        if q is not None:  # one layout for every N, exponents below q
+            lay = FrobeniusBox(a.ring, q)._lay
+            if a.is_monomial:  # a witness is ordered by its degree field, which holds n(q - 1)
+                lay = _layout(a.ring, _width(a.ring.nvars * (q - 1)))
+            self._place(lay)
 
-def _products(powers: list[list[dict[int, int]]], N: int, p: int) -> Iterator[dict[int, int]]:
-    """g_1^k_1 * ... * g_r^k_r over k_1 + ... + k_r = N from the rows of
-    powers g_j^k, k_1 descending first, then k_2, and so on: the order of
-    combinations_with_replacement. A partial product is formed once for all
-    of its extensions."""
-    last = len(powers) - 1
+    def _place(self, lay: _Layout):
+        """Pack a's generators on lay, dropping powers packed on another."""
+        self.lay = lay
+        self._args = (self.a.ring.p,) if self.q is None else (self.a.ring.p, lay, self.q)
+        self._gens = [self._pack(g) for g in self.a.generators]
+        if self.a.is_monomial:
+            self._base = [m & lay.nodeg for g in self._gens for m in g]
+        self._powers: list[dict[int, dict[int, int]]] = [{} for _ in self._gens]
 
-    def extend(j: int, left: int, partial: Optional[dict[int, int]]):
-        for k in range(left, -1, -1) if j < last else (left,):
+    def _pack(self, f: SparsePolynomial) -> dict[int, int]:
+        """f on the walk's layout; in the box, its image on exponent-field keys."""
+        lay, q = self.lay, self.q
+        if q is None:
+            return lay.pack(f)
+        return {lay.field_key(m): c for m, c in f.terms.items() if max(m) < q}
+
+    def products(self, N: int) -> Iterable:
+        """The products of a^N, N >= 1, in the box only the nonzero ones: keys
+        for monomial a, else packed polynomials. In S, ``lay`` becomes a
+        layout that holds a^N's degree, after the cap and an exponent past
+        2^63-1 (ExponentOverflowError) are checked."""
+        a, r = self.a, len(self.a.generators)
+        if self.q is None:
+            count = math.comb(r + N - 1, N)
+            if not a.is_monomial and count > MAX_POWER_PRODUCTS:
+                raise ResourceCapExceeded(
+                    "max_power_products",
+                    f"{count} degree-{N} products of {r} generators exceed {MAX_POWER_PRODUCTS}; "
+                    "use a principal or monomial fast path or a smaller exponent",
+                )
+            self._fit(N)
+        if a.is_monomial:
+            return _minimal_power(self._base, N, self.lay, self.q)
+        return (product for _, product in self._walk(N, rising=False))
+
+    def _fit(self, N: int):
+        """Place the walk in S on a layout that holds a^N's degree."""
+        a = self.a
+        top = N * max(max(map(max, g.terms)) for g in a.generators)
+        if top > EXP_LIMIT:
+            raise ExponentOverflowError(f"exponent {top} of a^{N} exceeds 2^63-1")
+        lay = _layout(a.ring, _width(N * _top_degree(a.generators)))
+        if lay is not self.lay:
+            self._place(lay)
+
+    def escapes(self, N: int) -> bool:
+        """Whether a^N escapes m^[q]: some product is nonzero in the box."""
+        if self.a.is_monomial:
+            return bool(_minimal_power(self._base, N, self.lay, self.q))
+        return next(self._walk(N, rising=True), None) is not None
+
+    def witness(self, N: int, cofactors: Iterable[SparsePolynomial]) -> Optional[tuple]:
+        """The first pair (u, v), u a product of a^N and v a cofactor, with
+        u*v nonzero in the box; v runs inside u, and monomial u in grevlex
+        order. Only that u is formed in full, in S, and unpacked once."""
+        args = self._args
+        packed = [(v, self._pack(v)) for v in cofactors]
+
+        def accept(product: dict[int, int]) -> Optional[SparsePolynomial]:
+            return next((v for v, pv in packed if _packed_mul(product, pv, *args)), None)
+
+        if self.a.is_monomial:
+            lay = self.lay
+            for m in _grevlex(lay, _minimal_power(self._base, N, lay, self.q)):
+                v = accept({m & lay.nodeg: 1})
+                if v is not None:
+                    e = lay.exponents(m)
+                    return SparsePolynomial(lay.ring, {e: 1}, e), v
+            return None
+        for k, product in self._walk(N, rising=False):
+            v = accept(product)
+            if v is not None:
+                return ProductWalk(self.a).product(k), v
+        return None
+
+    def product(self, k: Sequence[int]) -> SparsePolynomial:
+        """g_1^k_1 * ... * g_r^k_r, formed in full by a walk in S after
+        ``poly_pow``'s checks on each factor."""
+        for g, kj in zip(self.a.generators, k):
+            _check_power(g, kj)
+        self._fit(sum(k))
+        args = self._args
+        factors = [_packed_pow(g, kj, *args) for g, kj in zip(self._gens, k) if kj] or [{0: 1}]
+        product = functools.reduce(lambda f, g: _packed_mul(f, g, *args), factors)
+        return self.lay.unpack(product, ordered=False)
+
+    def _walk(self, N: int, rising: bool) -> Iterator[tuple[list[int], dict[int, int]]]:
+        """(k, product) for the nonzero products of a^N, k_j rising if asked,
+        else falling; k is one list, updated in place."""
+        self._formed = 0
+        return self._extend(N, rising, 0, N, None, [0] * len(self._gens))
+
+    def _extend(self, N: int, rising: bool, j: int, left: int, partial, k: list[int]):
+        # partial * g_j^k_j * ... * g_last^k_last with k_j + ... + k_last = left,
+        # a partial of None being 1
+        last, q = len(self._gens) - 1, self.q
+        for kj in (left,) if j == last else range(left + 1) if rising else range(left, -1, -1):
+            self._formed += 1
+            if q is not None and self._formed > MAX_POWER_PRODUCTS:
+                raise ResourceCapExceeded(
+                    "max_power_products",
+                    f"more than {MAX_POWER_PRODUCTS} products of {last + 1} generators "
+                    f"formed for a^{N} modulo m^[{q}]",
+                )
             product = partial
-            if k:
-                factor = powers[j][k]
-                product = factor if partial is None else _packed_mul(partial, factor, p)
-            if j < last:
-                yield from extend(j + 1, left - k, product)
+            if kj:
+                row = self._powers[j]
+                product = row.get(kj)
+                if product is None:
+                    product = row[kj] = _packed_pow(self._gens[j], kj, *self._args)
+                if partial is not None:
+                    product = _packed_mul(partial, product, *self._args)
+                if not product:
+                    continue
+            k[j] = kj
+            if j == last:
+                yield k, {0: 1} if product is None else product
             else:
-                yield product
-
-    return extend(0, N, None)
+                yield from self._extend(N, rising, j + 1, left - kj, product, k)
 
 
 # ---------------------------------------------------------------------------
@@ -852,10 +934,16 @@ def _as_ideal(polys: list[dict[int, int]], lay: _Layout) -> list[dict[int, int]]
 
 def _monomials(lay: _Layout, keys: Iterable[int]) -> tuple[SparsePolynomial, ...]:
     """The generators ``Ideal(...)`` keeps for minimal exponent-field keys of
-    lay: their monomials in the ring order (key ^ asc, degree field filled)."""
-    ring, spread, dmask = lay.ring, lay.spread, lay.dmask
-    full = sorted((m | m * spread & dmask for m in keys), key=lay.asc.__xor__)
-    return tuple(SparsePolynomial(ring, {e: 1}, e) for e in map(lay.exponents, full))
+    lay: their monomials in the ring order."""
+    ring = lay.ring
+    return tuple(SparsePolynomial(ring, {e: 1}, e) for e in map(lay.exponents, _grevlex(lay, keys)))
+
+
+def _grevlex(lay: _Layout, keys: Iterable[int]) -> list[int]:
+    """Exponent-field keys of lay with the degree field filled, in the ring
+    order (key ^ asc); lay's fields must hold their degrees."""
+    spread, dmask = lay.spread, lay.dmask
+    return sorted((m | m * spread & dmask for m in keys), key=lay.asc.__xor__)
 
 
 def _height(I: Ideal) -> int:
@@ -996,6 +1084,10 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
             table = [_row(frob(lay.pack(b), q), q * lay.key(b.lead_monomial()), p) for b in basis]
             digit, counter, power, qi = _packed_pow(product, p - 1, p), _StepCounter(), {0: 1}, 1
             while qi < q:
+                if len(power) * len(digit) > MAX_BOX_TERMS:
+                    sizes = f"{len(power)}- and {len(digit)}-term factors"
+                    detail = f"a product of {sizes} may have more than {MAX_BOX_TERMS} terms"
+                    raise ResourceCapExceeded("max_box_terms", detail)
                 power = _normal_form(_packed_mul(power, frob(digit, qi), p), table, lay, counter)
                 qi *= p
             inputs.append(power)

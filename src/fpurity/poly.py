@@ -13,9 +13,10 @@ a 64-bit limit and raises instead of wrapping.
 
 Packed polynomials map ``_Layout`` keys to coefficients. One product,
 ``_packed_mul``, and one power from the base-p digits of the exponent,
-``_packed_pow``, serve ``poly_pow``, the ideal powers, the Fedder colon and
-``FrobeniusBox``, which truncates both to S/m^[q]. Elimination is a flag of
-the layout. ``poly_mul`` and ``frobenius_image`` stay on tuples.
+``_packed_pow``, serve ``poly_pow``, the ideal powers, the Fedder colon,
+and ``FrobeniusBox`` and the product walk of ``ideals``, which truncate both
+to S/m^[q]. Elimination is a flag of the layout. ``poly_mul`` and
+``frobenius_image`` stay on tuples.
 """
 
 from __future__ import annotations
@@ -237,13 +238,18 @@ def poly_pow(f: SparsePolynomial, s: int) -> SparsePolynomial:
     """
     if s < 0:
         raise ValueError(f"negative exponent {s}")
+    _check_power(f, s)
+    lay = _layout(f.ring, _width(s * _top_degree([f])))
+    return lay.unpack(_packed_pow(lay.pack(f), s, f.ring.p), ordered=False)
+
+
+def _check_power(f: SparsePolynomial, s: int):
+    """``poly_pow``'s checks on f^s before it is formed."""
     _check_scaled(f, s)
-    t, deg = len(f.terms), _top_degree([f])
-    if power_term_bound(t, deg, sum(map(any, zip(*f.terms))), s, f.ring.p) > MAX_BOX_TERMS:
+    t, k = len(f.terms), sum(map(any, zip(*f.terms)))
+    if power_term_bound(t, _top_degree([f]), k, s, f.ring.p) > MAX_BOX_TERMS:
         detail = f"a {t}-term f^{s} may have more than {MAX_BOX_TERMS} terms"
         raise ResourceCapExceeded("max_box_terms", detail)
-    lay = _layout(f.ring, _width(s * deg))
-    return lay.unpack(_packed_pow(lay.pack(f), s, f.ring.p), ordered=False)
 
 
 def _check_scaled(f: SparsePolynomial, s: int):

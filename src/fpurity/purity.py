@@ -20,14 +20,15 @@ the colon is computed only up to D, and a negative D settles containment
 with no Groebner work. Because m^[q] is monomial, each generator product is
 tested in the finite quotient S/m^[q] (``FrobeniusBox``, on the Groebner
 engine's packed keys): it escapes iff its truncated product is nonzero.
-``EscapeTest`` enumerates the products u of a'^N lazily, with the colon
-generators v inside, and forms in full only the u of the escaping pair;
-``nu_value`` asks the same enumeration with no colon. A proven verdict
-keeps the escaping pair (u, v) beside the product, and ``verify_witness``
-rechecks the pair by its factors: u in a'^N, v*f in I^[q] for every
-generator f of I (the definition of v in I^[q] : I), u*v the stored
-witness, and the witness outside m^[q]. The recheck computes no colon, so
-it is independent of ``fedder_colon``, the degree bound and the box.
+``ideals.ProductWalk`` enumerates the products u of a'^N lazily, with the
+colon generators v inside, and forms in full only the u of the escaping
+pair; ``nu_value`` and ``ideal_power`` ask the same walk, and its one cap
+on the products formed lives there. A proven verdict keeps the escaping
+pair (u, v) beside the product, and ``verify_witness`` rechecks the pair by
+its factors: u in a'^N, v*f in I^[q] for every generator f of I (the
+definition of v in I^[q] : I), u*v the stored witness, and the witness
+outside m^[q]. The recheck computes no colon, so it is independent of
+``fedder_colon``, the degree bound and the box.
 
 All checks happen at the homogeneous maximal ideal, the standard
 computable model for the local criterion, so an I outside m, where S/I has
@@ -39,15 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import mul
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .ceilarith import ceil_mul, exponent_range, floor_mul
-from .errors import ResourceCapExceeded, RingMismatchError
+from .errors import RingMismatchError
 from .ideals import (
-    MAX_POWER_PRODUCTS,
     Ideal,
+    ProductWalk,
     bracket_power,
     fedder_colon,
     ideal_contains,
@@ -55,7 +55,7 @@ from .ideals import (
     membership,
     positive_grading,
 )
-from .poly import FrobeniusBox, PolyRing, SparsePolynomial, _minimal_power, grevlex_key, poly_pow
+from .poly import PolyRing, SparsePolynomial
 
 SHARP = "sharp"
 STRONG = "strong"
@@ -164,109 +164,10 @@ def _escape_bound(pair: PairSpec, N: int, q: int) -> Optional[int]:
     return sum(weights) * (q - 1) - N * least
 
 
-_UNIT = {0: 1}
-
-
-class EscapeTest:
-    """Generator products of a^N tested for escape from m^[q] in the box
-    S/m^[q]; built once per ideal and box, so generator powers are shared
-    by every N asked.
-
-    ``witness`` takes the products in ``ideal_power``'s order. Monomial a
-    (two or more generators): the minimal generators of a^N outside m^[q] in
-    grevlex order, by ``_minimal_power`` truncated to the box. Otherwise:
-    g_1^k_1 * ... * g_r^k_r with sum k_j = N, k_1 = N first
-    (``combinations_with_replacement`` order), built one generator at a
-    time; a vanishing partial product drops its extensions, and more than
-    ``MAX_POWER_PRODUCTS`` products raise ResourceCapExceeded. ``escapes``
-    needs no particular product: one generator takes one box power, and more
-    run each k_j up from 0, since on capped inputs the other order formed
-    larger products and ran up to 10x longer.
-    """
-
-    def __init__(self, a: Ideal, box: FrobeniusBox):
-        self.a, self.box = a, box
-        self._gens = [box.pack(g) for g in a.generators]
-        self._powers: list[dict[int, dict[int, int]]] = [{} for _ in a.generators]
-        monomial = a.is_monomial and len(a.generators) > 1
-        self._base = [key for g in self._gens for key in g] if monomial else None
-
-    def escapes(self, N: int) -> bool:
-        """Whether a^N escapes m^[q]."""
-        if self._base is not None:
-            return bool(_minimal_power(self._base, N, self.box._lay, self.box.q))
-        if len(self._gens) == 1:
-            return bool(self.box.pow(self._gens[0], N))
-        return self._first(N, bool, rising=True) is not None  # reached products are nonzero
-
-    def witness(self, N: int, cofactors: Iterable[SparsePolynomial]) -> Optional[Factors]:
-        """The first pair (u, v), u a product of a^N and v a cofactor, with
-        u*v outside m^[q]; v runs inside u. Only that u is formed in full."""
-        box = self.box
-        packed = [(v, None if v.is_constant() else box.pack(v)) for v in cofactors]
-
-        def accept(product: dict[int, int]) -> Optional[SparsePolynomial]:
-            return next((v for v, pv in packed if pv is None or box.mul(product, pv)), None)
-
-        if self._base is not None:
-            power = box.unpack(dict.fromkeys(_minimal_power(self._base, N, box._lay, box.q), 1))
-            for mono in sorted(power.terms, key=grevlex_key):
-                u = SparsePolynomial(power.ring, {mono: 1}, mono)
-                v = accept(box.pack(u))
-                if v is not None:
-                    return u, v
-            return None
-        found = self._first(N, accept, rising=False)
-        return None if found is None else (_power_product(self.a.generators, found[0]), found[1])
-
-    def _first(self, N: int, accept, rising: bool):
-        """(k_1, ..., k_r) and accept(product) for the first product of a^N
-        nonzero in the box that accept maps to other than None, else None."""
-        box, gens, powers = self.box, self._gens, self._powers
-        cap, last = MAX_POWER_PRODUCTS, len(gens) - 1
-        exponents = [0] * len(gens)
-        formed = 0
-
-        def extend(j: int, left: int, partial: dict[int, int]):
-            # the first taken partial * g_j^k_j * ... * g_last^k_last with
-            # k_j + ... + k_last = left
-            nonlocal formed
-            ks = (left,) if j == last else range(left + 1) if rising else range(left, -1, -1)
-            for k in ks:
-                formed += 1
-                if formed > cap:
-                    raise ResourceCapExceeded(
-                        "max_power_products",
-                        f"more than {cap} products of {len(gens)} generators "
-                        f"formed for a^{N} modulo m^[{box.q}]",
-                    )
-                if not k:
-                    product = partial
-                else:
-                    if k not in powers[j]:
-                        powers[j][k] = box.pow(gens[j], k)
-                    product = powers[j][k] if partial is _UNIT else box.mul(partial, powers[j][k])
-                if product:
-                    exponents[j] = k
-                    found = accept(product) if j == last else extend(j + 1, left - k, product)
-                    if found is not None:
-                        return found
-            return None
-
-        found = extend(0, N, _UNIT)
-        return None if found is None else (exponents, found)
-
-
-def _power_product(gens: tuple[SparsePolynomial, ...], exponents: list[int]) -> SparsePolynomial:
-    """g_1^k_1 * ... * g_r^k_r, formed in full."""
-    factors = [poly_pow(g, k) for g, k in zip(gens, exponents) if k]
-    return reduce(mul, factors) if factors else gens[0].ring.one()
-
-
 def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[Factors]:
     """The first generator pair (u, v), u of a'^N and v of I^[q] : I, whose
     product u*v lies outside m^[q], if any, with u running over a'^N in
-    ``ideal_power``'s order and v over the colon (``EscapeTest``).
+    ``ideal_power``'s order and v over the colon (``ProductWalk.witness``).
 
     Only colon generators of W-degree up to ``_escape_bound`` can take part,
     so the colon is computed only up to it; it is the subsequence of the
@@ -279,7 +180,7 @@ def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[Factors]:
     cond = fedder_colon(pair.defining, q, bound)
     if cond.is_zero():
         return None  # no colon generator is low enough, so nothing escapes
-    return EscapeTest(pair.a_preimage, FrobeniusBox(pair.ring, q)).witness(N, cond.generators)
+    return ProductWalk(pair.a_preimage, q).witness(N, cond.generators)
 
 
 def _exponent(criterion: str, t: Fraction, q: int) -> int:

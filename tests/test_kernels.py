@@ -706,6 +706,21 @@ def test_a_complete_intersection_power_past_the_term_cap_exits_early():
     assert text.startswith("error: resource cap exceeded: max_box_terms (a 6-term P^1008 ")
 
 
+@pytest.mark.parametrize("prime", [13, 19])
+def test_a_complete_intersection_product_past_the_term_cap_exits_early(prime):
+    # the same P at e = 2: P^(p-1) stays within its term bound, but the product of
+    # the reduced power and Frob(P^(p-1)) would have |power| * |digit| terms,
+    # past MAX_BOX_TERMS, and is never formed
+    from fpurity.cli import EXIT_CAP, run
+
+    argv = f'fedder --ring "p={prime}; vars=x,y,z" --ideal "x^2 + y^3 + x*y*z, y*z + x^3" --emax 2 --json'
+    start = time.perf_counter()
+    code, text = run(shlex.split(argv))
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_CAP
+    assert text.startswith("error: resource cap exceeded: max_box_terms (a product of ")
+
+
 def test_fedder_power_reduction_keeps_the_generators():
     # (x^2 + y + 1, yz + x) over F_5 at q = 25: the full power has 5,625 terms
     ring = parse_ring("p=5; vars=x,y,z")
@@ -807,6 +822,83 @@ def test_capped_and_overflowing_powers_raise_before_any_product():
     general = ideal([f"x^{2**62} + y", "x*y"], ring)
     with pytest.raises(ExponentOverflowError):
         ideal_power(general, 2)
+
+
+def _walk_bases(rng, prime):
+    """Seeded nonzero proper a over 2 or 3 variables with 1 to 3
+    generators, exponents below 3: monomial, or with 1- and 2-term
+    generators."""
+    while True:
+        ring = parse_ring(f"p={prime}; vars=" + ",".join("xyz"[: rng.choice((2, 3))]))
+        monomial = rng.random() < 0.4
+        gens = [
+            ring.poly({
+                tuple(rng.randrange(3) for _ in range(ring.nvars)): rng.randrange(1, prime)
+                for _ in range(1 if monomial else rng.randrange(1, 3))
+            })
+            for _ in range(rng.randrange(1, 4))
+        ]
+        a = Ideal(ring, gens)
+        if not a.is_zero() and not a.has_constant_generator():
+            return a
+
+
+def _oracle_products(a, N):
+    """The products of a^N on exponent tuples: every g_1^k_1 * ... *
+    g_r^k_r from ``tuple_pow``, in combinations_with_replacement order; for
+    monomial a, its minimal generators in grevlex order."""
+    gens = a.generators
+    products = []
+    for combo in itertools.combinations_with_replacement(range(len(gens)), N):
+        h = a.ring.one()
+        for j in sorted(set(combo)):
+            h = h * tuple_pow(gens[j], combo.count(j))
+        products.append(h)
+    if not a.is_monomial:
+        return products
+    monos = sorted({next(iter(h.terms)) for h in products}, key=grevlex_key)
+    minimal = [m for m in monos if not any(u != m and all(map(operator.le, u, m)) for u in monos)]
+    return [a.ring.monomial(m) for m in minimal]
+
+
+def _truncated(h, q):
+    return h.ring.poly({m: c for m, c in h.terms.items() if max(m) < q})
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_the_product_walk_matches_the_tuple_products(prime):
+    # in S the products are those of tuple_pow, in order; in the box
+    # S/m^[q] they are those truncated, the vanishing ones dropped; a^N
+    # escapes iff some product does, and the witness is the first escaping
+    # product u in that order, each cofactor v tried inside u
+    rng = random.Random(f"walk:{prime}")
+    qs = (prime, prime**2) if prime < 5 else (prime,)
+    for _ in range(12):
+        a = _walk_bases(rng, prime)
+        ring = a.ring
+        cofactors = [ring.one()]
+        if rng.random() < 0.5:
+            cofactors = [parse_poly(f"x^{prime**2 - 1}*y", ring), parse_poly("x + y^2", ring)]
+        for q in qs:
+            box = ideals.ProductWalk(a, q)
+            for N in sorted({1, 2, q - 1, q, q + 1, rng.randrange(1, 3 * q + 1), 3 * q} - {0}):
+                want = _oracle_products(a, N)
+                walk = ideals.ProductWalk(a)
+                if a.is_monomial:
+                    keys = list(walk.products(N))
+                    assert sorted(map(walk.lay.exponents, keys)) == sorted(m.lead_monomial() for m in want)
+                    got_box = {box.lay.exponents(m) for m in box.products(N)}
+                    assert got_box == {m.lead_monomial() for m in want if max(m.lead_monomial()) < q}
+                else:
+                    got = [walk.lay.unpack(h) for h in walk.products(N)]
+                    assert got == want, (a, N)
+                    got_box = [box.lay.unpack(h) for h in box.products(N)]
+                    assert got_box == [t for t in (_truncated(h, q) for h in want) if not t.is_zero()]
+                assert box.escapes(N) == any(not _truncated(h, q).is_zero() for h in want), (a, q, N)
+                first = next(
+                    ((u, v) for u in want for v in cofactors if not _truncated(u * v, q).is_zero()), None
+                )
+                assert box.witness(N, cofactors) == first, (a, q, N)
 
 
 def test_the_chain_builds_no_ideal_power_or_root(monkeypatch):

@@ -385,7 +385,8 @@ def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
     # it forms u in full once, for the pair it returns, and the criterion
     # run then forms the one product u*v of the escaping pair
     from fpurity import poly, purity
-    from fpurity.purity import SHARP, _power_product, _run_criterion
+    from fpurity.ideals import ProductWalk
+    from fpurity.purity import SHARP, _run_criterion
 
     cone = pair(parse_ring("p=3; vars=x,y,z"), ["x", "y"], 1, ["x^2 - y*z"])
     quadrics = pair(parse_ring("p=3; vars=x,y,z,w"), ["x", "y"], 1, ["x*y - z*w", "x*z - y*w"])
@@ -393,23 +394,18 @@ def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
         (cone, 3, 2, True), (cone, 9, 5, True), (cone, 3, 3, False),
         (quadrics, 9, 0, True), (quadrics, 3, 1, False),
     ]
+    full = ProductWalk.product
+
+    def product(walk, exponents):
+        calls["product"] += 1
+        return full(walk, exponents)
+
     for pr, q, N, escapes in cases:
         cond = fedder_colon(pr.defining, q)
-        formed = {}
-
-        def power_product(gens, exponents):
-            calls["power_product"] += 1
-            key = (gens, tuple(exponents))
-            if key not in formed:
-                formed[key] = _power_product(gens, exponents)
-            return formed[key]
-
-        calls = {"power_product": 0}
+        calls = {"membership": 0, "poly_mul": 0, "product": 0}
         monkeypatch.setattr(purity, "fedder_colon", lambda I, q, bound=None: cond)
         monkeypatch.setattr(purity, "_exponent", lambda criterion, t, q: N)
-        monkeypatch.setattr(purity, "_power_product", power_product)
-        _escape_witness(pr, N, q)  # forms the escaping u, if any, uncounted
-        calls = {"membership": 0, "poly_mul": 0, "power_product": 0}
+        monkeypatch.setattr(ProductWalk, "product", product)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -422,14 +418,14 @@ def test_box_escape_forms_one_product_and_no_membership(monkeypatch):
         monkeypatch.setattr(poly, "poly_mul", counted("poly_mul", poly.poly_mul))
         got = _escape_witness(pr, N, q)
         loop_calls = dict(calls)
-        calls.update(membership=0, poly_mul=0, power_product=0)
+        calls.update(membership=0, poly_mul=0, product=0)
         e = {3: 1, 9: 2}[q]
         verdict = _run_criterion(pr, SHARP, [e])
         monkeypatch.undo()
         assert (got is not None) == escapes
         _assert_same_escape(got, _escaping_pair(pr, N, q))
-        assert loop_calls == {"membership": 0, "poly_mul": 0, "power_product": int(escapes)}
-        assert calls == {"membership": 0, "poly_mul": int(escapes), "power_product": int(escapes)}
+        assert loop_calls == {"membership": 0, "poly_mul": 0, "product": int(escapes)}
+        assert calls == {"membership": 0, "poly_mul": int(escapes), "product": int(escapes)}
         assert verdict.witness_factors == got
 
 
@@ -496,7 +492,7 @@ def test_escape_below_the_lowest_degree_forms_nothing(monkeypatch):
     pr = pair(ring, ["x"], 4, ["x^2 - y*z"])
     calls = []
     for module, name in (
-        (ideals, "_buchberger"), (purity, "fedder_colon"), (purity, "EscapeTest")
+        (ideals, "_buchberger"), (purity, "fedder_colon"), (purity, "ProductWalk")
     ):
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     for e in (1, 2):
@@ -527,7 +523,7 @@ def test_empty_bounded_colon_forms_no_power(monkeypatch):
     powered = ideal_power(pr.a_preimage, N)
     assert all(membership(u * v, mq) for u in powered.generators for v in full.generators)
     calls = []
-    monkeypatch.setattr(purity, "EscapeTest", lambda *args: calls.append(args))
+    monkeypatch.setattr(purity, "ProductWalk", lambda *args: calls.append(args))
     assert _escape_witness(pr, N, q) is None
     assert calls == []
 

@@ -287,3 +287,12 @@ def test_newton_tau_known_values(r3xy):
     assert ideal_equals(_newton_tau(a, Fraction(4, 5)), ideal(["1"], r3xy))
     assert ideal_equals(_newton_tau(a, Fraction(5, 6)), ideal(["x", "y"], r3xy))
     assert ideal_equals(_newton_tau(ideal(["x*y"], r3xy), Fraction(1)), ideal(["x*y"], r3xy))
+
+
+@pytest.mark.xfail(strict=True, reason="p in the denominator of t (ROADMAP item 1)")
+def test_tau_with_p_in_the_denominator_of_t():
+    # tau(y^(2t)) = (y^floor(2t)) for 2t not an integer (Hara-Yoshida 2003,
+    # Thm 4.8); 2t = 2185/729 gives (y^2), and the chain settles on (y^3)
+    code, text = run(["testideal", "--ring", "p=3; vars=x,y", "--a", "y^2", "--t", "2185/1458", "--json"])
+    assert code == EXIT_OK, text
+    assert json.loads(text)["tau"] == ["y^2"]
