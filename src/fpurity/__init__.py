@@ -51,7 +51,6 @@ from .parser import (
     poly_to_str,
 )
 from .poly import (
-    FrobeniusBox,
     PolyRing,
     SparsePolynomial,
     frobenius_image,
@@ -77,7 +76,6 @@ __all__ = [
     "ExponentOverflowError",
     "FptCertificate",
     "FptEstimate",
-    "FrobeniusBox",
     "Ideal",
     "NuRecord",
     "PairSpec",

@@ -131,39 +131,27 @@ def sharp_frobenius_membership(
         (held if contained else failed).append(e)
         if contained and certified is None and order is not None and e % order == 0:
             certified = e
+    certificate = None
     if certified is not None:
-        return ClosureVerdict(
-            CERTIFIED_IN,
-            tuple(e_values),
-            tuple(held),
-            tuple(failed),
-            certified,
-            CERT_PRINCIPAL_INTEGRAL,
-            note=(
-                f"principal pair ideal with t(p^{certified} - 1) integral and the "
-                f"containment verified at e={certified}: z is in the closure"
-            ),
+        outcome, certificate = CERTIFIED_IN, CERT_PRINCIPAL_INTEGRAL
+        note = (
+            f"principal pair ideal with t(p^{certified} - 1) integral and the "
+            f"containment verified at e={certified}: z is in the closure"
         )
-    if failed:
-        return ClosureVerdict(
-            FAILED_AT,
-            tuple(e_values),
-            tuple(held),
-            tuple(failed),
-            note=(
-                "diagnostic only: failures at finitely many e do not disprove "
-                "membership, which requires failure at infinitely many e"
-            ),
+    elif failed:
+        outcome = FAILED_AT
+        note = (
+            "diagnostic only: failures at finitely many e do not disprove "
+            "membership, which requires failure at infinitely many e"
         )
-    return ClosureVerdict(
-        BOUNDED_IN,
-        tuple(e_values),
-        tuple(held),
-        tuple(failed),
-        note=(
+    else:
+        outcome = BOUNDED_IN
+        note = (
             "containment held over the whole tested range but no certificate "
             "applies; evidence only"
-        ),
+        )
+    return ClosureVerdict(
+        outcome, tuple(e_values), tuple(held), tuple(failed), certified, certificate, note
     )
 
 

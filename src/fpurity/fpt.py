@@ -76,9 +76,9 @@ def nu_value(a: Ideal, q: int) -> int:
     """max{s >= 0 : a^s escapes m^[q]}, walking q' = p, p^2, ..., q.
 
     m is the homogeneous maximal ideal of a's ring; every test "a^s inside
-    m^[q']?" runs in the box S/m^[q'] (``FrobeniusBox``), where it asks
-    whether a^s vanishes. The predicate is monotone in s, so each level is
-    a binary search, started from nu(1) = 0 (a sits in m) and confined to
+    m^[q']?" runs in the box S/m^[q'] (``ideals.ProductWalk``), where it
+    asks whether a^s vanishes. The predicate is monotone in s, so each level
+    is a binary search, started from nu(1) = 0 (a sits in m) and confined to
     the window that the previous level's nu = nu(q'/p) leaves:
 
       * principal a:      p*nu <= nu(q') <= p*nu + p - 1,

@@ -49,7 +49,8 @@ its one cap, ``MAX_POWER_PRODUCTS``, counts the products up front in S and
 as they are formed in the box. ``_root`` splits every term of a product
 into its residue and quotient modulo q, field by field, and orders the
 residues by key. The test-ideal chain takes each entry (a^N)^[1/q] from the
-two in one pass (``power_root``), so a^N is never built as an ideal.
+two in one pass (``power_root``), so a^N is never built as an ideal, and
+``root_power`` is its N = 1.
 Monomial powers and roots stay monomial: a^N by square-and-multiply
 (``_minimal_power``, truncated in the box), each step pruned once by
 ``minimal_packed``, and its root by dividing every field and pruning once
@@ -75,7 +76,6 @@ from .errors import ExponentOverflowError, ResourceCapExceeded, RingMismatchErro
 from .poly import (
     EXP_LIMIT,
     MAX_BOX_TERMS,
-    FrobeniusBox,
     Monomial,
     PolyRing,
     SparsePolynomial,
@@ -553,15 +553,14 @@ def root_power(I: Ideal, q: int) -> Ideal:
     the monomials x^C with all exponents below q, because the ring is free
     over its subring of q-th powers with that basis. Coefficients need no
     adjustment: c^q = c in F_p. The ideal generated by all g_C is the
-    minimal choice. For a monomial x^v that piece is x^floor(v/q).
+    minimal choice. For a monomial x^v that piece is x^floor(v/q). The
+    pieces come from ``power_root`` with N = 1, whose walk yields the
+    generators in order.
     """
     check_q(I.ring.p, q)
     if q == 1 or I.is_zero():
         return I
-    lay = _layout(I.ring, _width(_top_degree(I.generators)))
-    if I.is_monomial:
-        return _monomial_root(lay, map(lay.field_key, I.monomial_exponents()), q)
-    return _root(lay, map(lay.pack, I.generators), q)
+    return power_root(I, 1, q)
 
 
 def _root(lay: _Layout, products: Iterable[dict[int, int]], q: int) -> Ideal:
@@ -643,9 +642,15 @@ def power_root(a: Ideal, N: int, q: int) -> Ideal:
 
 class ProductWalk:
     """The generator products of a^N, for a nonzero ideal a, in S or, given
-    q, in the box S/m^[q] (``FrobeniusBox``), where a term drops out once an
-    exponent reaches q: one walk for ``ideal_power``, ``power_root``,
+    q, in the box S/m^[q]: one walk for ``ideal_power``, ``power_root``,
     ``nu_value`` and the Fedder witness search.
+
+    A polynomial lies in m^[q], m = (x_1, ..., x_n), iff each of its terms
+    has some exponent >= q, so its box image (``_pack``) drops those terms,
+    and truncating after every product is exact since m^[q] is an ideal. Box
+    terms are exponent-field keys of one layout for every N, bits(q - 1) + 1
+    wide so that no field carries; for monomial a, whose witness is ordered
+    by its degree field, wide enough for n(q - 1).
 
     Monomial a: the minimal generators of a^N as ascending exponent-field
     keys, from ``_minimal_power``. Every other a, principal included:
@@ -655,19 +660,25 @@ class ProductWalk:
     ``products`` and ``witness`` run in combinations_with_replacement order,
     k_1 descending first; ``escapes`` runs each k_j up from 0, since on
     capped inputs the other order formed larger products and ran up to 10x
-    longer. More than ``MAX_POWER_PRODUCTS`` products raise
-    ResourceCapExceeded: in S their count C(r + N - 1, N) is refused before
-    any is formed; in the box, where pruning makes it unknowable, products
-    are counted as they are formed, partial ones included.
+    longer.
+
+    Checks and caps: on construction, q must be a power of p (ValueError),
+    with exponents up to q - 1 inside 2^63-1 (ExponentOverflowError). More
+    than ``MAX_POWER_PRODUCTS`` products raise ResourceCapExceeded: in S
+    their count C(r + N - 1, N) is refused before any is formed; in the box,
+    where pruning makes it unknowable, products are counted as they are
+    formed, partial ones included. A box product past ``MAX_BOX_TERMS``
+    terms raises it too (``_packed_mul``).
     """
 
     def __init__(self, a: Ideal, q: Optional[int] = None):
         self.a, self.q, self.lay = a, q, None
-        if q is not None:  # one layout for every N, exponents below q
-            lay = FrobeniusBox(a.ring, q)._lay
-            if a.is_monomial:  # a witness is ordered by its degree field, which holds n(q - 1)
-                lay = _layout(a.ring, _width(a.ring.nvars * (q - 1)))
-            self._place(lay)
+        if q is not None:
+            check_q(a.ring.p, q)
+            if q - 1 > EXP_LIMIT:
+                raise ExponentOverflowError(f"exponents of S/m^[{q}] reach {q - 1}, past 2^63-1")
+            w = _width(a.ring.nvars * (q - 1)) if a.is_monomial else (q - 1).bit_length() + 1
+            self._place(_layout(a.ring, w))
 
     def _place(self, lay: _Layout):
         """Pack a's generators on lay, dropping powers packed on another."""

@@ -14,8 +14,8 @@ a 64-bit limit and raises instead of wrapping.
 Packed polynomials map ``_Layout`` keys to coefficients. One product,
 ``_packed_mul``, and one power from the base-p digits of the exponent,
 ``_packed_pow``, serve ``poly_pow``, the ideal powers, the Fedder colon,
-and ``FrobeniusBox`` and the product walk of ``ideals``, which truncate both
-to S/m^[q]. Elimination is a flag of the layout. ``poly_mul`` and
+and the product walk of ``ideals``, which truncates both to the box
+S/m^[q]. Elimination is a flag of the layout. ``poly_mul`` and
 ``frobenius_image`` stay on tuples.
 """
 
@@ -34,7 +34,7 @@ from .field import PrimeField
 Monomial = tuple[int, ...]
 
 EXP_LIMIT = 2**63 - 1
-# terms a FrobeniusBox product may collect, and an untruncated power's
+# terms one product in the box S/m^[q] may collect, and an untruncated power's
 # ``power_term_bound`` may reach, before ResourceCapExceeded("max_box_terms")
 MAX_BOX_TERMS = 250_000
 
@@ -295,7 +295,7 @@ class _Layout:
     with ``elim`` t first, then grevlex. Its reverse is that of m ^ desc
     (desc flips the other fields). An exponent-field key (``field_key``)
     leaves the degree field at 0: monomial ideals are pruned on such keys
-    and ``FrobeniusBox`` computes on them, with guard bits ``eguards``;
+    and the box S/m^[q] computes on them, with guard bits ``eguards``;
     ``offset(b)`` marks exponents >= b.
 
     A formed monomial is checked against ``limit``, which holds every guard
@@ -403,9 +403,9 @@ def _packed_mul(
     """The product of two packed polynomials over F_p.
 
     With a layout, f, g and the product are exponent-field keys of it in the
-    sub-box S/m^[b] of ``FrobeniusBox``: adding ``lay.offset(b)`` to a key
-    sets a guard bit exactly when some exponent is >= b, so one mask test
-    drops a term. More than MAX_BOX_TERMS collected terms then raise
+    box S/m^[b], truncated to exponents below b: adding ``lay.offset(b)`` to
+    a key sets a guard bit exactly when some exponent is >= b, so one mask
+    test drops a term. More than MAX_BOX_TERMS collected terms then raise
     ResourceCapExceeded, checked once per term of the shorter factor.
     """
     if not f or not g:
@@ -437,7 +437,8 @@ def _packed_pow(
     f: dict[int, int], s: int, p: int, lay: Optional[_Layout] = None, q: Optional[int] = None
 ) -> dict[int, int]:
     """f^s for a packed polynomial f over F_p; with a layout, f and f^s are
-    exponent-field keys of it in the box S/m^[q] (``FrobeniusBox``).
+    exponent-field keys of it in the box S/m^[q], truncated to exponents
+    below q.
 
     f^s = Frob(f^(s // p)) * f^(s % p), where the Frobenius multiplies every
     key by p, degree field included (c^p = c), and the digit power comes from
@@ -518,7 +519,7 @@ def _minimal_power(base: list[int], N: int, lay: _Layout, q: Optional[int] = Non
     """The minimal generators of (base)^N, base minimal exponent-field keys
     of lay: [0] for N = 0, base for N = 1, else ascending, square-and-multiply
     from the top bit of N with each step pruned once. With q, base lies outside
-    m^[q] and only products outside it are kept (``FrobeniusBox``'s truncation)."""
+    m^[q] and only products outside it are kept: the truncation to the box."""
     if not N:
         return [0]
     guards, off = lay.eguards, None if q is None else lay.offset(q)
@@ -534,58 +535,6 @@ def _minimal_power(base: list[int], N: int, lay: _Layout, q: Optional[int] = Non
         if bit == "1":
             power = prune({u + v for u in power for v in base})
     return power
-
-
-# ---------------------------------------------------------------------------
-# the Frobenius box S/m^[q]
-
-
-class FrobeniusBox:
-    """Arithmetic in the finite quotient S/m^[q], m = (x_1, ..., x_n), q = p^e.
-
-    A polynomial lies in m^[q] exactly when every one of its terms has some
-    exponent >= q, so its image in the box is the polynomial with those
-    terms dropped, and "g in m^[q]" becomes "g is zero in the box".
-    Truncating after every product is exact because m^[q] is an ideal.
-
-    Inside the box a polynomial is a dict from packed monomial to
-    coefficient: an exponent-field key of the ring's ``_Layout`` of width
-    w = bits(q-1) + 1, so 2^(w-1) >= q, multiplying monomials is adding
-    ints and no field carries into the next. ``mul`` and ``pow`` are the
-    packed kernels ``_packed_mul`` and ``_packed_pow`` truncated to the box:
-    a power is built from the base-p digits of its exponent, each partial
-    power in the sub-box where it is exact.
-
-    Every exponent in the box is below q, so the 2^63-1 exponent limit is
-    checked once, on q. A product that collects more than MAX_BOX_TERMS
-    terms raises ResourceCapExceeded, so its memory and time stay bounded.
-    """
-
-    __slots__ = ("ring", "q", "_lay")
-
-    def __init__(self, ring: PolyRing, q: int):
-        check_q(ring.p, q)
-        if q - 1 > EXP_LIMIT:
-            raise ExponentOverflowError(
-                f"exponents of S/m^[{q}] reach {q - 1}, past 2^63-1"
-            )
-        self.ring = ring
-        self.q = q
-        self._lay = _layout(ring, (q - 1).bit_length() + 1)
-
-    def pack(self, f: SparsePolynomial) -> dict[int, int]:
-        """The image of f in the box."""
-        q, key = self.q, self._lay.field_key
-        return {key(mono): c for mono, c in f.terms.items() if all(e < q for e in mono)}
-
-    def unpack(self, terms: dict[int, int]) -> SparsePolynomial:
-        return self._lay.unpack(terms, ordered=False)
-
-    def mul(self, f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
-        return _packed_mul(f, g, self.ring.p, self._lay, self.q)
-
-    def pow(self, f: dict[int, int], s: int) -> dict[int, int]:
-        return _packed_pow(f, s, self.ring.p, self._lay, self.q)
 
 
 def check_q(p: int, q: int):

@@ -18,17 +18,17 @@ weights W, a monomial outside m^[q] has W-degree at most sum(W) * (q-1), so
 only colon generators up to a degree bound D can enter an escaping product;
 the colon is computed only up to D, and a negative D settles containment
 with no Groebner work. Because m^[q] is monomial, each generator product is
-tested in the finite quotient S/m^[q] (``FrobeniusBox``, on the Groebner
-engine's packed keys): it escapes iff its truncated product is nonzero.
-``ideals.ProductWalk`` enumerates the products u of a'^N lazily, with the
-colon generators v inside, and forms in full only the u of the escaping
-pair; ``nu_value`` and ``ideal_power`` ask the same walk, and its one cap
-on the products formed lives there. A proven verdict keeps the escaping
-pair (u, v) beside the product, and ``verify_witness`` rechecks the pair by
-its factors: u in a'^N, v*f in I^[q] for every generator f of I (the
-definition of v in I^[q] : I), u*v the stored witness, and the witness
-outside m^[q]. The recheck computes no colon, so it is independent of
-``fedder_colon``, the degree bound and the box.
+tested in the finite quotient S/m^[q], on the Groebner engine's packed
+keys: it escapes iff its truncated product is nonzero. That box belongs to
+``ideals.ProductWalk``, which enumerates the products u of a'^N lazily,
+with the colon generators v inside, and forms in full only the u of the
+escaping pair; ``nu_value`` and ``ideal_power`` ask the same walk, and its
+one cap on the products formed lives there. A proven verdict keeps the
+escaping pair (u, v) beside the product, and ``verify_witness`` rechecks
+the pair by its factors: u in a'^N, v*f in I^[q] for every generator f of
+I (the definition of v in I^[q] : I), u*v the stored witness, and the
+witness outside m^[q]. The recheck computes no colon, so it is independent
+of ``fedder_colon``, the degree bound and the box.
 
 All checks happen at the homogeneous maximal ideal, the standard
 computable model for the local criterion, so an I outside m, where S/I has

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from fpurity import frobenius_image, parse_poly, parse_ring, poly_mul
-from fpurity.poly import grevlex_key
+from fpurity.poly import _layout, grevlex_key
 
 
 @pytest.fixture
@@ -54,3 +54,9 @@ def tuple_pow(f, s):
         if s:
             base = poly_mul(base, base)
     return frobenius_image(acc, q)
+
+
+def box(f, q):
+    """The box S/m^[q]'s layout, and f's image there: its terms with every exponent below q."""
+    lay = _layout(f.ring, (q - 1).bit_length() + 1)
+    return lay, {lay.field_key(m): c for m, c in f.terms.items() if all(e < q for e in m)}

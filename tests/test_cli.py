@@ -29,6 +29,21 @@ def readme_examples():
     return [shlex.split(l)[1:] + ["--json"] for l in lines if l.startswith("fpurity ")]
 
 
+def test_readme_library_example_runs_as_documented():
+    # the python block under "## Library", run as it stands, gives what its
+    # three comments say
+    block = README.read_text().split("## Library", 1)[1].split("```python\n", 1)[1]
+    scope = {}
+    exec(block.split("```", 1)[0], scope)
+    verdict, tau, estimate = scope["verdict"], scope["tau"], scope["estimate"]
+    assert (verdict.outcome, verdict.witness_e, repr(verdict.witness_poly)) == (
+        "proven-pure", 1, "x^2*y^2"
+    )
+    assert repr(tau) == "(x*y)"
+    cert = estimate.certificate
+    assert (estimate.label, cert.t_star, cert.exact, cert.kind) == ("exact", 1, True, "sharp-fedder")
+
+
 def run_json(argv):
     code, text = run(argv + ["--json"])
     assert code == EXIT_OK, text
@@ -231,6 +246,19 @@ def test_exponent_overflow_exits_with_cap_code():
     assert text.startswith("error: exponent cap 2^63-1 exceeded")
 
 
+def test_a_box_past_the_exponent_limit_exits_at_once():
+    # q = 3^40 puts exponents of S/m^[q] past 2^63 - 1: the walk in the box
+    # refuses it on construction
+    start = time.perf_counter()
+    code, text = run(["nu", "--ring", "p=3; vars=x,y", "--a", "x", "--emax", "40"])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_CAP
+    assert text == (
+        "error: exponent cap 2^63-1 exceeded (exponents of S/m^[12157665459056928801] "
+        "reach 12157665459056928800, past 2^63-1)"
+    )
+
+
 def test_exponent_overflow_in_a_reduction_exits_with_cap_code():
     # z = x^(2^62) y^(2^62) reduced by x^(2^61) + 2 y^(2^61) reaches y^(2^63)
     code, text = run([
@@ -400,7 +428,7 @@ def test_every_option_is_read():
 # library user's documented entry point. A check that only tests call is
 # written in the tests, over these names, not exported from src/.
 PUBLIC_NAMES = [
-    "ClosureVerdict", "ExponentOverflowError", "FptCertificate", "FptEstimate", "FrobeniusBox",
+    "ClosureVerdict", "ExponentOverflowError", "FptCertificate", "FptEstimate",
     "Ideal", "NuRecord", "PairSpec", "ParseError", "PolyRing", "PrimeField", "PurityVerdict",
     "ResourceCapExceeded", "RingMismatchError", "SparsePolynomial", "TestIdealResult",
     "all_members", "bracket_power", "ceil_mul", "classic_fpure", "colon", "denominator_order",

@@ -6,7 +6,6 @@ import pytest
 from fpurity import (
     Ideal,
     PairSpec,
-    FrobeniusBox,
     ResourceCapExceeded,
     bracket_power,
     fpt_bounds,
@@ -21,7 +20,9 @@ from fpurity import (
     strong_fedder,
 )
 
-from conftest import tuple_pow
+from fpurity.poly import _packed_pow
+
+from conftest import box, tuple_pow
 
 
 def ideal(texts, ring):
@@ -323,8 +324,8 @@ def test_nu_zero_when_a_lies_in_the_bracket_power(texts, r3xy):
 def test_box_power_zero_is_one(r3xy):
     f = parse_poly("x^2 + y", r3xy)
     for q in (1, 3, 9):
-        box = FrobeniusBox(r3xy, q)
-        assert box.unpack(box.pow(box.pack(f), 0)) == r3xy.one()
+        lay, packed = box(f, q)
+        assert lay.unpack(_packed_pow(packed, 0, 3, lay, q), ordered=False) == r3xy.one()
 
 
 def test_nu_rejects_q_not_a_power_of_p(r3xy):

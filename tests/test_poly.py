@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from fpurity import (
     ExponentOverflowError,
-    FrobeniusBox,
     ResourceCapExceeded,
     RingMismatchError,
     frobenius_image,
@@ -27,7 +26,7 @@ from fpurity.poly import (
     power_term_bound,
 )
 
-from conftest import p, tuple_pow
+from conftest import box, p, tuple_pow
 
 
 def polys(ring, max_terms=4, max_exp=5):
@@ -151,15 +150,17 @@ def truncated(f, q):
 @settings(max_examples=60)
 def test_box_pow_is_truncated_pow(f, s, e):
     # includes constant terms and s spanning several base-3 digits
-    box = FrobeniusBox(R3, 3**e)
-    assert box.unpack(box.pow(box.pack(f), s)) == truncated(tuple_pow(f, s), 3**e)
+    lay, packed = box(f, 3**e)
+    got = lay.unpack(_packed_pow(packed, s, 3, lay, 3**e), ordered=False)
+    assert got == truncated(tuple_pow(f, s), 3**e)
 
 
 @given(f=polys(R3, max_exp=9), g=polys(R3, max_exp=9), e=st.integers(0, 2))
 @settings(max_examples=60)
 def test_box_mul_is_truncated_mul(f, g, e):
-    box = FrobeniusBox(R3, 3**e)
-    assert box.unpack(box.mul(box.pack(f), box.pack(g))) == truncated(poly_mul(f, g), 3**e)
+    (lay, pf), (_, pg) = box(f, 3**e), box(g, 3**e)
+    got = lay.unpack(_packed_mul(pf, pg, 3, lay, 3**e), ordered=False)
+    assert got == truncated(poly_mul(f, g), 3**e)
 
 
 def _random_poly(rng, ring, terms):
@@ -189,16 +190,16 @@ def test_packed_kernels_match_the_tuple_oracle(prime):
                 lay = _layout(ring, _width(s * max(map(sum, f.terms), default=0)))
                 assert lay.unpack(_packed_pow(lay.pack(f), s, prime), ordered=False) == want, (f, s)
                 for q in (1, prime, prime**2, prime**3):
-                    box = FrobeniusBox(ring, q)
-                    got = box.unpack(_packed_pow(box.pack(f), s, prime, box._lay, q))
+                    blay, pf = box(f, q)
+                    got = blay.unpack(_packed_pow(pf, s, prime, blay, q), ordered=False)
                     assert got == truncated(want, q), (f, s, q)
             for g in polys:
                 want = poly_mul(f, g)
                 lay = _layout(ring, _width(6 * n))
                 assert lay.unpack(_packed_mul(lay.pack(f), lay.pack(g), prime)) == want, (f, g)
                 for q in (1, prime, prime**2):
-                    box = FrobeniusBox(ring, q)
-                    got = box.unpack(_packed_mul(box.pack(f), box.pack(g), prime, box._lay, q))
+                    (blay, pf), (_, pg) = box(f, q), box(g, q)
+                    got = blay.unpack(_packed_mul(pf, pg, prime, blay, q), ordered=False)
                     assert got == truncated(want, q), (f, g, q)
 
 
@@ -274,35 +275,44 @@ def test_minimal_power_matches_the_tuple_oracle(prime):
             if N >= 2:
                 assert got == sorted(got)
             for q in (1, prime, prime**2, prime**3):
-                box = FrobeniusBox(ring, q)
-                base = [key for g in a.generators for key in box.pack(g)]
-                got = _minimal_power(base, N, box._lay, q)
+                images = [box(g, q) for g in a.generators]
+                blay = images[0][0]
+                got = _minimal_power([key for _, g in images for key in g], N, blay, q)
                 want = _tuple_monomial_power(gens, N, q)
-                assert set(box.unpack(dict.fromkeys(got, 1)).terms) == want, (a, N, q)
+                assert set(blay.unpack(dict.fromkeys(got, 1)).terms) == want, (a, N, q)
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5, 7])
 def test_box_keys_are_layout_field_keys(prime):
     # a box key is the key of the ring's layout at the box's width, degree
-    # field masked off, and the field-by-field packing the box once did
+    # field masked off, and the field-by-field packing the box once did; the
+    # walk's box image (ProductWalk._pack) is the tests' ``box``
     rng = random.Random(f"box-keys:{prime}")
     for n in range(1, 6):
         ring = parse_ring(f"p={prime}; vars=" + ",".join("xyzwv"[:n]))
         for e in range(6):
             q = prime**e
-            box = FrobeniusBox(ring, q)
+            walk = ideals.ProductWalk(Ideal(ring, [ring.one() + ring.var("x")]), q)
             w = (q - 1).bit_length() + 1
             lay = ideals._layout(ring, w)
+            assert walk.lay is lay
             for _ in range(15):
                 mono = tuple(rng.randrange(q) for _ in range(n))
-                (key,) = box.pack(ring.monomial(mono))
+                f = ring.monomial(mono)
+                (key,) = walk._pack(f)
+                assert box(f, q) == (lay, {key: 1})
                 assert key == lay.key(mono) & lay.nodeg == sum(x << (w * i) for i, x in enumerate(mono))
-                assert box.unpack({key: 1}) == ring.monomial(mono)
+                assert lay.unpack({key: 1}, ordered=False) == f
 
 
 def test_box_rejects_exponents_past_the_limit(r3x):
-    FrobeniusBox(r3x, 3**39)
-    with pytest.raises(ExponentOverflowError):
-        FrobeniusBox(r3x, 3**40)
-    with pytest.raises(ValueError):
-        FrobeniusBox(r3x, 6)
+    # the walk in the box S/m^[q] checks q on construction, for monomial
+    # and other a alike
+    for a in (Ideal(r3x, [p("x", r3x)]), Ideal(r3x, [p("x + x^2", r3x)])):
+        ideals.ProductWalk(a, 3**39)
+        with pytest.raises(ExponentOverflowError, match=(
+            rf"^exponents of S/m\^\[{3**40}\] reach {3**40 - 1}, past 2\^63-1$"
+        )):
+            ideals.ProductWalk(a, 3**40)
+        with pytest.raises(ValueError, match="not a power"):
+            ideals.ProductWalk(a, 6)
