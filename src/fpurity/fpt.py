@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Optional
 
 from .ceilarith import ceil_mul, denominator_order, exponent_range
@@ -138,21 +137,15 @@ def nu_table(a: Ideal, e_max: int) -> list[NuRecord]:
     return [fpt_bounds(a, e) for e in exponent_range(e_max)]
 
 
-def _divisors(n: int) -> set[int]:
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return {*small, *(n // d for d in small)}
-
-
 def _candidates(lo: Fraction, hi: Fraction, p: int, e_max: int) -> list[Fraction]:
-    """Rationals in [lo, hi] whose denominator divides p^e - 1, e <= e_max."""
-    dens: set[int] = set()
-    for e in range(1, e_max + 1):
-        dens.update(_divisors(p**e - 1))
+    """Positive rationals in [lo, hi] whose denominator divides p^e - 1,
+    e <= e_max: the k/(p^e - 1) for integers k, since a reduced denominator
+    divides p^e - 1 iff the rational is such a k/(p^e - 1)."""
     found: set[Fraction] = set()
-    for den in sorted(dens):
-        k_lo = ceil_mul(lo, den)
+    for e in range(1, e_max + 1):
+        den = p**e - 1
         k_hi = (hi.numerator * den) // hi.denominator
-        for k in range(max(k_lo, 1), k_hi + 1):
+        for k in range(max(ceil_mul(lo, den), 1), k_hi + 1):
             found.add(Fraction(k, den))
             if len(found) > CANDIDATE_CAP:
                 raise ResourceCapExceeded(

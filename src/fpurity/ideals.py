@@ -14,15 +14,14 @@ monomial, a field per exponent plus one for a degree, laid out so that a
 product is one addition, a divisibility test one subtraction and mask,
 and the ring order the integer order after one XOR. One loop,
 ``_normal_form``, reduces for Buchberger and its interreduction, for
-membership and ``all_members``, for the Fedder complete-intersection
-power and, recording a quotient, for exact division. It takes the largest
-remaining term from a heap of packed keys, against a table of divisor
-rows that one Buchberger run builds once and extends as the basis grows;
-an ideal keeps its basis's rows beside the basis. Polynomials are packed
-on entry and unpacked on exit; ``SparsePolynomial`` keeps exponent tuples
-outside the packed kernels. Field widths come from the inputs' degrees,
-and a run in which a formed monomial reaches a field's guard bit starts
-again with wider fields.
+``all_members``, for the Fedder complete-intersection power and,
+recording a quotient, for exact division. It takes the largest remaining
+term from a heap of packed keys, against a table of divisor rows that one
+Buchberger run builds once and extends as the basis grows. Polynomials
+are packed on entry and unpacked on exit; ``SparsePolynomial`` keeps
+exponent tuples outside the packed kernels. Field widths come from the
+inputs' degrees, and a run in which a formed monomial reaches a field's
+guard bit starts again with wider fields.
 
 Colons run one intersection per generator of the divisor ideal on packed
 keys from start to end, each by elimination of an extra variable t, whose
@@ -38,8 +37,10 @@ full reduced basis, because homogeneous S-polynomials and remainders keep
 the degree of their lcm. Giving t weight 0 makes t*J + (1-t)*K homogeneous
 as well, so eliminations truncate the same way. ``fedder_colon`` uses this
 to return only the low-degree generators the escape test can use, and
-``all_members``, the containment kernel, to decide several memberships
-against one basis truncated at their top degree.
+``all_members``, the one membership kernel, to decide several memberships
+against one basis truncated at their top degree when the ideal has no
+cached basis; ``membership`` and ``ideal_contains`` are its one-line
+callers.
 
 Ideal powers and p^e-th roots run on packed monomials too, with one path
 each. One walk, ``ProductWalk``, forms the generator products of a^N with
@@ -113,12 +114,11 @@ class Ideal:
     """An ideal of a polynomial ring, given by a finite generator list.
 
     Immutable value. The reduced Groebner basis is computed on first use
-    and cached, and so are its packed divisor rows once ``membership``
-    asks for them. Monomial generators are kept minimal, with coefficient
-    1 and in the ring order; a lone monomial with coefficient 1 is kept as is.
+    and cached. Monomial generators are kept minimal, with coefficient 1
+    and in the ring order; a lone monomial with coefficient 1 is kept as is.
     """
 
-    __slots__ = ("ring", "generators", "is_monomial", "_basis", "_packed")
+    __slots__ = ("ring", "generators", "is_monomial", "_basis")
 
     def __init__(self, ring: PolyRing, generators: Iterable[SparsePolynomial]):
         gens = []
@@ -138,7 +138,6 @@ class Ideal:
         self.generators = tuple(gens)
         self.is_monomial = monomial
         self._basis = None
-        self._packed = None
 
     @classmethod
     def _from_minimal(cls, lay: _Layout, keys: Iterable[int]) -> "Ideal":
@@ -149,7 +148,6 @@ class Ideal:
         self.generators = _monomials(lay, keys)
         self.is_monomial = bool(self.generators)
         self._basis = None
-        self._packed = None
         return self
 
     @classmethod
@@ -453,77 +451,61 @@ def _interreduce(
 
 
 def membership(g: SparsePolynomial, I: Ideal) -> bool:
-    """Decide g in I; a generator of I is in I without a Groebner basis."""
-    if g.ring != I.ring:
-        raise RingMismatchError("polynomial and ideal over different rings")
-    if g.is_zero():
-        return True
-    if I.is_zero():
-        return False
-    if I.has_constant_generator():
-        return True
-    if I.is_monomial:  # the guard-bit test: every term divisible by a generator
-        lay, table = _cached_rows(I, _width(max(map(sum, g.terms))))
-        guards = lay.guards
-        raised = [m | guards for m in lay.pack(g)]
-        return all(any((m - row[1]) & guards == guards for row in table) for m in raised)
-    if g in I.generators:
-        return True
-
-    def run(w: int) -> bool:
-        lay, table = _cached_rows(I, w)
-        return not _normal_form(lay.pack(g), table, lay, _StepCounter())
-
-    return _widening(run, _top_degree([g]))
-
-
-def _cached_rows(I: Ideal, w: int) -> tuple[_Layout, list[_Row]]:
-    """I's reduced basis as divisor rows at a width of at least w, kept on I
-    until a wider one is asked for."""
-    if I._packed is None or I._packed[0].w < w:
-        basis = I.groebner()
-        lay = _layout(I.ring, max(w, _width(_top_degree(basis))))
-        I._packed = lay, [_row(lay.pack(b), lay.key(b.lead_monomial()), I.ring.p) for b in basis]
-    return I._packed
+    """Decide g in I: ``all_members`` of g alone."""
+    return all_members([g], I)
 
 
 def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
-    """Decide h in J for every h in polys, against one degree-bounded basis.
+    """Decide h in J for every h in polys: the one membership kernel.
 
-    When J is neither zero, unit nor monomial and ``positive_grading(J)``
-    finds positive integer weights W, one Buchberger run truncated at D,
-    the largest W-degree of a term of any h, gives the reduced basis of J
-    in every W-degree up to D (see ``_buchberger``), and every h is reduced
-    against it. The h need not be homogeneous. This is exact: h lies in J
-    iff each W-homogeneous component of h does, and a reduction step by a
-    homogeneous divisor stays in the degree of the term it handles. Every
-    other J, including one with no evident grading, goes through
-    ``membership`` and J's full cached basis. Stops at the first h outside J.
+    A zero h or a generator of J is in J, every h is in a J with a constant
+    generator and no nonzero h in the zero ideal; for monomial J each term
+    of h must be divisible by a generator (the guard-bit test). Every other
+    h is reduced against one basis: J's cached reduced basis if it has one,
+    else, when ``positive_grading(J)`` finds positive integer weights W, one
+    Buchberger run truncated at D, the largest W-degree of a term of any h,
+    which gives the reduced basis of J in every W-degree up to D (see
+    ``_buchberger``), and else ``J.groebner()``. The h need not be
+    homogeneous: h lies in J iff each W-homogeneous component of h does, and
+    a reduction step by a homogeneous divisor stays in the degree of the
+    term it handles. Stops at the first h outside J.
     """
     polys = list(polys)
     if any(h.ring != J.ring for h in polys):
         raise RingMismatchError("polynomial and ideal over different rings")
-    polys = [h for h in polys if not h.is_zero()]
-    weights = None
-    if polys and not (J.is_zero() or J.has_constant_generator() or J.is_monomial):
-        weights = positive_grading(J)
-    if weights is None:
-        return all(membership(h, J) for h in polys)
-    bound = max(sum(map(mul, m, weights)) for h in polys for m in h.terms)
+    polys = [h for h in polys if not h.is_zero() and h not in J.generators]
+    if not polys or J.has_constant_generator():
+        return True
+    if J.is_zero():
+        return False
     ring = J.ring
+    graded = None
+    if J._basis is None and not J.is_monomial:
+        weights = positive_grading(J)
+        if weights is not None:
+            graded = weights, max(sum(map(mul, m, weights)) for h in polys for m in h.terms)
+    basis = J.groebner() if graded is None else J.generators
 
     def run(w: int) -> bool:
         lay = _layout(ring, w)
-        basis = _packed_buchberger([lay.pack(g) for g in J.generators], lay, (weights, bound))
-        table = [_row(h, next(iter(h)), ring.p) for h in basis]
+        if J.is_monomial:  # the guard-bit test: every term divisible by a generator
+            guards = lay.guards
+            leads = [lay.key(g.lead_monomial()) for g in basis]
+            terms = (m | guards for h in polys for m in lay.pack(h))
+            return all(any((m - g) & guards == guards for g in leads) for m in terms)
+        if graded is None:
+            table = [_row(lay.pack(b), lay.key(b.lead_monomial()), ring.p) for b in basis]
+        else:
+            reduced = _packed_buchberger([lay.pack(g) for g in basis], lay, graded)
+            table = [_row(h, next(iter(h)), ring.p) for h in reduced]
         return all(not _normal_form(lay.pack(h), table, lay, _StepCounter()) for h in polys)
 
-    return _widening(run, _top_degree(itertools.chain(J.generators, polys)))
+    return _widening(run, _top_degree(itertools.chain(basis, polys)))
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
-    """True iff J is a subset of I (checked on J's generators)."""
-    return all(membership(g, I) for g in J.generators)
+    """True iff J is a subset of I: ``all_members`` of J's generators."""
+    return all_members(J.generators, I)
 
 
 def ideal_equals(I: Ideal, J: Ideal) -> bool:
@@ -1033,7 +1015,7 @@ def _null_line(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
     return line
 
 
-def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
+def fedder_colon(I: Ideal, q: int, graded: Optional[_Graded] = None) -> Ideal:
     """The Fedder colon I^[q] : I, for q = p^e.
 
     When I has c >= 2 generators and height c (decided by ``_height``),
@@ -1056,21 +1038,16 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
     other ideal (monomial, principal, unit, zero, or not a complete
     intersection) goes through ``colon``.
 
-    ``bound`` asks only for the generators of degree at most the bound in
-    the grading W of ``positive_grading(I)``, which must exist. Both
-    branches then run truncated Buchberger (see ``_buchberger``), and the
-    complete-intersection branch leaves the power out when its degree
-    (q-1) * sum deg_W f_i exceeds the bound. The result is the subsequence
-    of the unbounded generators of W-degree at most the bound: the
-    reduced basis of a W-homogeneous ideal is W-homogeneous, and its
-    elements up to a degree depend only on the ideal up to that degree.
+    ``graded = (weights, bound)``, for I homogeneous in the positive
+    integer weights W (``positive_grading``), asks only for the generators
+    of W-degree at most the bound. Both branches then run truncated
+    Buchberger (see ``_buchberger``), and the complete-intersection branch
+    leaves the power out when its degree (q-1) * sum deg_W f_i exceeds the
+    bound. The result is the subsequence of the unbounded generators of
+    W-degree at most the bound: the reduced basis of a W-homogeneous ideal
+    is W-homogeneous, and its elements up to a degree depend only on the
+    ideal up to that degree.
     """
-    graded = None
-    if bound is not None:
-        weights = positive_grading(I)
-        if weights is None:
-            raise ValueError("a degree bound needs a positive grading of I")
-        graded = (weights, bound)
     ring, p, gens = I.ring, I.ring.p, I.generators
     check_q(p, q)
     if I.is_monomial or len(gens) < 2 or I.is_unit() or _height(I) != len(gens):
@@ -1087,7 +1064,7 @@ def fedder_colon(I: Ideal, q: int, bound: Optional[int] = None) -> Ideal:
         packed = [lay.pack(g) for g in gens]
         inputs = [frob(g, q) for g in packed]
         product = lay.check(functools.reduce(lambda f, g: _packed_mul(f, g, p), packed))
-        if graded is None or (q - 1) * lay.weighted(weights)(next(iter(product))) <= bound:
+        if graded is None or (q - 1) * lay.weighted(graded[0])(next(iter(product))) <= graded[1]:
             if power_term_bound(len(product), deg, k, p - 1, p) > MAX_BOX_TERMS:
                 detail = f"a {len(product)}-term P^{p - 1} may have more than {MAX_BOX_TERMS} terms"
                 raise ResourceCapExceeded("max_box_terms", detail)

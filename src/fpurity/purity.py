@@ -27,8 +27,10 @@ one cap on the products formed lives there. A proven verdict keeps the
 escaping pair (u, v) beside the product, and ``verify_witness`` rechecks
 the pair by its factors: u in a'^N, v*f in I^[q] for every generator f of
 I (the definition of v in I^[q] : I), u*v the stored witness, and the
-witness outside m^[q]. The recheck computes no colon, so it is independent
-of ``fedder_colon``, the degree bound and the box.
+witness outside m^[q]. The two memberships are one ``all_members`` call
+each, and the escape is read off the witness's terms. The recheck computes
+no colon, so it is independent of ``fedder_colon``, the degree bound and
+the box.
 
 All checks happen at the homogeneous maximal ideal, the standard
 computable model for the local criterion, so an I outside m, where S/I has
@@ -48,6 +50,7 @@ from .errors import RingMismatchError
 from .ideals import (
     Ideal,
     ProductWalk,
+    all_members,
     bracket_power,
     fedder_colon,
     ideal_contains,
@@ -143,10 +146,10 @@ class PurityVerdict:
         return self.outcome == PROVEN_PURE
 
 
-def _escape_bound(pair: PairSpec, N: int, q: int) -> Optional[int]:
-    """The largest W-degree of a colon generator v for which some u*v,
-    u in a'^N, can escape m^[q]; None when I has no evident positive
-    grading W (``positive_grading``).
+def _escape_bound(pair: PairSpec, N: int, q: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """(W, D): a positive grading W of I (``positive_grading``) and D, the
+    largest W-degree of a colon generator v for which some u*v, u in a'^N,
+    can escape m^[q]; None when I has no evident positive grading.
 
     A monomial outside m^[q] has W-degree at most sum(W) * (q-1). Every term
     of u has W-degree at least N times the least W-degree of a term of a
@@ -161,7 +164,7 @@ def _escape_bound(pair: PairSpec, N: int, q: int) -> Optional[int]:
         for g in pair.a_preimage.generators
         for m in g.terms
     )
-    return sum(weights) * (q - 1) - N * least
+    return weights, sum(weights) * (q - 1) - N * least
 
 
 def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[Factors]:
@@ -174,10 +177,10 @@ def _escape_witness(pair: PairSpec, N: int, q: int) -> Optional[Factors]:
     full colon's generators up to that degree, so the first escaping pair
     is the same. A negative bound settles containment with no colon at all.
     """
-    bound = _escape_bound(pair, N, q)
-    if bound is not None and bound < 0:
+    graded = _escape_bound(pair, N, q)
+    if graded is not None and graded[1] < 0:
         return None
-    cond = fedder_colon(pair.defining, q, bound)
+    cond = fedder_colon(pair.defining, q, graded)
     if cond.is_zero():
         return None  # no colon generator is low enough, so nothing escapes
     return ProductWalk(pair.a_preimage, q).witness(N, cond.generators)
@@ -278,11 +281,13 @@ def verify_witness(pair: PairSpec, verdict: PurityVerdict) -> bool:
     True iff the stored factors (u, v) multiply to the stored witness, u
     lies in a'^N with N recomputed from the criterion flavor, v * f lies in
     I^[q] for every generator f of I (which is what v in I^[q] : I means),
-    and the witness escapes m^[q]. Each test is one membership; I^[q] is
-    presented by the Frobenius image of I's reduced basis, which is again a
-    reduced basis. No colon is computed, so a fault in ``fedder_colon``,
-    its degree bound or the box shows up as a failed recheck. A proven
-    verdict without factors raises ValueError.
+    and the witness escapes m^[q], which is read off its terms: some term
+    has every exponent below q. u in a'^N is one membership, and the v * f
+    are one ``all_members`` call against I^[q], presented by the Frobenius
+    image of I's reduced basis, which is again a reduced basis. No colon is
+    computed, so a fault in ``fedder_colon``, its degree bound or the box
+    shows up as a failed recheck. A proven verdict without factors raises
+    ValueError.
     """
     if not verdict.proven or verdict.witness_poly is None:
         raise ValueError("only proven verdicts carry a witness")
@@ -296,6 +301,7 @@ def verify_witness(pair: PairSpec, verdict: PurityVerdict) -> bool:
     if not membership(u, ideal_power(pair.a_preimage, N)):
         return False
     Iq = bracket_power(Ideal(pair.ring, pair.defining.groebner()), q)
-    if not all(membership(v * f, Iq) for f in pair.defining.generators):
+    if not all_members([v * f for f in pair.defining.generators], Iq):
         return False
-    return not membership(verdict.witness_poly, bracket_power(maximal_ideal(pair.ring), q))
+    # outside m^[q]: some term has every exponent below q
+    return any(max(m) < q for m in verdict.witness_poly.terms)

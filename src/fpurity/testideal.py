@@ -66,10 +66,10 @@ def test_ideal(a: Ideal, t: Fraction, e_cap: int = 12) -> TestIdealResult:
         else:
             q = ring.p**e
             entry = power_root(a, ceil_mul(t, q), q)
+            if entry.is_unit():  # caches the basis the ascent check reduces against
+                entry = unit
             if previous is not None and not ideal_contains(entry, previous):
                 raise AssertionError(f"chain ascent violated between e={e - 1} and e={e}")
-            if entry.is_unit():
-                entry = unit
         chain.append((e, entry))
         previous = entry
         if len(chain) >= 3:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,44 @@ def test_estimate_below_true_threshold_is_lower_bound():
     assert cert.t_star == Fraction(3, 7)
     assert not cert.exact
     assert est.label == "lower-bound"
+
+
+def _candidates_by_definition(lo, hi, p, e_max):
+    """The positive rationals in [lo, hi] whose reduced denominator divides
+    some p^e - 1, e <= e_max, from every denominator up to p^e_max - 1."""
+    found = set()
+    for den in range(1, p**e_max):
+        for k in range(max(math.ceil(lo * den), 1), math.floor(hi * den) + 1):
+            r = Fraction(k, den)
+            if any((p**e - 1) % r.denominator == 0 for e in range(1, e_max + 1)):
+                found.add(r)
+    return sorted(found, reverse=True)
+
+
+def test_candidates_match_their_definition(monkeypatch):
+    # seeded intervals, p in {2, 3, 5, 7}: the same set in the same order,
+    # and the cap raised iff the set has more than CANDIDATE_CAP elements
+    import random
+
+    from fpurity import fpt
+
+    rng = random.Random("candidates")
+    capped = set()
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 7))
+        e_max = rng.randint(1, {2: 6, 3: 4, 5: 3, 7: 2}[p])
+        lo = Fraction(rng.randrange(0, 40), rng.randint(1, 24))
+        hi = lo + Fraction(rng.randrange(0, 12), rng.randint(1, 24))
+        want = _candidates_by_definition(lo, hi, p, e_max)
+        cap = rng.choice((fpt.CANDIDATE_CAP, max(len(want) - 1, 0), len(want)))
+        monkeypatch.setattr(fpt, "CANDIDATE_CAP", cap)
+        capped.add(len(want) > cap)
+        if len(want) > cap:
+            with pytest.raises(ResourceCapExceeded, match="fpt_candidate_cap"):
+                fpt._candidates(lo, hi, p, e_max)
+        else:
+            assert fpt._candidates(lo, hi, p, e_max) == want, (lo, hi, p, e_max)
+    assert capped == {True, False}
 
 
 # --- threshold consistency ------------------------------------------------------------

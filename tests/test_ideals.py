@@ -714,7 +714,7 @@ def test_bounded_fedder_colon_is_the_low_degree_part(prime):
             degree = {g: sum(e * w for e, w in zip(g.lead_monomial(), weights)) for g in full}
             for bound in sorted({min(degree.values()) - 1, *degree.values()}):
                 want = tuple(g for g in full if degree[g] <= bound)
-                assert fedder_colon(I, q, bound).generators == want
+                assert fedder_colon(I, q, (weights, bound)).generators == want
             q *= prime
     assert branches == {True, False} and gradings == {True, False}
 
@@ -734,15 +734,8 @@ def test_bounded_colon_leaves_out_the_complete_intersection_power(monkeypatch):
     )
     for bound, formed in ((7, []), (8, [2])):
         want = tuple(g for g in full if sum(g.lead_monomial()) <= bound)
-        assert ideals.fedder_colon(I, 3, bound).generators == want
+        assert ideals.fedder_colon(I, 3, ((1, 1, 1, 1), bound)).generators == want
         assert powers == formed
-
-
-def test_bounded_colon_needs_a_grading(r3xy):
-    from fpurity.ideals import fedder_colon
-
-    with pytest.raises(ValueError, match="grading"):
-        fedder_colon(ideal(["x^2 + y + 1", "x*y"], r3xy), 3, 4)
 
 
 # --- the sequential colon ---------------------------------------------------------
@@ -843,8 +836,10 @@ def _kernel_polys(rng, J, weights):
 @pytest.mark.parametrize("prime", [2, 3, 5])
 def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeypatch):
     # one polynomial at a time and all at once, against membership by the
-    # tuple kernel on the full basis; a graded target runs only truncated
-    # Buchberger and a target with no grading only the full one
+    # tuple kernel on the full basis, asked before and after J's basis is
+    # cached; membership and ideal_contains give all_members' answers.
+    # Before, a graded target runs only truncated Buchberger and a target
+    # with no grading only the full one; after, no Buchberger run happens
     from fpurity import all_members, ideals
     from test_kernels import tuple_membership
 
@@ -859,16 +854,22 @@ def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeyp
     for J, weights in _kernel_targets(prime):
         polys = _kernel_polys(rng, J, weights)
         want = [tuple_membership(h, J) for h in polys]
-        assert [membership(h, J) for h in polys] == want
-        runs.clear()
-        for h, expected in zip(polys, want):
-            assert all_members([h], J) is expected, (J, h)
-            outcomes.add(expected)
-        assert all_members(polys, J) is all(want)
-        if weights is None:
-            assert all(graded is None for graded in runs)
-        else:
-            assert runs and all(graded is not None for graded in runs)
+        for cached in (False, True):
+            if cached:
+                J.groebner()
+            runs.clear()
+            assert [all_members([h], J) for h in polys] == want, (J, cached)
+            assert all_members(polys, J) is all(want)
+            assert [membership(h, J) for h in polys] == want
+            assert [ideal_contains(J, Ideal(J.ring, [h])) for h in polys] == want
+            assert ideal_contains(J, Ideal(J.ring, polys)) is all(want)
+            if cached:
+                assert runs == []
+            elif weights is None:
+                assert all(graded is None for graded in runs)
+            else:
+                assert runs and all(graded is not None for graded in runs)
+        outcomes.update(want)
     assert outcomes == {True, False}
 
 

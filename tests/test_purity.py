@@ -347,7 +347,7 @@ def test_box_escape_matches_membership_loop_on_kernel_cases(prime, top):
         while q <= top:
             exponents = {_exponent(c, pr.t, q) for c in (CLASSIC, SHARP, STRONG)}
             # the largest N the degree bound lets through to the products
-            reach = max(N for N in range(3 * q) if _escape_bound(pr, N, q) >= 0)
+            reach = max(N for N in range(3 * q) if _escape_bound(pr, N, q)[1] >= 0)
             for N in sorted(exponents | {0, 1, q, reach}):
                 got = _escape_witness(pr, N, q)
                 _assert_same_escape(got, _escaping_pair(pr, N, q))
@@ -477,7 +477,7 @@ def test_escape_bound_keeps_a_witness_at_exactly_the_bound():
     for pr, N, q in cases:
         weights = positive_grading(pr.defining)
         u, v = _escaping_pair(pr, N, q)
-        assert _w_degree(v, weights) == _escape_bound(pr, N, q)
+        assert _escape_bound(pr, N, q) == (weights, _w_degree(v, weights))
         _assert_same_escape(_escape_witness(pr, N, q), (u, v))
     assert positive_grading(cases[-1][0].defining) == (1, 2, 1, 1)
 
@@ -498,7 +498,7 @@ def test_escape_below_the_lowest_degree_forms_nothing(monkeypatch):
     for e in (1, 2):
         q = 3**e
         N = ceil_mul(pr.t, q - 1)
-        assert _escape_bound(pr, N, q) < 0
+        assert _escape_bound(pr, N, q)[1] < 0
         assert _escape_witness(pr, N, q) is None
     assert sharp_fedder(pr, 2).e_tested == (1, 2)
     assert calls == []
@@ -514,9 +514,9 @@ def test_empty_bounded_colon_forms_no_power(monkeypatch):
     pr = pair(ring, ["x"], 2, ["x^2 - y*z"])
     q = 3
     N = ceil_mul(pr.t, q - 1)
-    bound = _escape_bound(pr, N, q)
-    assert bound >= 0
-    assert fedder_colon(pr.defining, q, bound).is_zero()
+    graded = _escape_bound(pr, N, q)
+    assert graded[1] >= 0
+    assert fedder_colon(pr.defining, q, graded).is_zero()
     # the full colon agrees: no product escapes m^[q]
     mq = bracket_power(maximal_ideal(ring), q)
     full = fedder_colon(pr.defining, q)
