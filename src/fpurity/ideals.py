@@ -1,66 +1,36 @@
 """Ideal arithmetic: bracket powers, colon ideals, membership, powers,
 p^e-th roots, and Groebner bases over F_p[x_1, ..., x_n].
 
-The monomial order is grevlex in the ring's declared variable order.
-Every verdict built on this module is an ideal-membership fact, so the
-order choice only affects running time. All tie-breaking is by input
-index and the reduced basis is canonical, which makes every operation
-deterministic.
+The order is grevlex in the ring's variable order; it affects only running
+time, since every verdict built here is an ideal-membership fact. Ties
+break by input index and reduced bases are canonical, so every operation
+is deterministic. All arithmetic runs on packed monomials (``_Layout``):
+polynomials are packed on entry and unpacked on exit, and a run in which a
+formed monomial reaches a field's guard bit starts again with wider fields.
 
-Groebner bases come from Buchberger's algorithm with the pairs in a heap
-ordered by lcm, pruned by the coprime-leads and chain criteria. All of
-its arithmetic runs on packed monomials (``_Layout``): one int per
-monomial, a field per exponent plus one for a degree, laid out so that a
-product is one addition, a divisibility test one subtraction and mask,
-and the ring order the integer order after one XOR. One loop,
-``_normal_form``, reduces for Buchberger and its interreduction, for
-``all_members``, for the Fedder complete-intersection power and,
-recording a quotient, for exact division. It takes the largest remaining
-term from a heap of packed keys, against a table of divisor rows that one
-Buchberger run builds once and extends as the basis grows. Polynomials
-are packed on entry and unpacked on exit; ``SparsePolynomial`` keeps
-exponent tuples outside the packed kernels. Field widths come from the
-inputs' degrees, and a run in which a formed monomial reaches a field's
-guard bit starts again with wider fields.
+Groebner bases come from Buchberger's algorithm (``_packed_buchberger``),
+truncated at a weighted degree for ideals that ``positive_grading`` finds
+homogeneous. One loop, ``_normal_form``, reduces for Buchberger, for
+interreduction, for membership, for the Fedder power and, recording a
+quotient, for exact division. Interreduction runs only where a reduced
+basis is read: ``Ideal.groebner``, the Fedder colon and the t-free part of
+an elimination. ``all_members``, the one membership kernel behind
+``membership`` and ``ideal_contains``, divides once by a principal ideal
+and otherwise reduces against a basis as a (possibly truncated) run built it.
 
-Colons run one intersection per generator of the divisor ideal on packed
-keys from start to end, each by elimination of an extra variable t, whose
-field the elimination layout puts above a grevlex key's, unless both sides
-are monomial or the target is principal and divisible by the other side;
-the Fedder colon I^[q] : I of a complete intersection ``fedder_colon``
-takes from Fedder's lemma as one packed run in the ring itself.
+Colons run one intersection per generator of the divisor ideal
+(``_colon_step``), by elimination of a variable t unless both sides are
+monomial or one division settles it; ``fedder_colon`` takes the colon
+I^[q] : I of a complete intersection from Fedder's lemma instead.
 
-For an ideal that is homogeneous in positive integer weights W
-(``positive_grading``), Buchberger can stop at a W-degree: with pairs taken
-by degree, the basis elements up to the bound are exactly those of the
-full reduced basis, because homogeneous S-polynomials and remainders keep
-the degree of their lcm. Giving t weight 0 makes t*J + (1-t)*K homogeneous
-as well, so eliminations truncate the same way. ``fedder_colon`` uses this
-to return only the low-degree generators the escape test can use, and
-``all_members``, the one membership kernel, to decide several memberships
-against one basis truncated at their top degree when the ideal has no
-cached basis; ``membership`` and ``ideal_contains`` are its one-line
-callers.
-
-Ideal powers and p^e-th roots run on packed monomials too, with one path
-each. One walk, ``ProductWalk``, forms the generator products of a^N with
-the packed product and power, in S or in the box S/m^[q]: ``ideal_power``,
-``power_root``, ``nu_value`` and the Fedder witness search all ask it, and
-its one cap, ``MAX_POWER_PRODUCTS``, counts the products up front in S and
-as they are formed in the box. ``_root`` splits every term of a product
-into its residue and quotient modulo q, field by field, and orders the
-residues by key. The test-ideal chain takes each entry (a^N)^[1/q] from the
-two in one pass (``power_root``), so a^N is never built as an ideal, and
-``root_power`` is its N = 1.
-Monomial powers and roots stay monomial: a^N by square-and-multiply
-(``_minimal_power``, truncated in the box), each step pruned once by
-``minimal_packed``, and its root by dividing every field and pruning once
-more.
-
-Monomial ideals are recognized at construction and stored by their unique
-minimal monomial generators; most operations have a fast path for them.
-Runaway instances hit explicit resource caps and raise ResourceCapExceeded
-instead of spinning.
+One walk, ``ProductWalk``, forms the generator products of a^N, in S or in
+the box S/m^[q], for ``ideal_power``, ``power_root``, ``nu_value`` and the
+Fedder witness search; a principal a^N is its one product. ``_root`` splits
+each product's terms into residues and quotients modulo q, so a test-ideal
+entry (a^N)^[1/q] never builds a^N as an ideal. Monomial ideals are kept by
+their minimal generators, and their powers and roots stay monomial
+(``_minimal_power``, ``_monomial_root``). Runaway instances hit explicit
+resource caps and raise ResourceCapExceeded instead of spinning.
 """
 
 from __future__ import annotations
@@ -305,7 +275,8 @@ _Graded = tuple[Sequence[int], int]
 def _buchberger(
     gens: list[SparsePolynomial], ring: PolyRing, graded: Optional[_Graded] = None
 ) -> list[SparsePolynomial]:
-    """Reduced Groebner basis by Buchberger's algorithm, on packed monomials.
+    """Reduced Groebner basis by Buchberger's algorithm (``_packed_buchberger``),
+    then interreduced (``_interreduce``), on packed monomials.
 
     Pair selection follows the normal strategy (smallest lcm in the ring
     order), ties broken by generator index, so runs are reproducible; the
@@ -321,35 +292,36 @@ def _buchberger(
     on an elimination variable. Inputs of weighted degree above the bound
     are dropped, pairs are keyed by (weighted degree of the lcm, lcm key,
     i, j), and a pair whose lcm lies above the bound is never queued. The
-    result is exactly the set of reduced-basis elements of weighted degree
-    at most the bound: every S-polynomial and remainder of homogeneous
-    polynomials is homogeneous of the degree of its lcm, an element of
-    degree d has a standard representation through pairs of degree at most
-    d alone, and so the truncated run is a Groebner basis in every degree up
-    to the bound (the DegreeLimit of Macaulay2).
+    truncated run is a Groebner basis in every degree up to the bound: every
+    S-polynomial and remainder of homogeneous polynomials is homogeneous of
+    the degree of its lcm, and an element of degree d has a standard
+    representation through pairs of degree at most d alone (the DegreeLimit
+    of Macaulay2). Interreduced, it is exactly the set of reduced-basis
+    elements of weighted degree at most the bound.
     """
 
     def run(w: int) -> list[SparsePolynomial]:
-        lay = _layout(ring, w)
-        basis = _packed_buchberger([lay.pack(g) for g in gens], lay, graded)
+        lay, counter = _layout(ring, w), _StepCounter()
+        basis = _packed_buchberger([lay.pack(g) for g in gens], lay, graded, counter)
         if basis == [{0: 1}]:
             return [ring.one()]
-        return [lay.unpack(h) for h in basis]
+        return [lay.unpack(h) for h in _interreduce(basis, lay, counter)]
 
     return _widening(run, _top_degree(gens))
 
 
 def _packed_buchberger(
-    gens: list[dict[int, int]], lay: _Layout, graded: Optional[_Graded]
+    gens: list[dict[int, int]], lay: _Layout, graded: Optional[_Graded], counter: _StepCounter
 ) -> list[dict[int, int]]:
-    """``_buchberger``'s run on packed polynomials; [{0: 1}] for the unit ideal."""
+    """``_buchberger``'s run on packed polynomials, before interreduction:
+    the Groebner basis as built, each element monic with its terms largest
+    first; [{0: 1}] for the unit ideal. Its reductions count on ``counter``."""
     p, guards, limit, asc = lay.ring.p, lay.guards, lay.limit, lay.asc
     if graded is not None:
         bound = graded[1]
         degree = lay.weighted(graded[0])
         # homogeneous inputs: any term has the degree of the lead
         gens = [g for g in gens if degree(next(iter(g))) <= bound]
-    counter = _StepCounter()
     basis: list[dict[int, int]] = []
     table: list[_Row] = []
 
@@ -421,21 +393,19 @@ def _packed_buchberger(
             raise ResourceCapExceeded("max_basis", f"{MAX_BASIS} elements")
         leads.append(table[-1][1])
         add_pairs(len(basis) - 1)
-    return _interreduce(basis, leads, lay, counter)
+    return basis
 
 
-def _interreduce(
-    basis: list[dict[int, int]], leads: list[int], lay: _Layout, counter: _StepCounter
-) -> list[dict[int, int]]:
+def _interreduce(basis: list[dict], lay: _Layout, counter: _StepCounter) -> list[dict[int, int]]:
     """The monic reduced basis, sorted by lead, from a packed Groebner basis
-    and its leads."""
+    whose elements list their terms largest first."""
     p, guards, asc = lay.ring.p, lay.guards, lay.asc
     # drop elements whose lead is divisible by another's lead
     minimal: list[tuple[int, dict[int, int]]] = []
-    for idx in sorted(range(len(basis)), key=lambda idx: leads[idx] ^ asc):
-        raised = leads[idx] | guards
+    for g in sorted(basis, key=lambda g: next(iter(g)) ^ asc):
+        raised = next(iter(g)) | guards
         if not any((raised - kept) & guards == guards for kept, _ in minimal):
-            minimal.append((leads[idx], basis[idx]))
+            minimal.append((next(iter(g)), g))
     # fully reduce each tail against the others
     table = [_row(g, lead, p) for lead, g in minimal]
     reduced = [
@@ -461,14 +431,17 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
     A zero h or a generator of J is in J, every h is in a J with a constant
     generator and no nonzero h in the zero ideal; for monomial J each term
     of h must be divisible by a generator (the guard-bit test). Every other
-    h is reduced against one basis: J's cached reduced basis if it has one,
-    else, when ``positive_grading(J)`` finds positive integer weights W, one
-    Buchberger run truncated at D, the largest W-degree of a term of any h,
-    which gives the reduced basis of J in every W-degree up to D (see
-    ``_buchberger``), and else ``J.groebner()``. The h need not be
-    homogeneous: h lies in J iff each W-homogeneous component of h does, and
-    a reduction step by a homogeneous divisor stays in the degree of the
-    term it handles. Stops at the first h outside J.
+    h is reduced against one Groebner basis: the generator of a principal J,
+    J's cached reduced basis if it has one, else, when
+    ``positive_grading(J)`` finds positive integer weights W, the basis of
+    one Buchberger run truncated at D, the largest W-degree of a term of any
+    h, as the run leaves it, which is a Groebner basis of J in every W-degree
+    up to D (see ``_buchberger``), and else ``J.groebner()``. The h need not
+    be homogeneous: h lies in J iff each W-homogeneous component of h does,
+    and a reduction step by a homogeneous divisor stays in the degree of the
+    term it handles. Against a basis of one element each h is one exact
+    division, which stops at the first term left over. Stops at the first h
+    outside J.
     """
     polys = list(polys)
     if any(h.ring != J.ring for h in polys):
@@ -480,11 +453,11 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
         return False
     ring = J.ring
     graded = None
-    if J._basis is None and not J.is_monomial:
+    if J._basis is None and not J.is_monomial and len(J.generators) > 1:
         weights = positive_grading(J)
         if weights is not None:
             graded = weights, max(sum(map(mul, m, weights)) for h in polys for m in h.terms)
-    basis = J.groebner() if graded is None else J.generators
+    basis = J.groebner() if graded is None and len(J.generators) > 1 else J.generators
 
     def run(w: int) -> bool:
         lay = _layout(ring, w)
@@ -496,8 +469,10 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
         if graded is None:
             table = [_row(lay.pack(b), lay.key(b.lead_monomial()), ring.p) for b in basis]
         else:
-            reduced = _packed_buchberger([lay.pack(g) for g in basis], lay, graded)
-            table = [_row(h, next(iter(h)), ring.p) for h in reduced]
+            built = _packed_buchberger([lay.pack(g) for g in basis], lay, graded, _StepCounter())
+            table = [_row(h, next(iter(h)), ring.p) for h in built]
+        if len(table) == 1:
+            return all(_try_exact_div(lay.pack(h), table[0], lay) is not None for h in polys)
         return all(not _normal_form(lay.pack(h), table, lay, _StepCounter()) for h in polys)
 
     return _widening(run, _top_degree(itertools.chain(basis, polys)))
@@ -591,7 +566,8 @@ def _monomial_root(lay: _Layout, keys: Iterable[int], q: int) -> Ideal:
 
 
 def ideal_power(a: Ideal, N: int) -> Ideal:
-    """a^N, with a^0 the unit ideal, unpacked from ``ProductWalk``'s products."""
+    """a^N, with a^0 the unit ideal, unpacked from ``ProductWalk``'s products;
+    for principal a, its one product (``ProductWalk.product``)."""
     if N < 0:
         raise ValueError(f"negative ideal power {N}")
     ring = a.ring
@@ -599,11 +575,11 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
         return Ideal.unit(ring)
     if a.is_zero():
         return Ideal.zero(ring)
-    if a.has_constant_generator():
-        return Ideal.unit(ring)
     if N == 1:
         return a
     walk = ProductWalk(a)
+    if len(a.generators) == 1:  # the unit ideal included
+        return Ideal(ring, [walk.product((N,))])
     power = walk.products(N)
     if a.is_monomial:
         return Ideal._from_minimal(walk.lay, power)
@@ -844,7 +820,7 @@ def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
         for f in map(lay.pack, I.generators):
             result = result and _colon_step(packed, result, f, lay, graded)  # [] stays zero
         if len(I.generators) > 1 and any(len(h) > 1 for h in result):
-            result = _interreduce(result, [next(iter(h)) for h in result], lay, _StepCounter())
+            result = _interreduce(result, lay, _StepCounter())
         if graded is not None:
             degree, bound = lay.weighted(graded[0]), graded[1]
             result = [h for h in result if degree(next(iter(h))) <= bound]
@@ -894,13 +870,17 @@ def _eliminated(
     eliminated from t*J + (1-t)*K (weight 0 when graded). A key of lay is
     the key of the same monomial times t^0 in lay's elimination layout: t*m
     is m plus t's unit, and a basis element with a t-free lead is t-free (t
-    comes first in the order) and already a key of lay."""
-    elay = _layout(lay.ring, lay.w, elim=True)
+    comes first in the order) and already a key of lay. Those elements form
+    a Groebner basis of J intersect K, and only they are interreduced: no
+    lead with t divides a t-free term, so the result is the t-free part of
+    the full reduced basis."""
+    elay, counter = _layout(lay.ring, lay.w, elim=True), _StepCounter()
     t, p = 1 << elay.shifts[0], lay.ring.p
     gens = [{m + t: c for m, c in g.items()} for g in J]
     gens += [{**h, **{m + t: p - c for m, c in h.items()}} for h in K]
     graded = graded and ((0, *graded[0]), graded[1])
-    return [h for h in _packed_buchberger(gens, elay, graded) if next(iter(h)) < t]
+    basis = _packed_buchberger(gens, elay, graded, counter)
+    return _interreduce([h for h in basis if next(iter(h)) < t], elay, counter)
 
 
 def _try_exact_div(g: dict[int, int], f: _Row, lay: _Layout) -> Optional[dict[int, int]]:
@@ -1079,7 +1059,9 @@ def fedder_colon(I: Ideal, q: int, graded: Optional[_Graded] = None) -> Ideal:
                 power = _normal_form(_packed_mul(power, frob(digit, qi), p), table, lay, counter)
                 qi *= p
             inputs.append(power)
-        return Ideal(ring, [lay.unpack(h) for h in _packed_buchberger(inputs, lay, graded)])
+        counter = _StepCounter()
+        basis = _interreduce(_packed_buchberger(inputs, lay, graded, counter), lay, counter)
+        return Ideal(ring, [lay.unpack(h) for h in basis])
 
     # a key times q must fit its fields, since a carry past one hides from the guard
     # check: start at the top degree of every key formed before Buchberger

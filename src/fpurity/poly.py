@@ -37,6 +37,8 @@ EXP_LIMIT = 2**63 - 1
 # terms one product in the box S/m^[q] may collect, and an untruncated power's
 # ``power_term_bound`` may reach, before ResourceCapExceeded("max_box_terms")
 MAX_BOX_TERMS = 250_000
+# pairs one step of a monomial power (``_minimal_power``) may form before pruning
+MAX_POWER_PAIRS = 16_000_000
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -51,10 +53,12 @@ def grevlex_key(mono: Monomial):
     return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyRing:
     """F_p[x_1, ..., x_n] with a fixed variable order and grevlex order;
-    elimination orders live only in packed keys (``_Layout``'s ``elim``)."""
+    elimination orders live only in packed keys (``_Layout``'s ``elim``).
+    Equal as values, with the hash computed once: every layout lookup and
+    ring check hashes or compares rings."""
 
     field: PrimeField
     variables: tuple[str, ...]
@@ -62,6 +66,15 @@ class PolyRing:
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variable in {self.variables}")
+        object.__setattr__(self, "_hash", hash((self.field, self.variables)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyRing):
+            return NotImplemented
+        return self is other or (self.field, self.variables) == (other.field, other.variables)
 
     @property
     def p(self) -> int:
@@ -519,21 +532,25 @@ def _minimal_power(base: list[int], N: int, lay: _Layout, q: Optional[int] = Non
     """The minimal generators of (base)^N, base minimal exponent-field keys
     of lay: [0] for N = 0, base for N = 1, else ascending, square-and-multiply
     from the top bit of N with each step pruned once. With q, base lies outside
-    m^[q] and only products outside it are kept: the truncation to the box."""
+    m^[q] and only products outside it are kept: the truncation to the box.
+    A step of more than MAX_POWER_PAIRS pairs raises ResourceCapExceeded
+    before any of them is formed."""
     if not N:
         return [0]
     guards, off = lay.eguards, None if q is None else lay.offset(q)
 
-    def prune(keys: set[int]) -> list[int]:
-        if off is not None:
-            keys = {m for m in keys if not (m + off) & guards}
-        return minimal_packed(keys, guards)
+    def step(pairs: int, keys: Iterable[int]) -> list[int]:
+        if pairs > MAX_POWER_PAIRS:
+            detail = f"a step of {pairs} pairs for a^{N} exceeds {MAX_POWER_PAIRS}"
+            raise ResourceCapExceeded("max_power_pairs", "poly._minimal_power: " + detail)
+        return minimal_packed({m for m in keys if off is None or not (m + off) & guards}, guards)
 
     power = base
     for bit in bin(N)[3:]:
-        power = prune({u + v for i, u in enumerate(power) for v in power[i:]})
+        pairs = (u + v for i, u in enumerate(power) for v in power[i:])
+        power = step(len(power) * (len(power) + 1) // 2, pairs)
         if bit == "1":
-            power = prune({u + v for u in power for v in base})
+            power = step(len(power) * len(base), (u + v for u in power for v in base))
     return power
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from fpurity import (
     bracket_power,
     fpt_bounds,
     fpt_estimate,
+    ideal_power,
     maximal_ideal,
     membership,
     nu_table,
@@ -395,6 +397,43 @@ def test_nu_box_term_cap(r2xy, monkeypatch):
         code, text = run([command, "--ring", "p=2; vars=x,y", "--a", "x^3 + y^2", "--emax", "30"])
         assert code == EXIT_CAP
         assert text.startswith("error: resource cap exceeded: max_box_terms (a product in S/m^[")
+
+
+def test_monomial_power_pair_cap(r3xy, monkeypatch):
+    import json
+
+    from fpurity import poly
+    from fpurity.cli import EXIT_CAP, run
+
+    # squaring a 12,930-generator power of (x*y, y*z, x^2) in S/m^[243] would
+    # form 83,611,846 pairs before pruning (55 s uncapped); the cap refuses the
+    # step before it is formed, and --emax 4 keeps its table
+    argv = ["nu", "--ring", "p=3; vars=x,y,z", "--a", "x*y, y*z, x^2", "--emax"]
+    started = time.perf_counter()
+    code, text = run(argv + ["5"])
+    assert time.perf_counter() - started < 10
+    assert code == EXIT_CAP
+    assert text == (
+        f"error: resource cap exceeded: max_power_pairs (poly._minimal_power: a step of "
+        f"83611846 pairs for a^360 exceeds {poly.MAX_POWER_PAIRS})"
+    )
+    code, text = run(argv + ["4", "--json"])
+    assert code == 0
+    assert [(row["q"], row["nu"]) for row in json.loads(text)["nu_table"]] == [
+        ("3", "3"), ("9", "12"), ("27", "39"), ("81", "120")
+    ]
+    # in S too, and before any pair is formed: 3 generators square to 6 pairs
+    a = ideal(["x^2", "x*y", "y^3"], r3xy)
+    want = ideal_power(a, 2).generators
+    pruned = []
+    prune = poly.minimal_packed
+    monkeypatch.setattr(poly, "minimal_packed", lambda *args: pruned.append(1) or prune(*args))
+    monkeypatch.setattr(poly, "MAX_POWER_PAIRS", 5)
+    with pytest.raises(ResourceCapExceeded, match=r"max_power_pairs \(poly._minimal_power: "):
+        ideal_power(a, 2)
+    assert pruned == []
+    monkeypatch.setattr(poly, "MAX_POWER_PAIRS", 6)
+    assert ideal_power(a, 2).generators == want
 
 
 # --- the sharp certificate read off the nu table ---------------------------------

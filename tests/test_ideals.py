@@ -511,7 +511,8 @@ def test_minimal_monomials_match_pairwise_definition():
 def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
     # colon(I^[3], I) for the twisted cubic over F_3. With only the
     # coprime-leads criterion, Buchberger took 631 normal forms here; the
-    # chain criterion brought it to 218, and the sequential colon to 116.
+    # chain criterion brought it to 218, the sequential colon to 116, and
+    # interreducing only the t-free part of each elimination basis to 100.
     # Exact divisions run the same loop with a quotient and are not counted.
     # The reduced basis is canonical, so it must not move.
     from fpurity import ideals
@@ -528,7 +529,7 @@ def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
 
     monkeypatch.setattr(ideals, "_normal_form", counting)
     J = colon(bracket_power(I, 3), I)
-    assert calls == 116
+    assert calls == 100
     monkeypatch.setattr(ideals, "_normal_form", reduce)
     assert [str(g) for g in J.groebner()] == [
         "z^6 + 2*y^3*w^3",
@@ -748,9 +749,9 @@ def _count_buchberger(monkeypatch):
     runs = {"grevlex": 0, "elimination": 0}
     run = ideals._packed_buchberger
 
-    def counting(gens, lay, graded):
+    def counting(gens, lay, graded, counter=None):
         runs["elimination" if lay.elim else "grevlex"] += 1
-        return run(gens, lay, graded)
+        return run(gens, lay, graded, counter)
 
     monkeypatch.setattr(ideals, "_packed_buchberger", counting)
     return runs
@@ -795,9 +796,11 @@ def _w_form(rng, ring, weights, d):
 def _kernel_targets(prime):
     """(J, weights) on seeded hypersurface quotients I^[q] + (f): f a form,
     a quasi-homogeneous f, and an f with no positive grading (weights
-    None); the monomial I^[q] keeps every grading of f."""
+    None); the monomial I^[q] keeps every grading of f. Then the principal
+    ideals (f) of the same f, I = 0."""
     ring = parse_ring(f"p={prime}; vars=x,y,z")
     rng = random.Random(f"kernel:{prime}")
+    principal = []
     for weights, f_text in (
         ((1, 1, 1), None),
         ((2, 3, 1), "x^3 + 2*y^2 + x*y*z + z^6"),
@@ -811,6 +814,9 @@ def _kernel_targets(prime):
                 m[rng.randrange(3)] += 1  # not the unit ideal
             J = Ideal(ring, [ring.monomial(tuple(q * e for e in m)) for m in monos] + [f])
             yield J, weights
+        if not f.is_monomial():
+            principal.append((Ideal(ring, [f]), weights))
+    yield from principal
 
 
 def _kernel_polys(rng, J, weights):
@@ -839,38 +845,55 @@ def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeyp
     # tuple kernel on the full basis, asked before and after J's basis is
     # cached; membership and ideal_contains give all_members' answers.
     # Before, a graded target runs only truncated Buchberger and a target
-    # with no grading only the full one; after, no Buchberger run happens
+    # with no grading only the full one; after, no Buchberger run happens.
+    # A run hands back its basis as built: monic, terms largest first, and
+    # not interreduced, which membership does not need. A principal target
+    # runs no Buchberger at all: each h is one exact division by f
     from fpurity import all_members, ideals
     from test_kernels import tuple_membership
 
-    runs = []
-    run = ideals._packed_buchberger
+    runs, divisions, reduced = [], [], []
+    run, divide, interreduce = ideals._packed_buchberger, ideals._try_exact_div, ideals._interreduce
+
+    def building(gens, lay, graded, counter=None):
+        runs.append(graded)
+        basis = run(gens, lay, graded, counter)
+        for h in basis:
+            assert next(iter(h.values())) == 1 and list(h) == sorted(h, key=lay.desc.__xor__)
+        return basis
+
+    monkeypatch.setattr(ideals, "_packed_buchberger", building)
     monkeypatch.setattr(
-        ideals, "_packed_buchberger", lambda gens, lay, graded: runs.append(graded)
-        or run(gens, lay, graded),
+        ideals, "_try_exact_div", lambda *args: divisions.append(args) or divide(*args)
+    )
+    monkeypatch.setattr(
+        ideals, "_interreduce", lambda *args: reduced.append(args) or interreduce(*args)
     )
     rng = random.Random(f"kernel-polys:{prime}")
-    outcomes = set()
+    outcomes, principal = set(), 0
     for J, weights in _kernel_targets(prime):
         polys = _kernel_polys(rng, J, weights)
         want = [tuple_membership(h, J) for h in polys]
         for cached in (False, True):
             if cached:
                 J.groebner()
-            runs.clear()
+            runs.clear(), divisions.clear(), reduced.clear()
             assert [all_members([h], J) for h in polys] == want, (J, cached)
             assert all_members(polys, J) is all(want)
             assert [membership(h, J) for h in polys] == want
             assert [ideal_contains(J, Ideal(J.ring, [h])) for h in polys] == want
             assert ideal_contains(J, Ideal(J.ring, polys)) is all(want)
-            if cached:
+            if len(J.generators) == 1:
+                assert runs == [] and divisions and reduced == []
+            elif cached:
                 assert runs == []
             elif weights is None:
                 assert all(graded is None for graded in runs)
             else:
-                assert runs and all(graded is not None for graded in runs)
+                assert runs and all(graded is not None for graded in runs) and reduced == []
+        principal += len(J.generators) == 1
         outcomes.update(want)
-    assert outcomes == {True, False}
+    assert outcomes == {True, False} and principal == 4
 
 
 def test_all_members_decides_a_term_at_the_bound_on_its_own_degree():

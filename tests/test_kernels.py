@@ -1003,20 +1003,21 @@ def test_the_chain_stops_powering_after_its_first_unit_entry(monkeypatch):
 def _elim_buchberger(gens, ring, graded=None):
     """``ideals._buchberger``'s run for polynomials in (t, x_1, ..., x_n),
     on the elimination layout of F_p[x_1, ..., x_n]: packed by that
-    layout's key, unpacked into the ring by its exponent tuples."""
+    layout's key, interreduced on one step counter as ``_buchberger`` does,
+    unpacked into the ring by its exponent tuples."""
     base = PolyRing(ring.field, ring.variables[1:])
 
     def run(w):
-        lay = ideals._layout(base, w, elim=True)
+        lay, counter = ideals._layout(base, w, elim=True), ideals._StepCounter()
         packed = [{lay.key(m): c for m, c in g.terms.items()} for g in gens]
-        basis = ideals._packed_buchberger(packed, lay, graded)
+        basis = ideals._packed_buchberger(packed, lay, graded, counter)
         if basis == [{0: 1}]:
             return [ring.one()]
         return [
             SparsePolynomial(
                 ring, {lay.exponents(m): c for m, c in h.items()}, lay.exponents(next(iter(h)))
             )
-            for h in basis
+            for h in ideals._interreduce(basis, lay, counter)
         ]
 
     return ideals._widening(run, ideals._top_degree(gens))
@@ -1218,6 +1219,60 @@ def test_colon_matches_the_tuple_colon_on_seeded_inputs(prime, monkeypatch):
             else "division" if "_try_exact_div" in calls else "lcms or bound"
         )
     assert routes == {"elimination", "division", "lcms or bound"}
+
+
+def _elimination_cases(prime):
+    """Seeded (ring, J, K, graded) for ``_eliminated``: 1 to 3 generators a
+    side in 2 or 3 variables, arbitrary or W-homogeneous with a bound."""
+    rng = random.Random(f"elimination:{prime}")
+    for case in range(16):
+        ring = parse_ring(f"p={prime}; vars={'x,y' if case % 2 else 'x,y,z'}")
+        n = ring.nvars
+        weights = None if case % 4 < 2 else rng.choice([(1,) * n, (1, 2, 3)[:n], (2, 1, 1)[:n]])
+
+        def draw():
+            if weights is None:
+                monos = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            else:
+                d = rng.randint(1, 5)
+                monos = [m for m in itertools.product(range(6), repeat=n) if _w_degree(m, weights) == d]
+                monos = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+            return ring.poly({m: rng.randrange(1, prime) for m in monos})
+
+        J = [g for g in (draw() for _ in range(rng.randint(1, 3))) if not g.is_zero()]
+        K = [g for g in (draw() for _ in range(rng.randint(1, 3))) if not g.is_zero()]
+        if J and K:
+            yield ring, J, K, weights and (weights, rng.randint(2, 12))
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_eliminated_interreduces_exactly_the_t_free_part(prime):
+    # the elimination basis as built, then interreduced in full, keeps the
+    # same t-free elements as interreducing only them: no lead with t
+    # divides a t-free term, and the t-free elements already form a
+    # Groebner basis of J meet K
+    cases = 0
+    for ring, J, K, graded in _elimination_cases(prime):
+
+        def run(w):
+            lay = ideals._layout(ring, w)
+            packed = [[lay.pack(g) for g in side] for side in (J, K)]
+            elay = ideals._layout(ring, w, elim=True)
+            t = 1 << elay.shifts[0]
+            gens = [{m + t: c for m, c in g.items()} for g in packed[0]]
+            gens += [{**h, **{m + t: prime - c for m, c in h.items()}} for h in packed[1]]
+            egraded = graded and ((0, *graded[0]), graded[1])
+            counter = ideals._StepCounter()
+            built = ideals._packed_buchberger(gens, elay, egraded, counter)
+            full = ideals._interreduce(built, elay, counter)
+            want = [h for h in full if next(iter(h)) < t]
+            got = ideals._eliminated(*packed, lay, graded)
+            return [list(h.items()) for h in got], [list(h.items()) for h in want]
+
+        got, want = ideals._widening(run, ideals._top_degree(J + K) + 1)
+        assert got == want, (J, K, graded)
+        cases += 1
+    assert cases >= 12
 
 
 def test_colon_matches_the_tuple_colon_on_zero_and_unit_ideals():

@@ -41,6 +41,19 @@ def polys(ring, max_terms=4, max_exp=5):
 R3 = parse_ring("p=3; vars=x,y")
 
 
+def test_rings_compare_and_hash_as_values():
+    # two parses of one spec are two objects but one ring: layouts cached on
+    # one serve the other, and their polynomials and ideals mix
+    first, second = parse_ring("p=3; vars=x,y,z"), parse_ring("p=3;  vars = x, y, z")
+    assert first is not second
+    assert first == second and not first != second and hash(first) == hash(second)
+    assert _layout(first, 8) is _layout(second, 8)
+    assert p("x*y", first) + p("z", second) == p("x*y + z", first)
+    for other in ("p=5; vars=x,y,z", "p=3; vars=x,z,y", "p=3; vars=x,y", "p=3; vars=x,y,z,w"):
+        assert parse_ring(other) != first and not parse_ring(other) == first
+    assert first != ("p=3", ("x", "y", "z")) and first != first.field
+
+
 def test_difference_of_squares(r3xy):
     assert p("(x+y)*(x-y)", r3xy) == p("x^2 + 2*y^2", r3xy)
 
