@@ -275,8 +275,8 @@ _Graded = tuple[Sequence[int], int]
 def _buchberger(
     gens: list[SparsePolynomial], ring: PolyRing, graded: Optional[_Graded] = None
 ) -> list[SparsePolynomial]:
-    """Reduced Groebner basis by Buchberger's algorithm (``_packed_buchberger``),
-    then interreduced (``_interreduce``), on packed monomials.
+    """Reduced Groebner basis: Buchberger's algorithm (``_packed_buchberger``)
+    and then interreduction (``_interreduce``), on packed monomials.
 
     Pair selection follows the normal strategy (smallest lcm in the ring
     order), ties broken by generator index, so runs are reproducible; the

@@ -749,7 +749,7 @@ def _count_buchberger(monkeypatch):
     runs = {"grevlex": 0, "elimination": 0}
     run = ideals._packed_buchberger
 
-    def counting(gens, lay, graded, counter=None):
+    def counting(gens, lay, graded, counter):
         runs["elimination" if lay.elim else "grevlex"] += 1
         return run(gens, lay, graded, counter)
 
@@ -855,7 +855,7 @@ def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeyp
     runs, divisions, reduced = [], [], []
     run, divide, interreduce = ideals._packed_buchberger, ideals._try_exact_div, ideals._interreduce
 
-    def building(gens, lay, graded, counter=None):
+    def building(gens, lay, graded, counter):
         runs.append(graded)
         basis = run(gens, lay, graded, counter)
         for h in basis:
@@ -877,7 +877,7 @@ def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeyp
         for cached in (False, True):
             if cached:
                 J.groebner()
-            runs.clear(), divisions.clear(), reduced.clear()
+            del runs[:], divisions[:], reduced[:]
             assert [all_members([h], J) for h in polys] == want, (J, cached)
             assert all_members(polys, J) is all(want)
             assert [membership(h, J) for h in polys] == want
