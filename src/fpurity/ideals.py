@@ -313,9 +313,8 @@ def _buchberger(
 def _packed_buchberger(
     gens: list[dict[int, int]], lay: _Layout, graded: Optional[_Graded], counter: _StepCounter
 ) -> list[dict[int, int]]:
-    """``_buchberger``'s run on packed polynomials, before interreduction:
-    the Groebner basis as built, each element monic with its terms largest
-    first; [{0: 1}] for the unit ideal. Its reductions count on ``counter``."""
+    """``_buchberger``'s run on packed polynomials, counted on ``counter``: the
+    Groebner basis as built, monic, terms largest first; [{0: 1}] for (1)."""
     p, guards, limit, asc = lay.ring.p, lay.guards, lay.limit, lay.asc
     if graded is not None:
         bound = graded[1]
@@ -431,17 +430,15 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
     A zero h or a generator of J is in J, every h is in a J with a constant
     generator and no nonzero h in the zero ideal; for monomial J each term
     of h must be divisible by a generator (the guard-bit test). Every other
-    h is reduced against one Groebner basis: the generator of a principal J,
-    J's cached reduced basis if it has one, else, when
-    ``positive_grading(J)`` finds positive integer weights W, the basis of
+    h is reduced against one Groebner basis: a principal J's generator, by
+    one exact division that stops at the first term left over; J's cached
+    reduced basis; when ``positive_grading(J)`` finds positive weights W,
     one Buchberger run truncated at D, the largest W-degree of a term of any
-    h, as the run leaves it, which is a Groebner basis of J in every W-degree
-    up to D (see ``_buchberger``), and else ``J.groebner()``. The h need not
-    be homogeneous: h lies in J iff each W-homogeneous component of h does,
-    and a reduction step by a homogeneous divisor stays in the degree of the
-    term it handles. Against a basis of one element each h is one exact
-    division, which stops at the first term left over. Stops at the first h
-    outside J.
+    h, as built, a Groebner basis of J in every W-degree up to D (see
+    ``_buchberger``); else ``J.groebner()``. The h need not be homogeneous:
+    h lies in J iff each W-homogeneous component does, and a reduction step
+    by a homogeneous divisor stays in the degree of the term it handles.
+    Stops at the first h outside J.
     """
     polys = list(polys)
     if any(h.ring != J.ring for h in polys):
@@ -870,10 +867,9 @@ def _eliminated(
     eliminated from t*J + (1-t)*K (weight 0 when graded). A key of lay is
     the key of the same monomial times t^0 in lay's elimination layout: t*m
     is m plus t's unit, and a basis element with a t-free lead is t-free (t
-    comes first in the order) and already a key of lay. Those elements form
-    a Groebner basis of J intersect K, and only they are interreduced: no
-    lead with t divides a t-free term, so the result is the t-free part of
-    the full reduced basis."""
+    comes first in the order) and already a key of lay. Only those, a Groebner
+    basis of J intersect K, are interreduced: no lead with t divides a t-free
+    term, so this is the t-free part of the full reduced basis."""
     elay, counter = _layout(lay.ring, lay.w, elim=True), _StepCounter()
     t, p = 1 << elay.shifts[0], lay.ring.p
     gens = [{m + t: c for m, c in g.items()} for g in J]

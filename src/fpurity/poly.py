@@ -539,18 +539,23 @@ def _minimal_power(base: list[int], N: int, lay: _Layout, q: Optional[int] = Non
         return [0]
     guards, off = lay.eguards, None if q is None else lay.offset(q)
 
-    def step(pairs: int, keys: Iterable[int]) -> list[int]:
+    def prune(keys: set[int]) -> list[int]:
+        if off is not None:
+            keys = {m for m in keys if not (m + off) & guards}
+        return minimal_packed(keys, guards)
+
+    def check(pairs: int):
         if pairs > MAX_POWER_PAIRS:
             detail = f"a step of {pairs} pairs for a^{N} exceeds {MAX_POWER_PAIRS}"
             raise ResourceCapExceeded("max_power_pairs", "poly._minimal_power: " + detail)
-        return minimal_packed({m for m in keys if off is None or not (m + off) & guards}, guards)
 
     power = base
     for bit in bin(N)[3:]:
-        pairs = (u + v for i, u in enumerate(power) for v in power[i:])
-        power = step(len(power) * (len(power) + 1) // 2, pairs)
+        check(len(power) * (len(power) + 1) // 2)
+        power = prune({u + v for i, u in enumerate(power) for v in power[i:]})
         if bit == "1":
-            power = step(len(power) * len(base), (u + v for u in power for v in base))
+            check(len(power) * len(base))
+            power = prune({u + v for u in power for v in base})
     return power
 
 
