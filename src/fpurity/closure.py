@@ -35,9 +35,9 @@ Buchberger run truncated at the top W-degree of the products, used as
 built, with no interreduction. Frobenius multiplies every exponent
 difference of a generator by q, so the targets of one probe are graded
 by the weights that grade I + I_def. A probe whose I + I_def has no
-evident grading falls back to the full reduced basis at each e; zero,
-unit and monomial targets need no basis, and a principal target is one
-exact division. A principal a'' is powered by one product, with no walk.
+evident grading, such as a non-quasi-homogeneous I_def, falls back to
+the full basis at each e; zero, unit and monomial targets need no basis
+at all.
 """
 
 from __future__ import annotations

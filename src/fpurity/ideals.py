@@ -1,36 +1,69 @@
 """Ideal arithmetic: bracket powers, colon ideals, membership, powers,
 p^e-th roots, and Groebner bases over F_p[x_1, ..., x_n].
 
-The order is grevlex in the ring's variable order; it affects only running
-time, since every verdict built here is an ideal-membership fact. Ties
-break by input index and reduced bases are canonical, so every operation
-is deterministic. All arithmetic runs on packed monomials (``_Layout``):
-polynomials are packed on entry and unpacked on exit, and a run in which a
-formed monomial reaches a field's guard bit starts again with wider fields.
+The monomial order is grevlex in the ring's declared variable order.
+Every verdict built on this module is an ideal-membership fact, so the
+order choice only affects running time. All tie-breaking is by input
+index and the reduced basis is canonical, which makes every operation
+deterministic.
 
-Groebner bases come from Buchberger's algorithm (``_packed_buchberger``),
-truncated at a weighted degree for ideals that ``positive_grading`` finds
-homogeneous. One loop, ``_normal_form``, reduces for Buchberger, for
-interreduction, for membership, for the Fedder power and, recording a
-quotient, for exact division. Interreduction runs only where a reduced
-basis is read: ``Ideal.groebner``, the Fedder colon and the t-free part of
-an elimination. ``all_members``, the one membership kernel behind
-``membership`` and ``ideal_contains``, divides once by a principal ideal
-and otherwise reduces against a basis as a (possibly truncated) run built it.
+Groebner bases come from Buchberger's algorithm with the pairs in a heap
+ordered by lcm, pruned by the coprime-leads and chain criteria. All of
+its arithmetic runs on packed monomials (``_Layout``): one int per
+monomial, a field per exponent plus one for a degree, laid out so that a
+product is one addition, a divisibility test one subtraction and mask,
+and the ring order the integer order after one XOR. One loop,
+``_normal_form``, reduces for Buchberger and its interreduction, for
+``all_members``, for the Fedder complete-intersection power and,
+recording a quotient, for exact division. It takes the largest remaining
+term from a heap of packed keys, against a table of divisor rows that one
+Buchberger run builds once and extends as the basis grows. A run returns
+its basis as built, and interreduction runs only where a reduced basis
+is read: ``Ideal.groebner``, the Fedder colon and the t-free part of an
+elimination. Polynomials are packed on entry and unpacked on exit;
+``SparsePolynomial`` keeps exponent tuples outside the packed kernels.
+Field widths come from the inputs' degrees, and a run in which a formed
+monomial reaches a field's guard bit starts again with wider fields.
 
-Colons run one intersection per generator of the divisor ideal
-(``_colon_step``), by elimination of a variable t unless both sides are
-monomial or one division settles it; ``fedder_colon`` takes the colon
-I^[q] : I of a complete intersection from Fedder's lemma instead.
+Colons run one intersection per generator of the divisor ideal on packed
+keys from start to end, each by elimination of an extra variable t, whose
+field the elimination layout puts above a grevlex key's, unless both sides
+are monomial or the target is principal and divisible by the other side;
+the Fedder colon I^[q] : I of a complete intersection ``fedder_colon``
+takes from Fedder's lemma as one packed run in the ring itself.
 
-One walk, ``ProductWalk``, forms the generator products of a^N, in S or in
-the box S/m^[q], for ``ideal_power``, ``power_root``, ``nu_value`` and the
-Fedder witness search; a principal a^N is its one product. ``_root`` splits
-each product's terms into residues and quotients modulo q, so a test-ideal
-entry (a^N)^[1/q] never builds a^N as an ideal. Monomial ideals are kept by
-their minimal generators, and their powers and roots stay monomial
-(``_minimal_power``, ``_monomial_root``). Runaway instances hit explicit
-resource caps and raise ResourceCapExceeded instead of spinning.
+For an ideal that is homogeneous in positive integer weights W
+(``positive_grading``), Buchberger can stop at a W-degree: with pairs taken
+by degree, the run is a Groebner basis in every degree up to the bound,
+because homogeneous S-polynomials and remainders keep the degree of their
+lcm, and interreduced it is the full reduced basis up to the bound.
+Giving t weight 0 makes t*J + (1-t)*K homogeneous as well, so
+eliminations truncate the same way. ``fedder_colon`` uses this
+to return only the low-degree generators the escape test can use, and
+``all_members``, the one membership kernel, to decide several memberships
+against one basis truncated at their top degree, as built, when the ideal
+has more than one generator and no cached basis; ``membership`` and
+``ideal_contains`` are its one-line callers.
+
+Ideal powers and p^e-th roots run on packed monomials too, with one path
+each. One walk, ``ProductWalk``, forms the generator products of a^N with
+the packed product and power, in S or in the box S/m^[q]: ``ideal_power``,
+``power_root``, ``nu_value`` and the Fedder witness search all ask it, and
+its one cap, ``MAX_POWER_PRODUCTS``, counts the products up front in S and
+as they are formed in the box. ``_root`` splits every term of a product
+into its residue and quotient modulo q, field by field, and orders the
+residues by key. The test-ideal chain takes each entry (a^N)^[1/q] from the
+two in one pass (``power_root``), so a^N is never built as an ideal, and
+``root_power`` is its N = 1.
+Monomial powers and roots stay monomial: a^N by square-and-multiply
+(``_minimal_power``, truncated in the box), each step pruned once by
+``minimal_packed``, and its root by dividing every field and pruning once
+more.
+
+Monomial ideals are recognized at construction and stored by their unique
+minimal monomial generators; most operations have a fast path for them.
+Runaway instances hit explicit resource caps and raise ResourceCapExceeded
+instead of spinning.
 """
 
 from __future__ import annotations
@@ -430,15 +463,14 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
     A zero h or a generator of J is in J, every h is in a J with a constant
     generator and no nonzero h in the zero ideal; for monomial J each term
     of h must be divisible by a generator (the guard-bit test). Every other
-    h is reduced against one Groebner basis: a principal J's generator, by
-    one exact division that stops at the first term left over; J's cached
-    reduced basis; when ``positive_grading(J)`` finds positive weights W,
-    one Buchberger run truncated at D, the largest W-degree of a term of any
-    h, as built, a Groebner basis of J in every W-degree up to D (see
-    ``_buchberger``); else ``J.groebner()``. The h need not be homogeneous:
-    h lies in J iff each W-homogeneous component does, and a reduction step
-    by a homogeneous divisor stays in the degree of the term it handles.
-    Stops at the first h outside J.
+    h is reduced against one Groebner basis: a principal J's generator; J's
+    cached reduced basis; when ``positive_grading(J)`` finds positive
+    weights W, one Buchberger run truncated at D, the largest W-degree of a
+    term of any h, as built, a Groebner basis of J in every W-degree up to
+    D (see ``_buchberger``); else ``J.groebner()``. The h need not be
+    homogeneous: h lies in J iff each W-homogeneous component does, and a
+    reduction step by a homogeneous divisor stays in the degree of the term
+    it handles. Stops at the first h outside J.
     """
     polys = list(polys)
     if any(h.ring != J.ring for h in polys):
@@ -448,13 +480,13 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
         return True
     if J.is_zero():
         return False
-    ring = J.ring
+    ring, multi = J.ring, len(J.generators) > 1
     graded = None
-    if J._basis is None and not J.is_monomial and len(J.generators) > 1:
+    if J._basis is None and not J.is_monomial and multi:
         weights = positive_grading(J)
         if weights is not None:
             graded = weights, max(sum(map(mul, m, weights)) for h in polys for m in h.terms)
-    basis = J.groebner() if graded is None and len(J.generators) > 1 else J.generators
+    basis = J.groebner() if graded is None and multi else J.generators
 
     def run(w: int) -> bool:
         lay = _layout(ring, w)
@@ -468,8 +500,6 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
         else:
             built = _packed_buchberger([lay.pack(g) for g in basis], lay, graded, _StepCounter())
             table = [_row(h, next(iter(h)), ring.p) for h in built]
-        if len(table) == 1:
-            return all(_try_exact_div(lay.pack(h), table[0], lay) is not None for h in polys)
         return all(not _normal_form(lay.pack(h), table, lay, _StepCounter()) for h in polys)
 
     return _widening(run, _top_degree(itertools.chain(basis, polys)))
@@ -563,8 +593,7 @@ def _monomial_root(lay: _Layout, keys: Iterable[int], q: int) -> Ideal:
 
 
 def ideal_power(a: Ideal, N: int) -> Ideal:
-    """a^N, with a^0 the unit ideal, unpacked from ``ProductWalk``'s products;
-    for principal a, its one product (``ProductWalk.product``)."""
+    """a^N, with a^0 the unit ideal, unpacked from ``ProductWalk``'s products."""
     if N < 0:
         raise ValueError(f"negative ideal power {N}")
     ring = a.ring
@@ -572,11 +601,11 @@ def ideal_power(a: Ideal, N: int) -> Ideal:
         return Ideal.unit(ring)
     if a.is_zero():
         return Ideal.zero(ring)
+    if a.has_constant_generator():
+        return Ideal.unit(ring)
     if N == 1:
         return a
     walk = ProductWalk(a)
-    if len(a.generators) == 1:  # the unit ideal included
-        return Ideal(ring, [walk.product((N,))])
     power = walk.products(N)
     if a.is_monomial:
         return Ideal._from_minimal(walk.lay, power)

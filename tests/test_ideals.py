@@ -848,12 +848,12 @@ def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeyp
     # with no grading only the full one; after, no Buchberger run happens.
     # A run hands back its basis as built: monic, terms largest first, and
     # not interreduced, which membership does not need. A principal target
-    # runs no Buchberger at all: each h is one exact division by f
+    # runs no Buchberger at all: its generator is a Groebner basis
     from fpurity import all_members, ideals
     from test_kernels import tuple_membership
 
-    runs, divisions, reduced = [], [], []
-    run, divide, interreduce = ideals._packed_buchberger, ideals._try_exact_div, ideals._interreduce
+    runs, reduced = [], []
+    run, interreduce = ideals._packed_buchberger, ideals._interreduce
 
     def building(gens, lay, graded, counter):
         runs.append(graded)
@@ -863,9 +863,6 @@ def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeyp
         return basis
 
     monkeypatch.setattr(ideals, "_packed_buchberger", building)
-    monkeypatch.setattr(
-        ideals, "_try_exact_div", lambda *args: divisions.append(args) or divide(*args)
-    )
     monkeypatch.setattr(
         ideals, "_interreduce", lambda *args: reduced.append(args) or interreduce(*args)
     )
@@ -877,14 +874,14 @@ def test_all_members_matches_membership_on_hypersurface_quotients(prime, monkeyp
         for cached in (False, True):
             if cached:
                 J.groebner()
-            del runs[:], divisions[:], reduced[:]
+            del runs[:], reduced[:]
             assert [all_members([h], J) for h in polys] == want, (J, cached)
             assert all_members(polys, J) is all(want)
             assert [membership(h, J) for h in polys] == want
             assert [ideal_contains(J, Ideal(J.ring, [h])) for h in polys] == want
             assert ideal_contains(J, Ideal(J.ring, polys)) is all(want)
             if len(J.generators) == 1:
-                assert runs == [] and divisions and reduced == []
+                assert runs == [] and reduced == []
             elif cached:
                 assert runs == []
             elif weights is None:
