@@ -18,19 +18,22 @@ and the ring order the integer order after one XOR. One loop,
 recording a quotient, for exact division. It takes the largest remaining
 term from a heap of packed keys, against a table of divisor rows that one
 Buchberger run builds once and extends as the basis grows. A run returns
-its basis as built, and interreduction runs only where a reduced basis
-is read: ``Ideal.groebner``, the Fedder colon and the t-free part of an
-elimination. Polynomials are packed on entry and unpacked on exit;
-``SparsePolynomial`` keeps exponent tuples outside the packed kernels.
-Field widths come from the inputs' degrees, and a run in which a formed
-monomial reaches a field's guard bit starts again with wider fields.
+its basis as built, and interreduction runs only where a reduced basis is
+read: ``Ideal.groebner``, the complete-intersection Fedder colon, once at
+the end of a colon by two or more generators, and on the t-free part of
+the elimination behind an intersection or a principal colon. Polynomials
+are packed on entry and unpacked on exit; ``SparsePolynomial`` keeps
+exponent tuples outside the packed kernels. Field widths come from the
+inputs' degrees, and a run in which a formed monomial reaches a field's
+guard bit starts again with wider fields.
 
 Colons run one intersection per generator of the divisor ideal on packed
-keys from start to end, each by elimination of an extra variable t, whose
-field the elimination layout puts above a grevlex key's, unless both sides
-are monomial or the target is principal and divisible by the other side;
-the Fedder colon I^[q] : I of a complete intersection ``fedder_colon``
-takes from Fedder's lemma as one packed run in the ring itself.
+keys and one step counter from start to end, each by elimination of an
+extra variable t, whose field the elimination layout puts above a grevlex
+key's, unless both sides are monomial or the target is principal and
+divisible by the other side; the Fedder colon I^[q] : I of a complete
+intersection ``fedder_colon`` takes from Fedder's lemma as one packed run
+in the ring itself.
 
 For an ideal that is homogeneous in positive integer weights W
 (``positive_grading``), Buchberger can stop at a W-degree: with pairs taken
@@ -107,10 +110,12 @@ MAX_POWER_PRODUCTS = 50_000
 
 
 class _StepCounter:
-    __slots__ = ("steps",)
+    """The reduction steps of one run, capped in total; ``layer`` names it."""
 
-    def __init__(self):
-        self.steps = 0
+    __slots__ = ("steps", "layer")
+
+    def __init__(self, layer: str):
+        self.steps, self.layer = 0, layer
 
 
 class Ideal:
@@ -271,7 +276,7 @@ def _normal_form(
             continue
         steps += 1
         if steps > cap:
-            raise ResourceCapExceeded("max_reduction_steps", f"{cap} steps")
+            raise ResourceCapExceeded("max_reduction_steps", f"{counter.layer}: {cap} steps")
         raised = m | guards
         for gterms, glm, ginv in table:
             if (raised - glm) & guards == guards:
@@ -334,7 +339,7 @@ def _buchberger(
     """
 
     def run(w: int) -> list[SparsePolynomial]:
-        lay, counter = _layout(ring, w), _StepCounter()
+        lay, counter = _layout(ring, w), _StepCounter("ideals.groebner")
         basis = _packed_buchberger([lay.pack(g) for g in gens], lay, graded, counter)
         if basis == [{0: 1}]:
             return [ring.one()]
@@ -495,12 +500,13 @@ def all_members(polys: Iterable[SparsePolynomial], J: Ideal) -> bool:
             leads = [lay.key(g.lead_monomial()) for g in basis]
             terms = (m | guards for h in polys for m in lay.pack(h))
             return all(any((m - g) & guards == guards for g in leads) for m in terms)
+        steps = functools.partial(_StepCounter, "ideals.membership")
         if graded is None:
             table = [_row(lay.pack(b), lay.key(b.lead_monomial()), ring.p) for b in basis]
         else:
-            built = _packed_buchberger([lay.pack(g) for g in basis], lay, graded, _StepCounter())
+            built = _packed_buchberger([lay.pack(g) for g in basis], lay, graded, steps())
             table = [_row(h, next(iter(h)), ring.p) for h in built]
-        return all(not _normal_form(lay.pack(h), table, lay, _StepCounter()) for h in polys)
+        return all(not _normal_form(lay.pack(h), table, lay, steps()) for h in polys)
 
     return _widening(run, _top_degree(itertools.chain(basis, polys)))
 
@@ -803,9 +809,9 @@ def intersect(J: Ideal, K: Ideal) -> Ideal:
         return J
 
     def run(w: int) -> Ideal:
-        lay = _layout(ring, w)
+        lay, counter = _layout(ring, w), _StepCounter("ideals.intersect")
         packed = [[lay.pack(g) for g in A.generators] for A in (J, K)]
-        meet = _colon_step(*packed, {0: 1}, lay, None)
+        meet = _colon_step(*packed, {0: 1}, lay, None, counter, reduce=True)
         return Ideal(ring, [lay.unpack(h) for h in meet])
 
     return _widening(run, _top_degree(itertools.chain(J.generators, K.generators)) + 1)
@@ -819,12 +825,13 @@ def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
     when g lies in R_(k-1) intersect (J : f_k) (S is a domain); one
     intersection per generator of I. The quotients of a Groebner basis of
     J intersect f_k*R_(k-1) by f_k form a Groebner basis of R_k, so for
-    r >= 2 one interreduction turns them into the monic reduced basis,
-    sorted by lead; a principal I keeps them as they come. The loop runs
-    on packed keys of one width, from packing J to unpacking the result,
-    and starts again wider when a formed monomial overflows. For J = I^[q]
-    with I a complete intersection, ``fedder_colon`` gives the same ideal
-    without elimination.
+    r >= 2 the steps pass their elimination bases on as built and one
+    interreduction of R_r gives the monic reduced basis, sorted by lead; a
+    principal I keeps the quotients of its reduced meet. The loop runs on
+    packed keys of one width and one ``_StepCounter``, which caps the whole
+    colon, from packing J to unpacking the result, and starts again wider
+    when a formed monomial overflows. For J = I^[q] with I a complete
+    intersection, ``fedder_colon`` gives the same ideal without elimination.
 
     ``graded = (weights, bound)``, for J and I homogeneous in positive
     integer weights, keeps only the generators of weighted degree at most
@@ -839,14 +846,16 @@ def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
     if I.has_constant_generator() or J.is_zero():
         return J
 
+    principal = len(I.generators) == 1
+
     def run(w: int) -> Ideal:
-        lay = _layout(ring, w)
+        lay, counter = _layout(ring, w), _StepCounter("ideals.colon")
         packed = [lay.pack(g) for g in J.generators]
         result = [{0: 1}]
-        for f in map(lay.pack, I.generators):
-            result = result and _colon_step(packed, result, f, lay, graded)  # [] stays zero
-        if len(I.generators) > 1 and any(len(h) > 1 for h in result):
-            result = _interreduce(result, lay, _StepCounter())
+        for f in map(lay.pack, I.generators):  # [] stays zero
+            result = result and _colon_step(packed, result, f, lay, graded, counter, principal)
+        if not principal and any(len(h) > 1 for h in result):
+            result = _interreduce(result, lay, counter)
         if graded is not None:
             degree, bound = lay.weighted(graded[0]), graded[1]
             result = [h for h in result if degree(next(iter(h))) <= bound]
@@ -856,13 +865,15 @@ def colon(J: Ideal, I: Ideal, graded: Optional[_Graded] = None) -> Ideal:
 
 
 def _colon_step(
-    J: list[dict], R: list[dict], f: dict[int, int], lay: _Layout, graded: Optional[_Graded]
+    J: list[dict], R: list[dict], f: dict[int, int], lay: _Layout, graded: Optional[_Graded],
+    counter: _StepCounter, reduce: bool,
 ) -> list[dict[int, int]]:
     """(J intersect f*R) / f for nonzero J, R and f packed on lay, as
     ``Ideal(...)`` keeps it (``_as_ideal``), terms largest first; [] is the
     zero ideal. Monomial J, f and R take the lcms; (g) against (f*r) with
     f*r dividing g gives (g / (f*r) * r) from that one division; else each
-    element of the meet, truncated at the bound plus deg f, is divided by f.
+    element of the meet (``_eliminated``, reduced if ``reduce``), truncated
+    at the bound plus deg f, is divided by f. Reductions count on ``counter``.
     """
     p = lay.ring.p
     flead = max(f, key=lay.asc.__xor__)
@@ -878,41 +889,44 @@ def _colon_step(
         if graded is not None and lay.weighted(graded[0])(max(g, key=lay.asc.__xor__)) > graded[1]:
             return []
         lead = flead + max(r, key=lay.asc.__xor__)
-        quotient = _try_exact_div(g, _row(raised[0], lead, p), lay)
+        quotient = _try_exact_div(g, _row(raised[0], lead, p), lay, counter)
         if quotient is not None:
             product = _packed_mul(quotient, r, p)
             return _as_ideal([dict(sorted(product.items(), key=lambda t: t[0] ^ lay.desc))], lay)
     frow = _row(f, flead, p)
-    quotients = [_try_exact_div(h, frow, lay) for h in _eliminated(J, raised, lay, graded)]
+    meet = _eliminated(J, raised, lay, graded, counter, reduce)
+    quotients = [_try_exact_div(h, frow, lay, counter) for h in meet]
     if None in quotients:
         raise AssertionError("element of J meet (f) not divisible by f")
     return _as_ideal(quotients, lay)
 
 
 def _eliminated(
-    J: list[dict], K: list[dict], lay: _Layout, graded: Optional[_Graded]
+    J: list[dict], K: list[dict], lay: _Layout, graded: Optional[_Graded], counter: _StepCounter,
+    reduce: bool,
 ) -> list[dict[int, int]]:
-    """The reduced basis of J intersect K from packed generators, t
-    eliminated from t*J + (1-t)*K (weight 0 when graded). A key of lay is
-    the key of the same monomial times t^0 in lay's elimination layout: t*m
-    is m plus t's unit, and a basis element with a t-free lead is t-free (t
-    comes first in the order) and already a key of lay. Only those, a Groebner
-    basis of J intersect K, are interreduced: no lead with t divides a t-free
-    term, so this is the t-free part of the full reduced basis."""
-    elay, counter = _layout(lay.ring, lay.w, elim=True), _StepCounter()
+    """A Groebner basis of J intersect K from packed generators, t
+    eliminated from t*J + (1-t)*K (weight 0 when graded) on ``counter``. A
+    key of lay is the key of the same monomial times t^0 in lay's
+    elimination layout: t*m is m plus t's unit, and a basis element with a
+    t-free lead is t-free (t comes first in the order) and already a key of
+    lay. Only those, a Groebner basis of J intersect K, are kept, as built
+    or, with ``reduce``, interreduced: no lead with t divides a t-free term,
+    so that is the t-free part of the full reduced basis."""
+    elay = _layout(lay.ring, lay.w, elim=True)
     t, p = 1 << elay.shifts[0], lay.ring.p
     gens = [{m + t: c for m, c in g.items()} for g in J]
     gens += [{**h, **{m + t: p - c for m, c in h.items()}} for h in K]
     graded = graded and ((0, *graded[0]), graded[1])
-    basis = _packed_buchberger(gens, elay, graded, counter)
-    return _interreduce([h for h in basis if next(iter(h)) < t], elay, counter)
+    meet = [h for h in _packed_buchberger(gens, elay, graded, counter) if next(iter(h)) < t]
+    return _interreduce(meet, elay, counter) if reduce else meet
 
 
-def _try_exact_div(g: dict[int, int], f: _Row, lay: _Layout) -> Optional[dict[int, int]]:
+def _try_exact_div(g: dict, f: _Row, lay: _Layout, counter: _StepCounter) -> Optional[dict]:
     """g / f, largest term first, when the divisor row f divides g, else
     None: ``_normal_form`` of a copy of g by f alone, recording a quotient."""
     quotient: dict[int, int] = {}
-    if _normal_form(dict(g), [f], lay, _StepCounter(), quotient):
+    if _normal_form(dict(g), [f], lay, counter, quotient):
         return None
     return quotient
 
@@ -1038,10 +1052,10 @@ def fedder_colon(I: Ideal, q: int, graded: Optional[_Graded] = None) -> Ideal:
     those q-th powers, a Groebner basis of I^[q], and the monic reduced
     basis, sorted by lead, by one Buchberger run in S. A P^(p-1) whose
     ``power_term_bound`` passes MAX_BOX_TERMS raises ResourceCapExceeded
-    before it is formed. ``colon`` gives the same generators here, as it
-    interreduces its sequential result for two or more generators. Every
-    other ideal (monomial, principal, unit, zero, or not a complete
-    intersection) goes through ``colon``.
+    before it is formed. ``colon`` gives the same generators here: for two
+    or more generators it interreduces only its final result. Every other
+    ideal (monomial, principal, unit, zero, or not a complete intersection)
+    goes through ``colon``, one elimination per generator of I.
 
     ``graded = (weights, bound)``, for I homogeneous in the positive
     integer weights W (``positive_grading``), asks only for the generators
@@ -1061,7 +1075,7 @@ def fedder_colon(I: Ideal, q: int, graded: Optional[_Graded] = None) -> Ideal:
     k = sum(map(any, zip(*(m for g in gens for m in g.terms))))  # the variables in P
 
     def run(w: int) -> Ideal:
-        lay = _layout(ring, w)
+        lay, counter = _layout(ring, w), _StepCounter("ideals.fedder_colon")
 
         def frob(h: dict[int, int], qi: int) -> dict[int, int]:
             return lay.check({m * qi: c for m, c in h.items()})
@@ -1075,7 +1089,7 @@ def fedder_colon(I: Ideal, q: int, graded: Optional[_Graded] = None) -> Ideal:
                 raise ResourceCapExceeded("max_box_terms", detail)
             basis = I.groebner()
             table = [_row(frob(lay.pack(b), q), q * lay.key(b.lead_monomial()), p) for b in basis]
-            digit, counter, power, qi = _packed_pow(product, p - 1, p), _StepCounter(), {0: 1}, 1
+            digit, power, qi = _packed_pow(product, p - 1, p), {0: 1}, 1
             while qi < q:
                 if len(power) * len(digit) > MAX_BOX_TERMS:
                     sizes = f"{len(power)}- and {len(digit)}-term factors"
@@ -1084,7 +1098,6 @@ def fedder_colon(I: Ideal, q: int, graded: Optional[_Graded] = None) -> Ideal:
                 power = _normal_form(_packed_mul(power, frob(digit, qi), p), table, lay, counter)
                 qi *= p
             inputs.append(power)
-        counter = _StepCounter()
         basis = _interreduce(_packed_buchberger(inputs, lay, graded, counter), lay, counter)
         return Ideal(ring, [lay.unpack(h) for h in basis])
 

@@ -511,8 +511,10 @@ def test_minimal_monomials_match_pairwise_definition():
 def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
     # colon(I^[3], I) for the twisted cubic over F_3. With only the
     # coprime-leads criterion, Buchberger took 631 normal forms here; the
-    # chain criterion brought it to 218, the sequential colon to 116, and
-    # interreducing only the t-free part of each elimination basis to 100.
+    # chain criterion brought it to 218, the sequential colon to 116,
+    # interreducing only the t-free part of each elimination basis to 100,
+    # and interreducing only the colon's final result, not each step's
+    # meet, to 89.
     # Exact divisions run the same loop with a quotient and are not counted.
     # The reduced basis is canonical, so it must not move.
     from fpurity import ideals
@@ -529,7 +531,7 @@ def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
 
     monkeypatch.setattr(ideals, "_normal_form", counting)
     J = colon(bracket_power(I, 3), I)
-    assert calls == 100
+    assert calls == 89
     monkeypatch.setattr(ideals, "_normal_form", reduce)
     assert [str(g) for g in J.groebner()] == [
         "z^6 + 2*y^3*w^3",
@@ -540,6 +542,62 @@ def test_chain_criterion_prunes_the_twisted_cubic_colon(monkeypatch):
         "x*y^2*z^4 + x^2*z^5 + y^5*z*w + x*y^3*z^2*w + x^2*y*z^3*w + x*y^4*w^2"
         " + x^2*y^2*z*w^2 + x^3*z^2*w^2 + x^3*y*w^3",
     ]
+
+
+def test_one_step_counter_caps_the_whole_colon(monkeypatch):
+    # the twisted cubic's colon counts its eliminations, exact divisions
+    # and final interreduction on one counter, so a cap above its largest
+    # elimination but below its total stops it, under its own name
+    from fpurity import ideals
+
+    ring = parse_ring("p=3; vars=x,y,z,w")
+    I = ideal(["x*z - y^2", "x*w - y*z", "y*w - z^2"], ring)
+    counters, runs = [], []
+    real, eliminate = ideals._StepCounter, ideals._eliminated
+
+    def eliminating(J, K, lay, graded, counter, reduce):
+        before = counter.steps
+        meet = eliminate(J, K, lay, graded, counter, reduce)
+        runs.append(counter.steps - before)
+        return meet
+
+    monkeypatch.setattr(
+        ideals, "_StepCounter", lambda layer: counters.append(real(layer)) or counters[-1]
+    )
+    monkeypatch.setattr(ideals, "_eliminated", eliminating)
+    colon(bracket_power(I, 3), I)
+    (counter,) = counters
+    assert counter.layer == "ideals.colon" and len(runs) == 3
+    assert max(runs) < counter.steps
+    monkeypatch.setattr(ideals, "MAX_REDUCTION_STEPS", (max(runs) + counter.steps) // 2)
+    with pytest.raises(ResourceCapExceeded, match="max_reduction_steps.*ideals.colon"):
+        colon(bracket_power(I, 3), I)
+
+
+def test_a_colon_by_several_generators_interreduces_once(monkeypatch):
+    # the steps pass their elimination bases on as built; only the result
+    # is interreduced, and its reduced basis is canonical
+    from fpurity import ideals
+
+    calls = []
+    interreduce = ideals._interreduce
+    monkeypatch.setattr(
+        ideals, "_interreduce", lambda *args: calls.append(1) or interreduce(*args)
+    )
+    cases = [
+        ("x,y,z,w", ["x*z - y^2", "x*w - y*z", "y*w - z^2"]),
+        ("x,y,z", ["x*z - y^2", "x^3 - y*z", "x^2*y - z^2"]),  # (t^3, t^4, t^5)
+        ("x,y,z,w", ["x*y + z*w", "x^2 + y*w", "x*z + w^2"]),
+    ]
+    for variables, gens in cases:
+        ring = parse_ring(f"p=2; vars={variables}")
+        I = ideal(gens, ring)
+        weights = ideals.positive_grading(I)
+        for q, graded in [(2, None), (4, None), (4, (weights, sum(weights) * 3))]:
+            del calls[:]
+            got = colon(bracket_power(I, q), I, graded)
+            assert len(calls) == 1, (gens, q, graded)
+            assert got.generators == Ideal(ring, got.groebner()).generators
 
 
 # --- the reduction kernel ------------------------------------------------------
@@ -613,7 +671,7 @@ def test_heap_normal_form_matches_the_max_scan(case):
     def pack(g):
         return {lay.key(m): c for m, c in g.terms.items()}
 
-    heap_steps = ideals._StepCounter()
+    heap_steps = ideals._StepCounter("ideals.groebner")
     rows = [ideals._row(pack(g), lay.key(max(g.terms, key=key)), ring.p) for g in basis]
     remainder = ideals._normal_form(pack(f), rows, lay, heap_steps)
     terms = {lay.exponents(m): c for m, c in remainder.items()}

@@ -1008,7 +1008,8 @@ def _elim_buchberger(gens, ring, graded=None):
     base = PolyRing(ring.field, ring.variables[1:])
 
     def run(w):
-        lay, counter = ideals._layout(base, w, elim=True), ideals._StepCounter()
+        lay = ideals._layout(base, w, elim=True)
+        counter = ideals._StepCounter("ideals.groebner")
         packed = [{lay.key(m): c for m, c in g.terms.items()} for g in gens]
         basis = ideals._packed_buchberger(packed, lay, graded, counter)
         if basis == [{0: 1}]:
@@ -1029,7 +1030,9 @@ def _packed_run(gens, ring, graded=None, elim=False):
     counters = []
     real = ideals._StepCounter
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ideals, "_StepCounter", lambda: counters.append(real()) or counters[-1])
+        mp.setattr(
+            ideals, "_StepCounter", lambda layer: counters.append(real(layer)) or counters[-1]
+        )
         if elim:
             basis = _elim_buchberger(list(gens), ring, graded)
         else:
@@ -1250,7 +1253,8 @@ def test_eliminated_interreduces_exactly_the_t_free_part(prime):
     # the elimination basis as built, then interreduced in full, keeps the
     # same t-free elements as interreducing only them: no lead with t
     # divides a t-free term, and the t-free elements already form a
-    # Groebner basis of J meet K
+    # Groebner basis of J meet K. Unreduced, the meet is those t-free
+    # elements as built, which interreduce to the same basis
     cases = 0
     for ring, J, K, graded in _elimination_cases(prime):
 
@@ -1262,11 +1266,14 @@ def test_eliminated_interreduces_exactly_the_t_free_part(prime):
             gens = [{m + t: c for m, c in g.items()} for g in packed[0]]
             gens += [{**h, **{m + t: prime - c for m, c in h.items()}} for h in packed[1]]
             egraded = graded and ((0, *graded[0]), graded[1])
-            counter = ideals._StepCounter()
+            counter = ideals._StepCounter("ideals.intersect")
             built = ideals._packed_buchberger(gens, elay, egraded, counter)
             full = ideals._interreduce(built, elay, counter)
             want = [h for h in full if next(iter(h)) < t]
-            got = ideals._eliminated(*packed, lay, graded)
+            fresh = ideals._StepCounter("ideals.intersect")
+            got = ideals._eliminated(*packed, lay, graded, fresh, True)
+            built = ideals._eliminated(*packed, lay, graded, fresh, False)
+            assert ideals._interreduce(built, elay, fresh) == got
             return [list(h.items()) for h in got], [list(h.items()) for h in want]
 
         got, want = ideals._widening(run, ideals._top_degree(J + K) + 1)
@@ -1311,9 +1318,9 @@ def test_a_colon_past_the_first_width_reruns_the_whole_loop_wider(monkeypatch):
     widths = []
     real = ideals._colon_step
 
-    def step(J, R, f, lay, graded):
+    def step(J, R, f, lay, graded, counter, reduce):
         widths.append(lay.w)
-        return real(J, R, f, lay, graded)
+        return real(J, R, f, lay, graded, counter, reduce)
 
     monkeypatch.setattr(ideals, "_colon_step", step)
     for last in ("v", "v + x"):
