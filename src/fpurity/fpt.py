@@ -7,8 +7,8 @@ argument. It is computed inside the Frobenius box S/m^[q], where a term
 drops out as soon as one of its exponents reaches q, so "a^s inside m^[q]"
 is "a^s vanishes in the box"; ``ProductWalk``, the enumeration of the
 purity criteria and the ideal powers, asks it. The walk q' = p, p^2, ...,
-q binary-searches each nu(q') in the window that nu(q'/p) allows; see
-``nu_value``.
+q finds each nu(q') by one walk over the escaping generator products,
+checked against the window that nu(q'/p) allows; see ``nu_value``.
 
 Dividing nu by q gives a lower bound for the threshold of a; the matching
 upper bound is (nu + mu)/q where mu is the number of generators of a
@@ -76,9 +76,9 @@ def nu_value(a: Ideal, q: int) -> int:
 
     m is the homogeneous maximal ideal of a's ring; every test "a^s inside
     m^[q']?" runs in the box S/m^[q'] (``ideals.ProductWalk``), where it
-    asks whether a^s vanishes. The predicate is monotone in s, so each level
-    is a binary search, started from nu(1) = 0 (a sits in m) and confined to
-    the window that the previous level's nu = nu(q'/p) leaves:
+    asks whether a^s vanishes. Levels start from nu(1) = 0 (a sits in m),
+    and each nu(q') lies in the window that the previous level's
+    nu = nu(q'/p) leaves:
 
       * principal a:      p*nu <= nu(q') <= p*nu + p - 1,
       * mu generators:    p*nu <= nu(q') <= p*(nu + 1) + mu*(p - 1) - 1,
@@ -89,9 +89,10 @@ def nu_value(a: Ideal, q: int) -> int:
     lies in m^[q'/p], so its Frobenius image (f^(nu+1))^p, or by
     pigeonhole a^(p*(nu+1) + mu*(p-1)), lies in m^[q'] (Mustata, Takagi
     and Watanabe, "F-thresholds and Bernstein-Sato polynomials", 2005).
-    Both ends are checked before the search (a^lo escapes, a^(hi+1) is
-    contained); a failed check is an engine bug and raises AssertionError.
-    a^0 is the whole ring and never contained.
+    A non-monomial a takes each nu(q') from one ``ProductWalk.top`` walked
+    from the window's lower end; a monomial a bisects the window once its
+    ends hold (a^lo escapes, a^(hi+1) is contained). A nu outside the window
+    is an engine bug and raises AssertionError. a^0 is never contained.
 
     Each level asks one ``ProductWalk`` in the box, the enumeration the
     Fedder criteria use, so its cap on the products formed applies here too.
@@ -108,19 +109,22 @@ def nu_value(a: Ideal, q: int) -> int:
     nu, level = 0, 1
     while level < q:
         level *= p
-        escapes = ProductWalk(a, level).escapes
+        walk = ProductWalk(a, level)
         # a^lo escapes and a^hi is contained, so lo <= nu(level) < hi
-        lo = p * nu
+        below, lo = nu, p * nu
         hi = lo + p if mu == 1 else min(p * (nu + 1) + mu * (p - 1), n * (level - 1) + 1)
-        if not escapes(lo) or escapes(hi):
+        if not a.is_monomial:
+            nu = walk.top(lo - 1)
+        else:  # bisect once both ends hold; lo - 1 reports a failed end
+            nu, above = (lo, hi) if walk.escapes(lo) and not walk.escapes(hi) else (lo - 1, lo)
+            while above - nu > 1:
+                mid = (nu + above) // 2
+                nu, above = (mid, above) if walk.escapes(mid) else (nu, mid)
+        if not lo <= nu < hi:
             raise AssertionError(
                 f"nu({level}) left the window [{lo}, {hi - 1}] "
-                f"given by nu({level // p}) = {nu}"
+                f"given by nu({level // p}) = {below}"
             )
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if escapes(mid) else (lo, mid)
-        nu = lo
     return nu
 
 

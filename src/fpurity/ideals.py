@@ -648,9 +648,11 @@ class ProductWalk:
     ``_packed_pow`` kept for every N asked, each partial product formed once
     for all of its extensions, and in the box one that vanishes drops them.
     ``products`` and ``witness`` run in combinations_with_replacement order,
-    k_1 descending first; ``escapes`` runs each k_j up from 0, since on
-    capped inputs the other order formed larger products and ran up to 10x
-    longer.
+    k_1 descending first. The escaping k form a down-set, so ``top`` finds
+    the largest |k| in one walk over the prefixes with a nonzero product,
+    each k_j up from 0 until one vanishes; the last exponent starts at the
+    best |k| so far plus one and climbs by one factor g_r while the product
+    escapes, g_r being the generator with the term whose powers vanish last.
 
     Checks and caps: on construction, q must be a power of p (ValueError),
     with exponents up to q - 1 inside 2^63-1 (ExponentOverflowError). More
@@ -703,7 +705,7 @@ class ProductWalk:
             self._fit(N)
         if a.is_monomial:
             return _minimal_power(self._base, N, self.lay, self.q)
-        return (product for _, product in self._walk(N, rising=False))
+        return (product for _, product in self._walk(N))
 
     def _fit(self, N: int):
         """Place the walk in S on a layout that holds a^N's degree."""
@@ -719,7 +721,30 @@ class ProductWalk:
         """Whether a^N escapes m^[q]: some product is nonzero in the box."""
         if self.a.is_monomial:
             return bool(_minimal_power(self._base, N, self.lay, self.q))
-        return next(self._walk(N, rising=True), None) is not None
+        return self.top(N - 1) >= N
+
+    def top(self, floor: int) -> float:
+        """max(floor, largest |k| with g_1^k_1 * ... * g_r^k_r escaping m^[q])
+        for non-monomial a; infinite when a generator has a constant term."""
+        if any((0,) * self.a.ring.nvars in g.terms for g in self.a.generators):
+            return math.inf
+        self._formed, best, last = 0, floor, len(self._gens) - 1
+        order = sorted(range(last + 1), key=lambda j: -min(map(max, self.a.generators[j].terms)))
+
+        def climb(j: int, used: int, partial):
+            nonlocal best
+            g, kj = order[j], max(best + 1 - used, 0) if j == last else 0
+            product = self._times(partial, g, kj)
+            while product != {}:
+                if j == last:  # one more factor g_r on the product that escaped
+                    best, product = used + kj, self._times(product, g, 1)
+                else:
+                    climb(j + 1, used + kj, product)
+                    product = self._times(partial, g, kj + 1)
+                kj += 1
+
+        climb(0, 0, None)
+        return best
 
     def witness(self, N: int, cofactors: Iterable[SparsePolynomial]) -> Optional[tuple]:
         """The first pair (u, v), u a product of a^N and v a cofactor, with
@@ -739,7 +764,7 @@ class ProductWalk:
                     e = lay.exponents(m)
                     return SparsePolynomial(lay.ring, {e: 1}, e), v
             return None
-        for k, product in self._walk(N, rising=False):
+        for k, product in self._walk(N):
             v = accept(product)
             if v is not None:
                 return ProductWalk(self.a).product(k), v
@@ -756,39 +781,40 @@ class ProductWalk:
         product = functools.reduce(lambda f, g: _packed_mul(f, g, *args), factors)
         return self.lay.unpack(product, ordered=False)
 
-    def _walk(self, N: int, rising: bool) -> Iterator[tuple[list[int], dict[int, int]]]:
-        """(k, product) for the nonzero products of a^N, k_j rising if asked,
-        else falling; k is one list, updated in place."""
+    def _walk(self, N: int) -> Iterator[tuple[list[int], dict[int, int]]]:
+        """(k, product) for the nonzero products of a^N, k_j falling; k is updated in place."""
         self._formed = 0
-        return self._extend(N, rising, 0, N, None, [0] * len(self._gens))
+        return self._extend(0, N, None, [0] * len(self._gens))
 
-    def _extend(self, N: int, rising: bool, j: int, left: int, partial, k: list[int]):
+    def _extend(self, j: int, left: int, partial, k: list[int]):
         # partial * g_j^k_j * ... * g_last^k_last with k_j + ... + k_last = left,
         # a partial of None being 1
-        last, q = len(self._gens) - 1, self.q
-        for kj in (left,) if j == last else range(left + 1) if rising else range(left, -1, -1):
-            self._formed += 1
-            if q is not None and self._formed > MAX_POWER_PRODUCTS:
-                raise ResourceCapExceeded(
-                    "max_power_products",
-                    f"more than {MAX_POWER_PRODUCTS} products of {last + 1} generators "
-                    f"formed for a^{N} modulo m^[{q}]",
-                )
-            product = partial
-            if kj:
-                row = self._powers[j]
-                product = row.get(kj)
-                if product is None:
-                    product = row[kj] = _packed_pow(self._gens[j], kj, *self._args)
-                if partial is not None:
-                    product = _packed_mul(partial, product, *self._args)
-                if not product:
-                    continue
+        last = len(self._gens) - 1
+        for kj in (left,) if j == last else range(left, -1, -1):
+            if (product := self._times(partial, j, kj)) == {}:
+                continue
             k[j] = kj
             if j == last:
                 yield k, {0: 1} if product is None else product
             else:
-                yield from self._extend(N, rising, j + 1, left - kj, product, k)
+                yield from self._extend(j + 1, left - kj, product, k)
+
+    def _times(self, partial, j: int, kj: int):
+        """partial * g_j^kj (None is 1), counted against MAX_POWER_PRODUCTS in the box."""
+        self._formed += 1
+        if self.q is not None and self._formed > MAX_POWER_PRODUCTS:
+            raise ResourceCapExceeded(
+                "max_power_products",
+                f"ideals.ProductWalk: more than {MAX_POWER_PRODUCTS} products of "
+                f"{len(self._gens)} generators formed modulo m^[{self.q}]",
+            )
+        if not kj:
+            return partial
+        row = self._powers[j]
+        power = row.get(kj)
+        if power is None:
+            power = row[kj] = _packed_pow(self._gens[j], kj, *self._args)
+        return power if partial is None else _packed_mul(partial, power, *self._args)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,68 @@ def test_nu_ideals_match_old_route(p_, names, qs):
             assert nu_value(a, q) == nu_oracle(a, q), (a, q)
 
 
+def _brute_top(a, q, budget):
+    """The largest |k| with g_1^k_1 * ... * g_r^k_r nonzero in S/m^[q], over
+    every exponent vector k: the products are formed on tuples
+    (``poly_mul``), one generator factor at a time, each truncated to the
+    box, and a vector whose partial product vanishes is not extended, since
+    m^[q] is an ideal. None past ``budget`` products."""
+    gens, best, formed = a.generators, -1, 0
+
+    def extend(j, used, partial):
+        nonlocal best, formed
+        if j == len(gens):
+            best = max(best, used)
+            return
+        kj = 0
+        while not partial.is_zero() and formed <= budget:
+            extend(j + 1, used + kj, partial)
+            partial = partial * gens[j]
+            partial = a.ring.poly({m: c for m, c in partial.terms.items() if max(m) < q})
+            formed, kj = formed + 1, kj + 1
+
+    extend(0, 0, a.ring.one())
+    return best if formed <= budget else None
+
+
+@pytest.mark.parametrize("p_", [2, 3, 5, 7])
+def test_the_frontier_walk_finds_the_largest_escaping_product(p_):
+    # nu(q) = max |k| over the escaping exponent vectors, a down-set:
+    # nu_value, the bare walk ProductWalk(a, q).top(-1) with no window, the
+    # walk from a floor and escapes(N) all agree with the brute-force
+    # maximum, and with nu_oracle where its products are few; monomial
+    # draws, which nu_value bisects instead, are redrawn
+    import random
+
+    from fpurity.ideals import ProductWalk
+
+    rng = random.Random(f"frontier:{p_}")
+    qs = [p_**e for e in range(1, 6) if p_**e <= 49]
+    drawn, oracled, shapes = 0, 0, set()
+    while drawn < 10:
+        ring = parse_ring(f"p={p_}; vars={rng.choice(('x,y', 'x,y,z'))}")
+        q = rng.choice(qs)
+        mu = rng.randint(1, 4)
+        a = Ideal(ring, [random_poly(rng, ring, max_terms=3, max_deg=4) for _ in range(mu)])
+        top = None if a.is_monomial else _brute_top(a, q, 600)
+        if top is None:
+            continue
+        drawn += 1
+        shapes.add((len(a.generators), ring.nvars, q))
+        walk = ProductWalk(a, q)
+        assert nu_value(a, q) == walk.top(-1) == top, (a, q)
+        assert walk.top(top - 1) == top and walk.top(top + 2) == top + 2, (a, q)
+        for N in sorted({0, 1, top - 1, top, top + 1, top + 2, rng.randint(0, 2 * top + 2)}):
+            if N >= 0:
+                assert walk.escapes(N) == (N <= top), (a, q, N)
+        mu = len(a.generators)
+        if q <= 27 and math.comb(mu + ring.nvars * (q - 1), mu - 1) <= 400:
+            oracled += 1
+            assert nu_oracle(a, q) == top, (a, q)
+    assert oracled >= 3 and len({mu for mu, _, _ in shapes}) >= 3, shapes
+    assert max(q for _, _, q in shapes) >= p_ * p_, shapes
+
+
 def test_nu_principal_window():
     import random
 
@@ -381,6 +443,24 @@ def test_nu_product_cap(r3xy, monkeypatch):
     monkeypatch.setattr("fpurity.ideals.MAX_POWER_PRODUCTS", 5)
     with pytest.raises(ResourceCapExceeded, match="max_power_products"):
         nu_value(a, 9)
+
+
+def test_the_box_walk_cap_names_its_layer_and_level(r3xy, monkeypatch):
+    # the frontier walk forms products of every total |k| at once, so the
+    # box-side message names the walk and the level q, not one a^N; the
+    # enumeration behind escapes and the witness search shares it
+    from fpurity.ideals import ProductWalk
+
+    a = ideal(["x + y", "x*y + y^2", "x^2"], r3xy)
+    monkeypatch.setattr("fpurity.ideals.MAX_POWER_PRODUCTS", 5)
+    message = (
+        "resource cap exceeded: max_power_products (ideals.ProductWalk: more than 5 "
+        "products of 3 generators formed modulo m^[{}])"
+    )
+    for run, q in ((lambda: nu_value(a, 9), 3), (lambda: list(ProductWalk(a, 9).products(6)), 9)):
+        with pytest.raises(ResourceCapExceeded) as caught:
+            run()
+        assert str(caught.value) == message.format(q)
 
 
 def test_nu_box_term_cap(r2xy, monkeypatch):

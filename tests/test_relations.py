@@ -4,6 +4,10 @@ on seeded small inputs with no outside oracle.
 - nu: nu(p*q) >= p*nu(q), since the Frobenius image of an element of a^nu
   that escapes m^[q] is an element of a^(p*nu) that escapes m^[pq]; and
   nu(q) <= n(q - 1), since a^N sits in m^N, inside m^[q] past n(q - 1).
+  For principal a = (f), also nu(p*q) <= p*nu(q) + p - 1, since
+  f^(nu(q) + 1) lies in m^[q], so its p-th power f^(p*nu(q) + p) lies in
+  m^[pq]; there each nu is the bare walk ``ProductWalk(a, q).top(-1)``,
+  which no window from the level below guides.
 - Symmetry: permuting the variables fixes m and m^[q], so it leaves every
   nu value and every Fedder verdict (outcome and per-e escapes) unchanged.
 - Sharp Fedder: a^ceil(t(q-1)/2) contains a^ceil(t(q-1)), so a sharp escape
@@ -12,9 +16,9 @@ on seeded small inputs with no outside oracle.
   is a sharp escape and a sharp escape a classic one; every proven verdict
   passes ``verify_witness``, which computes no colon.
 
-Inputs: 2 variables with p in {2, 3, 5, 7}, or 3 with p in {2, 3, 5}; a
-with 1 to 3 generators of at most 3 terms and exponents below 3 inside m,
-over S or over a hypersurface S/(f) with a' = a + (f). The flavor relations
+Inputs: 2 or 3 variables with p in {2, 3, 5, 7}; a with 1 to 3
+generators of at most 3 terms and exponents below 3 inside m, over S or
+over a hypersurface S/(f) with a' = a + (f). The flavor relations
 also run over S/I for I with two or three generators, drawn here: Herzog
 monomial curves, 2x2 minors of 2x3 matrices of linear forms and two
 quadrics, with a = (1) or a variable, p in {2, 3} and e <= 2, so that the
@@ -38,9 +42,10 @@ from fpurity import (
     strong_fedder,
     verify_witness,
 )
+from fpurity.ideals import ProductWalk
 from fpurity.purity import CLASSIC, SHARP, STRONG, _run_criterion
 
-SHAPES = [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3)]  # (p, n)
+SHAPES = [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3), (7, 3)]  # (p, n)
 HYPERSURFACES = {2: ["x^2 + y^3", "x*y"], 3: ["x*y - z^2", "x^3 + y^3 + z^3", "x^2*y + z^2"]}
 
 
@@ -94,7 +99,7 @@ def _permuted_pair(pair, perm):
 
 
 def test_nu_tables_grow_by_frobenius_and_stay_below_the_pigeonhole_bound():
-    skipped = checked = 0
+    skipped = checked = principal = 0
     for ring, a, _ in _draw_pairs("relations:nu", 80):
         try:
             table = nu_table(a, 3 if ring.p <= 3 else 2)
@@ -106,7 +111,13 @@ def test_nu_tables_grow_by_frobenius_and_stay_below_the_pigeonhole_bound():
             assert 0 <= row.nu <= ring.nvars * (row.q - 1), (a, row)
         for low, high in zip(table, table[1:]):
             assert high.nu >= ring.p * low.nu, (a, low, high)
-    assert skipped <= 2 and checked >= 78
+        if len(a.generators) == 1 and not a.is_monomial:
+            principal += 1
+            nus = [ProductWalk(a, row.q).top(-1) for row in table]
+            assert nus == [row.nu for row in table], (a, table)
+            for low, high in zip(nus, nus[1:]):
+                assert high <= ring.p * low + ring.p - 1, (a, nus)
+    assert skipped <= 2 and checked >= 78 and principal >= 10
 
 
 def test_permuting_the_variables_keeps_nu_and_fedder_verdicts():
@@ -137,7 +148,7 @@ def test_permuting_the_variables_keeps_nu_and_fedder_verdicts():
 
 def test_a_sharp_escape_at_t_is_one_at_half_t_and_the_same_q():
     proven = 0
-    for _, _, pair in _draw_pairs("relations:sharp", 80):
+    for _, _, pair in _draw_pairs("relations:sharp", 90):
         try:
             verdict = sharp_fedder(pair, 2)
         except ResourceCapExceeded:
